@@ -112,16 +112,12 @@ def tuning_parallelism() -> None:
     * ``Estocada(parallelism=4)`` — per-mediator default;
     * ``est.query(..., parallelism=4)`` — per-query override (1 = serial).
 
-    Two further execution knobs (both usually best left at their defaults):
+    Further execution knobs (all usually best left at their defaults):
 
     * ``REPRO_BATCH_SIZE=256`` / ``Estocada(batch_size=256)`` — rows per
       ``RowBatch`` flowing through the runtime (must be >= 1; bigger batches
       amortize per-batch overhead, smaller ones reduce LIMIT overshoot);
-    * ``REPRO_COMPILED=0`` — disable the compiled native-batch kernels and
-      fall back to the interpreted per-row engine (bag-identical answers,
-      ~2-3x slower on scan-heavy queries; ``REPRO_FUSED=0`` keeps the
-      kernels but disables operator fusion).  The active path and the
-      per-operator throughput counters show up in
+      the per-operator throughput counters show up in
       ``result.summary()["execution"]``;
     * ``REPRO_REWRITE_INDEX=0`` — disable the relation-signature index
       that narrows rewriting to the views reachable from the query, and
@@ -131,9 +127,8 @@ def tuning_parallelism() -> None:
       chase/containment memos);
     * ``REPRO_DURABLE=/path`` / ``Estocada(durable_path=...)`` — persist
       every registered store through a per-store WAL + columnar segment
-      backing (see :func:`durability` below; ``REPRO_SEGMENT_SCAN=0``
-      keeps the durability but serves scans from memory, and
-      ``REPRO_SEGMENT_ROWS`` sets how many rows freeze per segment).
+      backing (see :func:`durability` below; ``REPRO_SEGMENT_ROWS`` sets
+      how many rows freeze per segment).
     """
     est = Estocada(parallelism=1)  # serial by default; overridden per query
     est.register_store("pg", RelationalStore("pg", latency=0.02))

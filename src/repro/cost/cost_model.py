@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.catalog.statistics import StatisticsCatalog
 from repro.core.terms import Constant, Variable
-from repro.runtime.batch import compiled_enabled
 from repro.cost.cardinality import CardinalityEstimator
 from repro.errors import CostModelError
 from repro.translation.grouping import AtomAccess, DelegationGroup
@@ -67,17 +66,12 @@ DEFAULT_PROFILES: Mapping[str, StoreCostProfile] = {
     "nested": StoreCostProfile(scan_row_cost=1.0, lookup_cost=1.2, request_overhead=8.0, parallelism=4.0),
 }
 
-_RUNTIME_ROW_COST = 0.8
-"""Mediator cost per row under the interpreted (dict-boundary) runtime."""
+_RUNTIME_ROW_COST = 0.3
+"""Mediator cost charged per runtime-touched row.
 
-_COMPILED_RUNTIME_ROW_COST = 0.3
-"""Mediator cost per row under the compiled native-batch runtime.
-
-The compiled kernels resolve column positions once per batch and run fused
-Filter/Project/Output chains in a single pass, so a mediator-touched row is
-markedly cheaper than under the per-row dict interpretation — the cost model
-prices plans with the path that will actually execute them (bench e13
-measures the ratio).
+The kernels resolve column positions once per batch and run fused
+Filter/Project/Output chains in a single pass over row tuples, so a
+mediator-touched row is markedly cheaper than a store-scanned one.
 """
 
 LATENCY_COST_PER_SECOND = 1000.0
@@ -152,7 +146,7 @@ class RewritingCostBound:
                 estimate = (
                     profile.request_cost
                     + (rows * profile.scan_row_cost) / max(profile.parallelism, 1.0)
-                    + CostModel.runtime_row_cost() * rows
+                    + _RUNTIME_ROW_COST * rows
                 )
                 entry = (floor, estimate)
             self._entries[fragment] = entry
@@ -264,17 +258,6 @@ class CostModel:
                 return best
         return profile.request_latency_seconds
 
-    # -- runtime pricing ---------------------------------------------------------------
-    @staticmethod
-    def runtime_row_cost() -> float:
-        """Mediator cost charged per runtime-touched row.
-
-        Reflects the execution path that is actually enabled: the compiled
-        native-batch kernels (``REPRO_COMPILED``, default on) or the
-        interpreted per-row fallback.
-        """
-        return _COMPILED_RUNTIME_ROW_COST if compiled_enabled() else _RUNTIME_ROW_COST
-
     # -- group costs -------------------------------------------------------------------
     def _access_cost(self, access: AtomAccess, left_rows: float, bound: set[Variable]) -> tuple[float, float]:
         """Cost and output cardinality of accessing one atom given ``left_rows``.
@@ -333,7 +316,7 @@ class CostModel:
             cost = profile.lookup_cost + request_cost
             output = max(per_lookup_rows, 0.0)
             if left_rows:
-                cost += self.runtime_row_cost() * (left_rows + output)
+                cost += _RUNTIME_ROW_COST * (left_rows + output)
                 output = left_rows * output
             return cost + staleness_penalty, output
 
@@ -357,7 +340,7 @@ class CostModel:
             )
         if left_rows:
             # The mediator joins this scan with the left side.
-            scan_cost += self.runtime_row_cost() * (left_rows + estimate.estimated_rows)
+            scan_cost += _RUNTIME_ROW_COST * (left_rows + estimate.estimated_rows)
             join_selectivity = 1.0
             for column in probe_columns:
                 join_selectivity *= stats.selectivity_of_equality(column)
@@ -459,7 +442,7 @@ class CostModel:
         scan_cost = (
             request_cost
             + (stats.cardinality * profile.scan_row_cost) / max(profile.parallelism, 1.0)
-            + self.runtime_row_cost() * (left_rows + estimate.estimated_rows)
+            + _RUNTIME_ROW_COST * (left_rows + estimate.estimated_rows)
         )
         return "bind" if probe_cost < scan_cost else "hash"
 
@@ -485,7 +468,7 @@ class CostModel:
                 bound.update(access.atom.variable_set())
             per_group.append(group_cost)
             total_cost += group_cost
-        total_cost += self.runtime_row_cost() * rows
+        total_cost += _RUNTIME_ROW_COST * rows
         return PlanCostEstimate(
             rewriting_name=rewriting_name,
             total_cost=total_cost,

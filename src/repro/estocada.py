@@ -47,7 +47,6 @@ from repro.errors import (
 from repro.languages.docql import DocumentQuery
 from repro.languages.sql.translator import SqlTranslator, TranslatedQuery
 from repro.plan.physical import push_partial_aggregation
-from repro.runtime.batch import RowBatch, compiled_enabled
 from repro.runtime.engine import ExecutionEngine, QueryResult
 from repro.runtime.kernels import (
     FilterStage,
@@ -56,8 +55,8 @@ from repro.runtime.kernels import (
     ProjectStage,
     attach_stage,
 )
-from repro.runtime.operators import Aggregate, Deduplicate, Filter, Operator, Project
-from repro.stores.base import COMPARATORS, Store
+from repro.runtime.operators import Aggregate, Deduplicate, Operator, Project
+from repro.stores.base import Store
 from repro.stores.replicated import ReplicatedStore, ReplicationPolicy
 from repro.stores.sharded import ShardedStore
 from repro.translation.planner import Planner
@@ -413,7 +412,6 @@ class Estocada:
         return {
             "parallelism": self._engine.parallelism,
             "batch_size": self._engine.batch_size,
-            "compiled": compiled_enabled(),
             "drift_threshold": self._drift_threshold,
         }
 
@@ -1133,11 +1131,6 @@ class Estocada:
             + f"\n-- plan cache: {'hit' if cache_hit else 'miss'}"
             + f", batches: {result.batches}"
             + f", parallelism: {result.parallelism}"
-            + (
-                ", compiled kernels" + (" (fused)" if result.fused else "")
-                if result.compiled
-                else ", interpreted"
-            )
             + sharding_note
         )
         self._absorb_observations(result)
@@ -1257,61 +1250,34 @@ class Estocada:
     ) -> Operator:
         """Wrap the chosen plan with the residual (non-conjunctive) work.
 
-        On the compiled path (``REPRO_COMPILED``, default on) the residual
-        filters, the plan's terminal projection and the output shaping become
-        declarative kernel stages — with fusion on (``REPRO_FUSED``) the
-        whole Filter → Project → Output (→ LIMIT) chain collapses into one
-        :class:`~repro.runtime.kernels.FusedPipeline`.  With the compiled
-        path off, the interpreted per-row operators of the seed engine are
-        built instead; the two paths are held bag-identical by the
-        differential suite.
+        The residual filters, the plan's terminal projection and the output
+        shaping become declarative kernel stages, so the whole
+        Filter → Project → Output (→ LIMIT) chain collapses into one
+        :class:`~repro.runtime.kernels.FusedPipeline`.
         """
-        compiled = compiled_enabled()
-        if compiled and isinstance(root, Project):
-            root = attach_stage(
-                root.children()[0],
-                ProjectStage(root.variables, tuple(root.renaming.items())),
-            )
-        # Aggregation pushdown pattern-matches a (possibly projected) shard
-        # gather — the interpreted Project shape or, on the compiled path,
-        # the fused ProjectStage chain just built above.
-        pushed = (
-            push_partial_aggregation(root, aggregation.group_by, aggregation.aggregations)
-            if aggregation is not None and not residual
-            else None
-        )
-
-        if compiled and residual:
+        projection = None
+        if isinstance(root, Project):
+            projection = ProjectStage(root.variables, tuple(root.renaming.items()))
+            root = root.children()[0]
+        if residual:
+            # Before the projection: a WHERE column need not be selected, and
+            # the projection would drop it.
             specs = tuple(
                 PredicateSpec(p.variable, p.op, p.value, p.value_is_column)
                 for p in residual
             )
             root = attach_stage(root, FilterStage(specs))
-        else:
-            for predicate in residual:
-                comparator = COMPARATORS[predicate.op]
-                if predicate.value_is_column:
-                    root = Filter(
-                        root,
-                        lambda b, p=predicate, c=comparator: (
-                            b.get(p.variable) is not None
-                            and b.get(p.value) is not None
-                            and c(b.get(p.variable), b.get(p.value))
-                        ),
-                        label=f"{predicate.variable} {predicate.op} {predicate.value}",
-                    )
-                else:
-                    root = Filter(
-                        root,
-                        lambda b, p=predicate, c=comparator: (
-                            b.get(p.variable) is not None and c(b.get(p.variable), p.value)
-                        ),
-                        label=f"{predicate.variable} {predicate.op} {predicate.value!r}",
-                    )
+        if projection is not None:
+            root = attach_stage(root, projection)
         if aggregation is not None:
             # Over a sharded fragment scan (and with no mediator-side residual
             # filters in between) the aggregation decomposes: each shard
             # pre-aggregates its own rows, the mediator merges partial states.
+            pushed = None
+            if not residual:
+                pushed = push_partial_aggregation(
+                    root, aggregation.group_by, aggregation.aggregations
+                )
             root = (
                 pushed
                 if pushed is not None
@@ -1323,21 +1289,26 @@ class Estocada:
         if extras.get("distinct") or pivot_set_semantics:
             root = Deduplicate(root)
         limit = extras.get("limit")
-        if compiled:
-            if output_names is not None:
-                outputs = tuple(
-                    (
-                        name,
-                        isinstance(term, Variable),
-                        term.name if isinstance(term, Variable) else term.value,
-                    )
-                    for name, term in zip(output_names, pivot_query.head_terms)
+        if output_names is not None:
+            # A head variable the translator exposed only to feed an aggregate
+            # is consumed by it: it is not an output column.
+            consumed: set = set()
+            if aggregation is not None:
+                consumed = {
+                    column for _, column in aggregation.aggregations.values()
+                } - set(aggregation.group_by)
+            outputs = tuple(
+                (
+                    name,
+                    isinstance(term, Variable),
+                    term.name if isinstance(term, Variable) else term.value,
                 )
-                root = attach_stage(root, OutputStage(outputs), limit)
-            elif limit is not None:
-                root = attach_stage(root, None, limit)
-        else:
-            root = _RenameAndLimit(root, pivot_query, output_names, limit)
+                for name, term in zip(output_names, pivot_query.head_terms)
+                if not (isinstance(term, Variable) and term.name in consumed)
+            )
+            root = attach_stage(root, OutputStage(outputs), limit)
+        elif limit is not None:
+            root = attach_stage(root, None, limit)
         return root
 
     # -- storage advisor ------------------------------------------------------------------------
@@ -1413,78 +1384,3 @@ class Estocada:
             "migrations": outcomes,
             "retirements": retirements,
         }
-
-
-class _RenameAndLimit(Operator):
-    """Rename head variables to output column names and apply LIMIT.
-
-    Streams batches through; under a LIMIT the upstream pipeline is abandoned
-    as soon as enough rows have been produced (the streaming engine's
-    early-exit advantage over the old materializing runtime).
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        pivot_query: ConjunctiveQuery,
-        output_names: tuple[str, ...] | None,
-        limit: int | None,
-    ) -> None:
-        self._child = child
-        self._pivot_query = pivot_query
-        self._output_names = output_names
-        self._limit = limit
-
-    def children(self) -> Sequence[Operator]:
-        return (self._child,)
-
-    def _rename_batch(self, batch: RowBatch) -> RowBatch:
-        head_terms = self._pivot_query.head_terms
-        head_variable_names = {t.name for t in head_terms if isinstance(t, Variable)}
-        columns = batch.columns
-        # Per-output value source: a constant, or a column position (the head
-        # term's variable when present, else a same-named column).
-        plan: list[tuple[str, bool, object]] = []  # (name, is_constant, value/pos)
-        for name, term in zip(self._output_names, head_terms):
-            if isinstance(term, Variable):
-                if term.name in columns:
-                    plan.append((name, False, columns.index(term.name)))
-                elif name in columns:
-                    plan.append((name, False, columns.index(name)))
-                else:
-                    plan.append((name, True, None))
-            else:
-                plan.append((name, True, term.value))
-        taken = {name for name, _, _ in plan}
-        # Preserve aggregation outputs and any extra computed columns.
-        extras = [
-            (column, index)
-            for index, column in enumerate(columns)
-            if column not in taken and column not in head_variable_names
-        ]
-        output_schema = tuple(name for name, _, _ in plan) + tuple(c for c, _ in extras)
-        rows = [
-            tuple(
-                value if is_constant else row[value]
-                for _, is_constant, value in plan
-            )
-            + tuple(row[index] for _, index in extras)
-            for row in batch.rows
-        ]
-        return RowBatch(output_schema, rows)
-
-    def _batches(self, context) -> "Iterable[RowBatch]":
-        remaining = self._limit
-        for batch in self._child.batches(context):
-            if self._output_names is not None:
-                batch = self._rename_batch(batch)
-            if remaining is not None:
-                batch = batch.take(remaining)
-                remaining -= len(batch)
-            if batch:
-                yield batch
-            if remaining is not None and remaining <= 0:
-                return
-
-    def describe(self) -> str:
-        return f"Output[{', '.join(self._output_names or ())}]"

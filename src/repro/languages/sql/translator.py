@@ -94,7 +94,9 @@ class SqlTranslator:
         head_terms, output_names = self._build_head(statement, alias_to_table, union_find, constants)
         query = ConjunctiveQuery(self._query_name, head_terms, atoms, name=self._query_name)
 
-        aggregation = self._build_aggregation(statement, alias_to_table, union_find)
+        aggregation = self._build_aggregation(
+            statement, alias_to_table, union_find, constants
+        )
         return TranslatedQuery(
             query=query,
             output_names=output_names,
@@ -261,14 +263,19 @@ class SqlTranslator:
         statement: SelectStatement,
         alias_to_table: Mapping[str, str],
         union_find: "_UnionFind",
+        constants: Mapping[str, object],
     ) -> ResidualAggregation | None:
         aggregates = statement.aggregates()
         if not aggregates:
             return None
-        group_by = tuple(
+        # A column pinned to a constant is not a variable of the conjunctive
+        # core (the head carries the constant), and grouping by it groups by
+        # nothing.
+        representatives = (
             union_find.find(self._resolve_column(column, alias_to_table))
             for column in statement.group_by
         )
+        group_by = tuple(name for name in representatives if name not in constants)
         aggregations: dict[str, tuple[str, str | None]] = {}
         for item in aggregates:
             argument = (

@@ -11,14 +11,12 @@ Lowering decides *how* each logical step executes:
   the two is picked from the estimated left cardinality and the store's cost
   profile (per-probe lookups beat a full scan when the left side is small);
 * projection and duplicate elimination map onto the streaming
-  :class:`~repro.runtime.operators.Project` / ``Deduplicate`` operators; on
-  the compiled path (``REPRO_COMPILED``, default on) the facade's residual
-  assembly lowers the terminal Filter → Project → Output (→ LIMIT) chain
-  into kernel stages fused into a single
-  :class:`~repro.runtime.kernels.FusedPipeline`
-  (:func:`~repro.runtime.kernels.attach_stage`), and
-  :func:`push_partial_aggregation` pattern-matches the fused projection
-  shape exactly like the interpreted one;
+  :class:`~repro.runtime.operators.Project` / ``Deduplicate`` operators; the
+  facade's residual assembly then lowers the terminal
+  Filter → Project → Output (→ LIMIT) chain into kernel stages fused into a
+  single :class:`~repro.runtime.kernels.FusedPipeline`
+  (:func:`~repro.runtime.kernels.attach_stage`), which
+  :func:`push_partial_aggregation` sees through like a plain ``Project``;
 * every delegated store request — the independent subtrees of the plan:
   distinct delegation groups, the build and probe sides of hash joins — is
   wrapped in an :class:`~repro.runtime.parallel.Exchange` node, the explicit
@@ -515,7 +513,7 @@ def push_partial_aggregation(
         projected = set(node.variables)
         node = node.children()[0]
     elif isinstance(node, FusedPipeline) and node.limit is None:
-        # The compiled lowering turns the terminal Project into a fused
+        # The facade's lowering turns the terminal Project into a fused
         # ProjectStage chain; the pushdown sees through it the same way
         # (rename-free stages only — a renamed column would decouple the
         # stage's outputs from the aggregation's input names).

@@ -8,15 +8,13 @@ aligned with the schema.  Compared to per-row dicts this removes one dict
 allocation and one hash probe per column per row on the hot path, and lets
 operators resolve column positions once per batch instead of once per row.
 
-Bindings (``dict[str, object]``) are the *boundary* representation for the
-interpreted fallback path (``REPRO_COMPILED=0``) and for point probes: stores
-then return dict rows, predicates and request factories receive dict views,
-and the terminal collection in
+The stores themselves produce :class:`RowBatch` streams
+(:meth:`repro.stores.base.Store.execute_batches`), so tuples flow end-to-end
+through a query.  Bindings (``dict[str, object]``) are the *boundary*
+representation: bind-join probes return dict rows and hand request factories
+a dict view of the left row, and the terminal collection in
 :class:`~repro.runtime.engine.ExecutionEngine` converts the final batches
-back to bindings.  On the compiled path the stores themselves produce
-:class:`RowBatch` streams (:meth:`repro.stores.base.Store.execute_batches`),
-so tuples flow end-to-end and the dict round-trip disappears from the scan
-hot path.
+back to bindings.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "default_batch_size",
-    "compiled_enabled",
-    "fusion_enabled",
     "RowBatch",
     "BatchBuilder",
     "batches_from_bindings",
@@ -36,27 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 256
-
-_OFF = frozenset(("0", "false", "no", "off"))
-
-
-def compiled_enabled() -> bool:
-    """Whether the compiled native-batch path is on (``REPRO_COMPILED``, default on).
-
-    The flag lives here (not in :mod:`repro.runtime.kernels`) because both the
-    operators and the store layer consult it, and this module is the one
-    dependency they already share.
-    """
-    return os.environ.get("REPRO_COMPILED", "").strip().lower() not in _OFF
-
-
-def fusion_enabled() -> bool:
-    """Whether operator-chain fusion is on (``REPRO_FUSED``, default on).
-
-    Only consulted when the compiled path is enabled; the interpreted
-    fallback never fuses.
-    """
-    return os.environ.get("REPRO_FUSED", "").strip().lower() not in _OFF
 
 
 def default_batch_size() -> int:
@@ -216,7 +191,7 @@ def batches_from_bindings(
     batch_size: int = DEFAULT_BATCH_SIZE,
     columns: Sequence[str] | None = None,
 ) -> Iterator[RowBatch]:
-    """Chunk dict rows into batches (adapter for legacy/materialized sources)."""
+    """Chunk dict rows into batches (adapter for materialized sources)."""
     chunk: list[Mapping[str, object]] = []
     for binding in bindings:
         chunk.append(binding)

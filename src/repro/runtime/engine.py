@@ -27,7 +27,7 @@ from typing import Mapping
 
 from repro.cancellation import Deadline, current_cancel_event, set_current_cancel
 from repro.errors import DeadlineExceededError
-from repro.runtime.batch import compiled_enabled, default_batch_size, fusion_enabled
+from repro.runtime.batch import default_batch_size
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.runtime.parallel import Exchange, ExecutorPool
 from repro.runtime.values import Binding
@@ -84,8 +84,6 @@ class QueryResult:
     shards_pruned: int = 0
     exchange_rows: int = 0
     batch_size: int = 0
-    compiled: bool = True
-    fused: bool = True
     operator_stats: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -151,8 +149,6 @@ class QueryResult:
             "segments": dict(self.segment_activity()),
             "execution": {
                 "batch_size": self.batch_size,
-                "compiled": self.compiled,
-                "fused": self.fused,
                 "runtime_rows_processed": self.runtime_rows_processed,
                 "operators": {
                     name: dict(stats) for name, stats in self.operator_stats.items()
@@ -345,7 +341,6 @@ class ExecutionEngine:
 
         shards_contacted = sum(contacted for contacted, _ in context.shard_reports)
         shards_pruned = sum(pruned for _, pruned in context.shard_reports)
-        compiled = compiled_enabled()
 
         # Per-operator batch/row throughput: rows-per-second is computed
         # against the whole execution's wall clock (operators overlap and
@@ -374,9 +369,5 @@ class ExecutionEngine:
             shards_pruned=shards_pruned,
             exchange_rows=context.exchange_rows,
             batch_size=context.batch_size,
-            compiled=compiled,
-            # The interpreted path never fuses: `fused` reports whether fused
-            # kernels could actually have run, not the raw env switch.
-            fused=compiled and fusion_enabled(),
             operator_stats=operator_stats,
         )

@@ -1,10 +1,9 @@
 """Per-plan compiled kernels: batch-at-a-time closures over tuple rows.
 
-The interpreted runtime evaluates residual predicates, projections and output
-shaping row by row, rebuilding a binding dict per row just to call a
-``dict``-based predicate.  This module compiles those per-row interpretations
-into **kernels**: closures specialized against a batch schema exactly once,
-operating on plain row tuples by column *position*.
+Residual predicates, projections and output shaping are evaluated by
+**kernels**: closures specialized against a batch schema exactly once,
+operating on plain row tuples by column *position* — no binding dict is
+rebuilt per row.
 
 Three pieces:
 
@@ -15,19 +14,12 @@ Three pieces:
   extracts the key column(s) of an entire batch in one pass and represents
   single-column keys as bare scalars (no per-row tuple allocation);
 * **stages** (:class:`FilterStage`, :class:`ProjectStage`,
-  :class:`OutputStage`) — the declarative, fusable forms of the runtime's
-  Filter / Project / output-shaping operators.  Being data (not opaque
-  callables), stages can be concatenated by the physical-lowering fusion
-  pass;
+  :class:`OutputStage`) — the declarative, fusable forms of residual
+  filtering, projection and output shaping.  Being data (not opaque
+  callables), stages can be concatenated by :func:`attach_stage`;
 * :class:`FusedPipeline` — a single operator evaluating a chain of stages
   (plus an optional LIMIT) in one pass per batch: rows are filtered,
-  projected and reshaped without ever materializing the intermediate
-  batches the unfused operator chain would produce.
-
-``REPRO_COMPILED=0`` disables the whole compiled path (stores fall back to
-dict streams, residual work to the interpreted operators); ``REPRO_FUSED=0``
-keeps the compiled kernels but disables chain fusion — the benchmark uses
-the two switches to separate the wins.
+  projected and reshaped without materializing a batch per stage.
 """
 
 from __future__ import annotations
@@ -36,13 +28,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from repro.runtime.batch import RowBatch, compiled_enabled, fusion_enabled
+from repro.runtime.batch import RowBatch
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.stores.base import COMPARATORS
 
 __all__ = [
-    "compiled_enabled",
-    "fusion_enabled",
     "PredicateSpec",
     "ZoneBound",
     "extract_zone_bounds",
@@ -67,9 +57,8 @@ class PredicateSpec:
     """One residual comparison, compilable against any batch schema.
 
     ``value`` is a literal, or — with ``value_is_column`` — the name of the
-    other column.  Semantics mirror the interpreted residual filters: a
-    ``None`` operand (or a column absent from the schema) fails the
-    comparison.
+    other column.  A ``None`` operand (or a column absent from the schema)
+    fails the comparison.
     """
 
     column: str
@@ -144,8 +133,7 @@ def predicate_kernel(specs: Sequence[PredicateSpec], schema: Sequence[str]) -> R
         left is None or (is_column and right is None)
         for left, _, right, is_column in checks
     ):
-        # A missing operand column means no row can satisfy the conjunction
-        # (the interpreted filter drops such rows one by one).
+        # A missing operand column means no row can satisfy the conjunction.
         return lambda rows: []
 
     if len(checks) == 1:
@@ -223,7 +211,7 @@ def key_kernel(schema: Sequence[str], columns: Sequence[str]) -> Callable[[list]
 
 @dataclass(frozen=True, slots=True)
 class FilterStage:
-    """A conjunction of residual comparisons (the compiled Filter)."""
+    """A conjunction of residual comparisons."""
 
     specs: tuple[PredicateSpec, ...]
 
@@ -237,7 +225,7 @@ class FilterStage:
 
 @dataclass(frozen=True, slots=True)
 class ProjectStage:
-    """Keep only ``variables``, optionally renaming (the compiled Project)."""
+    """Keep only ``variables``, optionally renaming."""
 
     variables: tuple[str, ...]
     renaming: tuple[tuple[str, str], ...] = ()
@@ -254,14 +242,13 @@ class ProjectStage:
 
 @dataclass(frozen=True, slots=True)
 class OutputStage:
-    """Rename head variables to output column names (the compiled Output).
+    """Rename head variables to output column names.
 
     ``outputs`` holds one ``(name, is_variable, payload)`` triple per output
     column: the payload is the head variable's name, or the constant value
     for constant head terms.  Columns of the input schema that are neither
     claimed outputs nor head variables (aggregation results, computed
-    extras) are appended unchanged — the exact semantics of the interpreted
-    ``Output`` operator.
+    extras) are appended unchanged.
     """
 
     outputs: tuple[tuple[str, bool, object], ...]
@@ -319,8 +306,7 @@ class FusedPipeline(Operator):
     drift.  A batch makes a single pass through the compiled kernels — no
     intermediate :class:`RowBatch` objects, no per-row dict, no repeated
     column resolution.  The optional ``limit`` truncates the final stream
-    and abandons the upstream pipeline early, like the interpreted Output
-    operator.
+    and abandons the upstream pipeline early.
     """
 
     def __init__(
@@ -393,19 +379,13 @@ def attach_stage(
 ) -> FusedPipeline:
     """Attach one compiled stage (and/or a LIMIT) above ``root``, fusing chains.
 
-    This is the fusion primitive of the physical lowering: with
-    ``REPRO_FUSED`` on, a stage attached to a :class:`FusedPipeline` that has
-    no terminal LIMIT is *absorbed* into it — consecutive
-    Filter → Project → Output (→ LIMIT) steps collapse into one operator.
-    With fusion off every stage stays its own single-stage pipeline, so the
-    compiled kernels still run but each step materializes its own batch
-    stream (the benchmark separates the two wins with exactly this switch).
+    This is the fusion primitive of the physical lowering: a stage attached
+    to a :class:`FusedPipeline` that has no terminal LIMIT is *absorbed* into
+    it — consecutive Filter → Project → Output (→ LIMIT) steps collapse into
+    one operator.  A pipeline that already truncates is never extended:
+    fusing across its LIMIT would filter before truncating.
     """
     stages = () if stage is None else (stage,)
-    if (
-        fusion_enabled()
-        and isinstance(root, FusedPipeline)
-        and root.limit is None
-    ):
+    if isinstance(root, FusedPipeline) and root.limit is None:
         return FusedPipeline(root.child, root.stages + stages, limit)
     return FusedPipeline(root, stages, limit)

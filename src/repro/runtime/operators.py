@@ -14,8 +14,8 @@ the batch stream into binding dicts.  The operator set follows the paper:
   restrictions": for each left binding, call the restricted source with the
   required inputs bound;
 * :class:`HashJoin` — mediator-side equi-join of two sub-plans;
-* :class:`Filter`, :class:`Project`, :class:`Deduplicate` — residual
-  selections/projections;
+* :class:`Project`, :class:`Deduplicate` — residual projections (residual
+  selections are :class:`~repro.runtime.kernels.FilterStage` kernels);
 * :class:`NestedConstruct` — builds nested results when no store can;
 * :class:`Aggregate` — simple grouped aggregation for the benchmark queries.
 
@@ -35,7 +35,6 @@ from repro.runtime.batch import (
     BatchBuilder,
     RowBatch,
     batches_from_bindings,
-    compiled_enabled,
     freeze_value,
 )
 from repro.runtime.values import Binding, nest_rows
@@ -56,7 +55,6 @@ __all__ = [
     "DelegatedRequest",
     "BindJoin",
     "HashJoin",
-    "Filter",
     "Project",
     "Deduplicate",
     "NestedConstruct",
@@ -229,21 +227,11 @@ class ExecutionContext:
         self.exchange_states.clear()
 
 
-def _owner_index(cls: type, attribute: str) -> int:
-    """Position in ``cls.__mro__`` of the class defining ``attribute``."""
-    for index, klass in enumerate(cls.__mro__):
-        if attribute in vars(klass):
-            return index
-    return len(cls.__mro__)
-
-
 class Operator:
     """Base class of every physical operator.
 
     The streaming protocol is :meth:`batches`; concrete operators implement
-    :meth:`_batches`.  An operator (or test double) that overrides
-    :meth:`rows` *below* the class providing ``_batches`` is treated as a
-    legacy materializing operator and adapted by chunking its rows.
+    :meth:`_batches`.
     """
 
     def batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
@@ -254,12 +242,9 @@ class Operator:
         ``QueryResult.summary()["execution"]`` can report batch/row
         throughput per operator without each implementation counting by hand.
         """
-        cls = type(self)
-        if _owner_index(cls, "rows") < _owner_index(cls, "_batches"):
-            source = batches_from_bindings(self.rows(context), context.batch_size)
-        else:
-            source = self._batches(context)
-        return self._tallied(source, context, cls.__name__.lstrip("_"))
+        return self._tallied(
+            self._batches(context), context, type(self).__name__.lstrip("_")
+        )
 
     @staticmethod
     def _tallied(
@@ -277,7 +262,7 @@ class Operator:
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         """The operator's streaming implementation (override this)."""
-        raise NotImplementedError(f"{type(self).__name__} implements neither _batches nor rows")
+        raise NotImplementedError(f"{type(self).__name__} does not implement _batches")
 
     def rows(self, context: ExecutionContext) -> list[Binding]:
         """Terminal collection: drain the batch stream into binding dicts."""
@@ -347,11 +332,6 @@ class DelegatedRequest(Operator):
         # execution time from the store's health board.
         self._replica_count = getattr(store, "replica_count", None)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        if compiled_enabled():
-            return self._batches_native(context)
-        return self._batches_interpreted(context)
-
     def _hinted_request(self, context: ExecutionContext) -> tuple[StoreRequest, bool]:
         """Fold the context's scan hints into this leaf's scan request.
 
@@ -377,8 +357,8 @@ class DelegatedRequest(Operator):
             return request, False
         return replace(request, predicates=request.predicates + extra), True
 
-    def _batches_native(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        """Compiled path: the store streams row-tuple batches end-to-end.
+    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
+        """The store streams row-tuple batches end-to-end.
 
         The store builds batches whose schema is exactly the requested store
         columns, so mapping to pivot variables is a schema *rename* — in the
@@ -427,50 +407,10 @@ class DelegatedRequest(Operator):
                     stream.metrics.partitions_used, stream.metrics.partitions_pruned
                 )
             context.tracker.exit()
-        # A hinted scan is filtered, so its row count is not a fragment
-        # cardinality — recording it would poison the statistics feedback.
-        if self._observable and not hinted:
-            context.observe(self._fragment, stream.metrics.rows_returned, self._shard)
-
-    def _batches_interpreted(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        """Fallback path (``REPRO_COMPILED=0``): dict rows repacked per row."""
-        request, hinted = self._hinted_request(context)
-        stream = self._store.execute_stream(request, context.batch_size)
-        chunks = iter(stream)
-        store_columns = tuple(self._output)
-        schema = tuple(self._output[column] for column in store_columns)
-        constant_items = tuple(self._constants.items())
-        builder = BatchBuilder(schema, context.batch_size)
-        context.tracker.enter()
-        try:
-            for chunk in chunks:
-                for row in chunk:
-                    if constant_items and any(
-                        row.get(column) != value for column, value in constant_items
-                    ):
-                        continue
-                    full = builder.add(tuple(row.get(column) for column in store_columns))
-                    if full is not None:
-                        context.runtime_rows_processed += len(full)
-                        yield full
-            tail = builder.flush()
-            if tail is not None:
-                context.runtime_rows_processed += len(tail)
-                yield tail
-        finally:
-            # Close the stream first so its metrics are finalized even when
-            # this operator is abandoned mid-stream (LIMIT early exit).
-            chunks.close()
-            context.record(self._store.name, stream.metrics)
-            if self._sharded_router:
-                context.report_shards(
-                    stream.metrics.partitions_used, stream.metrics.partitions_pruned
-                )
-            context.tracker.exit()
         # Only reached when the stream ran to exhaustion (an abandoned
-        # generator never resumes past the finally): the full-scan row count
-        # is a trustworthy cardinality observation for the fragment — unless
-        # scan hints filtered the stream.
+        # generator never resumes past the finally).  A hinted scan is
+        # filtered, so its row count is not a fragment cardinality —
+        # recording it would poison the statistics feedback.
         if self._observable and not hinted:
             context.observe(self._fragment, stream.metrics.rows_returned, self._shard)
 
@@ -604,8 +544,8 @@ class HashJoin(Operator):
             return
         right_schema = right_batches[0].columns
         if any(batch.columns != right_schema for batch in right_batches[1:]):
-            # Schema drift across batches (legacy adapters chunk dict rows
-            # with per-chunk schemas): realign everything on the union so no
+            # Schema drift across batches (sources chunking dict rows get
+            # per-chunk union schemas): realign everything on the union so no
             # column from a later batch is dropped.
             union: dict[str, None] = {}
             for batch in right_batches:
@@ -623,17 +563,13 @@ class HashJoin(Operator):
                     for row in batch.rows
                 )
 
-        # Vectorized key extraction (compiled path): both sides hash their key
-        # columns batch-at-a-time through the same kernel, so single-column
-        # keys stay bare scalars and no per-row key tuple is allocated.  The
-        # interpreted fallback keeps the per-row tuple keys.
-        use_kernels = compiled_enabled()
-        if use_kernels:
-            from repro.runtime.kernels import key_kernel
+        # Vectorized key extraction: both sides hash their key columns
+        # batch-at-a-time through the same kernel, so single-column keys stay
+        # bare scalars and no per-row key tuple is allocated.
+        from repro.runtime.kernels import key_kernel
 
         join_variables = self._on
         left_schema: tuple[str, ...] | None = None
-        left_key_indexer: list[int | None] = []
         left_keys_of = None
         extra_checks: tuple[tuple[int, int], ...] = ()
         right_tail_positions: tuple[int, ...] = ()
@@ -671,29 +607,12 @@ class HashJoin(Operator):
                     for column in left_set & set(right_schema)
                     if column not in join_variables
                 )
-                if use_kernels:
-                    left_keys_of = key_kernel(left_schema, join_variables)
-                else:
-                    left_key_indexer = [
-                        left_schema.index(v) if v in left_set else None
-                        for v in join_variables
-                    ]
+                left_keys_of = key_kernel(left_schema, join_variables)
                 if build is None and join_variables:
                     build = {}
-                    if use_kernels:
-                        right_keys = key_kernel(right_schema, join_variables)(right_rows)
-                        for key, row in zip(right_keys, right_rows):
-                            build.setdefault(key, []).append(row)
-                    else:
-                        right_key_indexer = RowBatch(right_schema, []).indexer(
-                            join_variables
-                        )
-                        for row in right_rows:
-                            key = tuple(
-                                row[i] if i is not None else None
-                                for i in right_key_indexer
-                            )
-                            build.setdefault(key, []).append(row)
+                    right_keys = key_kernel(right_schema, join_variables)(right_rows)
+                    for key, row in zip(right_keys, right_rows):
+                        build.setdefault(key, []).append(row)
                 builder = BatchBuilder(output_schema, context.batch_size)
 
             if not join_variables:
@@ -709,14 +628,7 @@ class HashJoin(Operator):
                             yield full
                 continue
 
-            if use_kernels:
-                probe_keys = left_keys_of(left_batch.rows)
-            else:
-                probe_keys = [
-                    tuple(row[i] if i is not None else None for i in left_key_indexer)
-                    for row in left_batch.rows
-                ]
-            for left_row, key in zip(left_batch.rows, probe_keys):
+            for left_row, key in zip(left_batch.rows, left_keys_of(left_batch.rows)):
                 for right_row in build.get(key, ()):
                     if any(
                         left_row[li] != right_row[ri] for li, ri in extra_checks
@@ -737,30 +649,6 @@ class HashJoin(Operator):
     def describe(self) -> str:
         on = "natural" if self._on is None else ",".join(self._on)
         return f"HashJoin[on={on}]"
-
-
-class Filter(Operator):
-    """Residual selection applied by the runtime."""
-
-    def __init__(self, child: Operator, predicate: Callable[[Binding], bool], label: str = "") -> None:
-        self._child = child
-        self._predicate = predicate
-        self._label = label
-
-    def children(self) -> Sequence[Operator]:
-        return (self._child,)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        predicate = self._predicate
-        for batch in self._child.batches(context):
-            columns = batch.columns
-            kept = [row for row in batch.rows if predicate(dict(zip(columns, row)))]
-            if kept:
-                context.runtime_rows_processed += len(kept)
-                yield RowBatch(columns, kept)
-
-    def describe(self) -> str:
-        return f"Filter[{self._label}]" if self._label else "Filter"
 
 
 class Project(Operator):

@@ -17,7 +17,6 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
-    StoreResultStream,
 )
 from repro.stores.document import DocumentStore
 from repro.stores.fulltext import FullTextStore
@@ -33,7 +32,6 @@ __all__ = [
     "StoreCapabilities",
     "StoreMetrics",
     "StoreResult",
-    "StoreResultStream",
     "StoreRequest",
     "Predicate",
     "ScanRequest",

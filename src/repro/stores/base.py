@@ -39,7 +39,6 @@ __all__ = [
     "SearchRequest",
     "StoreRequest",
     "StoreResult",
-    "StoreResultStream",
     "StoreBatchStream",
     "StoreMetrics",
     "Store",
@@ -259,8 +258,13 @@ class _DurableSilence:
         self._store._durable_quiet -= 1
 
 
-class _MetricsStream:
-    """Shared metrics accounting of the lazily batched result streams.
+class StoreBatchStream:
+    """A lazily batched store result over native ``RowBatch`` objects.
+
+    Iterating yields :class:`~repro.runtime.batch.RowBatch` objects whose
+    schema is exactly the ``columns`` the consumer asked for — tuples flow
+    from the store's internal representation to the runtime without a
+    per-row dict round-trip.
 
     The request's :attr:`metrics` are finalized once the stream is exhausted
     (the consumer — typically a ``DelegatedRequest`` operator — records them
@@ -278,6 +282,7 @@ class _MetricsStream:
     __slots__ = (
         "_store",
         "_request",
+        "_columns",
         "_batch_size",
         "metrics",
         "_consumed",
@@ -288,9 +293,16 @@ class _MetricsStream:
         "_base_metrics",
     )
 
-    def __init__(self, store: "Store", request: StoreRequest, batch_size: int) -> None:
+    def __init__(
+        self,
+        store: "Store",
+        request: StoreRequest,
+        columns: Sequence[str],
+        batch_size: int,
+    ) -> None:
         self._store = store
         self._request = request
+        self._columns = tuple(columns)
         self._batch_size = max(1, batch_size)
         self.metrics = StoreMetrics()
         self._consumed = False
@@ -299,6 +311,11 @@ class _MetricsStream:
         self._returned = 0
         self._elapsed = 0.0
         self._base_metrics = StoreMetrics()
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The schema every yielded batch carries."""
+        return self._columns
 
     @property
     def finalized(self) -> bool:
@@ -341,79 +358,14 @@ class _MetricsStream:
         """Finalize the stream early (safe to call from any thread, any number of times)."""
         self._finalize()
 
-
-class StoreResultStream(_MetricsStream):
-    """A lazily batched store result over binding dicts.
-
-    Iterating yields lists of row dicts of at most ``batch_size`` rows.  This
-    is the boundary representation of the interpreted fallback path
-    (``REPRO_COMPILED=0``) and of point probes; the compiled path uses
-    :class:`StoreBatchStream` instead.
-    """
-
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[list[dict[str, object]]]:
-        self._claim()
-        try:
-            started = time.perf_counter()
-            # Interruptible: a cancelled execution (LIMIT early-exit, hedged
-            # loser, expired deadline) wakes from the simulated service wait
-            # immediately instead of sleeping through it.
-            interruptible_sleep(self._store.simulated_latency)
-            rows_iter, self._base_metrics = self._store._execute_stream(self._request)
-            self._elapsed += time.perf_counter() - started
-            while True:
-                pulled = time.perf_counter()
-                batch: list[dict[str, object]] = []
-                for row in rows_iter:
-                    batch.append(row)
-                    if len(batch) >= self._batch_size:
-                        break
-                self._elapsed += time.perf_counter() - pulled
-                if not batch:
-                    break
-                self._returned += len(batch)
-                yield batch
-        finally:
-            # Runs on exhaustion *and* when the consumer abandons the stream
-            # early (e.g. under a LIMIT): whatever was actually pulled is
-            # what the request served.
-            self._finalize()
-
-
-class StoreBatchStream(_MetricsStream):
-    """A lazily batched store result over native ``RowBatch`` objects.
-
-    Iterating yields :class:`~repro.runtime.batch.RowBatch` objects whose
-    schema is exactly the ``columns`` the consumer asked for — tuples flow
-    from the store's internal representation to the runtime without the
-    per-row dict round-trip.  Metrics accounting (including early
-    finalization on abandonment) matches :class:`StoreResultStream`.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(
-        self,
-        store: "Store",
-        request: StoreRequest,
-        columns: Sequence[str],
-        batch_size: int,
-    ) -> None:
-        super().__init__(store, request, batch_size)
-        self._columns = tuple(columns)
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The schema every yielded batch carries."""
-        return self._columns
-
     def __iter__(self) -> "Iterator":
         self._claim()
         batches_iter = None
         try:
             started = time.perf_counter()
+            # Interruptible: a cancelled execution (LIMIT early-exit, hedged
+            # loser, expired deadline) wakes from the simulated service wait
+            # immediately instead of sleeping through it.
             interruptible_sleep(self._store.simulated_latency)
             batches_iter, self._base_metrics = self._store._execute_batches(
                 self._request, self._columns, self._batch_size
@@ -428,10 +380,12 @@ class StoreBatchStream(_MetricsStream):
                 self._returned += len(batch)
                 yield batch
         finally:
-            # Close the store's generator *before* snapshotting the metrics:
-            # router stores fill in their partition accounting (and fold
-            # in-flight child metrics) in their own finally blocks, which
-            # must run even when the consumer abandons the stream early.
+            # Runs on exhaustion *and* when the consumer abandons the stream
+            # early (e.g. under a LIMIT): whatever was actually pulled is
+            # what the request served.  Close the store's generator *before*
+            # snapshotting the metrics: router stores fill in their partition
+            # accounting (and fold in-flight child metrics) in their own
+            # finally blocks, which must run even on abandonment.
             if batches_iter is not None:
                 close = getattr(batches_iter, "close", None)
                 if close is not None:
@@ -445,8 +399,8 @@ class Store:
     Subclasses implement :meth:`_execute` for the request kinds they support
     and declare their profile via :meth:`capabilities`.  The public
     :meth:`execute` wrapper adds timing and cumulative per-store counters used
-    by the demo's performance reporting; :meth:`execute_stream` is the batched
-    path used by the streaming runtime for scans.
+    by the demo's performance reporting; :meth:`execute_batches` is the
+    streaming path the runtime uses for delegated requests.
 
     Stores are **thread-safe for request execution**: requests carry their own
     per-request metrics, cumulative counters are folded in under a lock, and
@@ -496,41 +450,28 @@ class Store:
     def _execute(self, request: StoreRequest) -> StoreResult:
         raise NotImplementedError
 
-    def _execute_stream(
-        self, request: StoreRequest
-    ) -> tuple[Iterator[dict[str, object]], StoreMetrics]:
-        """Streaming counterpart of :meth:`_execute`.
-
-        Returns an iterator of rows plus the request's base metrics
-        (``rows_returned`` and ``elapsed_seconds`` are filled in by the
-        :class:`StoreResultStream` wrapper as rows are pulled).  The default
-        delegates to :meth:`_execute`; stores with a genuinely incremental
-        access path may override it to avoid materializing the result.
-        """
-        result = self._execute(request)
-        return iter(result.rows), result.metrics
-
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ):
-        """Native-batch counterpart of :meth:`_execute_stream`.
+        """Streaming counterpart of :meth:`_execute`.
 
         Returns an iterator of :class:`~repro.runtime.batch.RowBatch` objects
-        (schema = ``columns``) plus the request's base metrics.  The metrics
-        object may keep being filled in while the iterator runs (router
-        stores only know their per-partition accounting at the end); the
-        :class:`StoreBatchStream` wrapper reads it after exhaustion.
+        (schema = ``columns``) plus the request's base metrics
+        (``rows_returned`` and ``elapsed_seconds`` are filled in by the
+        :class:`StoreBatchStream` wrapper as batches are pulled).  The
+        metrics object may keep being filled in while the iterator runs
+        (router stores only know their per-partition accounting at the end);
+        the wrapper reads it after exhaustion.
 
-        The default adapts :meth:`_execute_stream`, so every store —
-        including fault-injection wrappers that override the dict stream —
-        serves batch requests out of the box; the concrete simulators
-        override this to build row tuples straight from their internal
-        representation, skipping the per-row dict copy entirely.
+        The default adapts :meth:`_execute`, so every store serves batch
+        requests out of the box; the concrete simulators override this to
+        build row tuples straight from their internal representation,
+        skipping the per-row dict copy entirely.
         """
-        rows_iter, metrics = self._execute_stream(request)
+        result = self._execute(request)
         columns = tuple(columns)
-        tuples = (tuple(row.get(column) for column in columns) for row in rows_iter)
-        return batch_tuples(tuples, columns, batch_size), metrics
+        tuples = (tuple(row.get(column) for column in columns) for row in result.rows)
+        return batch_tuples(tuples, columns, batch_size), result.metrics
 
     # -- write path --------------------------------------------------------------
     def apply_delta(
@@ -602,12 +543,6 @@ class Store:
         backing = self._durable
         if backing is None:
             return None
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not segment_scan_enabled():
-            # Scans are not served from segments, so pruning never happens;
-            # pricing by the pruned fraction would undercost the full scan.
-            return None
         return backing.scan_fraction(collection, bounds)
 
     # Subclass protocol: a store that opts into durability calls
@@ -639,11 +574,11 @@ class Store:
     def _durable_scan_source(self, request: StoreRequest):
         """The backing able to serve this scan from segments, or None."""
         backing = self._durable
-        if backing is None or not isinstance(request, ScanRequest):
-            return None
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not segment_scan_enabled() or not backing.has_segments(request.collection):
+        if (
+            backing is None
+            or not isinstance(request, ScanRequest)
+            or not backing.has_segments(request.collection)
+        ):
             return None
         return backing
 
@@ -658,16 +593,6 @@ class Store:
         self._note_request(result.metrics)
         return result
 
-    def execute_stream(
-        self, request: StoreRequest, batch_size: int = DEFAULT_STREAM_BATCH_SIZE
-    ) -> StoreResultStream:
-        """Execute a request returning its rows in batches of ``batch_size``.
-
-        The stream's metrics (and the store's cumulative counters) are
-        finalized when the stream is exhausted.
-        """
-        return StoreResultStream(self, request, batch_size)
-
     def execute_batches(
         self,
         request: StoreRequest,
@@ -677,11 +602,11 @@ class Store:
         """Execute a request as a native :class:`~repro.runtime.batch.RowBatch` stream.
 
         ``columns`` fixes the schema of every yielded batch (columns the rows
-        lack are filled with ``None``, matching the dict path's ``row.get``).
-        This is the compiled runtime's scan path: the store builds row tuples
-        directly, so delegated requests stream to the operators without the
-        per-row dict round-trip.  Metrics finalize like
-        :meth:`execute_stream`.
+        lack are filled with ``None``).  This is the runtime's scan path: the
+        store builds row tuples directly, so delegated requests stream to
+        the operators without a per-row dict round-trip.  The stream's
+        metrics (and the store's cumulative counters) are finalized when the
+        stream is exhausted or closed.
         """
         return StoreBatchStream(self, request, columns, batch_size)
 

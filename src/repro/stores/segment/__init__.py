@@ -7,7 +7,6 @@ from repro.stores.segment.backing import (
     DEFAULT_SEGMENT_ROWS,
     DurableBacking,
     default_segment_rows,
-    segment_scan_enabled,
 )
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import SegmentReader, SegmentWriter, write_segment
@@ -25,6 +24,5 @@ __all__ = [
     "encode_value",
     "frame_offsets",
     "replay",
-    "segment_scan_enabled",
     "write_segment",
 ]

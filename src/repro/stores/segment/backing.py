@@ -55,19 +55,10 @@ __all__ = [
     "DurableBacking",
     "DEFAULT_SEGMENT_ROWS",
     "default_segment_rows",
-    "segment_scan_enabled",
 ]
 
 MANIFEST_NAME = "MANIFEST"
 DEFAULT_SEGMENT_ROWS = 4096
-
-_OFF = frozenset(("0", "false", "no", "off"))
-
-
-def segment_scan_enabled() -> bool:
-    """Whether scans are served from segments (``REPRO_SEGMENT_SCAN``, default on)."""
-    return os.environ.get("REPRO_SEGMENT_SCAN", "").strip().lower() not in _OFF
-
 
 def default_segment_rows() -> int:
     """Rows per frozen segment (``REPRO_SEGMENT_ROWS``, else 4096)."""

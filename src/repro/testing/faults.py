@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
 
 from repro.errors import SimulatedCrashError, StoreCrashedError, TransientStoreError
+from repro.runtime.batch import RowBatch
 from repro.runtime.parallel import interruptible_sleep
 from repro.stores.base import Store, StoreMetrics, StoreRequest, StoreResult
 
@@ -389,27 +390,33 @@ class FaultInjector(Store):
             )
         return result
 
-    def _execute_stream(
-        self, request: StoreRequest
-    ) -> tuple[Iterator[dict[str, object]], StoreMetrics]:
+    def _execute_batches(
+        self, request: StoreRequest, columns: Sequence[str], batch_size: int
+    ) -> tuple[Iterator[RowBatch], StoreMetrics]:
         decision = self._decide()
         self._apply_pre_faults(decision)
-        rows_iter, metrics = self._inner._execute_stream(request)
+        batches, metrics = self._inner._execute_batches(request, columns, batch_size)
         if decision.mid_stream_after is not None:
-            rows_iter = self._truncate(rows_iter, decision.mid_stream_after)
-        return rows_iter, metrics
+            batches = self._truncate(batches, decision.mid_stream_after)
+        return batches, metrics
 
-    def _truncate(
-        self, rows: Iterator[dict[str, object]], after: int
-    ) -> Iterator[dict[str, object]]:
-        served = 0
-        for row in rows:
-            if served >= after:
-                raise TransientStoreError(
-                    f"store {self.name!r} lost the stream after {after} rows"
-                )
-            served += 1
-            yield row
+    def _truncate(self, batches: Iterator[RowBatch], after: int) -> Iterator[RowBatch]:
+        """Serve ``after`` rows (counted across batches), then lose the stream."""
+        try:
+            served = 0
+            for batch in batches:
+                if served + len(batch) > after:
+                    if after > served:
+                        yield batch.take(after - served)
+                    raise TransientStoreError(
+                        f"store {self.name!r} lost the stream after {after} rows"
+                    )
+                served += len(batch)
+                yield batch
+        finally:
+            # The child store's generator must unwind (routers account their
+            # partitions there) whether the loss or the consumer ended us.
+            batches.close()
 
     def describe_faults(self) -> Mapping[str, object]:
         """JSON-friendly profile + injection counters (benchmark reports)."""

@@ -25,10 +25,13 @@ from repro.runtime import (
     Deduplicate,
     DelegatedRequest,
     ExecutionEngine,
-    Filter,
+    FilterStage,
+    FusedPipeline,
     HashJoin,
     NestedConstruct,
+    PredicateSpec,
     Project,
+    batches_from_bindings,
     merge_bindings,
     nest_rows,
 )
@@ -206,8 +209,8 @@ class _StaticOperator(DelegatedRequest):
     def __init__(self, bindings):
         self._bindings = bindings
 
-    def rows(self, context):
-        return [dict(b) for b in self._bindings]
+    def _batches(self, context):
+        return batches_from_bindings(self._bindings, context.batch_size)
 
     def describe(self):
         return "Static"
@@ -238,7 +241,8 @@ class TestRuntimeOperators:
 
     def test_filter_project_dedup(self):
         source = _StaticOperator([{"x": 1, "y": 1}, {"x": 2, "y": 1}, {"x": 3, "y": 2}])
-        plan = Deduplicate(Project(Filter(source, lambda b: b["x"] >= 2), ["y"]))
+        kept = FusedPipeline(source, (FilterStage((PredicateSpec("x", ">=", 2),)),))
+        plan = Deduplicate(Project(kept, ["y"]))
         result = ExecutionEngine().execute(plan)
         assert sorted(r["y"] for r in result.rows) == [1, 2]
 
@@ -295,8 +299,9 @@ class TestRuntimeOperators:
 
     def test_plan_explain_tree(self):
         source = _StaticOperator([{"x": 1}])
-        text = Project(Filter(source, lambda b: True, label="t"), ["x"]).explain()
-        assert "Project" in text and "Filter" in text
+        kept = FusedPipeline(source, (FilterStage((PredicateSpec("x", "=", 1),)),))
+        text = Project(kept, ["x"]).explain()
+        assert "Project" in text and "filter(x = 1)" in text
 
 
 class TestTranslation:

@@ -1,15 +1,15 @@
 """The native columnar batch pipeline: kernels, fusion, batch streams, config.
 
-Covers the compiled execution path end to end:
+Covers the read path end to end:
 
 * ``RowBatch`` edge cases (empty batches, ``from_bindings`` schema mismatch,
   a LIMIT landing exactly on a batch boundary);
 * the kernel builders (predicates, projections, vectorized join keys) and
   the fused-stage semantics, including a hypothesis property holding fused
   and unfused stage chains bag-identical;
-* the stores' native ``execute_batches`` streams against their dict-stream
-  counterparts (bag-identical rows, matching scan metrics, exactly-once
-  finalization);
+* the stores' native ``execute_batches`` streams against their materialized
+  ``execute`` results (bag-identical rows, matching scan metrics,
+  exactly-once finalization);
 * ``freeze_value`` fast paths and the configurable batch size
   (``REPRO_BATCH_SIZE`` / ``Estocada(batch_size=...)``);
 * the per-operator throughput counters in ``summary()["execution"]``.
@@ -159,15 +159,11 @@ class TestKernels:
         assert schema == ("name", "fixed", "total")
         assert kernel([("alice", 3)]) == [("alice", 7, 3)]
 
-    def test_attach_stage_fuses_only_when_enabled(self, monkeypatch):
+    def test_attach_stage_fuses_consecutive_stages(self):
         source = _Rows(("a",), [(1,)])
         first = attach_stage(source, ProjectStage(("a",)))
-        monkeypatch.setenv("REPRO_FUSED", "1")
         fused = attach_stage(first, FilterStage((PredicateSpec("a", "=", 1),)))
         assert fused.child is source and len(fused.stages) == 2
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        chained = attach_stage(first, FilterStage((PredicateSpec("a", "=", 1),)))
-        assert chained.child is first and len(chained.stages) == 1
 
     def test_attach_stage_never_fuses_past_a_limit(self):
         source = _Rows(("a",), [(1,)])
@@ -228,12 +224,10 @@ class TestFusedEquivalence:
 
 
 def _assert_stream_equivalence(store, request, columns):
-    """Dict stream and native batch stream agree on rows and scan metrics."""
-    dict_stream = store.execute_stream(request, batch_size=4)
+    """Materialized result and native batch stream agree on rows and scan metrics."""
+    materialized = store.execute(request)
     dict_rows = [
-        tuple(row.get(column) for column in columns)
-        for chunk in dict_stream
-        for row in chunk
+        tuple(row.get(column) for column in columns) for row in materialized.rows
     ]
     served_before = store.requests_served
     batch_stream = store.execute_batches(request, columns, batch_size=4)
@@ -245,7 +239,7 @@ def _assert_stream_equivalence(store, request, columns):
     assert store.requests_served == served_before + 1
     assert Counter(batch_rows) == Counter(dict_rows)
     assert batch_stream.metrics.rows_returned == len(batch_rows)
-    assert batch_stream.metrics.rows_scanned == dict_stream.metrics.rows_scanned
+    assert batch_stream.metrics.rows_scanned == materialized.metrics.rows_scanned
     return batch_stream.metrics
 
 
@@ -357,9 +351,9 @@ class TestStoreBatchStreams:
 
 class TestFusedPushdown:
     def test_partial_aggregation_sees_through_fused_projection(self):
-        # The compiled lowering replaces the terminal Project with a fused
+        # The facade's lowering replaces the terminal Project with a fused
         # ProjectStage; push_partial_aggregation must pattern-match that
-        # shape exactly like the interpreted Project(ShardGather) one.
+        # shape exactly like the plain Project(ShardGather) one.
         from repro.plan.physical import push_partial_aggregation
         from repro.runtime.operators import Aggregate, MergeAggregate, ShardGather
 
@@ -497,17 +491,13 @@ class TestBatchSizeConfig:
 
 
 class TestExecutionReporting:
-    def test_summary_reports_operator_throughput(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        monkeypatch.setenv("REPRO_FUSED", "1")
+    def test_summary_reports_operator_throughput(self):
         est = _single_store_estocada()
         result = est.query(
             "SELECT uid, sku, price FROM purchases WHERE price >= 3", dataset="shop"
         )
         assert len(result.rows) == 17
-        execution = result.summary()["execution"]
-        assert execution["compiled"] is True
-        operators = execution["operators"]
+        operators = result.summary()["execution"]["operators"]
         assert "DelegatedRequest" in operators
         assert "FusedPipeline" in operators
         for stats in operators.values():
@@ -515,9 +505,7 @@ class TestExecutionReporting:
             assert stats["rows"] >= 0
             assert stats["rows_per_second"] >= 0.0
 
-    def test_fused_plan_collapses_filter_project_output(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        monkeypatch.setenv("REPRO_FUSED", "1")
+    def test_fused_plan_collapses_filter_project_output(self):
         est = _single_store_estocada()
         result = est.query(
             "SELECT uid, sku, price FROM purchases WHERE price >= 3 LIMIT 4",
@@ -528,26 +516,3 @@ class TestExecutionReporting:
         assert "filter(" in result.plan_description
         assert "output(" in result.plan_description
         assert "limit 4" in result.plan_description
-
-    def test_unfused_plan_keeps_single_stage_pipelines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        est = _single_store_estocada()
-        result = est.query(
-            "SELECT uid, sku, price FROM purchases WHERE price >= 3 LIMIT 4",
-            dataset="shop",
-        )
-        assert len(result.rows) == 4
-        assert result.plan_description.count("Fused[") >= 2
-
-    def test_interpreted_plan_keeps_seed_operators(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        est = _single_store_estocada()
-        result = est.query(
-            "SELECT uid, sku, price FROM purchases WHERE price >= 3", dataset="shop"
-        )
-        assert len(result.rows) == 17
-        assert "Fused[" not in result.plan_description
-        assert "Filter[" in result.plan_description
-        assert "Output[" in result.plan_description
-        assert result.summary()["execution"]["compiled"] is False

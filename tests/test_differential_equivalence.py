@@ -3,27 +3,32 @@
 One logical marketplace dataset is deployed four ways — the multi-store
 baseline executed serially, the same deployment executed concurrently, and
 the sharded deployment at 1 shard and at 8 shards — and a hypothesis-driven
-random query generator asserts that every configuration returns the *same
-bag of rows* for every generated query.  This is the trust anchor for the
-sharding subsystem: pruning, scatter-gather fan-out and partial-aggregation
-pushdown may change the plan shape and the execution schedule, but never the
-answer.
+random query generator asserts that every configuration returns the bag of
+rows an **oracle** computes for the generated query.  The oracle is a
+plain-Python evaluation (list comprehensions and dict grouping over the
+generated ``marketplace_data``) built next to the SQL text and importing
+nothing from ``repro``: comparing deployments only with each other cannot
+see a defect they all share (a filter on an unselected column returning
+nothing, an aggregate's input leaking into the output).  Pruning,
+scatter-gather fan-out and partial-aggregation pushdown may change the plan
+shape and the execution schedule, but never the answer.
 
 The **chaos profile** extends the harness to the replication subsystem: the
 same workload runs over a 3-replica deployment under seeded fault injection
 — no faults, transient errors + retry, one hard-dead replica + failover, and
 latency spikes + hedged backup requests — and every faulted configuration
-must stay bag-identical to the unreplicated serial baseline.  The fault
-schedules are seeded (``REPRO_CHAOS_SEED``, CI runs a small seed matrix), so
-a failing example replays exactly.
+must return the oracle's bag.  The fault schedules are seeded
+(``REPRO_CHAOS_SEED``, CI runs a small seed matrix), so a failing example
+replays exactly.
 
 LIMIT queries are nondeterministic by design (any k rows of the answer are a
 correct answer), so for them the harness checks cardinality and containment
-in the full result instead of equality.
+in the oracle's full result instead of equality.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import Counter
 from contextlib import contextmanager
@@ -75,63 +80,158 @@ def configurations(marketplace_builder, sharded_marketplace_builder, marketplace
 
 _CITIES = ("paris", "lyon", "nantes", "lille")
 _CATEGORIES = ("shoes", "electronics", "books", "kitchen")
-_AGGREGATES = (
-    "COUNT(sku) AS n",
-    "SUM(price) AS total",
-    "MIN(price) AS lo",
-    "MAX(price) AS hi",
-    "AVG(price) AS mean",
-)
+_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+# SQL text → (output column, input column, plain-Python fold over the group's values).
+_AGGREGATES = {
+    "COUNT(sku) AS n": ("n", "sku", len),
+    "SUM(price) AS total": ("total", "price", sum),
+    "MIN(price) AS lo": ("lo", "price", min),
+    "MAX(price) AS hi": ("hi", "price", max),
+    "AVG(price) AS mean": ("mean", "price", lambda values: sum(values) / len(values)),
+}
+_SCAN_COLUMNS = (("uid", "sku", "price"), ("uid", "sku"), ("sku", "category"))
+# SELECT list of the purchases ⋈ visits join → (output column, side, source column).
+_JOIN_PROJECTIONS = {
+    "p.sku, v.duration_ms": (("sku", "p", "sku"), ("duration_ms", "v", "duration_ms")),
+    "p.sku, p.price": (("sku", "p", "sku"), ("price", "p", "price")),
+    "v.category, v.duration_ms": (("category", "v", "category"), ("duration_ms", "v", "duration_ms")),
+}
+
+
+def _pick(row, columns):
+    return {column: row[column] for column in columns}
 
 
 @st.composite
 def sql_queries(draw):
-    """A random SQL query over the shared marketplace tables.
+    """A random SQL query over the shared marketplace tables, with its oracle.
+
+    Returns ``(sql, limit, expected)``; ``expected(data)`` is the full
+    (LIMIT-free) answer as a list of dicts, computed in plain Python from the
+    generated marketplace data by the branch that wrote the SQL.
 
     Shapes: single-table scans with optional shard-key / non-key equality and
-    range filters, a purchases ⋈ visits join (optionally pruned by a uid
-    constant), and grouped aggregation over purchases with decomposable
-    functions — plus an optional LIMIT on the non-aggregate shapes.
+    range filters (the WHERE column in or out of the SELECT list), a
+    purchases ⋈ visits join projecting both sides or one side only
+    (optionally pruned by a uid constant), and grouped aggregation over
+    purchases with decomposable functions over unselected columns (behind an
+    optional equality or range filter) — plus an optional LIMIT on the
+    non-aggregate shapes.
     """
     shape = draw(st.sampled_from(["scan", "point", "join", "aggregate", "users"]))
     limit = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=7)))
     if shape == "users":
         city = draw(st.sampled_from(_CITIES))
         sql = f"SELECT uid, name FROM users WHERE city = '{city}'"
+
+        def expected(data):
+            return [_pick(u, ("uid", "name")) for u in data.users if u["city"] == city]
+
     elif shape == "scan":
         price = draw(st.integers(min_value=0, max_value=500))
-        op = draw(st.sampled_from([">", "<", ">=", "<="]))
-        sql = f"SELECT uid, sku, price FROM purchases WHERE price {op} {price}"
+        op = draw(st.sampled_from(sorted(_COMPARE)))
+        columns = draw(st.sampled_from(_SCAN_COLUMNS))
+        sql = f"SELECT {', '.join(columns)} FROM purchases WHERE price {op} {price}"
+
+        def expected(data):
+            return [
+                _pick(p, columns) for p in data.purchases() if _COMPARE[op](p["price"], price)
+            ]
+
     elif shape == "point":
         uid = draw(st.integers(min_value=0, max_value=59))
         table = draw(st.sampled_from(["purchases", "visits"]))
-        columns = "uid, sku, category" if table == "purchases" else "uid, sku, duration_ms"
-        sql = f"SELECT {columns} FROM {table} WHERE uid = {uid}"
+        columns = (
+            ("uid", "sku", "category") if table == "purchases" else ("uid", "sku", "duration_ms")
+        )
+        sql = f"SELECT {', '.join(columns)} FROM {table} WHERE uid = {uid}"
+
+        def expected(data):
+            rows = data.purchases() if table == "purchases" else data.weblog
+            return [_pick(row, columns) for row in rows if row["uid"] == uid]
+
     elif shape == "join":
+        select = draw(st.sampled_from(sorted(_JOIN_PROJECTIONS)))
+        uid = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=59)))
         sql = (
-            "SELECT p.sku, v.duration_ms FROM purchases p, visits v "
+            f"SELECT {select} FROM purchases p, visits v "
             "WHERE p.uid = v.uid AND p.sku = v.sku"
         )
-        if draw(st.booleans()):
-            uid = draw(st.integers(min_value=0, max_value=59))
+        if uid is not None:
             sql += f" AND p.uid = {uid}"
+
+        def expected(data):
+            return [
+                {name: {"p": p, "v": v}[side][column]
+                 for name, side, column in _JOIN_PROJECTIONS[select]}
+                for p in data.purchases()
+                if uid is None or p["uid"] == uid
+                for v in data.weblog
+                if p["uid"] == v["uid"] and p["sku"] == v["sku"]
+            ]
+
     else:  # aggregate
         functions = draw(
-            st.lists(st.sampled_from(_AGGREGATES), min_size=1, max_size=3, unique=True)
+            st.lists(st.sampled_from(sorted(_AGGREGATES)), min_size=1, max_size=3, unique=True)
         )
         group = draw(st.sampled_from(["category", "uid"]))
-        where = ""
-        if draw(st.booleans()):
-            where = f" WHERE category = '{draw(st.sampled_from(_CATEGORIES))}'"
+        filtered = draw(st.sampled_from(["none", "category", "price"]))
+        if filtered == "category":
+            category = draw(st.sampled_from(_CATEGORIES))
+            where = f" WHERE category = '{category}'"
+            keep = lambda p: p["category"] == category  # noqa: E731
+        elif filtered == "price":
+            price = draw(st.integers(min_value=0, max_value=500))
+            op = draw(st.sampled_from(sorted(_COMPARE)))
+            where = f" WHERE price {op} {price}"
+            keep = lambda p: _COMPARE[op](p["price"], price)  # noqa: E731
+        else:
+            where = ""
+            keep = lambda p: True  # noqa: E731
         sql = f"SELECT {group}, {', '.join(functions)} FROM purchases{where} GROUP BY {group}"
         limit = None  # aggregates stay deterministic; compare them exactly
+
+        def expected(data):
+            groups = {}
+            for p in data.purchases():
+                if keep(p):
+                    groups.setdefault(p[group], []).append(p)
+            return [
+                {group: key}
+                | {
+                    name: fold([p[column] for p in members])
+                    for name, column, fold in (_AGGREGATES[f] for f in functions)
+                }
+                for key, members in groups.items()
+            ]
+
     if limit is not None:
         sql += f" LIMIT {limit}"
-    return sql, limit
+    return sql, limit, expected
+
+
+def _assert_matches_oracle(configurations, case, data, note=""):
+    """Every ``(estocada, parallelism)`` deployment answers ``case`` like its oracle."""
+    sql, limit, expected = case
+    full = _bag(expected(data))
+    for name, (est, parallelism) in configurations.items():
+        rows = est.query(sql, dataset="shop", parallelism=parallelism).rows
+        got = _bag(rows)
+        if limit is None:
+            assert got == full, f"{name} diverged from the oracle on {sql!r}{note}"
+        else:
+            # LIMIT: any k-subset of the full answer is correct — check the
+            # row count and that every returned row belongs to the full bag.
+            assert len(rows) == min(limit, sum(full.values())), (
+                f"{name} wrong count on {sql!r}{note}"
+            )
+            assert all(got[key] <= full[key] for key in got), (
+                f"{name} returned rows outside the full answer on {sql!r}{note}"
+            )
 
 
 class TestDifferentialEquivalence:
-    """Serial, concurrent and sharded configurations agree on every query."""
+    """Serial, concurrent and sharded configurations answer like the oracle."""
 
     @settings(
         max_examples=25,
@@ -139,27 +239,10 @@ class TestDifferentialEquivalence:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(case=sql_queries())
-    def test_random_queries_agree_across_configurations(self, configurations, case):
-        sql, limit = case
-        reference_est, _ = configurations["serial"]
-        if limit is None:
-            expected = _bag(reference_est.query(sql, dataset="shop", parallelism=1).rows)
-            for name, (est, parallelism) in configurations.items():
-                got = _bag(est.query(sql, dataset="shop", parallelism=parallelism).rows)
-                assert got == expected, f"{name} diverged on {sql!r}"
-        else:
-            # LIMIT: any k-subset of the full answer is correct — check the
-            # row count and that every returned row belongs to the full bag.
-            full_sql = sql[: sql.rindex(" LIMIT ")]
-            full = _bag(reference_est.query(full_sql, dataset="shop", parallelism=1).rows)
-            expected_count = min(limit, sum(full.values()))
-            for name, (est, parallelism) in configurations.items():
-                result = est.query(sql, dataset="shop", parallelism=parallelism)
-                assert len(result.rows) == expected_count, f"{name} wrong count on {sql!r}"
-                got = _bag(result.rows)
-                assert all(got[key] <= full[key] for key in got), (
-                    f"{name} returned rows outside the full answer on {sql!r}"
-                )
+    def test_random_queries_agree_across_configurations(
+        self, configurations, marketplace_data, case
+    ):
+        _assert_matches_oracle(configurations, case, marketplace_data)
 
     def test_point_query_prunes_only_on_the_sharded_configs(self, configurations):
         sql = "SELECT uid, sku, category FROM purchases WHERE uid = 7"
@@ -206,83 +289,61 @@ class TestDifferentialEquivalence:
         assert result.summary()["shards"]["contacted"] == 8
 
 
-# -- the compiled-kernel profile -----------------------------------------------------
+# -- the shapes the mode-vs-mode comparisons missed -----------------------------------
 
 
-@contextmanager
-def _execution_mode(**overrides):
-    """Temporarily pin the runtime's execution-path env switches."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+@pytest.fixture(scope="module")
+def every_configuration(configurations, chaos_configurations):
+    """The plain and the chaos deployments together."""
+    return {**configurations, **chaos_configurations}
 
 
-_EXECUTION_MODES = {
-    "interpreted": {"REPRO_COMPILED": "0", "REPRO_FUSED": "1"},
-    "compiled_unfused": {"REPRO_COMPILED": "1", "REPRO_FUSED": "0"},
-    "compiled_fused": {"REPRO_COMPILED": "1", "REPRO_FUSED": "1"},
-}
+class TestSharedPathRegressions:
+    """Defects every deployment shared, pinned against the oracle.
 
-
-class TestCompiledDifferential:
-    """Interpreted, compiled and compiled+fused execution agree on every query.
-
-    The switches are read at query-assembly and execution time (cached
-    rewriting plans are path-independent), so the same deployments answer
-    each generated query under all three modes — over both the plain serial
-    configuration and the 8-shard scatter-gather one — and every bag must
-    match the interpreted serial reference.
+    Each of these was wrong identically on the serial, concurrent, sharded
+    and replicated deployments, so no comparison *between* them could fail.
     """
 
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(case=sql_queries())
-    def test_random_queries_agree_across_execution_paths(self, configurations, case):
-        sql, limit = case
-        serial_est, _ = configurations["serial"]
-        full_sql = sql if limit is None else sql[: sql.rindex(" LIMIT ")]
-        with _execution_mode(**_EXECUTION_MODES["interpreted"]):
-            full = _bag(serial_est.query(full_sql, dataset="shop", parallelism=1).rows)
-        for mode, env in _EXECUTION_MODES.items():
-            with _execution_mode(**env):
-                for name in ("serial", "sharded8"):
-                    est, parallelism = configurations[name]
-                    result = est.query(sql, dataset="shop", parallelism=parallelism)
-                    if limit is None:
-                        assert _bag(result.rows) == full, (
-                            f"{mode}/{name} diverged on {sql!r}"
-                        )
-                    else:
-                        expected_count = min(limit, sum(full.values()))
-                        assert len(result.rows) == expected_count, (
-                            f"{mode}/{name} wrong count on {sql!r}"
-                        )
-                        got = _bag(result.rows)
-                        assert all(got[key] <= full[key] for key in got), (
-                            f"{mode}/{name} returned rows outside the full answer on {sql!r}"
-                        )
+    def test_unselected_where_column_filters(self, every_configuration, marketplace_data):
+        # The residual filter ran after the projection had dropped `price`:
+        # the answer was empty.
+        def expected(data):
+            return [
+                {"uid": p["uid"], "sku": p["sku"]} for p in data.purchases() if p["price"] > 100
+            ]
 
-    def test_compiled_chaos_matches_interpreted_baseline(self, chaos_configurations):
-        """The replicated/faulted deployments stay bag-identical across paths."""
-        sql = "SELECT uid, sku, price FROM purchases WHERE price >= 100"
-        baseline_est, _ = chaos_configurations["baseline"]
-        with _execution_mode(**_EXECUTION_MODES["interpreted"]):
-            expected = _bag(baseline_est.query(sql, dataset="shop", parallelism=1).rows)
-        for mode, env in _EXECUTION_MODES.items():
-            with _execution_mode(**env):
-                for name, (est, parallelism) in chaos_configurations.items():
-                    got = _bag(est.query(sql, dataset="shop", parallelism=parallelism).rows)
-                    assert got == expected, f"{mode}/{name} diverged on {sql!r}"
+        sql = "SELECT uid, sku FROM purchases WHERE price > 100"
+        _assert_matches_oracle(every_configuration, (sql, None, expected), marketplace_data)
+
+    def test_no_stray_aggregate_columns(self, every_configuration, marketplace_data):
+        def prices_by_category(data):
+            groups = {}
+            for p in data.purchases():
+                groups.setdefault(p["category"], []).append(p["price"])
+            return groups
+
+        cases = [
+            # `price` only feeds SUM: the answer carried a stray `price: None`.
+            (
+                "SELECT category, SUM(price) AS total FROM purchases GROUP BY category",
+                lambda data: [
+                    {"category": category, "total": sum(prices)}
+                    for category, prices in prices_by_category(data).items()
+                ],
+            ),
+            # Grouping by a column the WHERE pins to a constant: the answer
+            # carried a stray `purchases_category: None`.
+            (
+                "SELECT category, COUNT(sku) AS n FROM purchases "
+                "WHERE category = 'shoes' GROUP BY category",
+                lambda data: [
+                    {"category": "shoes", "n": len(prices_by_category(data)["shoes"])}
+                ],
+            ),
+        ]
+        for sql, expected in cases:
+            _assert_matches_oracle(every_configuration, (sql, None, expected), marketplace_data)
 
 
 # -- the rewrite-at-scale profile ----------------------------------------------------
@@ -356,6 +417,21 @@ def view_catalogs(draw):
     ]
     query = ConjunctiveQuery("Q", [variables[0], variables[length]], body)
     return views, query
+
+
+@contextmanager
+def _execution_mode(**overrides):
+    """Temporarily pin env switches read at rewriting time."""
+    saved = {key: os.environ.get(key) for key in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 _REWRITE_MODES = {
@@ -495,28 +571,11 @@ class TestChaosDifferential:
     )
     @given(case=sql_queries())
     def test_chaos_queries_agree_with_unreplicated_baseline(
-        self, chaos_configurations, case
+        self, chaos_configurations, marketplace_data, case
     ):
-        sql, limit = case
-        reference_est, _ = chaos_configurations["baseline"]
-        if limit is None:
-            expected = _bag(reference_est.query(sql, dataset="shop", parallelism=1).rows)
-            for name, (est, parallelism) in chaos_configurations.items():
-                got = _bag(est.query(sql, dataset="shop", parallelism=parallelism).rows)
-                assert got == expected, f"{name} diverged on {sql!r} (seed {CHAOS_SEED})"
-        else:
-            full_sql = sql[: sql.rindex(" LIMIT ")]
-            full = _bag(reference_est.query(full_sql, dataset="shop", parallelism=1).rows)
-            expected_count = min(limit, sum(full.values()))
-            for name, (est, parallelism) in chaos_configurations.items():
-                result = est.query(sql, dataset="shop", parallelism=parallelism)
-                assert len(result.rows) == expected_count, (
-                    f"{name} wrong count on {sql!r} (seed {CHAOS_SEED})"
-                )
-                got = _bag(result.rows)
-                assert all(got[key] <= full[key] for key in got), (
-                    f"{name} returned rows outside the full answer on {sql!r}"
-                )
+        _assert_matches_oracle(
+            chaos_configurations, case, marketplace_data, note=f" (seed {CHAOS_SEED})"
+        )
 
     def test_dead_replica_reports_failovers(
         self, marketplace_builder, replicated_marketplace_builder, marketplace_data
@@ -625,9 +684,9 @@ class TestServiceDifferential:
     )
     @given(case=sql_queries())
     def test_service_results_match_direct_execution(
-        self, configurations, service_configurations, case
+        self, configurations, service_configurations, marketplace_data, case
     ):
-        sql, limit = case
+        sql, limit, expected = case
         for name, (est, parallelism) in configurations.items():
             service = service_configurations[name]
             direct = est.query(sql, dataset="shop", parallelism=parallelism)
@@ -640,8 +699,7 @@ class TestServiceDifferential:
                 )
             else:
                 # LIMIT answers are any-k: compare cardinality + containment.
-                full_sql = sql[: sql.rindex(" LIMIT ")]
-                full = _bag(est.query(full_sql, dataset="shop", parallelism=1).rows)
+                full = _bag(expected(marketplace_data))
                 assert len(served.rows) == len(direct.rows)
                 got = _bag(served.rows)
                 assert all(got[key] <= full[key] for key in got), (
@@ -761,37 +819,11 @@ class TestDurableDifferential:
     )
     @given(case=sql_queries())
     def test_durable_queries_agree_with_in_memory_baseline(
-        self, durable_configurations, case
+        self, durable_configurations, marketplace_data, case
     ):
-        sql, limit = case
-        reference_est, _ = durable_configurations["baseline"]
-        if limit is None:
-            expected = _bag(reference_est.query(sql, dataset="shop", parallelism=1).rows)
-            for name, (est, parallelism) in durable_configurations.items():
-                got = _bag(est.query(sql, dataset="shop", parallelism=parallelism).rows)
-                assert got == expected, f"{name} diverged on {sql!r}"
-        else:
-            full_sql = sql[: sql.rindex(" LIMIT ")]
-            full = _bag(reference_est.query(full_sql, dataset="shop", parallelism=1).rows)
-            expected_count = min(limit, sum(full.values()))
-            for name, (est, parallelism) in durable_configurations.items():
-                result = est.query(sql, dataset="shop", parallelism=parallelism)
-                assert len(result.rows) == expected_count, f"{name} wrong count on {sql!r}"
-                got = _bag(result.rows)
-                assert all(got[key] <= full[key] for key in got), (
-                    f"{name} returned rows outside the full answer on {sql!r}"
-                )
+        _assert_matches_oracle(durable_configurations, case, marketplace_data)
 
     def test_durable_deployments_actually_touch_segments(self, durable_configurations):
-        from repro.runtime.batch import compiled_enabled
-        from repro.stores.segment.backing import segment_scan_enabled
-
-        if not compiled_enabled() or not segment_scan_enabled():
-            # Segment-served scans ride the native batch pipeline; the
-            # interpreted fallback (and REPRO_SEGMENT_SCAN=0) keep durability
-            # but answer from memory — equivalence is pinned by the property
-            # above, there is just no segment activity to assert here.
-            pytest.skip("segment-served scans need the compiled path enabled")
         est, parallelism = durable_configurations["durable_serial"]
         result = est.query(
             "SELECT sku, price FROM purchases WHERE category = 'shoes'",

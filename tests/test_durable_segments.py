@@ -49,23 +49,6 @@ from repro.testing import DiskFaultInjector, DiskFaultProfile
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
 
-def _require_segment_scans(compiled: bool = False) -> None:
-    """Skip a segment-activity assertion when the env serves scans from memory.
-
-    Answers stay bag-identical either way (the differential suite pins that);
-    these guards only apply to tests that assert the *metrics* of the
-    segment-served path, which REPRO_SEGMENT_SCAN=0 (and, for facade-level
-    scans, REPRO_COMPILED=0) legitimately zeroes.
-    """
-    from repro.runtime.batch import compiled_enabled
-    from repro.stores.segment.backing import segment_scan_enabled
-
-    if not segment_scan_enabled():
-        pytest.skip("REPRO_SEGMENT_SCAN=0 serves scans from memory")
-    if compiled and not compiled_enabled():
-        pytest.skip("segment-served facade scans ride the compiled batch path")
-
-
 def _bag(rows):
     """Order-insensitive fingerprint of dict rows."""
     return Counter(tuple(sorted(row.items())) for row in rows)
@@ -598,7 +581,6 @@ class TestSegmentSkippingScans:
         return rows, metrics
 
     def test_zone_maps_skip_provably_excluded_segments(self, tmp_path):
-        _require_segment_scans()
         store, _ = self._loaded_store(tmp_path)
         rows, metrics = self._scan(store, Predicate("a", "=", 5))
         assert len(rows) == 1
@@ -607,7 +589,6 @@ class TestSegmentSkippingScans:
         assert metrics.rows_decoded == 50  # only the surviving segment decodes
 
     def test_dictionary_equality_decodes_only_the_hits(self, tmp_path):
-        _require_segment_scans()
         store, _ = self._loaded_store(tmp_path)
         rows, metrics = self._scan(store, Predicate("b", "=", "x1"))
         expected = [i for i in range(230) if i % 3 == 1]
@@ -633,17 +614,7 @@ class TestSegmentSkippingScans:
             plain_rows, _ = self._scan(plain, *predicates)
             assert Counter(durable_rows) == Counter(plain_rows), predicates
 
-    def test_scan_env_gate_disables_segment_serving(self, tmp_path, monkeypatch):
-        store, _ = self._loaded_store(tmp_path)
-        monkeypatch.setenv("REPRO_SEGMENT_SCAN", "0")
-        assert store._durable_scan_source(ScanRequest("t")) is None
-        assert store.segment_scan_fraction("t", ()) is None
-        rows, metrics = self._scan(store, Predicate("a", "=", 5))
-        assert len(rows) == 1
-        assert metrics.segments_scanned == 0 and metrics.segments_skipped == 0
-
     def test_scan_fraction_prices_pruning_for_the_cost_model(self, tmp_path):
-        _require_segment_scans()
         store, _ = self._loaded_store(tmp_path)
         bounds = extract_zone_bounds((Predicate("a", "=", 5),))
         fraction = store.segment_scan_fraction("t", bounds)
@@ -691,7 +662,6 @@ class TestFacadeDurability:
         assert Estocada().durable_path is None
 
     def test_summary_reports_segment_activity(self, tmp_path, marketplace_data, monkeypatch):
-        _require_segment_scans(compiled=True)
         from tests.conftest import build_marketplace_estocada
 
         monkeypatch.setenv("REPRO_DURABLE", str(tmp_path / "shop"))
@@ -725,7 +695,6 @@ class TestFacadeDurability:
         skip the segments the bound provably excludes — with the answer
         bag-identical to a plain in-memory deployment.
         """
-        _require_segment_scans(compiled=True)
         from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
         from repro.core import Atom, ConjunctiveQuery, ViewDefinition
         from repro.datamodel import TableSchema

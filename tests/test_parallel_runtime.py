@@ -170,7 +170,7 @@ class TestCancellation:
 
     def test_stream_finalization_is_idempotent_across_threads(self):
         store = _slow_store(latency=0.0)
-        stream = store.execute_stream(ScanRequest("t"), batch_size=8)
+        stream = store.execute_batches(ScanRequest("t"), ("a",), batch_size=8)
         chunks = iter(stream)
         next(chunks)
         errors = []

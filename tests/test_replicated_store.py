@@ -164,6 +164,43 @@ class TestFaultInjector:
             injector.execute(ScanRequest("t"))
         assert injector.injection_report()["mid_stream"] == 1
 
+    def test_batch_requests_run_the_childs_native_scan(self, tmp_path):
+        # Only a store's own _execute_batches serves a scan from its durable
+        # segments (the _execute adapter walks the heap), so segment activity
+        # on the wrapper's stream shows the child's batch scan ran.
+        from repro.stores.segment import DurableBacking
+
+        inner = RelationalStore("x")
+        inner.attach_durable(DurableBacking(str(tmp_path / "x"), segment_rows=50))
+        inner.create_table("t", ["a", "b"])
+        inner.insert("t", [{"a": i, "b": i % 3} for i in range(230)])
+        injector = FaultInjector(inner, FaultProfile.none())
+        stream = injector.execute_batches(ScanRequest("t"), ("a", "b"), batch_size=64)
+        assert sum(len(batch) for batch in stream) == 230
+        assert stream.metrics.segments_scanned == 4
+        assert stream.metrics.rows_scanned == injector.execute(ScanRequest("t")).metrics.rows_scanned
+        assert injector.requests_served == 2
+
+    def test_mid_stream_loss_finalizes_once(self):
+        inner = _loaded_relational("x", rows=200)
+        profile = FaultProfile(seed=3, mid_stream_rate=1.0)
+        # Same seed, same four draws per request: the materialized path tells
+        # after how many rows this schedule loses its first response.
+        with pytest.raises(TransientStoreError) as lost:
+            FaultInjector(inner, profile).execute(ScanRequest("t"))
+        after = int(str(lost.value).split(" after ")[1].split()[0])
+        injector = FaultInjector(inner, profile)
+        stream = injector.execute_batches(ScanRequest("t"), ("a",), batch_size=4)
+        served = []
+        with pytest.raises(TransientStoreError):
+            for batch in stream:
+                served.extend(batch.rows)
+        assert served == [(i,) for i in range(after)]
+        assert stream.finalized
+        assert stream.metrics.rows_returned == after
+        stream.close()
+        assert injector.requests_served == 1
+
     def test_loading_apis_pass_through(self):
         injector = FaultInjector(
             _loaded_relational("x"), FaultProfile(seed=1, error_rate=1.0)

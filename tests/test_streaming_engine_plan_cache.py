@@ -101,7 +101,7 @@ class TestStoreStreaming:
 
     def test_stream_batches_and_metrics(self):
         store = self._store()
-        stream = store.execute_stream(ScanRequest("t"), batch_size=10)
+        stream = store.execute_batches(ScanRequest("t"), ("a",), batch_size=10)
         chunks = list(stream)
         assert [len(c) for c in chunks] == [10, 10, 5]
         assert stream.metrics.rows_returned == 25
@@ -111,7 +111,7 @@ class TestStoreStreaming:
 
     def test_stream_is_single_use(self):
         store = self._store()
-        stream = store.execute_stream(ScanRequest("t"), batch_size=10)
+        stream = store.execute_batches(ScanRequest("t"), ("a",), batch_size=10)
         list(stream)
         with pytest.raises(StoreError):
             list(stream)
@@ -147,15 +147,15 @@ class TestBatchBoundaryCorrectness:
 
 
 def _legacy(bindings):
-    """A rows()-only operator, adapted by the base Operator.batches."""
-    from repro.runtime import Operator
+    """A source operator chunking dict rows (one union schema per chunk)."""
+    from repro.runtime import Operator, batches_from_bindings
 
     class _Legacy(Operator):
         def __init__(self, items):
             self._items = items
 
-        def rows(self, context):
-            return [dict(b) for b in self._items]
+        def _batches(self, context):
+            return batches_from_bindings(self._items, context.batch_size)
 
     return _Legacy(bindings)
 
@@ -170,8 +170,8 @@ class TestOperatorEdgeCases:
         assert len(rows) == 3
 
     def test_hash_join_build_side_schema_drift_keeps_late_columns(self):
-        # A legacy right child chunked with per-batch union schemas must not
-        # lose a column that only appears in a later batch.
+        # A right child chunked with per-batch union schemas must not lose a
+        # column that only appears in a later batch.
         from repro.runtime import ExecutionEngine, HashJoin
 
         left = _legacy([{"a": 1}])
