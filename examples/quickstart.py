@@ -119,12 +119,6 @@ def tuning_parallelism() -> None:
       amortize per-batch overhead, smaller ones reduce LIMIT overshoot);
       the per-operator throughput counters show up in
       ``result.summary()["execution"]``;
-    * ``REPRO_REWRITE_INDEX=0`` — disable the relation-signature index
-      that narrows rewriting to the views reachable from the query, and
-      fall back to scanning every registered fragment (identical
-      rewritings, but rewrite latency grows with catalog size — see
-      ``BENCH_e14.json``; ``REPRO_REWRITE_MEMO=0`` likewise disables the
-      chase/containment memos);
     * ``REPRO_DURABLE=/path`` / ``Estocada(durable_path=...)`` — persist
       every registered store through a per-store WAL + columnar segment
       backing (see :func:`durability` below; ``REPRO_SEGMENT_ROWS`` sets

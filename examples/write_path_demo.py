@@ -115,8 +115,7 @@ def main() -> None:
     written = est.maintain()
     print(f"  maintain() drained the rest: {written} store rows written")
     show(est, "join final ", "SELECT u.name, o.sku, o.qty FROM users u, orders o WHERE u.uid = o.uid")
-    print(f"  write-path state: {est.describe_writes()['mode']}, "
-          f"{est.describe_writes()['writes']} writes logged")
+    print(f"  write-path state: {est.describe_writes()['writes']} writes logged")
 
 
 if __name__ == "__main__":

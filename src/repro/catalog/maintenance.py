@@ -17,21 +17,14 @@ forced by a read with ``max_staleness=0``).  Staleness accounting lives in
 the :class:`~repro.catalog.statistics.StatisticsCatalog`, so the cost model
 can price a stale copy against a fresh one.
 
-``REPRO_INCREMENTAL_MAINTENANCE=0`` switches :meth:`MaintenanceEngine.maintain`
-to the recompute fallback — re-evaluate the view over the shadowed base state
-from scratch (no delta rules) and apply the difference against the fragment's
-tracked contents in one store write — which the differential suite uses as
-the baseline the incremental path must agree with.
-
 Failure semantics are all-or-nothing per pending delta: a store error (or a
-cancelled maintenance pass) leaves the unapplied entries queued and the
+cancelled maintenance pass) leaves the remaining entries queued and the
 staleness counters standing, so the fragment is *detectably* stale, never
 silently wrong.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -40,13 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.catalog.descriptors import StorageDescriptor
 from repro.catalog.manager import StorageDescriptorManager
 from repro.catalog.statistics import StatisticsCatalog
-from repro.core.deltas import (
-    BagIndex,
-    apply_delta_to_bag,
-    bag_difference,
-    delta_evaluate,
-    evaluate,
-)
+from repro.core.deltas import BagIndex, delta_evaluate, evaluate
 from repro.core.query import ConjunctiveQuery
 from repro.errors import (
     DeltaError,
@@ -56,28 +43,12 @@ from repro.errors import (
     WriteError,
 )
 
-__all__ = ["PendingDelta", "MaintenanceEngine", "incremental_enabled"]
-
-
-def incremental_enabled() -> bool:
-    """Whether deltas are applied incrementally (default) or by recompute.
-
-    ``REPRO_INCREMENTAL_MAINTENANCE=0`` selects the recompute fallback:
-    maintenance re-evaluates each stale fragment's definition over the base
-    state from scratch instead of replaying the logged view deltas.
-    Propagation and staleness accounting are identical in both modes — only
-    application differs.
-    """
-    return os.environ.get("REPRO_INCREMENTAL_MAINTENANCE", "1").strip().lower() not in {
-        "0",
-        "false",
-        "off",
-    }
+__all__ = ["PendingDelta", "MaintenanceEngine"]
 
 
 @dataclass(frozen=True, slots=True)
 class PendingDelta:
-    """One logged-but-unapplied view delta of a fragment.
+    """One logged, still-pending view delta of a fragment.
 
     ``delta`` maps view-row tuples (in view column order) to signed counts:
     positive counts are rows maintenance will insert, negative counts rows
@@ -97,19 +68,13 @@ class PendingDelta:
 
 @dataclass(slots=True)
 class _WatchedFragment:
-    """Maintenance state of one fragment: its definition and pending queue.
-
-    ``applied`` is the bag of view rows the fragment's store currently holds
-    (advanced only on successful application), which lets the recompute
-    fallback derive a correcting delta instead of truncating live replicas.
-    """
+    """Maintenance state of one fragment: its definition and pending queue."""
 
     descriptor: StorageDescriptor
     definition: ConjunctiveQuery
     view_columns: tuple[str, ...]
     relations: frozenset[str]
     pending: list[PendingDelta]
-    applied: Counter
 
 
 class MaintenanceEngine:
@@ -190,9 +155,6 @@ class MaintenanceEngine:
                 view_columns=descriptor.view_columns(),
                 relations=relations,
                 pending=[],
-                # At watch time the store holds exactly the view over the
-                # current base state (materialization just wrote it).
-                applied=Counter(evaluate(definition, self._bags)),
             )
             return True
 
@@ -212,14 +174,14 @@ class MaintenanceEngine:
         """Start maintaining a *shadow* placement for live migration.
 
         Unlike :meth:`watch_fragment` — whose store already holds the view —
-        the shadow's target collection starts empty: ``applied`` is the empty
-        bag, and the view's current contents are queued as chunked *backfill*
-        deltas ahead of any dual-written view deltas.  From this call on,
-        every base write fans its view delta to the shadow exactly as to the
-        live placement; :meth:`maintain` then streams backfill chunks and
-        queued writes in order.  Cancelling mid-backfill leaves the shadow
-        detectably stale (its counters stand) and the live placement
-        untouched.  Returns False when a base relation is not shadowed.
+        the shadow's target collection starts empty: the view's current
+        contents are queued as chunked *backfill* deltas ahead of any
+        dual-written view deltas.  From this call on, every base write fans
+        its view delta to the shadow exactly as to the live placement;
+        :meth:`maintain` then streams backfill chunks and queued writes in
+        order.  Cancelling mid-backfill leaves the shadow detectably stale
+        (its counters stand) and the live placement untouched.  Returns
+        False when a base relation is not shadowed.
         """
         definition = descriptor.view.definition
         relations = frozenset(definition.relations())
@@ -248,7 +210,6 @@ class MaintenanceEngine:
                 view_columns=descriptor.view_columns(),
                 relations=relations,
                 pending=pending,
-                applied=Counter(),
             )
             for entry in pending:
                 self._statistics.note_pending_delta(name, entry.row_volume, entry.seq)
@@ -257,9 +218,9 @@ class MaintenanceEngine:
     def promote_shadow(self, shadow: str, descriptor: StorageDescriptor) -> None:
         """Cutover bookkeeping: the shadow becomes the fragment's live watch.
 
-        The shadow's maintenance state (applied bag, any residual pending
-        deltas) carries over to ``descriptor.fragment_name``, replacing the
-        old placement's watch; staleness counters are re-keyed accordingly.
+        The shadow's residual pending deltas carry over to
+        ``descriptor.fragment_name``, replacing the old placement's watch;
+        staleness counters are re-keyed accordingly.
         The caller holds :attr:`lock` across the catalog swap and this call
         so no write lands in between.
         """
@@ -279,7 +240,6 @@ class MaintenanceEngine:
                 view_columns=descriptor.view_columns(),
                 relations=frozenset(definition.relations()),
                 pending=pending,
-                applied=watched.applied,
             )
             self._statistics.clear_staleness(shadow)
             self._statistics.clear_staleness(name)
@@ -314,7 +274,7 @@ class MaintenanceEngine:
             return rows
 
     def pending(self, fragment: str) -> tuple[PendingDelta, ...]:
-        """The fragment's queued (unapplied) view deltas, oldest first."""
+        """The fragment's queued view deltas, oldest first."""
         with self._lock:
             watched = self._fragments.get(fragment)
             return tuple(watched.pending) if watched else ()
@@ -392,9 +352,9 @@ class MaintenanceEngine:
     ) -> int:
         """Apply pending deltas (one fragment, or every stale fragment).
 
-        Returns the number of store rows written.  Each pending delta is
-        applied all-or-nothing; a store failure or a set ``cancel`` event
-        leaves the unapplied entries queued (and counted as staleness) and
+        Returns the number of store rows written.  Each pending delta
+        lands all-or-nothing; a store failure or a set ``cancel`` event
+        leaves the remaining entries queued (and counted as staleness) and
         raises — :class:`MaintenanceCancelledError` for cancellation, the
         store's own typed error otherwise.
         """
@@ -416,8 +376,6 @@ class MaintenanceEngine:
         descriptor = watched.descriptor
         store = self._manager.store(descriptor.store)
         collection = descriptor.layout.collection
-        if not incremental_enabled():
-            return self._recompute_fragment(watched, store, collection, cancel)
         written = 0
         while watched.pending:
             if cancel is not None and cancel.is_set():
@@ -434,44 +392,7 @@ class MaintenanceEngine:
                 # The entry stays queued: the fragment is detectably stale.
                 self._restate_staleness(watched)
                 raise
-            apply_delta_to_bag(watched.applied, entry.delta)
             watched.pending.pop(0)
-        self._finish_fragment(watched)
-        return written
-
-    def _recompute_fragment(
-        self,
-        watched: _WatchedFragment,
-        store,
-        collection: str,
-        cancel: threading.Event | None,
-    ) -> int:
-        """The recompute fallback: re-evaluate from scratch, apply the diff.
-
-        The fragment's desired contents come from a full evaluation of its
-        definition over the current base state — the logged view deltas play
-        no part, which is what makes this the differential baseline for the
-        delta rules.  The correction lands as *one* ``apply_delta`` against
-        the tracked store contents rather than a truncate-and-reload, so the
-        per-store rollback machinery (sharded, replicated) keeps a failing
-        replica from ever exposing a half-materialized fragment.
-        """
-        if cancel is not None and cancel.is_set():
-            self._restate_staleness(watched)
-            raise MaintenanceCancelledError(
-                f"maintenance of fragment {watched.descriptor.fragment_name!r} "
-                "cancelled before recompute"
-            )
-        desired = Counter(evaluate(watched.definition, self._bags))
-        correction = bag_difference(desired, watched.applied)
-        inserts, deletes = self._store_delta(watched, correction)
-        try:
-            written = store.apply_delta(collection, inserts=inserts, deletes=deletes)
-        except (StoreError, WriteError, DeltaError):
-            self._restate_staleness(watched)
-            raise
-        watched.applied = desired
-        watched.pending.clear()
         self._finish_fragment(watched)
         return written
 
@@ -529,7 +450,6 @@ class MaintenanceEngine:
         """JSON-friendly maintenance state (facade introspection)."""
         with self._lock:
             return {
-                "mode": "incremental" if incremental_enabled() else "recompute",
                 "writes": self._next_seq,
                 "relations": sorted(self._bags),
                 "fragments": {

@@ -25,8 +25,8 @@ from repro.core.containment import (
     is_equivalent_under_constraints,
 )
 from repro.core.homomorphism import InstanceIndex, find_homomorphism, iterate_homomorphisms
-from repro.core.index import RewriteIndex, index_enabled
-from repro.core.memo import clear_memos, memo_enabled, memo_stats
+from repro.core.index import RewriteIndex
+from repro.core.memo import clear_memos, memo_stats
 from repro.core.minimization import minimize, minimize_under_constraints
 from repro.core.pacb import PACBResult, PACBStatistics, pacb_rewrite
 from repro.core.provenance import ProvenanceFormula
@@ -81,8 +81,6 @@ __all__ = [
     "Rewriter",
     "RewritingOutcome",
     "RewriteIndex",
-    "index_enabled",
-    "memo_enabled",
     "memo_stats",
     "clear_memos",
 ]

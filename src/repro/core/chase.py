@@ -30,7 +30,6 @@ from typing import Iterable, Mapping
 
 from repro.core.constraints import EGD, TGD, Constraint, ConstraintSet
 from repro.core.homomorphism import InstanceIndex, find_homomorphism, iterate_homomorphisms
-from repro.core.index import index_enabled
 from repro.core.provenance import ProvenanceFormula
 from repro.core.terms import Atom, Constant, Substitution, Term
 from repro.errors import ChaseError, ChaseNonTerminationError
@@ -170,7 +169,6 @@ def chase(
     equalities: dict[Constant, Term] = {}
     steps = 0
     fired: list[str] = []
-    dispatch = index_enabled()
 
     changed = True
     while changed:
@@ -178,10 +176,9 @@ def chase(
         index = InstanceIndex(current)
         for constraint, body_relations in constraints.constraints_with_body_relations():
             # Inverted dispatch: a constraint whose body mentions a relation
-            # absent from the instance has no trigger, so a full scan would
-            # find nothing.  Skipping it here fires the same constraints in
-            # the same order as the unindexed scan (``REPRO_REWRITE_INDEX=0``).
-            if dispatch and not body_relations <= index.relations():
+            # absent from the instance has no trigger, so matching its body
+            # would find nothing.
+            if not body_relations <= index.relations():
                 continue
             if isinstance(constraint, TGD):
                 new_facts: list[Atom] = []
@@ -293,7 +290,6 @@ def provenance_chase(
     current: set[Atom] = set(annotated_facts)
     equalities: dict[Constant, Term] = {}
     steps = 0
-    dispatch = index_enabled()
 
     changed = True
     while changed:
@@ -301,7 +297,7 @@ def provenance_chase(
         index = InstanceIndex(current)
         for constraint, body_relations in constraints.constraints_with_body_relations():
             # Same inverted dispatch as the standard chase (see above).
-            if dispatch and not body_relations <= index.relations():
+            if not body_relations <= index.relations():
                 continue
             if isinstance(constraint, TGD):
                 for trigger in iterate_homomorphisms(constraint.body, index):

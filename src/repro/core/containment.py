@@ -18,7 +18,7 @@ from typing import Iterable
 from repro.core.chase import ChaseConfig, ChaseFailure, ChaseResult, chase
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.homomorphism import InstanceIndex, find_homomorphism
-from repro.core.memo import LRUMemo, memo_enabled
+from repro.core.memo import LRUMemo
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Constant, Substitution, Term, Variable
 from repro.errors import PivotModelError
@@ -72,11 +72,6 @@ def _chased(
     config: ChaseConfig | None,
 ) -> ChaseResult | object:
     """Chase a canonical instance, memoized; returns ``_CHASE_FAILED`` on EGD failure."""
-    if not memo_enabled():
-        try:
-            return chase(frozen_facts, constraints, config=config)
-        except ChaseFailure:
-            return _CHASE_FAILED
     key = (frozen_facts, constraints.token, config)
     cached = _chase_memo.get(key)
     if cached is _chase_memo.missing:
@@ -143,23 +138,20 @@ def is_contained_under_constraints(
     """
     if not isinstance(constraints, ConstraintSet):
         constraints = ConstraintSet(constraints)
-    verdict_key = None
-    if memo_enabled():
-        verdict_key = (
-            canonical_query_signature(contained),
-            canonical_query_signature(container),
-            constraints.token,
-            config,
-        )
-        cached = _containment_memo.get(verdict_key)
-        if cached is not _containment_memo.missing:
-            return cached  # type: ignore[return-value]
+    verdict_key = (
+        canonical_query_signature(contained),
+        canonical_query_signature(container),
+        constraints.token,
+        config,
+    )
+    cached = _containment_memo.get(verdict_key)
+    if cached is not _containment_memo.missing:
+        return cached  # type: ignore[return-value]
     frozen_facts, freezing = contained.canonical_instance()
     frozen_head = tuple(freezing.resolve(t) for t in contained.head_terms)
     result = _chased(frozen_facts, constraints, config)
     if result is _CHASE_FAILED:
-        if verdict_key is not None:
-            _containment_memo.put(verdict_key, True)
+        _containment_memo.put(verdict_key, True)
         return True
     # EGD firings may have merged labelled nulls appearing in the frozen head.
     resolved_head = tuple(_resolve_equalities(t, result.equalities) for t in frozen_head)
@@ -168,8 +160,7 @@ def is_contained_under_constraints(
         container.body, index, requirement=_head_requirement(container, resolved_head)
     )
     verdict = homomorphism is not None
-    if verdict_key is not None:
-        _containment_memo.put(verdict_key, verdict)
+    _containment_memo.put(verdict_key, verdict)
     return verdict
 
 

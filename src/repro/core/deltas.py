@@ -35,7 +35,6 @@ from repro.errors import DeltaError
 __all__ = [
     "Delta",
     "bag",
-    "bag_difference",
     "apply_delta_to_bag",
     "evaluate",
     "delta_evaluate",
@@ -49,13 +48,6 @@ Delta = Counter
 def bag(rows: Iterable[tuple]) -> Counter:
     """The bag (multiset) of ``rows`` as a Counter."""
     return Counter(rows)
-
-
-def bag_difference(after: Mapping[tuple, int], before: Mapping[tuple, int]) -> Counter:
-    """The signed delta turning ``before`` into ``after`` (after − before)."""
-    delta: Counter = Counter(after)
-    delta.subtract(before)
-    return Counter({row: count for row, count in delta.items() if count})
 
 
 def apply_delta_to_bag(state: Counter, delta: Mapping[tuple, int]) -> None:

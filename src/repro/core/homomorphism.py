@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, KeysView, Sequence
 
-from repro.core.memo import LRUMemo, memo_enabled
+from repro.core.memo import LRUMemo
 from repro.core.terms import Atom, Constant, Substitution, Term, Variable
 
 __all__ = ["InstanceIndex", "find_homomorphism", "iterate_homomorphisms", "count_homomorphisms"]
@@ -247,11 +247,7 @@ def find_homomorphism(
     head against the same instance state many times per round.
     """
     key = None
-    if (
-        requirement is None
-        and isinstance(instance, InstanceIndex)
-        and memo_enabled()
-    ):
+    if requirement is None and isinstance(instance, InstanceIndex):
         key = (
             tuple(pattern),
             instance.fingerprint,

@@ -20,28 +20,22 @@ candidate selection: a view atom can only ever appear in the universal plan
 if every relation of the view's body is derivable from the query's relations
 through forward constraints, and EGDs never introduce new relations.
 
-Indexed candidate selection is on by default; ``REPRO_REWRITE_INDEX=0``
-restores the unindexed all-views path (the escape hatch also disables the
-inverted constraint dispatch inside :mod:`repro.core.chase`).
+The index is also :class:`repro.core.rewriting.Rewriter`'s only registry of
+views.  Its reference is the brute-force oracle in
+``tests/test_differential_equivalence.py``, not a second code path here.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterable, Iterator
 
 from repro.core.constraints import TGD, Constraint
 from repro.core.views import ViewDefinition
 
-__all__ = ["RewriteIndex", "index_enabled"]
+__all__ = ["RewriteIndex"]
 
 _CLOSURE_CACHE_LIMIT = 1024
-
-
-def index_enabled() -> bool:
-    """True unless ``REPRO_REWRITE_INDEX=0`` disables signature indexing."""
-    return os.environ.get("REPRO_REWRITE_INDEX", "1") != "0"
 
 
 class RewriteIndex:

@@ -18,25 +18,17 @@ Soundness of the keys rests on two facts:
   (or a new container that happens to have equal content) can never alias a
   stale entry.
 
-Memoization is on by default and can be disabled with ``REPRO_REWRITE_MEMO=0``
-(the sibling ``REPRO_REWRITE_INDEX=0`` switch disables candidate-view and
-constraint-dispatch indexing; see :mod:`repro.core.index`).
+Memoization is always on; a *cold* run is one after :func:`clear_memos`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable
 
-__all__ = ["LRUMemo", "memo_enabled", "memo_stats", "clear_memos", "register_memo"]
+__all__ = ["LRUMemo", "memo_stats", "clear_memos", "register_memo"]
 
 _MISSING = object()
-
-
-def memo_enabled() -> bool:
-    """True unless ``REPRO_REWRITE_MEMO=0`` disables result memoization."""
-    return os.environ.get("REPRO_REWRITE_MEMO", "1") != "0"
 
 
 class LRUMemo:

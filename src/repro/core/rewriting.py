@@ -25,7 +25,7 @@ from repro.core.backchase import BackchaseStatistics, classical_backchase
 from repro.core.binding_patterns import AccessPatternRegistry, is_feasible
 from repro.core.chase import ChaseConfig
 from repro.core.constraints import Constraint, ConstraintSet
-from repro.core.index import RewriteIndex, index_enabled
+from repro.core.index import RewriteIndex
 from repro.core.minimization import minimize
 from repro.core.pacb import PACBStatistics, pacb_rewrite
 from repro.core.query import ConjunctiveQuery
@@ -91,22 +91,21 @@ class Rewriter:
     ) -> None:
         if algorithm not in {"pacb", "classical"}:
             raise RewritingError(f"unknown rewriting algorithm {algorithm!r}")
-        self._views = list(views)
         self._constraints = ConstraintSet(schema_constraints or ())
         self._access_patterns = access_patterns or AccessPatternRegistry()
-        for view in self._views:
-            if view.access_pattern is not None:
-                self._access_patterns.register(view.access_pattern)
         self._algorithm = algorithm
         self._chase_config = chase_config or ChaseConfig()
         self._cost_bound_factory = cost_bound_factory
-        self._index = RewriteIndex(self._views, self._constraints)
+        # The index is the only registry of views.
+        self._index = RewriteIndex(constraints=self._constraints)
+        for view in views:
+            self.add_view(view)
 
     # -- configuration -------------------------------------------------------
     @property
     def views(self) -> tuple[ViewDefinition, ...]:
-        """The registered fragment definitions."""
-        return tuple(self._views)
+        """The registered fragment definitions, in registration order."""
+        return tuple(self._index)
 
     @property
     def constraints(self) -> ConstraintSet:
@@ -129,22 +128,20 @@ class Rewriter:
         return self._index
 
     def add_view(self, view: ViewDefinition) -> None:
-        """Register an additional fragment definition."""
-        self._views.append(view)
+        """Register a fragment definition, replacing any same-named one."""
+        self.remove_view(view.name)
         if view.access_pattern is not None:
             self._access_patterns.register(view.access_pattern)
         self._index.add_view(view)
 
     def remove_view(self, name: str) -> bool:
         """Drop a fragment definition by name; returns False when unknown."""
-        for position, view in enumerate(self._views):
-            if view.name == name:
-                del self._views[position]
-                if view.access_pattern is not None:
-                    self._access_patterns.unregister(name)
-                self._index.remove_view(name)
-                return True
-        return False
+        view = self._index.remove_view(name)
+        if view is None:
+            return False
+        if view.access_pattern is not None:
+            self._access_patterns.unregister(name)
+        return True
 
     def add_constraints(self, constraints: Iterable[Constraint]) -> None:
         """Register additional schema constraints."""
@@ -174,23 +171,20 @@ class Rewriter:
             When True, raise :class:`InfeasibleRewritingError` if rewritings
             exist but none is feasible.
         """
-        if not self._views:
+        if not self._index:
             raise RewritingError("no views registered; cannot rewrite")
         started = time.perf_counter()
         notes: list[str] = []
-        if index_enabled():
-            # Candidate selection: only views whose definition body lies in
-            # the TGD-reachability closure of the query's relations can ever
-            # contribute an atom to the universal plan.  This is what keeps
-            # rewriting sub-linear in catalog size.
-            candidates = self._index.candidate_views(query.relations())
-            if len(candidates) < len(self._views):
-                notes.append(
-                    f"signature index selected {len(candidates)} of "
-                    f"{len(self._views)} views"
-                )
-        else:
-            candidates = self._views
+        # Candidate selection: only views whose definition body lies in the
+        # TGD-reachability closure of the query's relations can ever contribute
+        # an atom to the universal plan.  This is what keeps rewriting
+        # sub-linear in catalog size.
+        candidates = self._index.candidate_views(query.relations())
+        if len(candidates) < len(self._index):
+            notes.append(
+                f"signature index selected {len(candidates)} of "
+                f"{len(self._index)} views"
+            )
         if not candidates:
             elapsed = time.perf_counter() - started
             notes.append("no candidate views share a relation signature with the query")

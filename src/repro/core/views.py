@@ -23,7 +23,7 @@ from typing import Iterable
 
 from repro.core.binding_patterns import AccessPattern
 from repro.core.constraints import TGD, ConstraintSet
-from repro.core.memo import LRUMemo, memo_enabled
+from repro.core.memo import LRUMemo
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Atom
 from repro.errors import PivotModelError
@@ -148,8 +148,6 @@ def combined_constraint_set(
     the returned set as immutable.
     """
     views = tuple(views)
-    if not memo_enabled():
-        return views_constraint_set(views, direction).union(schema)
     key = (views, direction, schema.token)
     return _combined_memo.get_or_compute(
         key, lambda: views_constraint_set(views, direction).union(schema)

@@ -495,9 +495,8 @@ class Store:
     def truncate_collection(self, collection: str) -> None:
         """Drop every row of ``collection``, keeping its schema and indexes.
 
-        The recompute fallback of fragment maintenance
-        (``REPRO_INCREMENTAL_MAINTENANCE=0``) truncates and re-materializes
-        instead of propagating deltas.
+        A rolled-back live migration (:mod:`repro.catalog.migration`) empties
+        the half-built target collection this way.
         """
         raise self._reject("truncation")
 

@@ -21,7 +21,6 @@ from repro.core.deltas import (
     BagIndex,
     apply_delta_to_bag,
     bag,
-    bag_difference,
     delta_evaluate,
     evaluate,
 )
@@ -97,6 +96,13 @@ def _deltas(draw, old):
     return deltas
 
 
+def _bag_difference(after, before) -> Counter:
+    """The signed delta turning ``before`` into ``after`` (after − before)."""
+    delta: Counter = Counter(after)
+    delta.subtract(before)
+    return Counter({row: count for row, count in delta.items() if count})
+
+
 def _apply(old, deltas):
     new = {name: Counter(rows) for name, rows in old.items()}
     for relation, delta in deltas.items():
@@ -111,7 +117,7 @@ class TestDeltaRuleProperties:
     @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
     def test_delta_matches_recompute_difference(self, query, old, data):
         deltas = data.draw(_deltas(old))
-        expected = bag_difference(evaluate(query, _apply(old, deltas)), evaluate(query, old))
+        expected = _bag_difference(evaluate(query, _apply(old, deltas)), evaluate(query, old))
         got = delta_evaluate(query, old, deltas)
         assert Counter(got) == expected
 

@@ -21,6 +21,11 @@ must return the oracle's bag.  The fault schedules are seeded
 (``REPRO_CHAOS_SEED``, CI runs a small seed matrix), so a failing example
 replays exactly.
 
+The **rewrite-at-scale profile** checks the rewriting engine the same way:
+random view catalogs with inclusion TGDs are rewritten by PACB and by the
+classical backchase, cold and warm, and both must return exactly the
+rewritings a brute-force oracle over plain tuples enumerates.
+
 LIMIT queries are nondeterministic by design (any k rows of the answer are a
 correct answer), so for them the harness checks cardinality and containment
 in the oracle's full result instead of equality.
@@ -28,13 +33,14 @@ in the oracle's full result instead of equality.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.stores import ReplicationPolicy
@@ -347,41 +353,143 @@ class TestSharedPathRegressions:
 
 
 # -- the rewrite-at-scale profile ----------------------------------------------------
+#
+# The reference is a brute-force rewriting oracle over plain tuples; it uses
+# nothing of repro's chase, homomorphism, containment, PACB, backchase, index
+# or memo modules.  Every term is a variable (a plain string), an atom is
+# ``(relation, terms)``, a view ``name -> (head, body)``, an inclusion TGD
+# ``(body_atom, head_atom)`` and a query ``(head, body)``.
 
 
-def _alpha_canonical(query):
-    """An alpha-invariant, body-order-invariant fingerprint of a CQ.
+def _homs(pattern, facts, seed=()):
+    """Every extension of ``seed`` sending each pattern atom onto a fact."""
 
-    The chase invents labelled nulls from a global counter, so the same
-    logical rewriting carries different variable names across runs; this
-    renames variables by first occurrence (head first) and minimizes over
-    body-atom permutations (rewriting bodies are small).
+    def extend(position, mapping):
+        if position == len(pattern):
+            yield mapping
+            return
+        relation, terms = pattern[position]
+        for fact_relation, fact_terms in facts:
+            if fact_relation != relation:
+                continue
+            extended = dict(mapping)
+            if all(extended.setdefault(t, f) == f for t, f in zip(terms, fact_terms)):
+                yield from extend(position + 1, extended)
+
+    yield from extend(0, dict(seed))
+
+
+def _saturate(facts, tgds):
+    """The fixpoint of ``facts`` under the (existential-free) TGDs."""
+    facts = set(facts)
+    while True:
+        derived = {
+            (head[0], tuple(h[t] for t in head[1]))
+            for body, head in tgds
+            for h in _homs([body], facts)
+        } - facts
+        if not derived:
+            return facts
+        facts |= derived
+
+
+def _expand(view_atoms, views):
+    """Each view atom replaced by its view's body, existentials fresh per atom."""
+    facts = set()
+    for position, (name, arguments) in enumerate(view_atoms):
+        head, body = views[name]
+        binding = dict(zip(head, arguments))
+        for relation, terms in body:
+            facts.add((relation, tuple(binding.get(t, (position, t)) for t in terms)))
+    return facts
+
+
+def _canon(head, body):
+    """A fingerprint invariant under variable renaming and body order.
+
+    Terms are renamed by first occurrence (head first), minimized over the
+    body's permutations (rewriting bodies are small).
     """
-    import itertools as it
-
-    from repro.core import Constant, Variable
-
     best = None
-    for permutation in it.permutations(query.body):
-        mapping = {}
-
-        def rename(term):
-            if isinstance(term, Variable):
-                if term not in mapping:
-                    mapping[term] = ("v", len(mapping))
-                return mapping[term]
-            assert isinstance(term, Constant)
-            return ("c", repr(term.value))
-
-        head = tuple(rename(term) for term in query.head_terms)
-        body = tuple(
-            (atom.relation, tuple(rename(term) for term in atom.terms))
-            for atom in permutation
+    for permutation in itertools.permutations(body):
+        names = {}
+        key = (
+            tuple(names.setdefault(t, len(names)) for t in head),
+            tuple(
+                (relation, tuple(names.setdefault(t, len(names)) for t in terms))
+                for relation, terms in permutation
+            ),
         )
-        key = (query.head_relation, head, body)
         if best is None or key < best:
             best = key
     return best
+
+
+def _universal_plan(views, tgds, query):
+    """Every image of a view body in the saturated query body, as view atoms."""
+    saturated = _saturate(query[1], tgds)
+    return sorted(
+        {
+            (name, tuple(h[t] for t in view_head))
+            for name, (view_head, view_body) in views.items()
+            for h in _homs(view_body, saturated)
+        }
+    )
+
+
+def _oracle_rewritings(plan, views, tgds, query):
+    """Fingerprints of the subset-minimal rewritings, by enumeration.
+
+    A subset of the universal ``plan`` is a rewriting iff the query maps
+    into the subset's saturated expansion with the head fixed (which also
+    forces the subset to expose every head variable); the other containment
+    holds by construction.
+    """
+    head, body = query
+    minimal = []
+    for size in range(1, len(plan) + 1):
+        for subset in itertools.combinations(plan, size):
+            if any(set(smaller) <= set(subset) for smaller in minimal):
+                continue
+            expansion = _saturate(_expand(subset, views), tgds)
+            if next(_homs(body, expansion, {t: t for t in head}), None) is not None:
+                minimal.append(subset)
+    return {_canon(head, subset) for subset in minimal}
+
+
+def _alpha_canonical(query):
+    """:func:`_canon` of a constant-free ``ConjunctiveQuery``.
+
+    The chase invents labelled nulls from a global counter, so the same
+    logical rewriting carries different variable names across runs.
+    """
+    return _canon(
+        tuple(term.name for term in query.head_terms),
+        [(atom.relation, tuple(term.name for term in atom.terms)) for atom in query.body],
+    )
+
+
+def _program_rewriter(views, tgds, query, algorithm):
+    """The scenario as ``repro`` objects: ``(Rewriter, pivot query)``."""
+    from repro.core import TGD, Atom, ConjunctiveQuery, Rewriter, ViewDefinition
+
+    def atom(relation, terms):
+        return Atom(relation, [f"?{term}" for term in terms])
+
+    def conjunctive(name, head, body):
+        return ConjunctiveQuery(
+            name, [f"?{term}" for term in head], [atom(*member) for member in body]
+        )
+
+    rewriter = Rewriter(
+        [ViewDefinition(name, conjunctive(name, *view)) for name, view in views.items()],
+        [
+            TGD([atom(*body)], [atom(*head)], name=f"tgd{position}")
+            for position, (body, head) in enumerate(tgds)
+        ],
+        algorithm=algorithm,
+    )
+    return rewriter, conjunctive("Q", *query)
 
 
 _PIVOT_RELATIONS = ("rel0", "rel1", "rel2", "rel3")
@@ -389,94 +497,115 @@ _PIVOT_RELATIONS = ("rel0", "rel1", "rel2", "rel3")
 
 @st.composite
 def view_catalogs(draw):
-    """A random binary-relation schema, view catalog and chain query."""
-    from repro.core import Atom, ConjunctiveQuery, ViewDefinition
+    """Random binary relations, views, 0-2 inclusion TGDs and a chain query.
 
+    The TGDs may be cyclic and may flip their arguments; the query is a chain
+    of 1-3 atoms whose head is its two ends, its first variable or all of
+    its variables.
+    """
     relations = list(
         _PIVOT_RELATIONS[: draw(st.integers(min_value=2, max_value=4))]
     )
-    views = []
+    views = {}
     for position in range(draw(st.integers(min_value=1, max_value=5))):
         shape = draw(st.sampled_from(["identity", "projection", "join"]))
         first = draw(st.sampled_from(relations))
         if shape == "identity":
-            head, body = ["?a", "?b"], [Atom(first, ["?a", "?b"])]
+            head, body = ("a", "b"), [(first, ("a", "b"))]
         elif shape == "projection":
-            head, body = ["?a"], [Atom(first, ["?a", "?b"])]
+            head, body = ("a",), [(first, ("a", "b"))]
         else:
             second = draw(st.sampled_from(relations))
-            head = ["?a", "?c"]
-            body = [Atom(first, ["?a", "?b"]), Atom(second, ["?b", "?c"])]
-        name = f"V{position}"
-        views.append(ViewDefinition(name, ConjunctiveQuery(name, head, body)))
-    length = draw(st.integers(min_value=1, max_value=2))
-    variables = [f"?q{i}" for i in range(length + 1)]
+            head = ("a", "c")
+            body = [(first, ("a", "b")), (second, ("b", "c"))]
+        views[f"V{position}"] = (head, body)
+    tgds = []
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if tgds and draw(st.booleans()):
+            # Close the cycle: only then is a view the query reaches through
+            # a TGD alone an equivalent rewriting (what closure() is for).
+            tgds.append(tgds[0][::-1])
+            continue
+        source = draw(st.sampled_from(relations))
+        target = draw(st.sampled_from(relations))
+        # relX(x, y) -> relX(x, y) says nothing; between distinct relations
+        # both argument orders are drawn.
+        flipped = source == target or draw(st.booleans())
+        tgds.append(((source, ("x", "y")), (target, ("y", "x") if flipped else ("x", "y"))))
+    length = draw(st.integers(min_value=1, max_value=3))
+    variables = tuple(f"q{i}" for i in range(length + 1))
     body = [
-        Atom(draw(st.sampled_from(relations)), [variables[i], variables[i + 1]])
+        (draw(st.sampled_from(relations)), (variables[i], variables[i + 1]))
         for i in range(length)
     ]
-    query = ConjunctiveQuery("Q", [variables[0], variables[length]], body)
-    return views, query
-
-
-@contextmanager
-def _execution_mode(**overrides):
-    """Temporarily pin env switches read at rewriting time."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
-_REWRITE_MODES = {
-    "indexed_memoized": {"REPRO_REWRITE_INDEX": "1", "REPRO_REWRITE_MEMO": "1"},
-    "indexed_cold": {"REPRO_REWRITE_INDEX": "1", "REPRO_REWRITE_MEMO": "0"},
-    "unindexed": {"REPRO_REWRITE_INDEX": "0", "REPRO_REWRITE_MEMO": "0"},
-}
+    head = draw(
+        st.sampled_from([(variables[0], variables[-1]), (variables[0],), variables])
+    )
+    return views, tgds, (head, body)
 
 
 class TestIndexedRewritingDifferential:
-    """The signature index and the memos never change a rewriting result.
+    """Candidate selection and the memos never change a rewriting result.
 
-    The index prunes candidate views and chase constraints, and the memos
-    replay chases/containment verdicts — both must be invisible: for every
-    random view catalog, every mode finds the same rewriting set (up to
-    variable renaming and body order), and on the marketplace deployment the
-    winning plan and its cost estimate agree.
+    The signature index prunes candidate views and chase constraints, and
+    the memos replay chases and containment verdicts.  Both must be
+    invisible: for every random catalog the program finds exactly the
+    oracle's rewritings (up to variable renaming and body order), cold and
+    warm, and on the marketplace deployment a cold and a warm explain agree
+    on the winning plan and its cost estimate.
     """
 
-    @settings(
-        max_examples=30,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=200, deadline=None)
     @given(scenario=view_catalogs())
-    @pytest.mark.parametrize("algorithm", ["pacb", "classical"])
-    def test_modes_find_identical_rewriting_sets(self, algorithm, scenario):
-        from repro.core import Rewriter
+    def test_rewritings_match_oracle(self, scenario):
+        from repro.core import clear_memos
 
-        views, query = scenario
-        results = {}
-        for mode, env in _REWRITE_MODES.items():
-            with _execution_mode(**env):
-                outcome = Rewriter(views=views, algorithm=algorithm).rewrite(query)
-                results[mode] = {
-                    _alpha_canonical(rewriting) for rewriting in outcome.rewritings
+        views, tgds, query = scenario
+        # The oracle and the classical backchase both enumerate the subsets
+        # of the universal plan: seconds per example beyond 8 view atoms.
+        plan = _universal_plan(views, tgds, query)
+        assume(len(plan) <= 8)
+        expected = _oracle_rewritings(plan, views, tgds, query)
+        for algorithm in ("pacb", "classical"):
+            rewriter, pivot_query = _program_rewriter(views, tgds, query, algorithm)
+            clear_memos()
+            for temperature in ("cold", "warm"):
+                found = {
+                    _alpha_canonical(rewriting)
+                    for rewriting in rewriter.rewrite(pivot_query).rewritings
                 }
-        reference = results["unindexed"]
-        for mode, found in results.items():
-            assert found == reference, f"{mode} diverged on {query} over {views}"
+                assert found == expected, (
+                    f"{temperature} {algorithm} diverged from the oracle on {query} "
+                    f"over {views} under {tgds}"
+                )
+
+    @pytest.mark.parametrize("algorithm", ["pacb", "classical"])
+    def test_view_reached_only_through_a_tgd(self, algorithm):
+        """The closure must follow TGDs: the query never mentions ``relB``.
+
+        With ``relA ⊆ relB`` alone the ``relB`` view is a candidate but not
+        an equivalent rewriting; with ``relB ⊆ relA`` as well it is the only
+        one, and a closure that stopped at the query's own relations would
+        silently drop it.
+        """
+        views = {"VB": (("a", "b"), [("relB", ("a", "b"))])}
+        query = (("x", "y"), [("relA", ("x", "y"))])
+        forth = (("relA", ("x", "y")), ("relB", ("x", "y")))
+        back = (("relB", ("x", "y")), ("relA", ("x", "y")))
+        through_view = {_canon(("x", "y"), [("VB", ("x", "y"))])}
+        for tgds, expected in (([forth], set()), ([forth, back], through_view)):
+            plan = _universal_plan(views, tgds, query)
+            assert _oracle_rewritings(plan, views, tgds, query) == expected
+            rewriter, pivot_query = _program_rewriter(views, tgds, query, algorithm)
+            assert {
+                _alpha_canonical(rewriting)
+                for rewriting in rewriter.rewrite(pivot_query).rewritings
+            } == expected
 
     def test_winning_plan_cost_agrees_on_the_marketplace(
         self, marketplace_builder, marketplace_data
     ):
-        from repro.core import Atom, ConjunctiveQuery, Constant
+        from repro.core import Atom, ConjunctiveQuery, Constant, clear_memos
 
         queries = [
             ConjunctiveQuery(
@@ -491,20 +620,21 @@ class TestIndexedRewritingDifferential:
                 ],
             ),
         ]
-        chosen = {}
-        for mode, env in _REWRITE_MODES.items():
-            with _execution_mode(**env):
-                est = marketplace_builder(marketplace_data)
-                chosen[mode] = [
-                    (
-                        explanation.chosen.estimate.total_cost,
-                        explanation.plan_text(),
-                        len(explanation.rewritings),
-                    )
-                    for explanation in (est.explain(query) for query in queries)
-                ]
-        assert chosen["indexed_memoized"] == chosen["unindexed"]
-        assert chosen["indexed_cold"] == chosen["unindexed"]
+        est = marketplace_builder(marketplace_data)
+
+        def chosen():
+            return [
+                (
+                    explanation.chosen.estimate.total_cost,
+                    explanation.plan_text(),
+                    len(explanation.rewritings),
+                )
+                for explanation in (est.explain(query) for query in queries)
+            ]
+
+        clear_memos()
+        cold = chosen()
+        assert chosen() == cold
 
 
 # -- the chaos profile ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The recompute-vs-incremental differential harness (the write-path oracle).
+"""The oracle-vs-incremental differential harness (the write-path oracle).
 
 ``TestMaintenanceDifferential`` replays hypothesis-generated programs of
 interleaved inserts, deletes, updates, reads and maintenance calls against a
@@ -348,33 +348,3 @@ class TestChaosMaintenance:
         est.maintain("F_orders")
         oracle.insert("orders", third)
         assert _served_bag(est, "orders") == oracle.bag("orders")
-
-
-class TestRecomputeModeDifferential:
-    """With REPRO_INCREMENTAL_MAINTENANCE=0 the same programs re-materialize."""
-
-    def test_recompute_fallback_matches_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_MAINTENANCE", "0")
-        est, _ = build_deployment("sharded")
-        oracle = RecomputeOracle()
-        ops = [
-            ("insert", "orders", {"uid": 3, "sku": "c", "qty": 1}),
-            ("delete", "orders", {"uid": 0, "sku": "a", "qty": 2}),
-            ("insert", "users", {"uid": 3, "name": "n3", "city": "lyon"}),
-            ("update", "orders", {"uid": 1, "sku": "b", "qty": 1},
-             {"uid": 1, "sku": "b", "qty": 9}),
-        ]
-        for op in ops:
-            if op[0] == "insert":
-                est.insert(op[1], op[2])
-                oracle.insert(op[1], op[2])
-            elif op[0] == "delete":
-                est.delete(op[1], op[2])
-                oracle.delete(op[1], op[2])
-            else:
-                est.update(op[1], op[2], op[3])
-                oracle.update(op[1], op[2], op[3])
-        est.maintain()
-        for relation in ("users", "orders"):
-            assert _served_bag(est, relation) == oracle.bag(relation)
-        assert _served_join_bag(est) == oracle.join_bag()

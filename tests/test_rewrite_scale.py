@@ -77,13 +77,27 @@ class TestRewriteIndex:
         assert index.candidate_views({"S"}) == []
         assert "VR" in index
 
+    def test_rewriter_add_view_replaces_a_same_named_view(self):
+        # The index is the rewriter's only registry: re-registering a name
+        # swaps the definition, it does not leave two views behind one name.
+        query = ConjunctiveQuery("Q", ["?x", "?y"], [Atom("R", ["?x", "?y"])])
+        for replacement, found in (
+            (_view("VR", ["?a", "?b"], [Atom("S", ["?a", "?b"])]), []),
+            (_view("VR", ["?b", "?a"], [Atom("R", ["?b", "?a"])]), ["VR"]),
+        ):
+            rewriter = Rewriter(views=[IDENTITY_R])
+            rewriter.add_view(replacement)
+            assert len(rewriter.views) == len(rewriter.index) == 1
+            assert rewriter.views[0] is replacement
+            outcome = rewriter.rewrite(query)
+            assert [r.body[0].relation for r in outcome.rewritings] == found
+
     def test_candidates_preserve_registration_order(self):
         other = _view("V0", ["?a"], [Atom("R", ["?a", "?b"])])
         index = RewriteIndex([IDENTITY_R, other], ConstraintSet())
         assert [v.name for v in index.candidate_views({"R"})] == ["VR", "V0"]
 
-    def test_rewriter_skips_unrelated_catalog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "1")
+    def test_rewriter_skips_unrelated_catalog(self):
         unrelated = [
             _view(f"U{i}", ["?a", "?b"], [Atom(f"other{i}", ["?a", "?b"])])
             for i in range(50)
@@ -94,8 +108,7 @@ class TestRewriteIndex:
         assert [r.body[0].relation for r in outcome.rewritings] == ["VR"]
         assert any("selected 1 of 51 views" in note for note in outcome.notes)
 
-    def test_rewriter_short_circuits_on_empty_candidates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REWRITE_INDEX", "1")
+    def test_rewriter_short_circuits_on_empty_candidates(self):
         rewriter = Rewriter(views=[IDENTITY_R])
         query = ConjunctiveQuery("Q", ["?x"], [Atom("Z", ["?x", "?y"])])
         outcome = rewriter.rewrite(query)
@@ -105,8 +118,7 @@ class TestRewriteIndex:
 
 
 class TestMemoization:
-    def test_repeated_rewrites_hit_the_containment_memos(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REWRITE_MEMO", "1")
+    def test_repeated_rewrites_hit_the_containment_memos(self):
         clear_memos()
         rewriter = Rewriter(views=[IDENTITY_R, JOIN_RS, IDENTITY_S])
         query = ConjunctiveQuery(
