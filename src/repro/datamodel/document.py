@@ -18,7 +18,7 @@ and every document has exactly one root.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.core.constraints import EGD, TGD, ConstraintSet
 from repro.core.terms import Atom, Variable

@@ -16,7 +16,7 @@ specified in order to access the values associated to this key".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.binding_patterns import AccessPattern
 from repro.core.constraints import ConstraintSet, key_constraint

@@ -10,7 +10,7 @@ validate fragment layouts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.constraints import ConstraintSet, functional_dependency, inclusion_dependency, key_constraint
 from repro.core.terms import Atom

@@ -21,7 +21,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Callable
 
 from repro.catalog.descriptors import StorageDescriptor
 from repro.catalog.maintenance import MaintenanceEngine
@@ -122,6 +123,60 @@ class Explanation:
         if self.chosen is None:
             return "(no executable plan)"
         return self.chosen.plan.explain()
+
+
+def _canonical_term(term) -> object:
+    if isinstance(term, Variable):
+        return f"?{term.name}"
+    return ("const", repr(term.value))
+
+
+@dataclass(slots=True)
+class _Statement:
+    """The half of a query that is a pure function of the query itself.
+
+    For SQL text that is the translation against its dataset's schema; for
+    every query kind it is also the *shape* half of the plan-cache key
+    (canonical head/body, body relations) and the scan hints.  Nothing here
+    depends on fragments, stores, data, epochs or tenants, and a dataset's
+    schema is fixed at registration, so a statement memoized under
+    ``(dataset, sql text)`` can never go stale.
+
+    ``lowered`` is the one derived piece that does depend on planning: the
+    executable tree (and its plan text) built around the ranked plan the last
+    execution selected.  It is trusted only while that very
+    :class:`RankedPlan` object is selected again — a re-plan, another
+    tenant's plan or a ``max_staleness`` pick of a different candidate
+    lowers afresh.  Concurrent executions may race to store it; the values
+    are interchangeable, the last writer wins.
+    """
+
+    pivot_query: ConjunctiveQuery
+    output_names: tuple[str, ...] | None = None
+    residual: tuple = ()
+    aggregation: object = None
+    extras: dict = field(default_factory=dict)
+    head: tuple = field(init=False)
+    body: tuple = field(init=False)
+    relations: frozenset[str] = field(init=False)
+    scan_hints: tuple[tuple[str, str, object], ...] = field(init=False)
+    lowered: "tuple[RankedPlan, Operator, str] | None" = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        query = self.pivot_query
+        self.head = tuple(_canonical_term(term) for term in query.head_terms)
+        self.body = tuple(
+            (atom.relation, tuple(_canonical_term(term) for term in atom.terms))
+            for atom in query.body
+        )
+        self.relations = query.relations()
+        # Residual comparisons double as scan hints: leaves that output the
+        # compared variable narrow their store request with the bound, which a
+        # durable backing turns into zone-map segment skipping.  The mediator
+        # filter above still applies, so answers are unchanged.
+        self.scan_hints = tuple(
+            (p.variable, p.op, p.value) for p in self.residual if not p.value_is_column
+        )
 
 
 class PlanCache:
@@ -364,6 +419,13 @@ class Estocada:
         self._maintenance = MaintenanceEngine(self._manager, self._statistics)
         self._write_policy = "eager"
         self._plan_cache = NamespacedPlanCache(plan_cache_size)
+        # (dataset, sql text) -> _Statement, LRU-bounded like a plan-cache
+        # namespace.  Entries are pure functions of their key (see _Statement),
+        # so nothing ever invalidates them; guarded by the planning lock.
+        self._statements: OrderedDict[tuple[str, str], _Statement] = OrderedDict()
+        self._statement_capacity = max(0, plan_cache_size)
+        self._statement_hits = 0
+        self._statement_misses = 0
         self._drift_threshold = max(0.0, drift_threshold)
         # Serializes the rewrite-and-plan phase (rewriter, memos, plan cache
         # bookkeeping) when concurrent service workers share this facade;
@@ -511,18 +573,22 @@ class Estocada:
         schema = RelationalSchema()
         for table in tables:
             schema.add(table)
-        self._relational_schemas[name] = schema
         from repro.datamodel.relational import RelationalEncoding
 
         encoding = RelationalEncoding(schema)
         all_constraints = encoding.extended_constraints(constraints)
-        return self._manager.register_dataset(
+        info = self._manager.register_dataset(
             name,
             data_model="relational",
             relations=tuple(table.name for table in tables),
             constraints=all_constraints,
             description=description,
         )
+        # Published only once the catalog accepted the name: a rejected
+        # duplicate must not swap the schema statements translate against
+        # (the statement memo relies on a dataset's schema never changing).
+        self._relational_schemas[name] = schema
+        return info
 
     def register_document_dataset(
         self,
@@ -538,15 +604,16 @@ class Estocada:
         column per path (the full Node/Child/Descendant encoding is available
         in :mod:`repro.datamodel.document` for constraint-level reasoning).
         """
-        for collection, paths in collections.items():
-            self._document_collections[collection] = tuple(paths)
-        return self._manager.register_dataset(
+        info = self._manager.register_dataset(
             name,
             data_model="document",
             relations=tuple(collections),
             constraints=constraints,
             description=description,
         )
+        for collection, paths in collections.items():
+            self._document_collections[collection] = tuple(paths)
+        return info
 
     def register_dataset(
         self,
@@ -854,9 +921,17 @@ class Estocada:
 
         The top-level counters aggregate every namespace; the ``namespaces``
         key breaks them down per tenant namespace (plus the default ``""``
-        namespace direct queries plan under).
+        namespace direct queries plan under).  ``statements`` /
+        ``statement_hits`` / ``statement_misses`` describe the statement memo
+        in front of it (SQL texts whose translation is being reused).
         """
-        return self._plan_cache.stats()
+        with self._planning_lock:
+            return {
+                **self._plan_cache.stats(),
+                "statements": len(self._statements),
+                "statement_hits": self._statement_hits,
+                "statement_misses": self._statement_misses,
+            }
 
     def clear_plan_cache(self) -> None:
         """Drop every cached rewrite/plan entry, in every namespace.
@@ -870,17 +945,19 @@ class Estocada:
         self._plan_cache.clear()
 
     def clear_caches(self) -> None:
-        """Drop every plan-cache entry *and* the core rewrite memos.
+        """Drop every plan-cache entry, the statement memo *and* the core rewrite memos.
 
-        After this call the next query is genuinely cold: the PACB pipeline
-        re-chases and re-verifies containment from scratch instead of
-        replaying memoized verdicts, and the persistent rewriter (whose
-        constraint-set identities anchor the memo keys) is rebuilt.
+        After this call the next query is genuinely cold: its text is
+        re-translated, the PACB pipeline re-chases and re-verifies
+        containment from scratch instead of replaying memoized verdicts, and
+        the persistent rewriter (whose constraint-set identities anchor the
+        memo keys) is rebuilt.
         """
         from repro.core import clear_memos
 
         with self._planning_lock:
             self._plan_cache.clear()
+            self._statements.clear()
             clear_memos()
             self._rewriter_instance = None
             self._rewriter_version = -1
@@ -895,16 +972,18 @@ class Estocada:
             self._plan_cache.configure(tenant, capacity)
 
     def _plan_cache_key(
-        self, pivot_query: ConjunctiveQuery, bound_parameters: Sequence[Variable]
+        self, statement: _Statement, bound_parameters: Sequence[Variable]
     ) -> tuple[tuple, frozenset[str]]:
         """Normalized query shape + rewriting algorithm + relation epochs.
 
-        The shape keeps the query's actual variable names (a cached plan's
-        operators emit those names, and the residual filters / output
-        renaming applied around a cached plan must keep matching them) and
-        its constants (they are baked into the compiled store requests).
-        The query language translators name variables deterministically from
-        column names, so a repeated query template maps to the same key.
+        The shape (``statement.head`` / ``statement.body``) keeps the query's
+        actual variable names (a cached plan's operators emit those names,
+        and the residual filters / output renaming applied around a cached
+        plan must keep matching them) and its constants (they are baked into
+        the compiled store requests).  The query language translators name
+        variables deterministically from column names, so a repeated query
+        template maps to the same key.  The shape is computed once per
+        statement; everything below is read afresh on every call.
 
         Instead of the global catalog version, the key embeds the catalog's
         per-relation epoch signature over the query's *reachable* relations
@@ -916,27 +995,17 @@ class Estocada:
         constraints) key on the coarse structural epoch.
 
         Returns the key plus the reachable-relation set, which the cache
-        stores per entry for eager scoped invalidation.
+        stores per entry for eager scoped invalidation.  Callers hold the
+        planning lock.
         """
-
-        def canonical(term) -> object:
-            if isinstance(term, Variable):
-                return f"?{term.name}"
-            return ("const", repr(term.value))
-
-        head = tuple(canonical(term) for term in pivot_query.head_terms)
-        body = tuple(
-            (atom.relation, tuple(canonical(term) for term in atom.terms))
-            for atom in pivot_query.body
-        )
         bound = tuple(sorted(f"?{variable.name}" for variable in bound_parameters))
-        reachable = self._rewriter().index.closure(pivot_query.relations())
+        reachable = self._rewriter_locked().index.closure(statement.relations)
         key = (
             self._algorithm,
             self._manager.structural_epoch,
             self._manager.epoch_signature(reachable),
-            head,
-            body,
+            statement.head,
+            statement.body,
             bound,
         )
         return key, reachable
@@ -992,8 +1061,7 @@ class Estocada:
         bound_parameters: Sequence[Variable] = (),
     ) -> Explanation:
         """Rewrite and plan a query without executing it (demo steps 1–2)."""
-        pivot_query, _, _, _, _ = self._to_pivot(query, dataset)
-        return self._explain_pivot(pivot_query, bound_parameters)
+        return self._explain_pivot(self._to_pivot(query, dataset).pivot_query, bound_parameters)
 
     def _explain_pivot(
         self, pivot_query: ConjunctiveQuery, bound_parameters: Sequence[Variable]
@@ -1084,37 +1152,54 @@ class Estocada:
                     deadline_seconds=deadline_seconds,
                 ).result
         namespace = tenant if tenant is not None else DEFAULT_CACHE_NAMESPACE
-        pivot_query, output_names, residual, aggregation, extras = self._to_pivot(query, dataset)
+        # A warm SQL text takes the planning lock once, for dict work only:
+        # its memoized statement, the epoch check and the plan-cache lookup.
+        memo_key = (dataset, query) if isinstance(query, str) and dataset is not None else None
         with self._planning_lock:
-            cache_key, reachable = self._plan_cache_key(pivot_query, bound_parameters)
-            explanation = self._plan_cache.get(cache_key, namespace)
-            cache_hit = explanation is not None
-            if explanation is None:
-                explanation = self._explain_pivot(pivot_query, bound_parameters)
-                if explanation.chosen is not None:
-                    self._plan_cache.put(cache_key, explanation, reachable, namespace)
+            statement = self._statements.get(memo_key) if memo_key is not None else None
+            if statement is not None:
+                self._statements.move_to_end(memo_key)
+                self._statement_hits += 1
+                explanation, cache_hit = self._plan(statement, bound_parameters, namespace)
+            elif memo_key is not None:
+                self._statement_misses += 1
+        if statement is None:
+            # Translation runs outside the lock; only a success is kept.
+            statement = self._to_pivot(query, dataset)
+            with self._planning_lock:
+                if memo_key is not None:
+                    self._statements[memo_key] = statement
+                    if len(self._statements) > self._statement_capacity:
+                        self._statements.popitem(last=False)
+                explanation, cache_hit = self._plan(statement, bound_parameters, namespace)
         if explanation.chosen is None:
             raise NoRewritingFoundError(
-                f"query {pivot_query.name!r} cannot be answered from the registered fragments: "
-                + "; ".join(explanation.notes)
+                f"query {statement.pivot_query.name!r} cannot be answered from the registered "
+                "fragments: " + "; ".join(explanation.notes)
             )
         selected = explanation.chosen
         if max_staleness is not None:
             selected = self._select_for_staleness(explanation, max_staleness)
-        root: Operator = selected.plan.root
-        root = self._apply_residual(root, pivot_query, output_names, residual, aggregation, extras)
-        # Residual comparisons double as scan hints: leaves that output the
-        # compared variable narrow their store request with the bound, which a
-        # durable backing turns into zone-map segment skipping.  The mediator
-        # filter above still applies, so answers are unchanged.
-        scan_hints = tuple(
-            (p.variable, p.op, p.value) for p in residual if not p.value_is_column
-        )
+        lowered = statement.lowered
+        if lowered is None or lowered[0] is not selected:
+            root = self._apply_residual(
+                selected.plan.root,
+                statement.pivot_query,
+                statement.output_names,
+                statement.residual,
+                statement.aggregation,
+                statement.extras,
+            )
+            # The executed tree (residual filters, aggregation — possibly
+            # pushed down per shard — and output shaping included), not just
+            # the cached rewriting plan; rendered once per lowered tree.
+            lowered = statement.lowered = (selected, root, root.explain())
+        _, root, plan_text = lowered
         result = self._engine.execute(
             root,
             parallelism=parallelism,
             deadline_seconds=deadline_seconds,
-            scan_hints=scan_hints,
+            scan_hints=statement.scan_hints,
         )
         result.cache_hit = cache_hit
         sharding_note = ""
@@ -1123,11 +1208,8 @@ class Estocada:
                 f", shards: {result.shards_contacted} contacted"
                 f" / {result.shards_pruned} pruned"
             )
-        # The executed tree (residual filters, aggregation — possibly pushed
-        # down per shard — and output shaping included), not just the cached
-        # rewriting plan.
         result.plan_description = (
-            root.explain()
+            plan_text
             + f"\n-- plan cache: {'hit' if cache_hit else 'miss'}"
             + f", batches: {result.batches}"
             + f", parallelism: {result.parallelism}"
@@ -1137,6 +1219,25 @@ class Estocada:
         for fragment in self._plan_fragments(selected):
             self._statistics.record_fragment_read(fragment, result.elapsed_seconds)
         return result
+
+    def _plan(
+        self, statement: _Statement, bound_parameters: Sequence[Variable], namespace: str
+    ) -> tuple[Explanation, bool]:
+        """The statement's (explanation, cache hit) — planning-lock holders only.
+
+        The plan cache is the authority on every call: the key's epoch half
+        is recomputed and the namespace's LRU consulted, so invalidation,
+        eviction, tenant isolation and the hit/miss counters are untouched by
+        the statement memo in front of it.
+        """
+        cache_key, reachable = self._plan_cache_key(statement, bound_parameters)
+        explanation = self._plan_cache.get(cache_key, namespace)
+        if explanation is not None:
+            return explanation, True
+        explanation = self._explain_pivot(statement.pivot_query, bound_parameters)
+        if explanation.chosen is not None:
+            self._plan_cache.put(cache_key, explanation, reachable, namespace)
+        return explanation, False
 
     def _plan_fragments(self, ranked: RankedPlan) -> frozenset[str]:
         """Every fragment a ranked plan's delegated accesses touch."""
@@ -1199,6 +1300,8 @@ class Estocada:
         past the threshold, cached plans that relied on it are invalidated so
         the next query re-plans against the refreshed statistics.
         """
+        if not result.observed_cardinalities and not result.observed_shard_cardinalities:
+            return  # filtered or partial scans only: nothing to learn, no lock
         with self._planning_lock:
             for fragment, observed_rows in result.observed_cardinalities.items():
                 drift = self._cost_model.record_observation(fragment, observed_rows)
@@ -1219,23 +1322,22 @@ class Estocada:
     # -- helpers ---------------------------------------------------------------------------------
     def _to_pivot(
         self, query: ConjunctiveQuery | str | DocumentQuery, dataset: str | None
-    ) -> tuple[ConjunctiveQuery, tuple[str, ...] | None, tuple, object, dict]:
+    ) -> _Statement:
         if isinstance(query, ConjunctiveQuery):
-            return query, None, (), None, {}
+            return _Statement(query)
         if isinstance(query, DocumentQuery):
             pivot_query, output_names = query.to_pivot()
-            return pivot_query, output_names, (), None, {}
+            return _Statement(pivot_query, output_names)
         if isinstance(query, str):
             if dataset is None:
                 raise TranslationError("SQL queries need the dataset argument")
             translated = self.translate_sql(dataset, query)
-            extras = {"distinct": translated.distinct, "limit": translated.limit}
-            return (
+            return _Statement(
                 translated.query,
                 translated.output_names,
                 translated.residual_predicates,
                 translated.aggregation,
-                extras,
+                {"distinct": translated.distinct, "limit": translated.limit},
             )
         raise TranslationError(f"unsupported query type {type(query).__name__}")
 

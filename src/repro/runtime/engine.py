@@ -73,7 +73,6 @@ class QueryResult:
     elapsed_seconds: float
     store_breakdown: dict[str, StoreBreakdown] = field(default_factory=dict)
     runtime_rows_processed: int = 0
-    plan_description: str = ""
     batches: int = 0
     cache_hit: bool = False
     parallelism: int = 1
@@ -85,6 +84,24 @@ class QueryResult:
     exchange_rows: int = 0
     batch_size: int = 0
     operator_stats: dict[str, dict[str, float]] = field(default_factory=dict)
+    plan: Operator | None = field(default=None, repr=False)
+    _plan_description: str | None = field(default=None, repr=False)
+
+    @property
+    def plan_description(self) -> str:
+        """The executed operator tree as text.
+
+        Rendered from ``plan`` on first read (most executions never look);
+        the facade assigns its own text — the tree's memoized rendering plus
+        the per-execution plan-cache line.
+        """
+        if self._plan_description is None:
+            self._plan_description = self.plan.explain() if self.plan is not None else ""
+        return self._plan_description
+
+    @plan_description.setter
+    def plan_description(self, text: str) -> None:
+        self._plan_description = text
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -359,7 +376,6 @@ class ExecutionEngine:
             elapsed_seconds=elapsed,
             store_breakdown=breakdown,
             runtime_rows_processed=context.runtime_rows_processed,
-            plan_description=plan.explain(),
             batches=batch_count,
             parallelism=width,
             max_concurrent_requests=context.tracker.peak,
@@ -370,4 +386,5 @@ class ExecutionEngine:
             exchange_rows=context.exchange_rows,
             batch_size=context.batch_size,
             operator_stats=operator_stats,
+            plan=plan,
         )

@@ -302,10 +302,12 @@ class FusedPipeline(Operator):
     """A Filter→Project→Output(→LIMIT) chain collapsed into one operator.
 
     Stages run in tuple order (innermost first); each is compiled against
-    the incoming batch schema exactly once and re-compiled only on schema
-    drift.  A batch makes a single pass through the compiled kernels — no
-    intermediate :class:`RowBatch` objects, no per-row dict, no repeated
-    column resolution.  The optional ``limit`` truncates the final stream
+    an incoming batch schema exactly once per pipeline — the kernels are
+    kept on the instance per source schema, so a pipeline that outlives one
+    execution (the facade memoizes the lowered tree) compiles nothing on the
+    next, and schema drift compiles a second entry.  A batch makes a single
+    pass through the compiled kernels — no intermediate :class:`RowBatch`
+    objects, no per-row dict, no repeated column resolution.  The optional ``limit`` truncates the final stream
     and abandons the upstream pipeline early.
     """
 
@@ -318,6 +320,10 @@ class FusedPipeline(Operator):
         self._child = child
         self._stages = tuple(stages)
         self._limit = limit
+        # source schema -> (kernels, output schema).  Pure functions of the
+        # stages and the schema, so executions sharing this pipeline may race
+        # to fill a slot: the values are interchangeable, the last one stays.
+        self._compiled: dict[tuple[str, ...], tuple[tuple[RowsKernel, ...], tuple[str, ...]]] = {}
 
     @property
     def child(self) -> Operator:
@@ -340,17 +346,20 @@ class FusedPipeline(Operator):
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         remaining = self._limit
         source_schema: tuple[str, ...] | None = None
-        kernels: list[RowsKernel] = []
+        kernels: tuple[RowsKernel, ...] = ()
         output_schema: tuple[str, ...] = ()
         for batch in self._child.batches(context):
             if batch.columns != source_schema:
                 source_schema = batch.columns
-                kernels = []
-                schema = source_schema
-                for stage in self._stages:
-                    schema, kernel = stage.compile(schema)
-                    kernels.append(kernel)
-                output_schema = schema
+                compiled = self._compiled.get(source_schema)
+                if compiled is None:
+                    compiling: list[RowsKernel] = []
+                    schema = source_schema
+                    for stage in self._stages:
+                        schema, kernel = stage.compile(schema)
+                        compiling.append(kernel)
+                    compiled = self._compiled[source_schema] = (tuple(compiling), schema)
+                kernels, output_schema = compiled
             rows = batch.rows
             for kernel in kernels:
                 if not rows:

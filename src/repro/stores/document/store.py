@@ -10,7 +10,7 @@ discussing non-delegated operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (

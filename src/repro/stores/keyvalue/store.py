@@ -10,7 +10,7 @@ which forces the rewriting engine and planner to produce key-feeding
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import (
     AccessPatternViolation,

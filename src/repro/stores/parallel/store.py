@@ -12,7 +12,8 @@ parallel system without spawning real worker processes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Callable
 
 from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.sharding import stable_hash

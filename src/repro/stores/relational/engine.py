@@ -74,10 +74,11 @@ class RelationalStore(Store):
         """Bulk-insert rows into a table."""
         table = self.table(table_name)
         records = [table._coerce(row) for row in rows]
-        count = table.insert_many(records)
+        for record in records:
+            table._append(record)
         if records:
             self._durable_log({"kind": "rows", "collection": table_name, "rows": records})
-        return count
+        return len(records)
 
     def create_index(self, table_name: str, column: str) -> None:
         """Create a hash index on ``table_name.column``."""
@@ -93,8 +94,10 @@ class RelationalStore(Store):
         table = self.table(collection)
         removed = [table._coerce(row) for row in deletes]
         added = [table._coerce(row) for row in inserts]
-        touched = table.delete_rows(removed)
-        touched += table.insert_many(added)
+        touched = table._remove(removed)
+        for record in added:
+            table._append(record)
+        touched += len(added)
         if removed or added:
             self._durable_log(
                 {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import DeltaError, SchemaError, StoreError
 
@@ -59,7 +59,10 @@ class Table:
     # -- data manipulation -------------------------------------------------------
     def insert(self, row: Mapping[str, object] | Sequence[object]) -> None:
         """Insert one row (mapping or sequence in column order)."""
-        record = self._coerce(row)
+        self._append(self._coerce(row))
+
+    def _append(self, record: dict[str, object]) -> None:
+        """Store an already-coerced record (the table keeps the dict itself)."""
         if self.primary_key:
             key = tuple(record[c] for c in self.primary_key)
             if key in self._primary_index:
@@ -71,14 +74,6 @@ class Table:
         self._rows.append(record)
         for index in self._indexes.values():
             index.add(record.get(index.column), position)
-
-    def insert_many(self, rows: Iterable[Mapping[str, object] | Sequence[object]]) -> int:
-        """Insert several rows; returns how many were inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
 
     def _coerce(self, row: Mapping[str, object] | Sequence[object]) -> dict[str, object]:
         if isinstance(row, Mapping):
@@ -93,8 +88,8 @@ class Table:
             )
         return dict(zip(self.columns, values))
 
-    def delete_rows(self, rows: Iterable[Mapping[str, object] | Sequence[object]]) -> int:
-        """Delete one stored row per given row (strict bag semantics).
+    def _remove(self, records: Iterable[dict[str, object]]) -> int:
+        """Delete one stored row per already-coerced record (strict bag semantics).
 
         Every delete must match exactly one stored copy; a delete with no
         remaining match raises :class:`~repro.errors.DeltaError` — it means
@@ -104,8 +99,7 @@ class Table:
         """
         doomed: list[int] = []
         taken: set[int] = set()
-        for row in rows:
-            record = self._coerce(row)
+        for record in records:
             match = None
             for position, stored in enumerate(self._rows):
                 if position not in taken and stored == record:

@@ -27,7 +27,8 @@ per-shard child stores are exposed via :meth:`shard` for exactly that.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import Callable
 
 from repro.errors import (
     DeltaError,

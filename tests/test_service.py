@@ -10,6 +10,7 @@ workload driver's accounting.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import Counter
 
@@ -136,6 +137,51 @@ class TestQueryService:
             assert got.tenant == "app"
             assert got.queue_seconds >= 0.0
             assert got.engine_seconds > 0.0
+
+    def test_concurrent_clients_share_one_warm_statement(self):
+        # Same SQL text from several client threads: after the first execution
+        # all run the one memoized statement, its lowered tree and that
+        # tree's compiled kernels — all per-execution state must live in the
+        # execution, so every answer is the serial answer.
+        est = _build_est(rows=200)
+        full_sql = "SELECT a FROM t WHERE b > 100"
+        limit_sql = "SELECT a, b FROM t WHERE b > 100 LIMIT 7"
+        full = Counter({(("a", i),): 1 for i in range(51, 200)})
+        admissible = Counter({(("a", i), ("b", 2 * i)): 1 for i in range(51, 200)})
+        clients, rounds = 4, 200
+        failures: list[str] = []
+        start = threading.Barrier(clients)
+
+        def client(service):
+            start.wait(timeout=30)
+            for _ in range(rounds):
+                if _bag(service.execute(full_sql, dataset="d", tenant="app").rows) != full:
+                    failures.append(full_sql)
+                rows = service.execute(limit_sql, dataset="d", tenant="app").rows
+                got = _bag(rows)
+                if len(rows) != 7 or any(got[key] > admissible[key] for key in got):
+                    failures.append(limit_sql)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings inside the shared tree
+        try:
+            with QueryService(est, workers=2) as service:
+                service.register_tenant("app", TenantPolicy(max_concurrent=2, queue_depth=16))
+                threads = [
+                    threading.Thread(target=client, args=(service,)) for _ in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert failures == []
+        stats = est.cache_stats()
+        assert stats["statements"] == 2
+        assert stats["statement_hits"] + stats["statement_misses"] == 2 * clients * rounds
+        assert stats["statement_misses"] <= 2 * clients  # at most one racing miss per client and text
 
     def test_concurrency_quota_is_enforced(self):
         est = _build_est(latency=0.05)

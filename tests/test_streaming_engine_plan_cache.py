@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Estocada
 from repro.catalog import (
     AccessMethod,
     StatisticsCatalog,
@@ -12,7 +13,8 @@ from repro.catalog import (
 from repro.catalog.materialize import materialize_fragment
 from repro.core import Atom, ConjunctiveQuery, Constant, ViewDefinition
 from repro.cost import CostModel
-from repro.errors import StoreError
+from repro.datamodel import TableSchema
+from repro.errors import DuplicateRegistrationError, StoreError, TranslationError
 from repro.plan import (
     LogicalAccess,
     LogicalJoin,
@@ -362,6 +364,12 @@ class TestPlanCache:
             "SELECT uid, sku FROM purchases LIMIT 3", dataset="shop"
         )
         assert len(result.rows) == 3
+        full = marketplace_estocada.query("SELECT uid, sku FROM purchases", dataset="shop")
+        assert len(full.rows) > 3
+        assert (
+            result.store_breakdown["pg"].rows_returned
+            <= full.store_breakdown["pg"].rows_returned
+        )
 
 
 class TestShardedPlanCacheInterplay:
@@ -441,3 +449,198 @@ class TestShardedPlanCacheInterplay:
         assert result.cache_hit is False  # catalog version changed under the key
         assert result.summary()["shards"] == {"contacted": 16, "pruned": 0}
         assert len(result.rows) == len(first.rows)
+
+
+EVENTS = [
+    {"uid": 1, "kind": "click", "val": 10, "ts": 100},
+    {"uid": 2, "kind": "view", "val": 20, "ts": 101},
+    {"uid": 3, "kind": "click", "val": 30, "ts": 102},
+]
+EVENT_COLUMNS = ("uid", "kind", "val", "ts")
+
+
+def _events_fragment(name, store):
+    return StorageDescriptor(
+        name, "app", store,
+        _simple_view(name, "events", 4, EVENT_COLUMNS),
+        StorageLayout(name.lower()), AccessMethod("scan"),
+    )
+
+
+def _events_estocada(fragments=(("F_ev_a", "pg"), ("F_ev_b", "pg2")), **options):
+    """``events`` in dataset ``app``, writable, one full copy per fragment."""
+    est = Estocada(**options)
+    est.register_store("pg", RelationalStore("pg"))
+    est.register_store("pg2", RelationalStore("pg2"))
+    est.register_relational_dataset("app", [TableSchema("events", EVENT_COLUMNS)])
+    est.load_relation("events", EVENTS, dataset="app")
+    for name, store in fragments:
+        est.register_fragment(_events_fragment(name, store), indexes=("uid",))
+    return est
+
+
+def _bag(result):
+    return sorted(tuple(sorted(row.items())) for row in result.rows)
+
+
+class TestStatementMemo:
+    """The per-SQL-text memo can never serve a stale or a foreign answer.
+
+    Every case repeats one SQL *text*, so the translation comes from the memo,
+    and changes something the memo must not hide: the catalog, the data, the
+    dataset, the tenant, the staleness bound, the capacity.
+    """
+
+    SQL = "SELECT kind, val FROM events WHERE uid = 1"
+    ANSWER = [(("kind", "click"), ("val", 10))]
+
+    def test_dropped_fragment_replans_onto_the_remaining_one(self):
+        est = _events_estocada()
+        first = est.query(self.SQL, dataset="app")
+        warm = est.query(self.SQL, dataset="app")
+        assert (first.cache_hit, warm.cache_hit) == (False, True)
+        (served_by,) = first.store_breakdown
+        dropped = "F_ev_a" if served_by == "pg" else "F_ev_b"
+        est.drop_fragment(dropped)
+        after = est.query(self.SQL, dataset="app")
+        assert after.cache_hit is False
+        assert list(after.store_breakdown) == ["pg2" if served_by == "pg" else "pg"]
+        assert _bag(first) == _bag(warm) == _bag(after) == self.ANSWER
+        assert est.query(self.SQL, dataset="app").cache_hit is True
+        assert est.cache_stats()["statement_misses"] == 1
+
+    def test_writes_are_seen_by_the_same_text(self):
+        est = _events_estocada()
+        sql = "SELECT kind, val FROM events WHERE uid = 7"
+        assert est.query(sql, dataset="app").rows == []
+        assert est.query(sql, dataset="app").cache_hit is True
+        row = {"uid": 7, "kind": "buy", "val": 70, "ts": 200}
+        est.insert("events", row)
+        inserted = est.query(sql, dataset="app")
+        assert inserted.cache_hit is False  # the write bumped the relation's epoch
+        assert _bag(inserted) == [(("kind", "buy"), ("val", 70))]
+        assert est.query(sql, dataset="app").cache_hit is True
+        est.delete("events", row)
+        deleted = est.query(sql, dataset="app")
+        assert deleted.cache_hit is False
+        assert deleted.rows == []
+        stats = est.cache_stats()
+        assert (stats["statement_misses"], stats["statement_hits"]) == (1, 4)
+
+    def test_failed_translation_is_not_memoized(self):
+        est = Estocada()
+        est.register_store("pg", RelationalStore("pg"))
+        with pytest.raises(TranslationError):
+            est.query(self.SQL, dataset="app")
+        assert est.cache_stats()["statements"] == 0
+        est.register_relational_dataset("app", [TableSchema("events", EVENT_COLUMNS)])
+        est.register_fragment(_events_fragment("F_ev_a", "pg"), rows=EVENTS)
+        result = est.query(self.SQL, dataset="app")
+        assert result.cache_hit is False
+        assert _bag(result) == self.ANSWER
+        assert est.cache_stats()["statements"] == 1
+
+    def test_rejected_duplicate_dataset_leaves_the_registered_schema_alone(self):
+        # The boundary the memo relies on: a dataset's schema is fixed by its
+        # one successful registration.  (Fails at the commit before the memo:
+        # the rejected call had already swapped the translator's schema.)
+        est = _events_estocada()
+        assert _bag(est.query(self.SQL, dataset="app")) == self.ANSWER
+        with pytest.raises(DuplicateRegistrationError):
+            est.register_relational_dataset("app", [TableSchema("events", ("uid", "kind", "ts"))])
+        est.clear_caches()  # re-translate for real
+        assert _bag(est.query(self.SQL, dataset="app")) == self.ANSWER
+
+        est.register_document_dataset("docs", {"carts": ("_id", "uid", "items.sku")})
+        with pytest.raises(DuplicateRegistrationError):
+            est.register_document_dataset("docs", {"carts": ("_id",)})
+        assert est.document_query("carts").paths == ("_id", "uid", "items.sku")
+
+    def test_same_text_under_another_dataset_is_translated_against_that_dataset(self):
+        est = _events_estocada()
+        # Same table name, other schemas: one lacks the selected column, one
+        # declares kind and val the other way round.
+        est.register_relational_dataset("narrow", [TableSchema("events", ("uid", "kind", "ts"))])
+        est.register_relational_dataset(
+            "swapped", [TableSchema("events", ("uid", "val", "kind", "ts"))]
+        )
+        assert _bag(est.query(self.SQL, dataset="app")) == self.ANSWER
+        with pytest.raises(TranslationError, match="val"):
+            est.query(self.SQL, dataset="narrow")
+        swapped = est.query(self.SQL, dataset="swapped")
+        assert _bag(swapped) == [(("kind", 10), ("val", "click"))]
+        again = est.query(self.SQL, dataset="app")
+        assert again.cache_hit is True
+        assert _bag(again) == self.ANSWER
+        assert est.cache_stats()["statements"] == 2  # app and swapped; narrow failed
+
+    def test_two_tenants_keep_separate_plan_cache_accounting(self):
+        est = _events_estocada()
+        results = [
+            est.query(self.SQL, dataset="app", tenant=tenant)
+            for tenant in ("red", "red", "blue", "blue", "red")
+        ]
+        assert [r.cache_hit for r in results] == [False, True, False, True, True]
+        assert all(_bag(r) == self.ANSWER for r in results)
+        stats = est.cache_stats()
+        red, blue = stats["namespaces"]["red"], stats["namespaces"]["blue"]
+        assert (red["hits"], red["misses"], red["entries"]) == (2, 1, 1)
+        assert (blue["hits"], blue["misses"], blue["entries"]) == (1, 1, 1)
+        assert (stats["statements"], stats["statement_hits"], stats["statement_misses"]) == (1, 4, 1)
+
+    def test_alternating_staleness_bounds_lower_the_plan_each_call_selected(self):
+        est = _events_estocada()
+        est.set_write_policy("deferred")
+        sql = "SELECT kind, val FROM events WHERE uid = 8"
+        est.query(sql, dataset="app")
+        est.insert("events", {"uid": 8, "kind": "buy", "val": 80, "ts": 300})
+        replanned = est.query(sql, dataset="app")  # both copies stale: serves one of them
+        assert (replanned.cache_hit, replanned.rows) == (False, [])
+        (cheapest_store,) = replanned.store_breakdown
+        other_store, other_fragment = ("pg2", "F_ev_b") if cheapest_store == "pg" else ("pg", "F_ev_a")
+        # Bring only the *other* copy up to date, behind the facade's back (no
+        # epoch bump, so the cached explanation and its cheapest plan stay): a
+        # bounded read must pick the second ranked plan, an unbounded one the
+        # first, and each must run the tree lowered from its own pick.
+        est.maintenance.maintain(other_fragment)
+        fresh_hits = []
+        for _ in range(3):
+            fresh = est.query(sql, dataset="app", max_staleness=0)
+            assert list(fresh.store_breakdown) == [other_store]
+            assert _bag(fresh) == [(("kind", "buy"), ("val", 80))]
+            stale = est.query(sql, dataset="app")
+            assert list(stale.store_breakdown) == [cheapest_store]
+            assert stale.rows == []
+            assert stale.cache_hit is True
+            fresh_hits.append(fresh.cache_hit)
+        # (Bounded reads always plan inline: under REPRO_SERVICE=1 that is a
+        # namespace of their own, cold on its first use.)
+        assert fresh_hits[1:] == [True, True]
+
+    def test_memo_never_exceeds_the_plan_cache_capacity(self):
+        est = _events_estocada(plan_cache_size=4)
+        texts = [f"SELECT kind, val FROM events WHERE uid = {uid}" for uid in range(1, 8)]
+        for text in texts:
+            est.query(text, dataset="app")
+            assert est.cache_stats()["statements"] <= 4
+        assert est.cache_stats()["statements"] == 4
+        evicted = est.query(texts[0], dataset="app")  # long gone from both LRUs
+        assert evicted.cache_hit is False
+        assert _bag(evicted) == self.ANSWER
+        stats = est.cache_stats()
+        assert (stats["statement_hits"], stats["statement_misses"]) == (0, 8)
+        est.clear_caches()
+        assert est.cache_stats()["statements"] == 0
+
+    def test_plan_description_differs_only_in_the_cache_line(self, catalog):
+        est = _events_estocada()
+        first, second, third = (est.query(self.SQL, dataset="app") for _ in range(3))
+        assert "plan cache: miss" in first.plan_description
+        assert first.plan_description.startswith("Fused[")
+        assert second.plan_description == third.plan_description
+        assert second.plan_description == first.plan_description.replace(
+            "plan cache: miss", "plan cache: hit"
+        )
+        # A direct engine caller gets the bare tree, rendered on demand.
+        root = Planner(catalog).plan(TestBatchBoundaryCorrectness.QUERY).root
+        assert ExecutionEngine().execute(root).plan_description == root.explain()
