@@ -20,12 +20,14 @@ back to bindings.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "default_batch_size",
     "RowBatch",
+    "binding_kernel",
     "BatchBuilder",
     "batches_from_bindings",
     "freeze_value",
@@ -84,6 +86,23 @@ def freeze_value(value: object) -> object:
     return value
 
 
+@lru_cache(maxsize=256)
+def binding_kernel(columns: tuple[str, ...]):
+    """The ``rows -> [binding dict, ...]`` transform of one schema, built once.
+
+    A compiled dict display (``[{'uid': a0, 'val': a1} for a0, a1 in rows]``)
+    builds each binding about three times faster than ``dict(zip(...))`` and
+    keeps the keys in schema order.  Column names enter the generated source
+    only through ``repr()``; the row variables are positional.
+    """
+    if not columns:
+        return lambda rows: [{} for _ in rows]
+    names = [f"a{position}" for position in range(len(columns))]
+    display = ", ".join(f"{column!r}: {name}" for column, name in zip(columns, names))
+    source = f"lambda rows: [{{{display}}} for ({', '.join(names)},) in rows]"
+    return eval(source, {"__builtins__": {}})  # noqa: S307 - names are repr()-quoted
+
+
 class RowBatch:
     """A batch of rows sharing one schema.
 
@@ -137,15 +156,9 @@ class RowBatch:
         return positions
 
     # -- conversion -------------------------------------------------------------
-    def iter_bindings(self) -> Iterator[dict[str, object]]:
-        """Yield each row as a binding dict (the boundary representation)."""
-        columns = self.columns
-        for row in self.rows:
-            yield dict(zip(columns, row))
-
     def to_bindings(self) -> list[dict[str, object]]:
-        """All rows as binding dicts."""
-        return list(self.iter_bindings())
+        """All rows as binding dicts (the boundary representation)."""
+        return binding_kernel(self.columns)(self.rows)
 
     def take(self, n: int) -> "RowBatch":
         """A batch with only the first ``n`` rows."""

@@ -296,7 +296,7 @@ class ExecutionEngine:
                     self._prestart_exchanges(plan, context)
                 for batch in plan.batches(context):
                     batch_count += 1
-                    rows.extend(batch.iter_bindings())
+                    rows.extend(batch.to_bindings())
                     if deadline is not None and deadline.expired():
                         raise DeadlineExceededError(
                             f"query exceeded its {deadline.seconds:.3f}s deadline "

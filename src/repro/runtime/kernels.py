@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 from repro.runtime.batch import RowBatch
 from repro.runtime.operators import ExecutionContext, Operator
-from repro.stores.base import COMPARATORS
+from repro.stores.base import COMPARATORS, tuple_picker
 
 __all__ = [
     "PredicateSpec",
@@ -38,6 +38,7 @@ __all__ = [
     "extract_zone_bounds",
     "predicate_kernel",
     "projection_kernel",
+    "pick_kernel",
     "key_kernel",
     "FilterStage",
     "ProjectStage",
@@ -180,6 +181,17 @@ def projection_kernel(
     return lambda row: tuple(row[i] if i is not None else None for i in indices)
 
 
+def pick_kernel(indices: Sequence[int]) -> RowsKernel:
+    """A rows kernel that only picks positions, tagged so adjacent picks compose.
+
+    ``kernel.picks`` holds the positions; :class:`FusedPipeline` replaces two
+    neighbouring pick kernels by the one that indexes through both.
+    """
+    kernel = tuple_picker(indices)
+    kernel.picks = tuple(indices)
+    return kernel
+
+
 def key_kernel(schema: Sequence[str], columns: Sequence[str]) -> Callable[[list], list]:
     """Vectorized join-key extraction: the keys of a whole batch in one pass.
 
@@ -233,6 +245,8 @@ class ProjectStage:
     def compile(self, schema: tuple[str, ...]) -> tuple[tuple[str, ...], RowsKernel]:
         renaming = dict(self.renaming)
         output_schema = tuple(renaming.get(v, v) for v in self.variables)
+        if all(variable in schema for variable in self.variables):
+            return output_schema, pick_kernel([schema.index(v) for v in self.variables])
         transform = projection_kernel(schema, self.variables)
         return output_schema, lambda rows: [transform(row) for row in rows]
 
@@ -274,12 +288,7 @@ class OutputStage:
         ]
         output_schema = tuple(name for name, _, _ in plan) + tuple(c for c, _ in extras)
         if not extras and all(not is_constant for _, is_constant, _ in plan):
-            indices = [position for _, _, position in plan]
-            if len(indices) == 1:
-                only = indices[0]
-                return output_schema, lambda rows: [(row[only],) for row in rows]
-            getter = itemgetter(*indices)
-            return output_schema, lambda rows: [getter(row) for row in rows]
+            return output_schema, pick_kernel([position for _, _, position in plan])
         extra_positions = tuple(index for _, index in extras)
         plan_items = tuple(plan)
         return output_schema, lambda rows: [
@@ -345,6 +354,8 @@ class FusedPipeline(Operator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         remaining = self._limit
+        if remaining is not None and remaining <= 0:
+            return  # LIMIT 0: no store request, no batch
         source_schema: tuple[str, ...] | None = None
         kernels: tuple[RowsKernel, ...] = ()
         output_schema: tuple[str, ...] = ()
@@ -357,7 +368,13 @@ class FusedPipeline(Operator):
                     schema = source_schema
                     for stage in self._stages:
                         schema, kernel = stage.compile(schema)
-                        compiling.append(kernel)
+                        picks = getattr(kernel, "picks", None)
+                        inner = getattr(compiling[-1], "picks", None) if compiling else None
+                        if picks is not None and inner is not None:
+                            # project → output (or project → project): one pass
+                            compiling[-1] = pick_kernel([inner[i] for i in picks])
+                        else:
+                            compiling.append(kernel)
                     compiled = self._compiled[source_schema] = (tuple(compiling), schema)
                 kernels, output_schema = compiled
             rows = batch.rows

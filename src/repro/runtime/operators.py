@@ -26,7 +26,10 @@ Operators hold no per-execution state, so one plan can be executed many times
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.errors import ExecutionError
@@ -45,6 +48,8 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
+    batch_tuples,
+    tuple_picker,
 )
 
 __all__ = [
@@ -268,7 +273,7 @@ class Operator:
         """Terminal collection: drain the batch stream into binding dicts."""
         collected: list[Binding] = []
         for batch in self.batches(context):
-            collected.extend(batch.iter_bindings())
+            collected.extend(batch.to_bindings())
         return collected
 
     def children(self) -> Sequence["Operator"]:
@@ -365,7 +370,7 @@ class DelegatedRequest(Operator):
         common constant-free case not a single per-row operation happens
         here.  Residual constants are checked by column position (positions
         resolved once); constant columns outside the output mapping are
-        fetched alongside and sliced off after the check.
+        fetched alongside and sliced off in the same pass.
         """
         store_columns = tuple(self._output)
         extra = tuple(
@@ -373,11 +378,13 @@ class DelegatedRequest(Operator):
         )
         fetch_columns = store_columns + extra
         schema = tuple(self._output[column] for column in store_columns)
-        checks = tuple(
-            (fetch_columns.index(column), value)
-            for column, value in self._constants.items()
-        )
         width = len(store_columns)
+        if self._constants:
+            # One itemgetter compare per row, against the same pick of a row
+            # of the expected values: `==` keeps plain equality (None == None
+            # holds, unlike a predicate kernel); the slice drops `extra`.
+            probe = itemgetter(*map(fetch_columns.index, self._constants))
+            expected = probe([self._constants.get(column) for column in fetch_columns])
         request, hinted = self._hinted_request(context)
         stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
         batches = iter(stream)
@@ -385,14 +392,8 @@ class DelegatedRequest(Operator):
         try:
             for batch in batches:
                 rows = batch.rows
-                if checks:
-                    rows = [
-                        row
-                        for row in rows
-                        if all(row[index] == value for index, value in checks)
-                    ]
-                    if extra:
-                        rows = [row[:width] for row in rows]
+                if self._constants:
+                    rows = [row[:width] for row in rows if probe(row) == expected]
                 if not rows:
                     continue
                 context.runtime_rows_processed += len(rows)
@@ -570,21 +571,11 @@ class HashJoin(Operator):
 
         join_variables = self._on
         left_schema: tuple[str, ...] | None = None
-        left_keys_of = None
-        extra_checks: tuple[tuple[int, int], ...] = ()
-        right_tail_positions: tuple[int, ...] = ()
-        build: dict | None = None
-        builder: BatchBuilder | None = None
-
+        builds: dict[tuple[int, ...], dict] = {}
         for left_batch in self._left.batches(context):
             if not left_batch:
                 continue
             if left_batch.columns != left_schema:
-                if builder is not None:
-                    tail = builder.flush()
-                    if tail is not None:
-                        context.runtime_rows_processed += len(tail)
-                        yield tail
                 left_schema = left_batch.columns
                 if join_variables is None:
                     join_variables = tuple(
@@ -601,50 +592,41 @@ class HashJoin(Operator):
                     right_schema[index] for index in right_tail_positions
                 )
                 # Shared columns beyond the join key must still agree
-                # (compatible-bindings semantics with an explicit `on`).
+                # (compatible-bindings semantics with an explicit `on`); a
+                # keyless join is a plain cartesian product.
                 extra_checks = tuple(
                     (left_schema.index(column), right_schema.index(column))
                     for column in left_set & set(right_schema)
-                    if column not in join_variables
+                    if join_variables and column not in join_variables
                 )
                 left_keys_of = key_kernel(left_schema, join_variables)
-                if build is None and join_variables:
-                    build = {}
+                # Build side: key -> [(right row, its tail)], every tail
+                # picked once (per tail shape, should the left schema drift).
+                # Without join variables both sides' key is `()`, so the one
+                # probe below is the cartesian product.
+                build = builds.get(right_tail_positions)
+                if build is None:
+                    build = builds[right_tail_positions] = defaultdict(list)
+                    right_tails = tuple_picker(right_tail_positions)(right_rows)
                     right_keys = key_kernel(right_schema, join_variables)(right_rows)
-                    for key, row in zip(right_keys, right_rows):
-                        build.setdefault(key, []).append(row)
-                builder = BatchBuilder(output_schema, context.batch_size)
+                    for key, pair in zip(right_keys, zip(right_rows, right_tails)):
+                        build[key].append(pair)
+                matches_of = build.get
 
-            if not join_variables:
-                # Cartesian product (rare: disconnected rewriting atoms).
-                for left_row in left_batch.rows:
-                    for right_row in right_rows:
-                        full = builder.add(
-                            left_row
-                            + tuple(right_row[i] for i in right_tail_positions)
-                        )
-                        if full is not None:
-                            context.runtime_rows_processed += len(full)
-                            yield full
-                continue
-
-            for left_row, key in zip(left_batch.rows, left_keys_of(left_batch.rows)):
-                for right_row in build.get(key, ()):
-                    if any(
-                        left_row[li] != right_row[ri] for li, ri in extra_checks
-                    ):
-                        continue
-                    full = builder.add(
-                        left_row + tuple(right_row[i] for i in right_tail_positions)
-                    )
-                    if full is not None:
-                        context.runtime_rows_processed += len(full)
-                        yield full
-        if builder is not None:
-            tail = builder.flush()
-            if tail is not None:
-                context.runtime_rows_processed += len(tail)
-                yield tail
+            # Probe a whole batch in one (lazy) comprehension, re-chunked to
+            # `batch_size`: a skewed key cannot emit one giant batch and a
+            # LIMIT above the join stops the probe mid-batch.
+            left_rows = left_batch.rows
+            joined = (
+                left_row + tail
+                for left_row, key in zip(left_rows, left_keys_of(left_rows))
+                for right_row, tail in matches_of(key, ())
+                if not extra_checks
+                or not any(left_row[li] != right_row[ri] for li, ri in extra_checks)
+            )
+            for batch in batch_tuples(joined, output_schema, context.batch_size):
+                context.runtime_rows_processed += len(batch)
+                yield batch
 
     def describe(self) -> str:
         on = "natural" if self._on is None else ",".join(self._on)
@@ -791,61 +773,72 @@ class Aggregate(Operator):
         return (self._child,)
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        # Aggregation is blocking: accumulate groups incrementally from the
-        # child's batches, then stream the aggregated rows out.
-        group_indexer: list[int | None] = []
-        value_indexers: dict[str, int | None] = {}
+        # Aggregation is blocking: fold the child's batches into one running
+        # state per group, then stream the aggregated rows out.
+        from repro.runtime.kernels import key_kernel
+
+        # value column -> the folds its aggregates read (a count comes free)
+        folds: dict[str, set[str]] = {}
+        for function, column in self._aggregations.values():
+            if column is not None:
+                folds.setdefault(column, set()).add("sum" if function == "avg" else function)
+        # key -> [rows, {value column: [non-null count, sum, min, max]}]
+        groups: dict[object, list] = {}
         schema: tuple[str, ...] | None = None
-        groups: dict[tuple, tuple[int, dict[str, list[object]]]] = {}
-        value_columns = {
-            column for _, column in self._aggregations.values() if column is not None
-        }
         for batch in self._child.batches(context):
             if batch.columns != schema:
                 schema = batch.columns
-                group_indexer = batch.indexer(self._group_by)
-                value_indexers = {
-                    column: (batch.columns.index(column) if column in batch.columns else None)
-                    for column in value_columns
+                keys_of = key_kernel(schema, self._group_by)
+                value_of = {
+                    column: itemgetter(schema.index(column))
+                    for column in folds
+                    if column in schema
                 }
-            for row in batch.rows:
-                key = tuple(row[i] if i is not None else None for i in group_indexer)
-                entry = groups.get(key)
-                if entry is None:
-                    entry = (0, {column: [] for column in value_columns})
-                count, values_by_column = entry
-                for column, index in value_indexers.items():
-                    value = row[index] if index is not None else None
-                    if value is not None:
-                        values_by_column[column].append(value)
-                groups[key] = (count + 1, values_by_column)
+            buckets: dict[object, list[tuple]] = defaultdict(list)
+            for key, row in zip(keys_of(batch.rows), batch.rows):
+                buckets[key].append(row)
+            for key, bucket in buckets.items():
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = [0, {column: [0, 0, None, None] for column in folds}]
+                group[0] += len(bucket)
+                for column, getter in value_of.items():
+                    values = [value for value in map(getter, bucket) if value is not None]
+                    if not values:
+                        continue
+                    state, wanted = group[1][column], folds[column]
+                    state[0] += len(values)
+                    if "sum" in wanted:
+                        # Plain left-to-right additions from the running
+                        # total: the answer does not depend on where batches
+                        # split (sum() compensates floats within one call
+                        # from 3.12 on, so it would).
+                        state[1] = reduce(add, values, state[1])
+                    if "min" in wanted:
+                        low = min(values)
+                        state[2] = low if state[2] is None else min(state[2], low)
+                    if "max" in wanted:
+                        high = max(values)
+                        state[3] = high if state[3] is None else max(state[3], high)
 
-        output_schema = self._group_by + tuple(self._aggregations)
-        builder = BatchBuilder(output_schema, context.batch_size)
-        produced = 0
-        for key, (count, values_by_column) in groups.items():
+        single_key = len(self._group_by) == 1  # key_kernel keeps a lone key bare
+        aggregated_rows: list[tuple] = []
+        for key, (count, states) in groups.items():
             aggregated: list[object] = []
-            for name, (function, column) in self._aggregations.items():
-                values = values_by_column.get(column, []) if column is not None else []
+            for function, column in self._aggregations.values():
+                non_null, total, low, high = states[column] if column is not None else (0, 0, None, None)
                 if function == "count":
-                    aggregated.append(count if column is None else len(values))
+                    aggregated.append(count if column is None else non_null)
                 elif function == "sum":
-                    aggregated.append(sum(values) if values else 0)
+                    aggregated.append(total)
                 elif function == "avg":
-                    aggregated.append((sum(values) / len(values)) if values else None)
-                elif function == "min":
-                    aggregated.append(min(values) if values else None)
-                elif function == "max":
-                    aggregated.append(max(values) if values else None)
-            full = builder.add(key + tuple(aggregated))
-            if full is not None:
-                produced += len(full)
-                yield full
-        tail = builder.flush()
-        if tail is not None:
-            produced += len(tail)
-            yield tail
-        context.runtime_rows_processed += produced
+                    aggregated.append(total / non_null if non_null else None)
+                else:
+                    aggregated.append(low if function == "min" else high)
+            aggregated_rows.append(((key,) if single_key else key) + tuple(aggregated))
+        output_schema = self._group_by + tuple(self._aggregations)
+        yield from batch_tuples(aggregated_rows, output_schema, context.batch_size)
+        context.runtime_rows_processed += len(aggregated_rows)
 
     def describe(self) -> str:
         return f"Aggregate[by {', '.join(self._group_by) or '()'}]"

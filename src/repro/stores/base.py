@@ -22,9 +22,11 @@ counts) consumed by the cost model.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StoreError, UnsupportedOperationError
@@ -45,14 +47,17 @@ __all__ = [
     "COMPARATORS",
     "DEFAULT_STREAM_BATCH_SIZE",
     "batch_tuples",
+    "kept_rows",
+    "row_batches",
+    "tuple_picker",
 ]
 
 DEFAULT_STREAM_BATCH_SIZE = 256
 
 
 COMPARATORS: dict[str, Callable[[object, object], bool]] = {
-    "=": lambda left, right: left == right,
-    "!=": lambda left, right: left != right,
+    "=": operator.eq,
+    "!=": operator.ne,
     "<": lambda left, right: left is not None and right is not None and left < right,
     "<=": lambda left, right: left is not None and right is not None and left <= right,
     ">": lambda left, right: left is not None and right is not None and left > right,
@@ -215,25 +220,82 @@ def batch_tuples(
 ):
     """Chunk row tuples into ``RowBatch`` objects, stopping at ``limit``.
 
-    The shared emit loop of every native ``_execute_batches`` implementation:
-    accumulate rows, yield a full batch at ``batch_size``, stop pulling from
-    ``tuples`` once ``limit`` rows were produced, and flush the short tail.
+    Lazy: each batch is one ``islice`` of ``tuples``, so a consumer that
+    stops early (or a ``limit``) never pulls the rest of the source.
     """
     from repro.runtime.batch import RowBatch
 
     columns = tuple(columns)
-    chunk: list[tuple] = []
-    produced = 0
-    for row in tuples:
-        chunk.append(row)
-        produced += 1
-        if limit is not None and produced >= limit:
-            break
-        if len(chunk) >= batch_size:
-            yield RowBatch(columns, chunk)
-            chunk = []
-    if chunk:
+    source = iter(tuples) if limit is None else islice(tuples, max(limit, 0))
+    while chunk := list(islice(source, batch_size)):
         yield RowBatch(columns, chunk)
+
+
+def _where(rows, read, column, comparator, value):
+    return (row for row in rows if comparator(read(row, column), value))
+
+
+def kept_rows(
+    rows: Iterable[dict[str, object]],
+    predicates: Sequence[Predicate],
+    limit: int | None = None,
+    reader_of: Callable[[str], Callable] | None = None,
+) -> Iterator[dict[str, object]]:
+    """The dict rows satisfying every predicate, lazily, stopping at ``limit``.
+
+    The filter half of the store scan kernel, shared by both scan entry
+    points of every dict-heap store.  Each predicate is resolved once to
+    ``(reader, column, comparator, value)`` and becomes one generator chained
+    on the previous, so a row is dropped at its first failing comparison and
+    nothing is evaluated past ``limit`` kept rows.  ``reader_of(column)``
+    picks how a column is read off a row (default ``dict.get``: a missing
+    column compares as None).
+    """
+    kept = iter(rows)
+    for predicate in predicates:
+        read = dict.get if reader_of is None else reader_of(predicate.column)
+        kept = _where(
+            kept, read, predicate.column, COMPARATORS[predicate.op], predicate.value
+        )
+    return kept if limit is None else islice(kept, max(limit, 0))
+
+
+def tuple_picker(keys: Sequence) -> Callable[[Sequence], list[tuple]]:
+    """A C-speed ``rows -> [tuple(row[key] for key in keys), ...]`` over a chunk.
+
+    ``itemgetter`` does not care what it indexes, so this serves dict rows
+    (``keys`` are column names) and tuple rows (``keys`` are positions) alike.
+    """
+    keys = tuple(keys)
+    if not keys:
+        return lambda rows: [()] * len(rows)
+    pick = operator.itemgetter(*keys)
+    if len(keys) == 1:  # a lone itemgetter returns the bare value; zip re-wraps it
+        return lambda rows: list(zip(map(pick, rows)))
+    return lambda rows: list(map(pick, rows))
+
+
+def row_batches(
+    rows: Iterable[Mapping[str, object]], columns: Sequence[str], batch_size: int
+):
+    """``RowBatch`` objects of ``columns`` built from dict rows, a chunk a time.
+
+    The output half of the store scan kernel: one :func:`tuple_picker` call
+    builds a whole chunk's tuples; a chunk holding a row that lacks one of
+    the columns raises ``KeyError`` and is rebuilt with ``.get`` (missing
+    reads None).
+    """
+    from repro.runtime.batch import RowBatch
+
+    columns = tuple(columns)
+    rows = iter(rows)
+    pick = tuple_picker(columns)
+    while chunk := list(islice(rows, batch_size)):
+        try:
+            tuples = pick(chunk)
+        except KeyError:
+            tuples = [tuple(map(row.get, columns)) for row in chunk]
+        yield RowBatch(columns, tuples)
 
 
 class _DurableSilence:
@@ -469,9 +531,7 @@ class Store:
         skipping the per-row dict copy entirely.
         """
         result = self._execute(request)
-        columns = tuple(columns)
-        tuples = (tuple(row.get(column) for column in columns) for row in result.rows)
-        return batch_tuples(tuples, columns, batch_size), result.metrics
+        return row_batches(result.rows, columns, batch_size), result.metrics
 
     # -- write path --------------------------------------------------------------
     def apply_delta(

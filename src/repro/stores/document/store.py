@@ -15,7 +15,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
     JoinRequest,
-    batch_tuples,
     LookupRequest,
     Predicate,
     ScanRequest,
@@ -25,6 +24,8 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
+    kept_rows,
+    row_batches,
 )
 
 __all__ = ["DocumentStore", "get_path", "flatten_document"]
@@ -261,10 +262,15 @@ class DocumentStore(Store):
             raise StoreError(f"collection {collection!r} does not exist in store {self.name!r}")
         return documents
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+    def _scan_candidates(self, request: ScanRequest):
+        """Index selection, shared by both scan entry points.
+
+        Returns the collection, the documents the most selective index on an
+        equality predicate narrows the scan to (None when no index applies)
+        and the request's metrics.
+        """
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
-
         candidate_positions: Sequence[int] | None = None
         for predicate in request.predicates:
             if predicate.op != "=":
@@ -276,49 +282,34 @@ class DocumentStore(Store):
             metrics.index_lookups += 1
             if candidate_positions is None or len(positions) < len(candidate_positions):
                 candidate_positions = positions
-
         if candidate_positions is None:
-            candidates = documents
-            metrics.rows_scanned += len(documents)
-        else:
-            candidates = [documents[p] for p in candidate_positions]
-            metrics.rows_scanned += len(candidates)
+            return documents, None, metrics
+        return documents, [documents[p] for p in candidate_positions], metrics
 
-        selected = [
-            document
-            for document in candidates
-            if all(self._evaluate(document, predicate) for predicate in request.predicates)
-        ]
-        if request.limit is not None:
-            selected = selected[: request.limit]
-        rows = self._project(selected, request.projection)
-        return StoreResult(rows=rows, metrics=metrics)
+    @staticmethod
+    def _reader_of(column: str):
+        """How a predicate column is read: dotted paths walk the document."""
+        return get_path if "." in column else dict.get
+
+    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+        documents, candidates, metrics = self._scan_candidates(request)
+        if candidates is None:
+            candidates = documents
+        metrics.rows_scanned += len(candidates)
+        kept = kept_rows(candidates, request.predicates, request.limit, self._reader_of)
+        return StoreResult(self._project(kept, request.projection), metrics)
 
     def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
         """Native batch scans over documents (no per-document dict copy).
 
-        Path predicates evaluate with the same ``get_path`` semantics as
-        :meth:`_execute_scan`; the emitted tuples read **top-level** keys
-        (``document.get``), exactly what the dict path's unprojected
-        ``dict(document)`` rows exposed to the runtime.
+        Candidates, path predicates and limit are :meth:`_execute_scan`'s;
+        the emitted tuples read **top-level** keys, exactly what the dict
+        path's unprojected ``dict(document)`` rows expose to the runtime.
         """
         if not isinstance(request, ScanRequest):
             return super()._execute_batches(request, columns, batch_size)
-        documents = self._documents(request.collection)
-        metrics = StoreMetrics()
-        candidate_positions: Sequence[int] | None = None
-        for predicate in request.predicates:
-            if predicate.op != "=":
-                continue
-            index = self._indexes.get((request.collection, predicate.column))
-            if index is None:
-                continue
-            positions = index.get(predicate.value, ())
-            metrics.index_lookups += 1
-            if candidate_positions is None or len(positions) < len(candidate_positions):
-                candidate_positions = positions
-
-        if candidate_positions is None:
+        documents, candidates, metrics = self._scan_candidates(request)
+        if candidates is None:
             # No index narrows this scan: serve it from the durable segments
             # when they exist.  Dotted-path predicates are flagged so the
             # backing reconstructs documents for them instead of comparing
@@ -332,20 +323,10 @@ class DocumentStore(Store):
                     evaluate=self._evaluate,
                     dotted=True,
                 )
-            candidates: Sequence[dict[str, object]] = documents
-        else:
-            candidates = [documents[p] for p in candidate_positions]
+            candidates = documents
         metrics.rows_scanned += len(candidates)
-
-        predicates = tuple(request.predicates)
-        wanted = tuple(columns)
-        selected = (
-            tuple(document.get(column) for column in wanted)
-            for document in candidates
-            if not predicates
-            or all(self._evaluate(document, predicate) for predicate in predicates)
-        )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
+        kept = kept_rows(candidates, request.predicates, request.limit, self._reader_of)
+        return row_batches(kept, columns, batch_size), metrics
 
     def _execute_lookup(self, request: LookupRequest) -> StoreResult:
         # Documents are looked up by their "_id" path by convention.
@@ -370,7 +351,7 @@ class DocumentStore(Store):
 
     @staticmethod
     def _project(
-        documents: Sequence[Mapping[str, object]], projection: Sequence[str] | None
+        documents: Iterable[Mapping[str, object]], projection: Sequence[str] | None
     ) -> list[dict[str, object]]:
         if projection is None:
             return [dict(document) for document in documents]

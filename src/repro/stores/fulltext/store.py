@@ -15,7 +15,6 @@ from typing import Iterable, Mapping, Sequence
 from repro.errors import DeltaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
     JoinRequest,
-    batch_tuples,
     LookupRequest,
     ScanRequest,
     SearchRequest,
@@ -24,6 +23,8 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
+    kept_rows,
+    row_batches,
 )
 from repro.stores.fulltext.analyzer import Analyzer
 
@@ -201,30 +202,17 @@ class FullTextStore(Store):
 
         Search requests keep the dict adapter (ranking materializes scored
         copies anyway); plain field scans build row tuples directly, with the
-        predicate and metric semantics of :meth:`_execute_scan`.
+        predicates, limit and metrics of :meth:`_execute_scan`.
         """
         if not isinstance(request, ScanRequest):
             return super()._execute_batches(request, columns, batch_size)
         bucket = self._bucket(request.collection)
         metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        predicates = tuple(request.predicates)
-        wanted = tuple(columns)
-        selected = (
-            tuple(document.get(column) for column in wanted)
-            for document in bucket.documents
-            if not predicates
-            or all(predicate.evaluate(document) for predicate in predicates)
-        )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
+        kept = kept_rows(bucket.documents, request.predicates, request.limit)
+        return row_batches(kept, columns, batch_size), metrics
 
     def _execute_scan(self, request: ScanRequest) -> StoreResult:
         bucket = self._bucket(request.collection)
         metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        rows = [
-            dict(document)
-            for document in bucket.documents
-            if all(predicate.evaluate(document) for predicate in request.predicates)
-        ]
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
+        kept = kept_rows(bucket.documents, request.predicates, request.limit)
+        return StoreResult(rows=self._apply_projection(kept, request.projection), metrics=metrics)

@@ -13,8 +13,6 @@ from typing import Mapping, Sequence
 
 from repro.errors import SchemaError, StoreError, UnsupportedOperationError
 from repro.stores.base import (
-    COMPARATORS,
-    batch_tuples,
     JoinRequest,
     LookupRequest,
     ScanRequest,
@@ -24,6 +22,8 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     StoreResult,
+    kept_rows,
+    row_batches,
 )
 from repro.stores.relational.table import Table
 
@@ -197,12 +197,16 @@ class RelationalStore(Store):
             raise self._reject("full-text search")
         raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+    def _scan_candidates(self, request: ScanRequest):
+        """Index selection, shared by both scan entry points.
+
+        Returns the table, the rows the most selective index on an equality
+        predicate narrows the scan to (None when no index applies) and the
+        request's metrics.
+        """
         table = self.table(request.collection)
         metrics = StoreMetrics()
         candidate_positions: Sequence[int] | None = None
-
-        # Use the most selective available index for an equality predicate.
         for predicate in request.predicates:
             if predicate.op != "=":
                 continue
@@ -213,19 +217,17 @@ class RelationalStore(Store):
             metrics.index_lookups += 1
             if candidate_positions is None or len(positions) < len(candidate_positions):
                 candidate_positions = positions
-
         if candidate_positions is None:
-            rows = list(table.rows)
-            metrics.rows_scanned += len(rows)
-        else:
-            rows = [table.row_at(p) for p in candidate_positions]
-            metrics.rows_scanned += len(rows)
+            return table, None, metrics
+        return table, [table.row_at(p) for p in candidate_positions], metrics
 
-        selected = [row for row in rows if all(p.evaluate(row) for p in request.predicates)]
-        if request.limit is not None:
-            selected = selected[: request.limit]
-        projected = self._apply_projection(selected, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
+    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+        table, candidates, metrics = self._scan_candidates(request)
+        if candidates is None:
+            candidates = table.rows
+        metrics.rows_scanned += len(candidates)
+        kept = kept_rows(candidates, request.predicates, request.limit)
+        return StoreResult(self._apply_projection(kept, request.projection), metrics)
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
@@ -234,27 +236,13 @@ class RelationalStore(Store):
 
         Only scans take the native path (they are the hot delegated-request
         shape); lookups and store-side joins fall back to the dict adapter.
-        Index selection, predicate semantics, limit and metrics match
-        :meth:`_execute_scan` — the differential suite holds the two paths
-        bag-identical.
+        Candidates, predicates and limit are :meth:`_execute_scan`'s; only
+        the output shape differs.
         """
         if not isinstance(request, ScanRequest):
             return super()._execute_batches(request, columns, batch_size)
-        table = self.table(request.collection)
-        metrics = StoreMetrics()
-        candidate_positions: Sequence[int] | None = None
-        for predicate in request.predicates:
-            if predicate.op != "=":
-                continue
-            index = table.index_on(predicate.column)
-            if index is None:
-                continue
-            positions = index.lookup(predicate.value)
-            metrics.index_lookups += 1
-            if candidate_positions is None or len(positions) < len(candidate_positions):
-                candidate_positions = positions
-
-        if candidate_positions is None:
+        table, candidates, metrics = self._scan_candidates(request)
+        if candidates is None:
             # No index narrows this scan: serve it from the durable segments
             # when they exist — zone maps skip whole segments a predicate
             # provably excludes, which a heap walk cannot.
@@ -266,26 +254,10 @@ class RelationalStore(Store):
                     batch_size,
                     evaluate=lambda row, predicate: predicate.evaluate(row),
                 )
-            candidates: Sequence[dict[str, object]] = table.rows
-        else:
-            candidates = [table.row_at(p) for p in candidate_positions]
+            candidates = table.rows
         metrics.rows_scanned += len(candidates)
-
-        checks = tuple(
-            (predicate.column, COMPARATORS[predicate.op], predicate.value)
-            for predicate in request.predicates
-        )
-        wanted = tuple(columns)
-        selected = (
-            tuple(row.get(column) for column in wanted)
-            for row in candidates
-            if not checks
-            or all(
-                comparator(row.get(column), value)
-                for column, comparator, value in checks
-            )
-        )
-        return batch_tuples(selected, wanted, batch_size, request.limit), metrics
+        kept = kept_rows(candidates, request.predicates, request.limit)
+        return row_batches(kept, columns, batch_size), metrics
 
     def _execute_lookup(self, request: LookupRequest) -> StoreResult:
         table = self.table(request.collection)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import Estocada
@@ -282,6 +284,19 @@ def build_replicated_marketplace_estocada(
         indexes=("uid",),
     )
     return est
+
+
+@pytest.fixture
+def fresh_worker_budget():
+    """Return the Exchange-worker grants of facades earlier tests abandoned.
+
+    Pools give their grant back when they are collected, and abandoned
+    facades sit in reference cycles: under ``REPRO_PARALLELISM=4`` a suite
+    that allocates little between two cyclic collections can drain the
+    process-wide budget, a drained budget grants one worker, and an
+    assertion that requests overlap then fails for no fault of the engine.
+    """
+    gc.collect()
 
 
 @pytest.fixture

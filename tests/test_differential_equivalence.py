@@ -292,7 +292,7 @@ class TestDifferentialEquivalence:
         assert all(_bag(limited.rows)[key] <= _bag(full.rows)[key] for key in _bag(limited.rows))
 
     def test_sharded_fanout_overlaps_requests(
-        self, sharded_marketplace_builder, marketplace_data
+        self, sharded_marketplace_builder, marketplace_data, fresh_worker_budget
     ):
         # With a simulated per-shard service latency the pre-started Exchange
         # workers must hold several shard requests in flight at once.

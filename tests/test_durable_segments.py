@@ -588,6 +588,23 @@ class TestSegmentSkippingScans:
         assert metrics.segments_skipped == 3
         assert metrics.rows_decoded == 50  # only the surviving segment decodes
 
+    def test_a_one_percent_range_on_a_monotonic_column_skips_nine_segments_in_ten(self, tmp_path):
+        """The retired bench_e18's structural claim, at test size."""
+        store, _ = _fresh_relational(tmp_path, segment_rows=20)
+        store.create_table("t", ("ts", "b"))
+        rows = [{"ts": ts, "b": ts % 7} for ts in range(2_000)]
+        for start in range(0, len(rows), 250):
+            store.insert("t", rows[start : start + 250])
+        request = ScanRequest("t", predicates=(Predicate("ts", ">=", 1_980),))
+        batches, metrics = store._execute_batches(request, ("ts", "b"), 64)
+        got = Counter(row for batch in batches for row in batch.rows)
+        assert got == Counter((row["ts"], row["b"]) for row in rows[1_980:])
+        total = metrics.segments_scanned + metrics.segments_skipped
+        assert total == 100
+        assert metrics.segments_skipped >= 90
+        recovered = _recover_relational(tmp_path, segment_rows=20)
+        assert _bag(_store_rows(recovered, "t")) == _bag(rows)
+
     def test_dictionary_equality_decodes_only_the_hits(self, tmp_path):
         store, _ = self._loaded_store(tmp_path)
         rows, metrics = self._scan(store, Predicate("b", "=", "x1"))

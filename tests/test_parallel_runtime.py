@@ -107,7 +107,7 @@ class TestExchange:
         assert _bag(serial.rows) == _bag(parallel.rows)
         engine.close()
 
-    def test_exchange_workers_overlap_store_latency(self):
+    def test_exchange_workers_overlap_store_latency(self, fresh_worker_budget):
         from repro.runtime import HashJoin
 
         stores = [_slow_store(f"s{i}") for i in range(3)]
