@@ -1357,9 +1357,19 @@ class Estocada:
         Filter → Project → Output (→ LIMIT) chain collapses into one
         :class:`~repro.runtime.kernels.FusedPipeline`.
         """
+        # Head variables past the output names are required only by the
+        # residual filters: the projection after the filters drops them.
+        hidden = set()
+        if output_names is not None:
+            hidden = {
+                term.name
+                for term in pivot_query.head_terms[len(output_names):]
+                if isinstance(term, Variable)
+            }
         projection = None
         if isinstance(root, Project):
-            projection = ProjectStage(root.variables, tuple(root.renaming.items()))
+            kept = tuple(variable for variable in root.variables if variable not in hidden)
+            projection = ProjectStage(kept, tuple(root.renaming.items()))
             root = root.children()[0]
         if residual:
             # Before the projection: a WHERE column need not be selected, and
@@ -1386,10 +1396,9 @@ class Estocada:
                 else Aggregate(root, aggregation.group_by, aggregation.aggregations)
             )
         # SQL defaults to bag semantics (DISTINCT opts into sets); plain pivot
-        # conjunctive queries follow the usual set semantics.
-        pivot_set_semantics = output_names is None and aggregation is None
-        if extras.get("distinct") or pivot_set_semantics:
-            root = Deduplicate(root)
+        # conjunctive queries follow the usual set semantics.  Deduplication
+        # runs on the shaped output: the columns the statement returns.
+        distinct = extras.get("distinct") or (output_names is None and aggregation is None)
         limit = extras.get("limit")
         if output_names is not None:
             # A head variable the translator exposed only to feed an aggregate
@@ -1408,8 +1417,10 @@ class Estocada:
                 for name, term in zip(output_names, pivot_query.head_terms)
                 if not (isinstance(term, Variable) and term.name in consumed)
             )
-            root = attach_stage(root, OutputStage(outputs), limit)
-        elif limit is not None:
+            root = attach_stage(root, OutputStage(outputs))
+        if distinct:
+            root = Deduplicate(root)
+        if limit is not None:
             root = attach_stage(root, None, limit)
         return root
 

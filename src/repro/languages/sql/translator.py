@@ -47,7 +47,12 @@ class ResidualAggregation:
 
 @dataclass(slots=True)
 class TranslatedQuery:
-    """The pivot query plus the residual (non-conjunctive) work."""
+    """The pivot query plus the residual (non-conjunctive) work.
+
+    The query head lists the ``output_names`` columns first; any head
+    variables past them are required only by residual predicates and are
+    dropped by output shaping.
+    """
 
     query: ConjunctiveQuery
     output_names: tuple[str, ...]
@@ -92,6 +97,18 @@ class SqlTranslator:
 
         atoms = self._build_atoms(alias_to_table, union_find, constants)
         head_terms, output_names = self._build_head(statement, alias_to_table, union_find, constants)
+        # Every variable a residual comparison reads is *required*: it joins
+        # the head after the output columns (with no output name), so a
+        # fragment that does not expose it yields no rewriting instead of a
+        # plan whose filter reads nothing.
+        for predicate in residual:
+            read = [predicate.variable]
+            if predicate.value_is_column:
+                read.append(predicate.value)
+            for variable in read:
+                term = self._term_for(variable, union_find, constants)
+                if isinstance(term, Variable) and term not in head_terms:
+                    head_terms.append(term)
         query = ConjunctiveQuery(self._query_name, head_terms, atoms, name=self._query_name)
 
         aggregation = self._build_aggregation(

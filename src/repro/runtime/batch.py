@@ -11,8 +11,8 @@ operators resolve column positions once per batch instead of once per row.
 The stores themselves produce :class:`RowBatch` streams
 (:meth:`repro.stores.base.Store.execute_batches`), so tuples flow end-to-end
 through a query.  Bindings (``dict[str, object]``) are the *boundary*
-representation: bind-join probes return dict rows and hand request factories
-a dict view of the left row, and the terminal collection in
+representation: bind-join request factories get a dict view of the left
+row, and the terminal collection in
 :class:`~repro.runtime.engine.ExecutionEngine` converts the final batches
 back to bindings.
 """

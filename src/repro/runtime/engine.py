@@ -31,6 +31,7 @@ from repro.runtime.batch import default_batch_size
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.runtime.parallel import Exchange, ExecutorPool
 from repro.runtime.values import Binding
+from repro.stores.base import StoreMetrics, metric_values
 
 __all__ = ["StoreBreakdown", "QueryResult", "ExecutionEngine", "default_parallelism"]
 
@@ -45,24 +46,11 @@ def default_parallelism() -> int:
 
 
 @dataclass(slots=True)
-class StoreBreakdown:
+class StoreBreakdown(StoreMetrics):
     """Aggregated metrics of the requests sent to one store during a query."""
 
-    store: str
+    store: str = ""
     requests: int = 0
-    rows_scanned: int = 0
-    rows_returned: int = 0
-    index_lookups: int = 0
-    partitions_used: int = 0
-    partitions_pruned: int = 0
-    elapsed_seconds: float = 0.0
-    replica_attempts: int = 0
-    replica_retries: int = 0
-    replica_hedges: int = 0
-    replica_failovers: int = 0
-    segments_scanned: int = 0
-    segments_skipped: int = 0
-    rows_decoded: int = 0
 
 
 @dataclass(slots=True)
@@ -332,21 +320,14 @@ class ExecutionEngine:
 
         breakdown: dict[str, StoreBreakdown] = {}
         for store_name, metrics in context.store_results:
-            entry = breakdown.setdefault(store_name, StoreBreakdown(store=store_name))
-            entry.requests += 1
-            entry.rows_scanned += metrics.rows_scanned
-            entry.rows_returned += metrics.rows_returned
-            entry.index_lookups += metrics.index_lookups
-            entry.partitions_used += metrics.partitions_used
-            entry.partitions_pruned += metrics.partitions_pruned
-            entry.elapsed_seconds += metrics.elapsed_seconds
-            entry.replica_attempts += metrics.replica_attempts
-            entry.replica_retries += metrics.replica_retries
-            entry.replica_hedges += metrics.replica_hedges
-            entry.replica_failovers += metrics.replica_failovers
-            entry.segments_scanned += metrics.segments_scanned
-            entry.segments_skipped += metrics.segments_skipped
-            entry.rows_decoded += metrics.rows_decoded
+            entry = breakdown.get(store_name)
+            if entry is None:
+                breakdown[store_name] = StoreBreakdown(
+                    *metric_values(metrics), store=store_name, requests=1
+                )
+            else:
+                entry.requests += 1
+                entry.add(metrics)
 
         observed: dict[str, int] = {}
         observed_shards: dict[str, dict[int, int]] = {}

@@ -47,7 +47,6 @@ from repro.stores.base import (
     Store,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
     batch_tuples,
     tuple_picker,
 )
@@ -167,9 +166,8 @@ class ExecutionContext:
     merge_lock: threading.Lock = field(default_factory=threading.Lock)
     operator_tallies: dict[str, list[int]] = field(default_factory=dict)
 
-    def record(self, store_name: str, result: StoreResult | StoreMetrics) -> None:
+    def record(self, store_name: str, metrics: StoreMetrics) -> None:
         """Record a store request's metrics for the per-store breakdown."""
-        metrics = result.metrics if isinstance(result, StoreResult) else result
         self.store_results.append((store_name, metrics))
 
     def tally(self, operator: str, rows: int, batches: int = 1) -> None:
@@ -454,11 +452,18 @@ class BindJoin(Operator):
         return (self._left,)
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        output_items = tuple(self._output.items())
-        constant_items = tuple(self._constants.items())
+        # Each probe fetches the output columns plus the constant-only ones;
+        # a variable reads the last column mapped to it.
+        fetch_columns = tuple(self._output) + tuple(
+            column for column in self._constants if column not in self._output
+        )
+        position_of = {variable: index for index, variable in enumerate(self._output.values())}
+        constant_checks = tuple(
+            (fetch_columns.index(column), value) for column, value in self._constants.items()
+        )
         left_schema: tuple[str, ...] | None = None
-        shared_positions: dict[str, int] = {}
-        new_variables: tuple[str, ...] = ()
+        shared: tuple[tuple[int, int], ...] = ()
+        new_positions: tuple[int, ...] = ()
         builder: BatchBuilder | None = None
         for left_batch in self._left.batches(context):
             if left_batch.columns != left_schema:
@@ -468,46 +473,33 @@ class BindJoin(Operator):
                         context.runtime_rows_processed += len(tail)
                         yield tail
                 left_schema = left_batch.columns
-                left_set = set(left_schema)
-                shared_positions = {
-                    variable: left_schema.index(variable)
-                    for _, variable in output_items
-                    if variable in left_set
-                }
-                seen_new: dict[str, None] = {}
-                for _, variable in output_items:
-                    if variable not in left_set:
-                        seen_new.setdefault(variable, None)
-                new_variables = tuple(seen_new)
+                # Probe rows must agree with the left row on shared variables.
+                shared = tuple(
+                    (left_schema.index(variable), position)
+                    for variable, position in position_of.items()
+                    if variable in left_schema
+                )
+                new_variables = tuple(v for v in position_of if v not in left_schema)
+                new_positions = tuple(position_of[v] for v in new_variables)
                 builder = BatchBuilder(left_schema + new_variables, context.batch_size)
             for left_row in left_batch.rows:
-                left_binding = dict(zip(left_schema, left_row))
-                request = self._request_factory(left_binding)
+                request = self._request_factory(dict(zip(left_schema, left_row)))
                 if request is None:
                     continue
+                stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
                 context.tracker.enter()
                 try:
-                    probe = self._store.execute(request)
+                    probed = [row for batch in stream for row in batch.rows]
                 finally:
+                    stream.close()
                     context.tracker.exit()
-                context.record(self._store.name, probe)
-                for row in probe.rows:
-                    if constant_items and any(
-                        row.get(column) != value for column, value in constant_items
-                    ):
+                context.record(self._store.name, stream.metrics)
+                for row in probed:
+                    if any(row[position] != value for position, value in constant_checks):
                         continue
-                    right_binding: dict[str, object] = {}
-                    for column, variable in output_items:
-                        right_binding[variable] = row.get(column)
-                    if any(
-                        left_row[position] != right_binding[variable]
-                        for variable, position in shared_positions.items()
-                    ):
+                    if any(left_row[left] != row[right] for left, right in shared):
                         continue
-                    full = builder.add(
-                        left_row
-                        + tuple(right_binding.get(variable) for variable in new_variables)
-                    )
+                    full = builder.add(left_row + tuple(row[p] for p in new_positions))
                     if full is not None:
                         context.runtime_rows_processed += len(full)
                         yield full

@@ -12,9 +12,11 @@ minimal interface to the ESTOCADA mediator:
 * a micro-IR of **store requests** (:class:`ScanRequest`,
   :class:`LookupRequest`, :class:`JoinRequest`, :class:`SearchRequest`)
   that delegated sub-queries are compiled into;
-* a uniform **result** type carrying rows (as dictionaries) plus the
-  execution metrics that the demo scenario surfaces ("performance statistics
-  split across the underlying DMS and ESTOCADA's runtime").
+* one **request path** per store: each request kind is answered once, as
+  the store's native rows, and both output shapes — dict rows for direct
+  callers, row-tuple batches for the runtime — are derived here, together
+  with the execution metrics that the demo scenario surfaces ("performance
+  statistics split across the underlying DMS and ESTOCADA's runtime").
 
 Each concrete store also exposes simple statistics (cardinalities, distinct
 counts) consumed by the cost model.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -43,6 +45,7 @@ __all__ = [
     "StoreResult",
     "StoreBatchStream",
     "StoreMetrics",
+    "metric_values",
     "Store",
     "COMPARATORS",
     "DEFAULT_STREAM_BATCH_SIZE",
@@ -180,22 +183,20 @@ class StoreMetrics:
     rows_decoded: int = 0
 
     def merge(self, other: "StoreMetrics") -> "StoreMetrics":
-        """Combine the metrics of two requests (used by composite requests)."""
-        return StoreMetrics(
-            rows_scanned=self.rows_scanned + other.rows_scanned,
-            rows_returned=self.rows_returned + other.rows_returned,
-            index_lookups=self.index_lookups + other.index_lookups,
-            partitions_used=self.partitions_used + other.partitions_used,
-            partitions_pruned=self.partitions_pruned + other.partitions_pruned,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            replica_attempts=self.replica_attempts + other.replica_attempts,
-            replica_retries=self.replica_retries + other.replica_retries,
-            replica_hedges=self.replica_hedges + other.replica_hedges,
-            replica_failovers=self.replica_failovers + other.replica_failovers,
-            segments_scanned=self.segments_scanned + other.segments_scanned,
-            segments_skipped=self.segments_skipped + other.segments_skipped,
-            rows_decoded=self.rows_decoded + other.rows_decoded,
-        )
+        """Combine the metrics of two requests into a new object."""
+        return StoreMetrics(*map(operator.add, metric_values(self), metric_values(other)))
+
+    def add(self, other: "StoreMetrics") -> None:
+        """Fold ``other``'s counters into this object in place."""
+        for name, value in zip(_METRIC_FIELDS, metric_values(other)):
+            setattr(self, name, getattr(self, name) + value)
+
+
+# The request counters, spelled once: every copy or fold of one request's
+# metrics into another (merges, stream finalization, per-query breakdowns,
+# router fan-in) goes through these names, in field order.
+_METRIC_FIELDS = tuple(f.name for f in fields(StoreMetrics))
+metric_values = operator.attrgetter(*_METRIC_FIELDS)
 
 
 @dataclass(slots=True)
@@ -243,8 +244,8 @@ def kept_rows(
 ) -> Iterator[dict[str, object]]:
     """The dict rows satisfying every predicate, lazily, stopping at ``limit``.
 
-    The filter half of the store scan kernel, shared by both scan entry
-    points of every dict-heap store.  Each predicate is resolved once to
+    The filter half of the store scan kernel, shared by every store's scan
+    (:meth:`Store._scan_rows`).  Each predicate is resolved once to
     ``(reader, column, comparator, value)`` and becomes one generator chained
     on the previous, so a row is dropped at its first failing comparison and
     nothing is evaluated past ``limit`` kept rows.  ``reader_of(column)``
@@ -399,22 +400,11 @@ class StoreBatchStream:
             if self._finalized:
                 return
             self._finalized = True
-            self.metrics = StoreMetrics(
-                rows_scanned=self._base_metrics.rows_scanned,
-                rows_returned=self._returned,
-                index_lookups=self._base_metrics.index_lookups,
-                partitions_used=self._base_metrics.partitions_used,
-                partitions_pruned=self._base_metrics.partitions_pruned,
-                elapsed_seconds=self._elapsed,
-                replica_attempts=self._base_metrics.replica_attempts,
-                replica_retries=self._base_metrics.replica_retries,
-                replica_hedges=self._base_metrics.replica_hedges,
-                replica_failovers=self._base_metrics.replica_failovers,
-                segments_scanned=self._base_metrics.segments_scanned,
-                segments_skipped=self._base_metrics.segments_skipped,
-                rows_decoded=self._base_metrics.rows_decoded,
-            )
-            self._store._note_request(self.metrics)
+            metrics = StoreMetrics(*metric_values(self._base_metrics))
+            metrics.rows_returned = self._returned
+            metrics.elapsed_seconds = self._elapsed
+            self.metrics = metrics
+            self._store._note_request(metrics)
 
     def close(self) -> None:
         """Finalize the stream early (safe to call from any thread, any number of times)."""
@@ -458,11 +448,21 @@ class StoreBatchStream:
 class Store:
     """Abstract base class of every simulated DMS.
 
-    Subclasses implement :meth:`_execute` for the request kinds they support
-    and declare their profile via :meth:`capabilities`.  The public
-    :meth:`execute` wrapper adds timing and cumulative per-store counters used
-    by the demo's performance reporting; :meth:`execute_batches` is the
-    streaming path the runtime uses for delegated requests.
+    Subclasses declare their profile via :meth:`capabilities` and answer
+    each request kind they support **once**, as native rows: scans through
+    :meth:`_scan_candidates` (the filter and limit are shared here), lookups
+    through :meth:`_lookup_rows`, searches through :meth:`_search_rows`; the
+    store-side hash join is shared too, enabled by
+    ``capabilities().supports_join``.  Every rows hook returns ``(rows,
+    metrics)`` with the rows filtered lazily, cut at the limit and never
+    copied.  Both output shapes are derived here: :meth:`execute` copies the
+    rows into projected dicts (the view for direct callers) and
+    :meth:`execute_batches` chunks them into row-tuple batches (the
+    runtime's path, which alone serves an unindexed durable scan from
+    segments).  Both wrappers add timing and the cumulative per-store
+    counters used by the demo's performance reporting.  Router stores, which
+    hold no rows, override the two shape hooks (:meth:`_dict_result`,
+    :meth:`_execute_batches`) instead.
 
     Stores are **thread-safe for request execution**: requests carry their own
     per-request metrics, cumulative counters are folded in under a lock, and
@@ -509,29 +509,110 @@ class Store:
         """Basic per-column statistics (count, distinct) for the cost model."""
         raise NotImplementedError
 
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        raise NotImplementedError
+    # -- the request kinds: native rows -----------------------------------------
+    def _rows(self, request: StoreRequest):
+        """Dispatch ``request`` to its rows hook: ``(native rows, metrics)``."""
+        if isinstance(request, ScanRequest):
+            return self._scan_rows(request)
+        if isinstance(request, LookupRequest):
+            return self._lookup_rows(request)
+        if isinstance(request, JoinRequest):
+            return self._join_rows(request)
+        if isinstance(request, SearchRequest):
+            return self._search_rows(request)
+        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+
+    def _scan_candidates(self, request: ScanRequest):
+        """``(heap, narrowed, metrics)`` of a scan: every row of the collection,
+        the rows the most selective index narrows the scan to (None when no
+        index applies), and the request's metrics so far.  ``heap`` and
+        ``narrowed`` need only support ``len`` and iteration."""
+        raise self._reject("scans")
+
+    def _scan_rows(self, request: ScanRequest):
+        heap, narrowed, metrics = self._scan_candidates(request)
+        return self._kept(heap if narrowed is None else narrowed, request, metrics), metrics
+
+    def _kept(self, candidates, request: ScanRequest, metrics: StoreMetrics):
+        metrics.rows_scanned += len(candidates)
+        return kept_rows(candidates, request.predicates, request.limit, self._reader_of)
+
+    def _lookup_rows(self, request: LookupRequest):
+        raise self._reject("key lookups")
+
+    def _search_rows(self, request: SearchRequest):
+        raise self._reject("full-text search")
+
+    def _join_rows(self, request: JoinRequest):
+        """The store-side hash join of two sub-requests' (projected) rows."""
+        if not self.capabilities().supports_join:
+            raise self._reject("joins")
+        if not request.on:
+            raise StoreError(
+                f"store-side join in {self.name!r} requires at least one equality column pair"
+            )
+        left = self._dict_result(request.left)
+        right = self._dict_result(request.right)
+        build: dict[tuple, list[dict[str, object]]] = {}
+        for row in right.rows:
+            key = tuple(row.get(right_column) for _, right_column in request.on)
+            build.setdefault(key, []).append(row)
+        joined = [
+            {**match, **row}
+            for row in left.rows
+            for match in build.get(tuple(row.get(column) for column, _ in request.on), ())
+        ]
+        metrics = left.metrics.merge(right.metrics)
+        metrics.rows_scanned += len(left.rows) + len(right.rows)
+        return joined, metrics
+
+    @staticmethod
+    def _reader_of(column: str) -> Callable:
+        """How ``column`` is read off a native row, by predicates and projections."""
+        return dict.get
+
+    # -- the two output shapes -----------------------------------------------------
+    def _dict_result(self, request: StoreRequest) -> StoreResult:
+        """The dict view: one projected copy per native row."""
+        rows, metrics = self._rows(request)
+        projection = getattr(request, "projection", None)
+        if projection is None:
+            return StoreResult([dict(row) for row in rows], metrics)
+        readers = [(column, self._reader_of(column)) for column in projection]
+        return StoreResult(
+            [{column: read(row, column) for column, read in readers} for row in rows], metrics
+        )
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ):
-        """Streaming counterpart of :meth:`_execute`.
+        """The batch view: :class:`~repro.runtime.batch.RowBatch` objects of ``columns``.
 
-        Returns an iterator of :class:`~repro.runtime.batch.RowBatch` objects
-        (schema = ``columns``) plus the request's base metrics
+        Returns the batch iterator plus the request's base metrics
         (``rows_returned`` and ``elapsed_seconds`` are filled in by the
         :class:`StoreBatchStream` wrapper as batches are pulled).  The
         metrics object may keep being filled in while the iterator runs
         (router stores only know their per-partition accounting at the end);
         the wrapper reads it after exhaustion.
 
-        The default adapts :meth:`_execute`, so every store serves batch
-        requests out of the box; the concrete simulators override this to
-        build row tuples straight from their internal representation,
-        skipping the per-row dict copy entirely.
+        A scan of a durable store that no index narrowed is served from the
+        segments: zone maps skip whole segments a predicate provably
+        excludes, which a heap walk cannot.
         """
-        result = self._execute(request)
-        return row_batches(result.rows, columns, batch_size), result.metrics
+        backing = self._durable_scan_source(request)
+        if backing is None:
+            rows, metrics = self._rows(request)
+        else:
+            _, narrowed, metrics = self._scan_candidates(request)
+            if narrowed is None:
+                return backing.scan_batches(request, columns, batch_size, evaluate=self._evaluate)
+            rows = self._kept(narrowed, request, metrics)
+        return row_batches(rows, columns, batch_size), metrics
+
+    def _evaluate(self, row: Mapping[str, object], predicate: Predicate) -> bool:
+        """One predicate on one native row, read the way scans read it."""
+        read = self._reader_of(predicate.column)
+        return COMPARATORS[predicate.op](read(row, predicate.column), predicate.value)
 
     # -- write path --------------------------------------------------------------
     def apply_delta(
@@ -643,10 +724,15 @@ class Store:
 
     # -- public API -------------------------------------------------------------
     def execute(self, request: StoreRequest) -> StoreResult:
-        """Execute a request, recording timing and cumulative metrics."""
+        """Execute a request as dict rows, recording timing and cumulative metrics.
+
+        The materialized view for direct callers (tests, examples, the
+        router fan-out of a dict request); the runtime reads through
+        :meth:`execute_batches`.
+        """
         started = time.perf_counter()
         interruptible_sleep(self._latency)
-        result = self._execute(request)
+        result = self._dict_result(request)
         result.metrics.elapsed_seconds = time.perf_counter() - started
         result.metrics.rows_returned = len(result.rows)
         self._note_request(result.metrics)
@@ -696,14 +782,6 @@ class Store:
         return UnsupportedOperationError(
             f"store {self.name!r} ({self.capabilities().data_model}) does not support {operation}"
         )
-
-    @staticmethod
-    def _apply_projection(
-        rows: Iterable[Mapping[str, object]], projection: Sequence[str] | None
-    ) -> list[dict[str, object]]:
-        if projection is None:
-            return [dict(row) for row in rows]
-        return [{column: row.get(column) for column in projection} for row in rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name!r}>"

@@ -12,20 +12,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
+from repro.errors import DeltaError, SchemaError, StoreError
 from repro.stores.base import (
-    JoinRequest,
     LookupRequest,
-    Predicate,
     ScanRequest,
-    SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
-    StoreRequest,
-    StoreResult,
-    kept_rows,
-    row_batches,
 )
 
 __all__ = ["DocumentStore", "get_path", "flatten_document"]
@@ -244,18 +237,7 @@ class DocumentStore(Store):
             return repr(value)
         return value
 
-    # -- execution ------------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, JoinRequest):
-            raise self._reject("joins")
-        if isinstance(request, SearchRequest):
-            raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
+    # -- execution (native rows; stores/base.py shapes them) ----------------------------
     def _documents(self, collection: str) -> list[dict[str, object]]:
         documents = self._collections.get(collection)
         if documents is None:
@@ -263,12 +245,7 @@ class DocumentStore(Store):
         return documents
 
     def _scan_candidates(self, request: ScanRequest):
-        """Index selection, shared by both scan entry points.
-
-        Returns the collection, the documents the most selective index on an
-        equality predicate narrows the scan to (None when no index applies)
-        and the request's metrics.
-        """
+        """The collection's documents, narrowed by the most selective equality index."""
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
         candidate_positions: Sequence[int] | None = None
@@ -288,47 +265,10 @@ class DocumentStore(Store):
 
     @staticmethod
     def _reader_of(column: str):
-        """How a predicate column is read: dotted paths walk the document."""
+        """Dotted paths walk the document (batches read top-level keys)."""
         return get_path if "." in column else dict.get
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        documents, candidates, metrics = self._scan_candidates(request)
-        if candidates is None:
-            candidates = documents
-        metrics.rows_scanned += len(candidates)
-        kept = kept_rows(candidates, request.predicates, request.limit, self._reader_of)
-        return StoreResult(self._project(kept, request.projection), metrics)
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch scans over documents (no per-document dict copy).
-
-        Candidates, path predicates and limit are :meth:`_execute_scan`'s;
-        the emitted tuples read **top-level** keys, exactly what the dict
-        path's unprojected ``dict(document)`` rows expose to the runtime.
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
-        documents, candidates, metrics = self._scan_candidates(request)
-        if candidates is None:
-            # No index narrows this scan: serve it from the durable segments
-            # when they exist.  Dotted-path predicates are flagged so the
-            # backing reconstructs documents for them instead of comparing
-            # top-level column positions.
-            backing = self._durable_scan_source(request)
-            if backing is not None:
-                return backing.scan_batches(
-                    request,
-                    columns,
-                    batch_size,
-                    evaluate=self._evaluate,
-                    dotted=True,
-                )
-            candidates = documents
-        metrics.rows_scanned += len(candidates)
-        kept = kept_rows(candidates, request.predicates, request.limit, self._reader_of)
-        return row_batches(kept, columns, batch_size), metrics
-
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup_rows(self, request: LookupRequest):
         # Documents are looked up by their "_id" path by convention.
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
@@ -341,20 +281,4 @@ class DocumentStore(Store):
             else:
                 metrics.rows_scanned += len(documents)
                 rows.extend(d for d in documents if d.get("_id") == key)
-        return StoreResult(rows=self._project(rows, request.projection), metrics=metrics)
-
-    @staticmethod
-    def _evaluate(document: Mapping[str, object], predicate: Predicate) -> bool:
-        value = get_path(document, predicate.column)
-        probe = {predicate.column: value}
-        return predicate.evaluate(probe)
-
-    @staticmethod
-    def _project(
-        documents: Iterable[Mapping[str, object]], projection: Sequence[str] | None
-    ) -> list[dict[str, object]]:
-        if projection is None:
-            return [dict(document) for document in documents]
-        return [
-            {path: get_path(document, path) for path in projection} for document in documents
-        ]
+        return rows, metrics

@@ -12,19 +12,13 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import DeltaError, StoreError, UnsupportedOperationError
+from repro.errors import DeltaError, StoreError
 from repro.stores.base import (
-    JoinRequest,
-    LookupRequest,
     ScanRequest,
     SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
-    StoreRequest,
-    StoreResult,
-    kept_rows,
-    row_batches,
 )
 from repro.stores.fulltext.analyzer import Analyzer
 
@@ -154,24 +148,18 @@ class FullTextStore(Store):
             "indexed": column in bucket.indexed_fields,
         }
 
-    # -- execution -----------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, SearchRequest):
-            return self._execute_search(request)
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            raise self._reject("key lookups")
-        if isinstance(request, JoinRequest):
-            raise self._reject("joins")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+    # -- execution (native rows; stores/base.py shapes them) ---------------------------
+    def _scan_candidates(self, request: ScanRequest):
+        """Plain field scans walk the stored documents (no index narrows them)."""
+        return self._bucket(request.collection).documents, None, StoreMetrics()
 
-    def _execute_search(self, request: SearchRequest) -> StoreResult:
+    def _search_rows(self, request: SearchRequest):
+        """TF-IDF ranked hits, best first: scored copies of the documents."""
         bucket = self._bucket(request.collection)
         metrics = StoreMetrics()
         query_tokens = self._analyzer.tokenize(request.text)
         if not query_tokens:
-            return StoreResult(rows=[], metrics=metrics)
+            return [], metrics
         total_documents = max(len(bucket.documents), 1)
         scores: dict[int, float] = {}
         for token in query_tokens:
@@ -195,24 +183,4 @@ class FullTextStore(Store):
             row["_score"] = round(score, 6)
             rows.append(row)
         metrics.rows_scanned = len(scores)
-        return StoreResult(rows=rows, metrics=metrics)
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch scans over the stored documents.
-
-        Search requests keep the dict adapter (ranking materializes scored
-        copies anyway); plain field scans build row tuples directly, with the
-        predicates, limit and metrics of :meth:`_execute_scan`.
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
-        bucket = self._bucket(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        kept = kept_rows(bucket.documents, request.predicates, request.limit)
-        return row_batches(kept, columns, batch_size), metrics
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        bucket = self._bucket(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket.documents))
-        kept = kept_rows(bucket.documents, request.predicates, request.limit)
-        return StoreResult(rows=self._apply_projection(kept, request.projection), metrics=metrics)
+        return rows, metrics

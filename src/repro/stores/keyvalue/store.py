@@ -12,24 +12,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.errors import (
-    AccessPatternViolation,
-    DeltaError,
-    KeyNotFoundError,
-    StoreError,
-    UnsupportedOperationError,
-)
+from repro.errors import AccessPatternViolation, DeltaError, KeyNotFoundError, StoreError
 from repro.stores.base import (
-    JoinRequest,
-    batch_tuples,
     LookupRequest,
     ScanRequest,
-    SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
+    kept_rows,
 )
 
 __all__ = ["KeyValueStore"]
@@ -211,7 +202,8 @@ class KeyValueStore(Store):
 
     def _durable_scan_source(self, request: StoreRequest):
         # Key-value semantics are last-write-wins by key; append-only segments
-        # would replay superseded puts, so scans never serve from the backing.
+        # would replay superseded puts (and hold ``{key, value}`` pairs, not
+        # the entry rows scans read), so scans never serve from the backing.
         return None
 
     def segment_scan_fraction(self, collection: str, bounds) -> float | None:
@@ -255,96 +247,33 @@ class KeyValueStore(Store):
             distinct.add(repr(field_value))
         return {"count": len(bucket), "distinct": len(distinct), "indexed": False}
 
-    # -- execution --------------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, JoinRequest):
-            raise self._reject("joins")
-        if isinstance(request, SearchRequest):
-            raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
-    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Native batch lookups: tuples built straight from the stored entries.
-
-        Point lookups are this store's entire query surface, so they get the
-        native path (no ``_entry_to_row`` dict per hit, no projection copy);
-        scans — rare, debugging-console deployments only — fall back to the
-        dict adapter.  Column semantics match :meth:`_entry_to_row`: ``key``
-        is the lookup key (shadowing any same-named value field), hash fields
-        come from the stored mapping, and ``value`` is the scalar payload.
-        """
-        if not isinstance(request, LookupRequest):
-            return super()._execute_batches(request, columns, batch_size)
+    # -- execution (entries as rows; stores/base.py shapes them) -----------------------
+    # An entry's row holds ``key`` (shadowing any same-named value field), the
+    # fields of a hash value, or the scalar payload under ``value``.
+    def _lookup_rows(self, request: LookupRequest):
         bucket = self._collection(request.collection)
-        metrics = StoreMetrics()
-        wanted = tuple(columns)
-        rows: list[tuple] = []
-        for key in request.keys:
-            metrics.index_lookups += 1
-            if key not in bucket:
-                continue
-            value = bucket[key]
-            if isinstance(value, Mapping):
-                rows.append(
-                    tuple(key if c == "key" else value.get(c) for c in wanted)
-                )
-            else:
-                rows.append(
-                    tuple(
-                        key if c == "key" else (value if c == "value" else None)
-                        for c in wanted
-                    )
-                )
+        metrics = StoreMetrics(index_lookups=len(request.keys))
+        rows = [self._entry_to_row(key, bucket[key]) for key in request.keys if key in bucket]
+        return rows, metrics
 
-        return batch_tuples(iter(rows), wanted, batch_size), metrics
-
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
-        bucket = self._collection(request.collection)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        for key in request.keys:
-            metrics.index_lookups += 1
-            if key not in bucket:
-                continue
-            rows.append(self._entry_to_row(key, bucket[key]))
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        key_values = [
-            predicate.value
-            for predicate in request.predicates
-            if predicate.column == "key" and predicate.op == "="
-        ]
-        if key_values:
-            # A scan pinned to specific key(s) is really a lookup.
-            lookup = LookupRequest(
-                collection=request.collection,
-                keys=tuple(key_values),
-                projection=request.projection,
-            )
-            result = self._execute_lookup(lookup)
-            result.rows = [
-                row
-                for row in result.rows
-                if all(p.evaluate(row) for p in request.predicates if p.column != "key")
-            ]
-            return result
-        if not self._allow_scans:
+    def _scan_rows(self, request: ScanRequest):
+        pinned = next(
+            (p.value for p in request.predicates if p.column == "key" and p.op == "="),
+            _MISSING,
+        )
+        if pinned is not _MISSING:
+            # A scan pinned to a key is a lookup, filtered by every predicate.
+            rows, metrics = self._lookup_rows(LookupRequest(request.collection, (pinned,)))
+        elif not self._allow_scans:
             raise AccessPatternViolation(
                 f"key-value store {self.name!r} requires the key to be bound; "
                 f"cannot scan collection {request.collection!r}"
             )
-        bucket = self._collection(request.collection)
-        metrics = StoreMetrics(rows_scanned=len(bucket))
-        rows = [self._entry_to_row(key, value) for key, value in bucket.items()]
-        rows = [row for row in rows if all(p.evaluate(row) for p in request.predicates)]
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
+        else:
+            bucket = self._collection(request.collection)
+            metrics = StoreMetrics(rows_scanned=len(bucket))
+            rows = (self._entry_to_row(key, value) for key, value in bucket.items())
+        return kept_rows(rows, request.predicates, request.limit), metrics
 
     @staticmethod
     def _entry_to_row(key: object, value: object) -> dict[str, object]:

@@ -3,30 +3,25 @@
 The store keeps each dataset hash-partitioned on a chosen column across a
 configurable number of partitions, supports nested columns (bags of records,
 as the paper's materialized purchases ⋈ browsing-history view requires), and
-evaluates scans, key lookups, joins and simple aggregations partition by
-partition.  Parallelism is *simulated*: the per-request metrics report the
-maximum per-partition work (the critical path) in addition to the total work,
-so benchmarks can show the effect of delegating a large sub-query to a
-parallel system without spawning real worker processes.
+evaluates scans (narrowed by per-partition indexes), key lookups and joins
+partition by partition.  Parallelism is *simulated*: the per-request metrics
+report how many partitions the request used, without spawning real worker
+processes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from typing import Callable
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 
-from repro.errors import DeltaError, SchemaError, StoreError, UnsupportedOperationError
+from repro.errors import DeltaError, SchemaError, StoreError
 from repro.stores.sharding import stable_hash
 from repro.stores.base import (
-    JoinRequest,
     LookupRequest,
     ScanRequest,
-    SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
-    StoreRequest,
-    StoreResult,
 )
 
 __all__ = ["ParallelStore"]
@@ -50,11 +45,10 @@ class _Dataset:
             )
         return stable_hash(row.get(self.partition_column)) % len(self.partitions)
 
-    def all_rows(self) -> Iterable[dict[str, object]]:
-        for partition in self.partitions:
-            yield from partition
+    def __iter__(self) -> Iterator[dict[str, object]]:
+        return chain.from_iterable(self.partitions)
 
-    def size(self) -> int:
+    def __len__(self) -> int:
         return sum(len(partition) for partition in self.partitions)
 
 
@@ -186,67 +180,44 @@ class ParallelStore(Store):
         return tuple(self._datasets)
 
     def collection_size(self, collection: str) -> int:
-        return self._dataset(collection).size()
+        return len(self._dataset(collection))
 
     def column_statistics(self, collection: str, column: str) -> Mapping[str, object]:
         dataset = self._dataset(collection)
-        values = {repr(row.get(column)) for row in dataset.all_rows()}
+        values = {repr(row.get(column)) for row in dataset}
         return {
-            "count": dataset.size(),
+            "count": len(dataset),
             "distinct": len(values),
             "indexed": column in dataset.indexes,
             "partitions": len(dataset.partitions),
         }
 
-    # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, JoinRequest):
-            return self._execute_join(request)
-        if isinstance(request, SearchRequest):
-            raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
+    # -- execution (native rows; stores/base.py shapes them) ---------------------------
+    def _scan_candidates(self, request: ScanRequest):
+        """Every non-empty partition, each narrowed by its own equality index."""
         dataset = self._dataset(request.collection)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-
-        equality_columns = {
-            predicate.column: predicate.value
-            for predicate in request.predicates
-            if predicate.op == "="
-        }
-        indexed_column = next(
-            (column for column in equality_columns if column in dataset.indexes), None
+        used = [number for number, partition in enumerate(dataset.partitions) if partition]
+        metrics = StoreMetrics(partitions_used=len(used))
+        indexed = next(
+            (
+                predicate
+                for predicate in request.predicates
+                if predicate.op == "=" and predicate.column in dataset.indexes
+            ),
+            None,
         )
+        if indexed is None:
+            return dataset, None, metrics
+        metrics.index_lookups += len(used)
+        indexes = dataset.indexes[indexed.column]
+        narrowed = [
+            dataset.partitions[number][position]
+            for number in used
+            for position in indexes[number].get(indexed.value, ())
+        ]
+        return dataset, narrowed, metrics
 
-        for partition_number, partition in enumerate(dataset.partitions):
-            if not partition:
-                continue
-            metrics.partitions_used += 1
-            if indexed_column is not None:
-                index = dataset.indexes[indexed_column][partition_number]
-                positions = index.get(equality_columns[indexed_column], ())
-                metrics.index_lookups += 1
-                candidates = [partition[p] for p in positions]
-                metrics.rows_scanned += len(candidates)
-            else:
-                candidates = partition
-                metrics.rows_scanned += len(partition)
-            rows.extend(
-                row
-                for row in candidates
-                if all(predicate.evaluate(row) for predicate in request.predicates)
-            )
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup_rows(self, request: LookupRequest):
         dataset = self._dataset(request.collection)
         column = dataset.partition_column
         if column is None:
@@ -266,84 +237,4 @@ class ParallelStore(Store):
             else:
                 metrics.rows_scanned += len(partition)
                 rows.extend(row for row in partition if row.get(column) == key)
-        return StoreResult(rows=self._apply_projection(rows, request.projection), metrics=metrics)
-
-    def _execute_join(self, request: JoinRequest) -> StoreResult:
-        left_result = self._execute(request.left)
-        right_result = self._execute(request.right)
-        metrics = left_result.metrics.merge(right_result.metrics)
-        if not request.on:
-            raise StoreError("parallel join requires at least one equality column pair")
-        build: dict[tuple, list[dict[str, object]]] = {}
-        for row in right_result.rows:
-            key = tuple(row.get(right_column) for _, right_column in request.on)
-            build.setdefault(key, []).append(row)
-        joined: list[dict[str, object]] = []
-        for row in left_result.rows:
-            key = tuple(row.get(left_column) for left_column, _ in request.on)
-            for match in build.get(key, ()):
-                merged = dict(match)
-                merged.update(row)
-                joined.append(merged)
-        metrics.rows_scanned += len(left_result.rows) + len(right_result.rows)
-        return StoreResult(rows=self._apply_projection(joined, request.projection), metrics=metrics)
-
-    # -- map/reduce style helpers (used by examples and the advisor) ----------------------
-    def map_partitions(
-        self, dataset: str, function: Callable[[Sequence[Mapping[str, object]]], list[dict[str, object]]]
-    ) -> list[dict[str, object]]:
-        """Apply ``function`` to every partition and concatenate the results."""
-        target = self._dataset(dataset)
-        output: list[dict[str, object]] = []
-        for partition in target.partitions:
-            output.extend(function(partition))
-        return output
-
-    def aggregate(
-        self,
-        dataset: str,
-        group_by: Sequence[str],
-        aggregations: Mapping[str, tuple[str, str]],
-    ) -> list[dict[str, object]]:
-        """Grouped aggregation: ``aggregations`` maps output name to (function, column).
-
-        Supported functions: ``count``, ``sum``, ``avg``, ``min``, ``max``.
-        Computed with per-partition partial aggregates followed by a merge,
-        mirroring how a BSP engine would execute it.
-        """
-        partials: dict[tuple, dict[str, object]] = {}
-        target = self._dataset(dataset)
-        for partition in target.partitions:
-            for row in partition:
-                group = tuple(row.get(column) for column in group_by)
-                state = partials.setdefault(group, {})
-                for output, (function, column) in aggregations.items():
-                    value = row.get(column)
-                    if function == "count":
-                        state[output] = state.get(output, 0) + 1
-                    elif function == "sum":
-                        state[output] = state.get(output, 0) + (value or 0)
-                    elif function == "avg":
-                        total, count = state.get(output, (0, 0))
-                        state[output] = (total + (value or 0), count + 1)
-                    elif function == "min":
-                        current = state.get(output)
-                        state[output] = value if current is None else min(current, value)
-                    elif function == "max":
-                        current = state.get(output)
-                        state[output] = value if current is None else max(current, value)
-                    else:
-                        raise UnsupportedOperationError(
-                            f"unsupported aggregation function {function!r}"
-                        )
-        results: list[dict[str, object]] = []
-        for group, state in partials.items():
-            row = dict(zip(group_by, group))
-            for output, (function, _) in aggregations.items():
-                if function == "avg":
-                    total, count = state[output]
-                    row[output] = total / count if count else None
-                else:
-                    row[output] = state[output]
-            results.append(row)
-        return results
+        return rows, metrics

@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.errors import SchemaError, StoreError, UnsupportedOperationError
+from repro.errors import SchemaError, StoreError
 from repro.stores.base import (
-    JoinRequest,
     LookupRequest,
     ScanRequest,
-    SearchRequest,
     Store,
     StoreCapabilities,
     StoreMetrics,
-    StoreRequest,
-    StoreResult,
-    kept_rows,
-    row_batches,
 )
 from repro.stores.relational.table import Table
 
@@ -185,25 +179,9 @@ class RelationalStore(Store):
             "indexed": table.index_on(column) is not None,
         }
 
-    # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, JoinRequest):
-            return self._execute_join(request)
-        if isinstance(request, SearchRequest):
-            raise self._reject("full-text search")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
-
+    # -- execution (native rows; stores/base.py shapes them) ---------------------------
     def _scan_candidates(self, request: ScanRequest):
-        """Index selection, shared by both scan entry points.
-
-        Returns the table, the rows the most selective index on an equality
-        predicate narrows the scan to (None when no index applies) and the
-        request's metrics.
-        """
+        """The table's rows, narrowed by the most selective equality index."""
         table = self.table(request.collection)
         metrics = StoreMetrics()
         candidate_positions: Sequence[int] | None = None
@@ -218,48 +196,10 @@ class RelationalStore(Store):
             if candidate_positions is None or len(positions) < len(candidate_positions):
                 candidate_positions = positions
         if candidate_positions is None:
-            return table, None, metrics
-        return table, [table.row_at(p) for p in candidate_positions], metrics
+            return table.rows, None, metrics
+        return table.rows, [table.row_at(p) for p in candidate_positions], metrics
 
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        table, candidates, metrics = self._scan_candidates(request)
-        if candidates is None:
-            candidates = table.rows
-        metrics.rows_scanned += len(candidates)
-        kept = kept_rows(candidates, request.predicates, request.limit)
-        return StoreResult(self._apply_projection(kept, request.projection), metrics)
-
-    def _execute_batches(
-        self, request: StoreRequest, columns: Sequence[str], batch_size: int
-    ):
-        """Native batch scans: row tuples built straight from the heap.
-
-        Only scans take the native path (they are the hot delegated-request
-        shape); lookups and store-side joins fall back to the dict adapter.
-        Candidates, predicates and limit are :meth:`_execute_scan`'s; only
-        the output shape differs.
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
-        table, candidates, metrics = self._scan_candidates(request)
-        if candidates is None:
-            # No index narrows this scan: serve it from the durable segments
-            # when they exist — zone maps skip whole segments a predicate
-            # provably excludes, which a heap walk cannot.
-            backing = self._durable_scan_source(request)
-            if backing is not None:
-                return backing.scan_batches(
-                    request,
-                    columns,
-                    batch_size,
-                    evaluate=lambda row, predicate: predicate.evaluate(row),
-                )
-            candidates = table.rows
-        metrics.rows_scanned += len(candidates)
-        kept = kept_rows(candidates, request.predicates, request.limit)
-        return row_batches(kept, columns, batch_size), metrics
-
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
+    def _lookup_rows(self, request: LookupRequest):
         table = self.table(request.collection)
         metrics = StoreMetrics()
         rows: list[dict[str, object]] = []
@@ -276,31 +216,6 @@ class RelationalStore(Store):
             if index is not None:
                 rows.extend(table.row_at(p) for p in index.lookup(key))
             else:
-                matching = [r for r in table.rows if r.get(column) == key]
                 metrics.rows_scanned += len(table)
-                rows.extend(matching)
-        projected = self._apply_projection(rows, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
-
-    def _execute_join(self, request: JoinRequest) -> StoreResult:
-        left_result = self._execute(request.left)
-        right_result = self._execute(request.right)
-        metrics = left_result.metrics.merge(right_result.metrics)
-
-        # Hash join on the equality columns.
-        if not request.on:
-            raise StoreError("relational join requires at least one equality column pair")
-        build: dict[tuple, list[dict[str, object]]] = {}
-        for row in right_result.rows:
-            key = tuple(row.get(right_column) for _, right_column in request.on)
-            build.setdefault(key, []).append(row)
-        joined: list[dict[str, object]] = []
-        for row in left_result.rows:
-            key = tuple(row.get(left_column) for left_column, _ in request.on)
-            for match in build.get(key, ()):
-                merged = dict(match)
-                merged.update(row)
-                joined.append(merged)
-        metrics.rows_scanned += len(left_result.rows) + len(right_result.rows)
-        projected = self._apply_projection(joined, request.projection)
-        return StoreResult(rows=projected, metrics=metrics)
+                rows.extend(r for r in table.rows if r.get(column) == key)
+        return rows, metrics

@@ -22,12 +22,11 @@ request, all bounded by the :class:`ReplicationPolicy`:
   stops the loser at its next cancellable wait (the same cooperative
   mechanism LIMIT cancellation uses).
 
-Batch-path note: the router deliberately keeps the default
-``execute_batches`` adapter (attempt → rows → batches) rather than forwarding
-a replica's live batch stream.  Fault atomicity *requires* materializing each
-attempt in-router before a single row escapes; the winning attempt's rows are
-then chunked into row-tuple batches once, and nothing downstream repacks
-them.
+One loop serves both output shapes, parameterized by the per-replica call:
+a batch request's attempt drains the replica's own ``execute_batches``
+stream (so a durable replica serves an unindexed scan from its segments,
+exactly as it would unreplicated), a dict request's attempt is the
+replica's ``execute``.
 
 Every attempt is materialized *inside* the router before any row reaches the
 consumer, so a retried or failed-over request can never leak partial rows —
@@ -59,6 +58,7 @@ from repro.errors import (
 from repro.stores.base import (
     Store,
     StoreCapabilities,
+    StoreMetrics,
     StoreRequest,
     StoreResult,
 )
@@ -407,13 +407,33 @@ class ReplicatedStore(Store):
             replica.reset_metrics()
 
     # -- execution ---------------------------------------------------------------------
+    # Both output shapes run the one retry/failover/hedge loop, :meth:`_routed`;
+    # they differ only in the per-replica call.
+    def _dict_result(self, request: StoreRequest) -> StoreResult:
+        def call(replica: Store):
+            result = replica.execute(request)
+            return result, result.metrics
+
+        result, _ = self._routed(call)
+        return result
+
+    def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
+        def call(replica: Store):
+            # Drained inside the attempt, so a retried or failed-over request
+            # never lets a partial stream escape the router.
+            stream = replica.execute_batches(request, columns, batch_size)
+            return list(stream), stream.metrics
+
+        batches, metrics = self._routed(call)
+        return iter(batches), metrics
+
     def _attempt(
         self,
         index: int,
-        request: StoreRequest,
+        call: Callable[[Store], _T],
         counters: _RequestCounters,
         cancel: "threading.Event | None" = None,
-    ) -> StoreResult:
+    ) -> _T:
         """One bounded-retry attempt run entirely against replica ``index``.
 
         ``cancel`` is the hedge race's shared event: once it fires (or the
@@ -428,7 +448,7 @@ class ReplicatedStore(Store):
             counters.add(attempts=1, retries=1 if attempt else 0)
             started = time.perf_counter()
             try:
-                result = replica.execute(request)
+                result = call(replica)
             except _NON_FAILOVER_ERRORS:
                 # The request itself is at fault; the replica is fine.
                 raise
@@ -456,7 +476,12 @@ class ReplicatedStore(Store):
             return floor
         return max(floor, percentile)
 
-    def _execute(self, request: StoreRequest) -> StoreResult:
+    def _routed(self, call: Callable[[Store], tuple[_T, StoreMetrics]]) -> tuple[_T, StoreMetrics]:
+        """Serve one request through ``call(replica) -> (payload, metrics)``.
+
+        Walks the replicas with retry, failover and hedging, and adds the
+        request's recovery counters to the winning attempt's metrics.
+        """
         # Imported lazily: repro.runtime.parallel reaches back into the
         # stores package through its operator imports, and importing it at
         # module scope would close an import cycle through stores/__init__.
@@ -468,10 +493,10 @@ class ReplicatedStore(Store):
             budget = min(budget, self._policy.max_failovers + 1)
         counters = _RequestCounters()
         errors: list[BaseException] = []
-        result: StoreResult | None = None
+        result: tuple[_T, StoreMetrics] | None = None
         try:
             result = self._select_and_execute(
-                run_hedged, request, order, budget, counters, errors
+                run_hedged, call, order, budget, counters, errors
             )
         finally:
             attempts, retries, hedges, failovers = counters.snapshot()
@@ -489,24 +514,25 @@ class ReplicatedStore(Store):
             raise AllReplicasFailedError(
                 f"store {self.name!r}: every replica failed ({details})"
             ) from (errors[-1] if errors else None)
-        result.metrics.replica_attempts += attempts
-        result.metrics.replica_retries += retries
-        result.metrics.replica_hedges += hedges
-        result.metrics.replica_failovers += failovers
+        metrics = result[1]
+        metrics.replica_attempts += attempts
+        metrics.replica_retries += retries
+        metrics.replica_hedges += hedges
+        metrics.replica_failovers += failovers
         return result
 
     def _select_and_execute(
         self,
         run_hedged,
-        request: StoreRequest,
+        call: Callable[[Store], _T],
         order: tuple[int, ...],
         budget: int,
         counters: _RequestCounters,
         errors: list[BaseException],
-    ) -> StoreResult | None:
+    ) -> _T | None:
         """The failover loop: walk the preference order until a replica answers."""
         position = 0
-        result: StoreResult | None = None
+        result: _T | None = None
         while position < budget and result is None:
             primary = order[position]
             backup = (
@@ -516,7 +542,7 @@ class ReplicatedStore(Store):
             )
             if backup is None:
                 try:
-                    result = self._attempt(primary, request, counters)
+                    result = self._attempt(primary, call, counters)
                 except _NON_FAILOVER_ERRORS:
                     # Every replica would refuse this request identically:
                     # surface the original error class, don't fail over.
@@ -533,8 +559,8 @@ class ReplicatedStore(Store):
             else:
                 outcome = run_hedged(
                     [
-                        lambda cancel, i=primary: self._attempt(i, request, counters, cancel),
-                        lambda cancel, i=backup: self._attempt(i, request, counters, cancel),
+                        lambda cancel, i=primary: self._attempt(i, call, counters, cancel),
+                        lambda cancel, i=backup: self._attempt(i, call, counters, cancel),
                     ],
                     self._hedge_delay(),
                     name=f"{self.name}-hedge",

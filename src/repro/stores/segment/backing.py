@@ -519,14 +519,13 @@ class DurableBacking:
         batch_size: int,
         *,
         evaluate: Callable[[Mapping[str, object], object], bool],
-        dotted: bool = False,
     ) -> tuple[Iterator, StoreMetrics]:
         """Serve a delegated scan from segments + tail, skipping excluded segments.
 
         ``evaluate(row_dict, predicate)`` must implement the store's native
         predicate semantics; it is used for tail rows and for predicates the
-        positional fast path cannot express (``dotted=True`` marks stores
-        whose predicate columns may be paths into nested documents).
+        positional fast path cannot express (a dotted column may be a path
+        into nested documents, so it is checked on the reconstructed row).
         """
         metrics = StoreMetrics()
         wanted = tuple(columns)
@@ -536,7 +535,7 @@ class DurableBacking:
             tail = list(state.tail) if state is not None else []
             tombstones = Counter(state.tombstones) if state is not None else Counter()
         tuples = self._scan_tuples(
-            request, wanted, segments, tail, tombstones, metrics, evaluate, dotted
+            request, wanted, segments, tail, tombstones, metrics, evaluate
         )
         return batch_tuples(tuples, wanted, batch_size, request.limit), metrics
 
@@ -549,13 +548,10 @@ class DurableBacking:
         tombstones: Counter,
         metrics: StoreMetrics,
         evaluate: Callable[[Mapping[str, object], object], bool],
-        dotted: bool,
     ) -> Iterator[tuple]:
         predicates = tuple(request.predicates)
-        positional = tuple(
-            p for p in predicates if not (dotted and "." in p.column)
-        )
-        pathful = tuple(p for p in predicates if dotted and "." in p.column)
+        positional = tuple(p for p in predicates if "." not in p.column)
+        pathful = tuple(p for p in predicates if "." in p.column)
         bounds = extract_zone_bounds(positional)
         for segment in segments:
             if bounds and segment.excluded_by(bounds):

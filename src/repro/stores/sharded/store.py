@@ -16,6 +16,9 @@ The router serves the common store-request micro-IR:
 * per-request metrics report ``partitions_used`` (shards contacted) and
   ``partitions_pruned`` so the mediator can surface pruning effectiveness.
 
+One routing loop serves both output shapes; the runtime's batch requests
+forward each contacted child's own batch stream.
+
 Executing through the router is *serial* — each contacted shard is queried in
 turn, paying the sum of the child latencies.  The physical planner therefore
 fans unpruned scans out as one delegated request **per shard**, each wrapped
@@ -39,7 +42,6 @@ from repro.errors import (
 )
 from repro.stores.base import (
     JoinRequest,
-    LookupRequest,
     Predicate,
     ScanRequest,
     SearchRequest,
@@ -327,173 +329,119 @@ class ShardedStore(Store):
         }
 
     # -- execution ---------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        if isinstance(request, ScanRequest):
-            return self._execute_scan(request)
-        if isinstance(request, LookupRequest):
-            return self._execute_lookup(request)
-        if isinstance(request, SearchRequest):
-            return self._execute_search(request)
-        if isinstance(request, JoinRequest):
-            raise self._reject("store-side joins (the mediator joins shard results)")
-        raise UnsupportedOperationError(f"unknown request type {type(request).__name__}")
+    # Both output shapes run the one routing loop, :meth:`_fan_out`; they
+    # differ only in the per-child call: the dict view materializes each
+    # child's ``execute``, the batch view forwards each child's
+    # ``execute_batches`` stream untouched (no row is repacked).
+    def _dict_result(self, request: StoreRequest) -> StoreResult:
+        def serve(child: Store, sub: StoreRequest):
+            result = child.execute(sub)
+            return (result.rows,), lambda: result.metrics
 
-    def _targets_for_scan(self, request: ScanRequest) -> tuple[int, ...]:
-        """Shards that can hold rows matching the scan's shard-key predicates."""
-        spec = self._specs.get(request.collection)
-        if spec is None:
-            return tuple(range(len(self._shards)))
-        constraints = [
-            (predicate.op, predicate.value)
-            for predicate in request.predicates
-            if predicate.column == spec.shard_key
-        ]
-        return spec.shards_for_predicates(constraints)
-
-    def _execute_scan(self, request: ScanRequest) -> StoreResult:
-        self._check_collection(request.collection)
-        targets = self._targets_for_scan(request)
         metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted = 0
-        for index in targets:
-            child = self._shards[index]
-            if request.collection not in child.collections():
-                continue
-            contacted += 1
-            result = child.execute(request)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-            if request.limit is not None and len(rows) >= request.limit:
-                break
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        metrics.partitions_used = contacted
-        metrics.partitions_pruned = len(self._shards) - contacted
-        return StoreResult(rows=rows, metrics=metrics)
+        pieces = self._fan_out(request, serve, lambda rows, n: rows[:n], metrics)
+        return StoreResult([row for rows in pieces for row in rows], metrics)
 
     def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
-        """Route a scan and forward each child's native batches untouched.
-
-        Every contacted shard serves its own :class:`StoreBatchStream`
-        (taking the child's native tuple path where it has one); the router
-        concatenates the batch streams without repacking a single row.
-        Pruning, limit handling and the contacted/pruned accounting match
-        :meth:`_execute_scan`.  Non-scan requests fall back to the dict
-        adapter (lookups route per key and stay point-shaped).
-        """
-        if not isinstance(request, ScanRequest):
-            return super()._execute_batches(request, columns, batch_size)
-        self._check_collection(request.collection)
-        targets = self._targets_for_scan(request)
-        metrics = StoreMetrics()
         wanted = tuple(columns)
-        limit = request.limit
-        shards = self._shards
-        total = len(shards)
 
-        def fold(child_metrics: StoreMetrics) -> None:
-            metrics.rows_scanned += child_metrics.rows_scanned
-            metrics.index_lookups += child_metrics.index_lookups
-            metrics.elapsed_seconds += child_metrics.elapsed_seconds
-            metrics.replica_attempts += child_metrics.replica_attempts
-            metrics.replica_retries += child_metrics.replica_retries
-            metrics.replica_hedges += child_metrics.replica_hedges
-            metrics.replica_failovers += child_metrics.replica_failovers
+        def serve(child: Store, sub: StoreRequest):
+            stream = child.execute_batches(sub, wanted, batch_size)
 
-        def batches():
-            contacted = 0
-            produced = 0
-            try:
-                for index in targets:
-                    child = shards[index]
-                    if request.collection not in child.collections():
-                        continue
-                    contacted += 1
-                    stream = child.execute_batches(request, wanted, batch_size)
-                    try:
-                        for batch in stream:
-                            if limit is not None and produced + len(batch) >= limit:
-                                batch = batch.take(limit - produced)
-                                produced += len(batch)
-                                if batch:
-                                    yield batch
-                                return
-                            produced += len(batch)
-                            yield batch
-                    finally:
-                        stream.close()
-                        fold(stream.metrics)
-            finally:
-                # Filled in as the stream ends (normally or abandoned); the
-                # wrapper folds the metrics object only after exhaustion.
-                metrics.partitions_used = contacted
-                metrics.partitions_pruned = total - contacted
+            def finish() -> StoreMetrics:
+                stream.close()
+                return stream.metrics
 
-        return batches(), metrics
+            return stream, finish
 
-    def _execute_lookup(self, request: LookupRequest) -> StoreResult:
-        """Route each key to its shard.
+        metrics = StoreMetrics()
+        return self._fan_out(request, serve, lambda batch, n: batch.take(n), metrics), metrics
 
-        Lookup keys are by contract values of the *shard-key* column (a
-        ``LookupRequest`` carries no column name, so there is nothing else to
-        route by); the materialization path rejects lookup fragments keyed on
-        any other column.
+    def _routes(self, request: StoreRequest) -> list[tuple[int, StoreRequest]]:
+        """``(shard, child request)`` pairs that can hold the request's rows.
+
+        Scans are pruned by their shard-key predicates; lookup keys are by
+        contract values of the *shard-key* column (a ``LookupRequest``
+        carries no column name, so there is nothing else to route by — the
+        materialization path rejects lookup fragments keyed on any other
+        column), so each key becomes a point probe of its own shard.
         """
+        if isinstance(request, JoinRequest):
+            raise self._reject("store-side joins (the mediator joins shard results)")
+        if isinstance(request, SearchRequest) and not self.capabilities().supports_text_search:
+            raise self._reject("full-text search")
         self._check_collection(request.collection)
         spec = self._specs.get(request.collection)
+        if isinstance(request, ScanRequest):
+            if spec is None:
+                return [(index, request) for index in range(len(self._shards))]
+            constraints = [
+                (predicate.op, predicate.value)
+                for predicate in request.predicates
+                if predicate.column == spec.shard_key
+            ]
+            return [(index, request) for index in spec.shards_for_predicates(constraints)]
+        if isinstance(request, SearchRequest):
+            return [(index, request) for index in range(len(self._shards))]
         if spec is None:
             raise StoreError(
                 f"collection {request.collection!r} has no sharding spec; "
                 "key lookups need one to route"
             )
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted: set[int] = set()
+        routes: list[tuple[int, StoreRequest]] = []
         for key in request.keys:
             index = spec.route(key)
-            contacted.add(index)
-            child = self._shards[index]
-            if request.collection not in child.collections():
-                continue
-            if child.capabilities().requires_key_lookup:
-                probe: StoreRequest = LookupRequest(
-                    collection=request.collection,
-                    keys=(key,),
-                    projection=request.projection,
-                )
+            if self._shards[index].capabilities().requires_key_lookup:
+                probe: StoreRequest = replace(request, keys=(key,))
             else:
                 probe = ScanRequest(
-                    collection=request.collection,
-                    predicates=(Predicate(spec.shard_key, "=", key),),
-                    projection=request.projection,
+                    request.collection,
+                    (Predicate(spec.shard_key, "=", key),),
+                    request.projection,
                 )
-            result = child.execute(probe)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-        metrics.partitions_used = len(contacted)
-        metrics.partitions_pruned = len(self._shards) - len(contacted)
-        return StoreResult(rows=rows, metrics=metrics)
+            routes.append((index, probe))
+        return routes
 
-    def _execute_search(self, request: SearchRequest) -> StoreResult:
-        if not self.capabilities().supports_text_search:
-            raise self._reject("full-text search")
-        self._check_collection(request.collection)
-        metrics = StoreMetrics()
-        rows: list[dict[str, object]] = []
-        contacted = 0
-        for child in self._shards:
-            if request.collection not in child.collections():
-                continue
-            contacted += 1
-            result = child.execute(request)
-            metrics = metrics.merge(result.metrics)
-            rows.extend(result.rows)
-        if request.limit is not None:
-            rows = rows[: request.limit]
-        metrics.partitions_used = contacted
-        metrics.partitions_pruned = len(self._shards) - contacted
-        return StoreResult(rows=rows, metrics=metrics)
+    def _fan_out(self, request: StoreRequest, serve, take, metrics: StoreMetrics):
+        """The routing loop: contact each routed shard, cut at the limit, account.
+
+        ``serve(child, sub)`` issues one child request and returns its pieces
+        (row lists or batches) plus a callable yielding the child's metrics
+        once it is done; ``take(piece, n)`` keeps a piece's first ``n`` rows.
+        The contacted/pruned accounting is filled in when the loop ends,
+        normally or abandoned (the batch wrapper reads the metrics only after
+        closing this generator).
+        """
+        routes = self._routes(request)
+        limit = getattr(request, "limit", None)
+        shards = self._shards
+
+        def pieces():
+            contacted: set[int] = set()
+            produced = 0
+            try:
+                for index, sub in routes:
+                    child = shards[index]
+                    if request.collection not in child.collections():
+                        continue
+                    contacted.add(index)
+                    served, finish = serve(child, sub)
+                    try:
+                        for piece in served:
+                            if limit is not None and produced + len(piece) >= limit:
+                                piece = take(piece, limit - produced)
+                                if piece:
+                                    yield piece
+                                return
+                            produced += len(piece)
+                            yield piece
+                    finally:
+                        metrics.add(finish())
+            finally:
+                metrics.partitions_used = len(contacted)
+                metrics.partitions_pruned = len(shards) - len(contacted)
+
+        return pieces()
 
     def _check_collection(self, collection: str) -> None:
         if collection not in self.collections():

@@ -366,7 +366,12 @@ class FaultInjector(Store):
                 self._injected["mid_stream"] += 1
             return decision
 
-    def _apply_pre_faults(self, decision: _Decision) -> None:
+    def _begin(self) -> int | None:
+        """Decide one request's faults and inject the pre-request ones.
+
+        Returns after how many rows the response is lost (None: it is not).
+        """
+        decision = self._decide()
         if decision.error:
             raise TransientStoreError(f"store {self.name!r} dropped the request")
         wait = self._inner.simulated_latency + decision.slow_seconds
@@ -375,29 +380,29 @@ class FaultInjector(Store):
             # backup won, or the query exited early): surface it as a dropped
             # request — nobody is waiting for the answer anyway.
             raise TransientStoreError(f"request to store {self.name!r} was cancelled")
+        return decision.mid_stream_after
 
     # -- execution -------------------------------------------------------------------
-    def _execute(self, request: StoreRequest) -> StoreResult:
-        decision = self._decide()
-        self._apply_pre_faults(decision)
-        result = self._inner._execute(request)
-        if decision.mid_stream_after is not None and len(result.rows) > decision.mid_stream_after:
+    # Either output shape takes one fault decision per request and then runs
+    # the child's own hook for that shape (its native scan, its segments).
+    def _dict_result(self, request: StoreRequest) -> StoreResult:
+        lost_after = self._begin()
+        result = self._inner._dict_result(request)
+        if lost_after is not None and len(result.rows) > lost_after:
             # The store did the work but the response died partway through;
             # the caller must retry (and must tolerate the duplicate work).
             raise TransientStoreError(
-                f"store {self.name!r} lost the response after "
-                f"{decision.mid_stream_after} rows"
+                f"store {self.name!r} lost the response after {lost_after} rows"
             )
         return result
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ) -> tuple[Iterator[RowBatch], StoreMetrics]:
-        decision = self._decide()
-        self._apply_pre_faults(decision)
+        lost_after = self._begin()
         batches, metrics = self._inner._execute_batches(request, columns, batch_size)
-        if decision.mid_stream_after is not None:
-            batches = self._truncate(batches, decision.mid_stream_after)
+        if lost_after is not None:
+            batches = self._truncate(batches, lost_after)
         return batches, metrics
 
     def _truncate(self, batches: Iterator[RowBatch], after: int) -> Iterator[RowBatch]:

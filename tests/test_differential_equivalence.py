@@ -21,6 +21,11 @@ must return the oracle's bag.  The fault schedules are seeded
 (``REPRO_CHAOS_SEED``, CI runs a small seed matrix), so a failing example
 replays exactly.
 
+The **required-variable regressions** vary the *fragmentation* instead of
+the deployment: a fragment that lacks a column a WHERE comparison reads must
+not answer the statement (``NoRewritingFoundError``), and beside a fragment
+that has it the answer is the oracle's.
+
 The **rewrite-at-scale profile** checks the rewriting engine the same way:
 random view catalogs with inclusion TGDs are rewritten by PACB and by the
 classical backchase, cold and warm, and both must return exactly the
@@ -357,6 +362,101 @@ class TestSharedPathRegressions:
         ]
         for sql, expected in cases:
             _assert_matches_oracle(every_configuration, (sql, None, expected), marketplace_data)
+
+
+# -- the fragmentation: a rewriting must expose what the residual reads ---------------
+
+_EVENT_COLUMNS = ("uid", "kind", "val", "ts")
+_EVENTS = [
+    {"uid": i % 13, "kind": f"k{i % 4}", "val": (i * 37) % 100, "ts": (i * 53) % 120}
+    for i in range(300)
+]
+
+
+def _events_counts_by_kind(events):
+    counts = {}
+    for event in events:
+        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+    return [{"kind": kind, "n": n} for kind, n in counts.items()]
+
+
+# id -> (sql, expected): each statement reads a column (`val`, and `ts` in
+# the last) its SELECT list does not expose; `expected` is the plain-Python
+# answer over _EVENTS.
+_RESIDUAL_READS = {
+    "select": (
+        "SELECT uid, kind, ts FROM events WHERE val > 93",
+        lambda events: [
+            {"uid": e["uid"], "kind": e["kind"], "ts": e["ts"]} for e in events if e["val"] > 93
+        ],
+    ),
+    "distinct": (
+        "SELECT DISTINCT uid FROM events WHERE val > 93",
+        lambda events: [{"uid": uid} for uid in {e["uid"] for e in events if e["val"] > 93}],
+    ),
+    "group_by": (
+        "SELECT kind, COUNT(*) AS n FROM events WHERE val > 93 GROUP BY kind",
+        lambda events: _events_counts_by_kind([e for e in events if e["val"] > 93]),
+    ),
+    "column_comparison": (
+        "SELECT uid FROM events WHERE val > ts",
+        lambda events: [{"uid": e["uid"]} for e in events if e["val"] > e["ts"]],
+    ),
+}
+
+
+def _events_estocada(with_identity: bool):
+    """``events`` stored as the narrow ``F_ev_narrow(uid, kind, ts)`` (no ``val``),
+    plus the identity ``F_events`` when ``with_identity``."""
+    from repro import Estocada
+    from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
+    from repro.core import Atom, ConjunctiveQuery, ViewDefinition
+    from repro.datamodel import TableSchema
+    from repro.stores import RelationalStore
+
+    def fragment(name, columns):
+        head = [f"?{column}" for column in columns]
+        body = [Atom("events", [f"?{column}" for column in _EVENT_COLUMNS])]
+        view = ViewDefinition(name, ConjunctiveQuery(name, head, body), column_names=columns)
+        return StorageDescriptor(
+            name, "app", "pg", view, StorageLayout(name.lower()), AccessMethod("scan")
+        )
+
+    est = Estocada(parallelism=1)
+    est.register_store("pg", RelationalStore("pg"))
+    est.register_relational_dataset("app", [TableSchema("events", _EVENT_COLUMNS)])
+    fragments = [("F_ev_narrow", ("uid", "kind", "ts"))]
+    if with_identity:
+        fragments.append(("F_events", _EVENT_COLUMNS))
+    for name, columns in fragments:
+        rows = [{column: event[column] for column in columns} for event in _EVENTS]
+        est.register_fragment(fragment(name, columns), rows=rows)
+    return est
+
+
+class TestRequiredResidualVariables:
+    """A fragment lacking a column a WHERE comparison reads is not a rewriting.
+
+    The narrow fragment alone must be refused (``NoRewritingFoundError``),
+    not answer with a filter that reads nothing; beside the identity
+    fragment, the answer is the oracle's.
+    """
+
+    @pytest.mark.parametrize("with_identity", [False, True], ids=["narrow_only", "with_identity"])
+    @pytest.mark.parametrize("shape", sorted(_RESIDUAL_READS))
+    def test_residual_columns_are_required(self, shape, with_identity):
+        from repro.errors import NoRewritingFoundError
+
+        sql, oracle = _RESIDUAL_READS[shape]
+        est = _events_estocada(with_identity)
+        if not with_identity:
+            with pytest.raises(NoRewritingFoundError):
+                est.query(sql, dataset="app")
+            return
+        expected = oracle(_EVENTS)
+        assert expected, "the oracle answer must not be empty"
+        for run in ("first run", "warm repeat"):
+            assert _bag(est.query(sql, dataset="app").rows) == _bag(expected), run
 
 
 # -- the rewrite-at-scale profile ----------------------------------------------------

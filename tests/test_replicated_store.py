@@ -165,9 +165,9 @@ class TestFaultInjector:
         assert injector.injection_report()["mid_stream"] == 1
 
     def test_batch_requests_run_the_childs_native_scan(self, tmp_path):
-        # Only a store's own _execute_batches serves a scan from its durable
-        # segments (the _execute adapter walks the heap), so segment activity
-        # on the wrapper's stream shows the child's batch scan ran.
+        # Only the batch shape serves a scan from the durable segments (the
+        # dict view walks the heap), so segment activity on the wrapper's
+        # stream shows the child's own batch scan ran.
         from repro.stores.segment import DurableBacking
 
         inner = RelationalStore("x")
@@ -444,6 +444,33 @@ class TestReplicatedStore:
         for index in range(store.replica_count):
             assert store.health.statistics(index).healthy
             assert store.health.statistics(index).failures == 0
+
+    def test_durable_replicas_serve_unindexed_scans_from_segments(self, tmp_path):
+        # Each attempt drains the replica's own batch stream, so a replicated
+        # durable deployment prunes segments exactly as a lone replica does.
+        from repro.stores import Predicate
+        from repro.stores.segment import DurableBacking
+
+        rows = [{"a": i, "b": i % 3} for i in range(230)]
+        request = ScanRequest("t", (Predicate("a", ">=", 200),))
+        store = ReplicatedStore("rep", [RelationalStore("r.0"), RelationalStore("r.1")])
+        store.attach_durable(DurableBacking(str(tmp_path / "rep"), segment_rows=50))
+        lone = RelationalStore("lone")
+        lone.attach_durable(DurableBacking(str(tmp_path / "lone"), segment_rows=50))
+        for target in (*store.replica_stores(), lone):
+            target.create_table("t", ["a", "b"])
+        store.insert("t", rows)
+        lone.insert("t", rows)
+
+        streams = [s.execute_batches(request, ("a", "b")) for s in (store, lone)]
+        for stream in streams:
+            assert sorted(row for batch in stream for row in batch.rows) == [
+                (i, i % 3) for i in range(200, 230)
+            ]
+        replicated, alone = (stream.metrics for stream in streams)
+        assert alone.segments_skipped > 0
+        assert replicated.segments_skipped == alone.segments_skipped
+        assert replicated.rows_scanned == alone.rows_scanned
 
     def test_results_identical_with_and_without_faults(self):
         clean = _replicated()

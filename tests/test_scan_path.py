@@ -1,10 +1,13 @@
 """The delegated-scan read path, layer by layer, against plain-Python oracles.
 
-* the store scan kernel (``kept_rows`` + ``row_batches``) behind both scan
-  entry points of the dict-heap stores: a hypothesis differential over ragged
+* the store scan kernel (``kept_rows`` + ``row_batches``) behind both output
+  shapes of the dict-heap stores: a hypothesis differential over ragged
   rows, ``None``s, every comparator, wanted columns the collection lacks,
-  dotted paths and limits; limit parity between ``execute`` and
-  ``execute_batches`` for every store kind; laziness under a small limit;
+  dotted paths and limits; the same differential over every request kind of
+  every store (lookups, store-side joins, key-pinned scans, ranked search)
+  and through the sharded and replicated routers; limit parity between
+  ``execute`` and ``execute_batches`` for every store kind; laziness under a
+  small limit;
 * ``HashJoin``: bounded output batches under a skewed key, early exit under
   a LIMIT, the explicit-``on`` agreement check and the cartesian product;
 * ``Aggregate``: running states that do not depend on where batches split;
@@ -17,6 +20,7 @@ The oracles below import nothing from ``repro``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -36,9 +40,15 @@ from repro.runtime.operators import (
 from repro.stores import (
     DocumentStore,
     FullTextStore,
+    JoinRequest,
     KeyValueStore,
+    LookupRequest,
     ParallelStore,
     RelationalStore,
+    ReplicatedStore,
+    SearchRequest,
+    ShardedStore,
+    ShardingSpec,
 )
 from repro.stores import base as store_base
 from repro.stores.base import Predicate, ScanRequest, batch_tuples
@@ -154,6 +164,219 @@ class TestScanKernelDifferential:
         expected = _oracle_scan(rows, predicates, wanted, limit)
         assert _dict_bag(store, request, wanted) == expected
         assert _batch_bag(store, request, wanted) == expected
+
+
+# -- every request kind of every store, both shapes ------------------------------------
+#
+# A case builds a store over the drawn rows and returns ``(store, request,
+# expected, any_of)``: ``expected`` is the oracle's list of answer rows; when
+# ``any_of`` is a limit, any ``limit`` of them are a correct answer (stores
+# whose row order is not insertion order), otherwise exactly ``expected``.
+
+_WORDS = {None: "amber", -3: "basil", -2: "cedar", -1: "delta", 0: "ember", 1: "fjord", 2: "grove", 3: "hazel"}
+
+
+def _oracle_kept(rows, predicates, limit=None):
+    kept = [
+        row
+        for row in rows
+        if all(_oracle_compare(op, _oracle_read(row, column), value) for column, op, value in predicates)
+    ]
+    return kept if limit is None else kept[:limit]
+
+
+def _oracle_search(documents, words, limit):
+    """TF-IDF over whitespace tokens: tf = frequency / length, idf = ln((1+N)/(1+df)) + 1."""
+    tokens_of = [document["text"].split() for document in documents]
+    scores = {}
+    for word in words:
+        holders = {p: tokens.count(word) for p, tokens in enumerate(tokens_of) if word in tokens}
+        if not holders:
+            continue
+        idf = math.log((1 + max(len(documents), 1)) / (1 + len(holders))) + 1.0
+        for position, frequency in holders.items():
+            scores[position] = scores.get(position, 0.0) + frequency / len(tokens_of[position]) * idf
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:limit]
+    return [{**documents[p], "_score": round(score, 6)} for p, score in ranked]
+
+
+def _predicates(predicates):
+    return tuple(Predicate(column, op, value) for column, op, value in predicates)
+
+
+def _relational(rows, indexed):
+    store = RelationalStore("pg")
+    store.create_table("t", _COLUMNS)
+    store.insert("t", rows)
+    store.create_table("u", ("a", "d"))
+    store.insert("u", [{"a": row["b"], "d": row["c"]} for row in rows])
+    if indexed:
+        store.create_index("t", "a")
+    return store
+
+
+def _parallel(rows, indexed):
+    store = ParallelStore("spark", default_partitions=3)
+    store.create_dataset("t", partition_column="a")
+    store.insert("t", rows)
+    store.create_dataset("u", partition_column="a")
+    store.insert("u", [{"a": row["b"], "d": row["c"]} for row in rows])
+    if indexed:
+        store.create_index("t", "a")
+    return store
+
+
+def _join(store, rows, predicates, limit):
+    """t ⋈ u on ``a`` (``u.a`` is ``t.b``); the left row wins shared columns."""
+    left = ScanRequest("t", _predicates(predicates), None, limit)
+    request = JoinRequest(left, ScanRequest("u"), (("a", "a"),))
+    right = [{"a": row["b"], "d": row["c"]} for row in rows]
+    kept = _oracle_kept(rows, predicates, limit)
+    expected = [{**r, **l} for l in kept for r in right if r["a"] == l["a"]]
+    return store, request, expected, None
+
+
+def _keyvalue(rows):
+    store = KeyValueStore("redis")
+    store.put_many("t", {row["a"]: dict(row) for row in rows})
+    entries = {row["a"]: {**row, "key": row["a"]} for row in rows}
+    return store, entries
+
+
+def _documents(rows, indexed):
+    documents = [{"_id": row["a"], **row} for row in rows]
+    store = DocumentStore("mongo")
+    store.insert("t", documents)
+    if indexed:
+        store.create_index("t", "_id")
+    return store, documents
+
+
+def _fulltext(rows):
+    documents = [{**row, "text": f"{_WORDS[row['b']]} {_WORDS[row['c']]}"} for row in rows]
+    store = FullTextStore("solr")
+    store.create_collection("t", ("text",))
+    store.insert("t", documents)
+    return store, documents
+
+
+def _sharded(rows):
+    store = ShardedStore.homogeneous("shardpg", 3, RelationalStore)
+    store.set_sharding("t", ShardingSpec("a", 3))
+    for child in store.shard_stores():
+        child.create_table("t", _COLUMNS)
+    store.insert("t", rows)
+    return store
+
+
+def _case_relational_lookup(rows, predicates, limit, keys, indexed):
+    expected = [row for key in keys for row in rows if row["a"] == key]
+    return _relational(rows, indexed), LookupRequest("t", keys), expected, None
+
+
+def _case_relational_join(rows, predicates, limit, keys, indexed):
+    return _join(_relational(rows, indexed), rows, predicates, limit)
+
+
+def _case_document_lookup(rows, predicates, limit, keys, indexed):
+    store, documents = _documents(rows, indexed)
+    expected = [d for key in keys for d in documents if d["_id"] == key]
+    return store, LookupRequest("t", keys), expected, None
+
+
+def _case_keyvalue_lookup(rows, predicates, limit, keys, indexed):
+    store, entries = _keyvalue(rows)
+    expected = [entries[key] for key in keys if key in entries]
+    return store, LookupRequest("t", keys), expected, None
+
+
+def _case_keyvalue_pinned_scan(rows, predicates, limit, keys, indexed):
+    # One or two key pins (two different ones match nothing) plus the rest.
+    predicates = [("key", "=", key) for key in keys] + predicates
+    store, entries = _keyvalue(rows)
+    expected = _oracle_kept(list(entries.values()), predicates, limit)
+    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+
+
+def _case_fulltext_scan(rows, predicates, limit, keys, indexed):
+    store, documents = _fulltext(rows)
+    expected = _oracle_kept(documents, predicates, limit)
+    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+
+
+def _case_fulltext_search(rows, predicates, limit, keys, indexed):
+    store, documents = _fulltext(rows)
+    words = [_WORDS[key] for key in keys]
+    request = SearchRequest("t", " ".join(words), limit=limit)
+    return store, request, _oracle_search(documents, words, limit), None
+
+
+def _case_parallel_scan(rows, predicates, limit, keys, indexed):
+    request = ScanRequest("t", _predicates(predicates), None, limit)
+    return _parallel(rows, indexed), request, _oracle_kept(rows, predicates), limit
+
+
+def _case_parallel_lookup(rows, predicates, limit, keys, indexed):
+    expected = [row for key in keys for row in rows if row["a"] == key]
+    return _parallel(rows, indexed), LookupRequest("t", keys), expected, None
+
+
+def _case_parallel_join(rows, predicates, limit, keys, indexed):
+    # No limit: partitions do not keep insertion order, so "the first k" differ.
+    return _join(_parallel(rows, indexed), rows, predicates, None)
+
+
+def _case_sharded_scan(rows, predicates, limit, keys, indexed):
+    request = ScanRequest("t", _predicates(predicates), None, limit)
+    return _sharded(rows), request, _oracle_kept(rows, predicates), limit
+
+
+def _case_sharded_lookup(rows, predicates, limit, keys, indexed):
+    expected = [row for key in keys for row in rows if row["a"] == key]
+    return _sharded(rows), LookupRequest("t", keys), expected, None
+
+
+def _case_replicated_scan(rows, predicates, limit, keys, indexed):
+    store = ReplicatedStore("rep", [_relational(rows, indexed), _relational(rows, not indexed)])
+    expected = _oracle_kept(rows, predicates, limit)
+    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+
+
+_CASES = {
+    name[len("_case_"):]: case for name, case in globals().items() if name.startswith("_case_")
+}
+# Columns no drawn row has, except through a request kind that adds them.
+_EXTRA_WANTED = ("key", "d", "_score")
+
+
+def _rows_of(store, request, wanted, shape):
+    if shape == "dict":
+        return [tuple(row.get(column) for column in wanted) for row in store.execute(request).rows]
+    batches = list(store.execute_batches(request, wanted, 4))
+    assert all(batch.columns == wanted and 0 < len(batch) <= 4 for batch in batches)
+    return [row for batch in batches for row in batch.rows]
+
+
+class TestRequestKindDifferential:
+    """``execute`` and ``execute_batches`` of every request kind against the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_scans(ragged=False), st.lists(_values, min_size=1, max_size=2), st.booleans())
+    def test_both_shapes_match_the_oracle(self, case, scan, keys, indexed):
+        rows, predicates, wanted, limit = scan
+        store, request, expected, any_of = _CASES[case](rows, predicates, limit, tuple(keys), indexed)
+        wanted = wanted + _EXTRA_WANTED
+        expected_rows = [tuple(row.get(column) for column in wanted) for row in expected]
+        for shape in ("dict", "batches"):
+            got = _rows_of(store, request, wanted, shape)
+            if isinstance(request, SearchRequest):
+                assert got == expected_rows, shape  # the ranking, not just the hits
+            elif any_of is None:
+                assert Counter(got) == Counter(expected_rows), shape
+            else:
+                assert len(got) == min(any_of, len(expected_rows)), shape
+                assert Counter(got) <= Counter(expected_rows), shape
 
 
 def _stores_with_five_rows(tmp_path):

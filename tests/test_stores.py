@@ -233,6 +233,43 @@ class TestKeyValueStore:
         result = keyvalue.execute(ScanRequest("prefs", (Predicate("key", "=", 2),)))
         assert result.rows[0]["category"] == "toys"
 
+    @staticmethod
+    def _both_shapes(store, request):
+        rows = [row["category"] for row in store.execute(request).rows]
+        stream = store.execute_batches(request, ("category",))
+        return rows, [row[0] for batch in stream for row in batch.rows]
+
+    def test_contradictory_key_pins_match_nothing(self, keyvalue):
+        pins = (Predicate("key", "=", 1), Predicate("key", "=", 2))
+        assert self._both_shapes(keyvalue, ScanRequest("prefs", pins)) == ([], [])
+
+    def test_key_pinned_scan_honours_limit(self, keyvalue):
+        for limit in (0, 1):
+            request = ScanRequest("prefs", (Predicate("key", "=", 2),), limit=limit)
+            expected = ["toys"][:limit]
+            assert self._both_shapes(keyvalue, request) == (expected, expected), limit
+
+    def test_durable_scans_read_entries_not_segments(self, tmp_path):
+        # Frozen segments hold superseded ``{key, value}`` puts, not entry rows:
+        # a batch scan must read the live entries, as the dict view does.
+        from repro.stores.segment import DurableBacking
+
+        store = KeyValueStore("redis", allow_scans=True)
+        store.attach_durable(DurableBacking(str(tmp_path / "kv"), segment_rows=2))
+        for key in range(7):
+            store.put("prefs", key, {"category": f"c{key % 2}"})
+        store.put("prefs", 3, {"category": "moved"})
+        for compacted in (False, True):
+            assert store.durable_backing().has_segments("prefs")
+            pinned = ScanRequest("prefs", (Predicate("key", "=", 3),))
+            assert self._both_shapes(store, pinned) == (["moved"], ["moved"])
+            filtered = ScanRequest("prefs", (Predicate("category", "=", "c1"),), limit=5)
+            rows, batched = self._both_shapes(store, filtered)
+            assert rows == batched == ["c1", "c1"]
+            rows, batched = self._both_shapes(store, ScanRequest("prefs"))
+            assert sorted(rows) == sorted(batched) == ["c0"] * 4 + ["c1"] * 2 + ["moved"]
+            store.compact_durable()
+
     def test_scans_allowed_when_configured(self):
         store = KeyValueStore("debug", allow_scans=True)
         store.put_many("c", {1: "a", 2: "b"})
@@ -352,15 +389,6 @@ class TestParallelStore:
         result = parallel.execute(request)
         assert len(result.rows) == 8
         assert all(row["name"] == "u1" for row in result.rows)
-
-    def test_aggregate(self, parallel):
-        rows = parallel.aggregate("visits", ["uid"], {"visits": ("count", "sku"), "total": ("sum", "duration")})
-        assert len(rows) == 5
-        assert all(row["visits"] == 8 for row in rows)
-
-    def test_map_partitions(self, parallel):
-        counts = parallel.map_partitions("visits", lambda part: [{"n": len(part)}])
-        assert sum(row["n"] for row in counts) == 40
 
     def test_duplicate_dataset_rejected(self, parallel):
         with pytest.raises(StoreError):
