@@ -412,9 +412,7 @@ class MaintenanceEngine:
 
     def _finish_fragment(self, watched: _WatchedFragment) -> None:
         """Post-apply bookkeeping: the fragment is fresh, its stats changed."""
-        name = watched.descriptor.fragment_name
-        # invalidate() also clears the staleness counters.
-        self._statistics.invalidate(name)
+        self._statistics.note_data_write(watched.descriptor.fragment_name)
 
     def _restate_staleness(self, watched: _WatchedFragment) -> None:
         """Re-derive the staleness counters from the surviving queue."""

@@ -18,11 +18,11 @@ longer reflect reality.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.catalog.manager import StorageDescriptorManager
-from repro.errors import CatalogError
+from repro.errors import CatalogError, StoreError
 
 __all__ = [
     "FragmentStatistics",
@@ -356,11 +356,21 @@ class TenantUsage:
 
 
 class StatisticsCatalog:
-    """Collects fragment statistics lazily and caches them."""
+    """Collects fragment statistics lazily and caches them.
+
+    A data write to a maintained fragment is a statistics *update*
+    (:meth:`note_data_write`), not a recount: the full per-column count runs
+    again only once the fragment's size has drifted by more than
+    :attr:`drift_threshold` (the facade sets its own) since the last one.
+    """
+
+    drift_threshold = 0.5
 
     def __init__(self, manager: StorageDescriptorManager) -> None:
         self._manager = manager
         self._cache: dict[str, FragmentStatistics] = {}
+        # Fragment size at its last full per-column count.
+        self._counted: dict[str, int] = {}
         self._observed: dict[str, float] = {}
         self._shard_observed: dict[str, dict[int, float]] = {}
         self._tenant_lock = threading.Lock()
@@ -518,6 +528,7 @@ class StatisticsCatalog:
         """Drop cached statistics and observations (one fragment or all)."""
         if fragment is None:
             self._cache.clear()
+            self._counted.clear()
             self._observed.clear()
             self._shard_observed.clear()
             with self._staleness_lock:
@@ -526,11 +537,52 @@ class StatisticsCatalog:
                 self._first_pending.clear()
         else:
             self._cache.pop(fragment, None)
+            self._counted.pop(fragment, None)
             self._observed.pop(fragment, None)
             self._shard_observed.pop(fragment, None)
             # A re-materialized fragment starts fresh: its backlog (if any)
             # was subsumed by the rebuild.
             self.clear_staleness(fragment)
+
+    def note_data_write(self, fragment: str) -> None:
+        """A maintained fragment's rows changed: update its statistics in place.
+
+        The backlog and runtime observations go, as with :meth:`invalidate`,
+        but the cached statistics stay: the cardinality is re-read from the
+        store (an O(1) size) and the distinct counts are capped at it.  Only
+        a size that drifted past :attr:`drift_threshold` since the last full
+        count drops the cache, so the next :meth:`get` recounts.
+        """
+        self._observed.pop(fragment, None)
+        self._shard_observed.pop(fragment, None)
+        self.clear_staleness(fragment)
+        cached = self._cache.get(fragment)
+        if cached is None:
+            return
+        try:
+            descriptor = self._manager.fragment(fragment)
+            store = self._manager.store(descriptor.store)
+            size = store.collection_size(descriptor.layout.collection)
+        except (CatalogError, StoreError):  # the placement is gone: count afresh later
+            self._cache.pop(fragment, None)
+            return
+        counted = self._counted.get(fragment, cached.cardinality)
+        if abs(size - counted) > self.drift_threshold * max(counted, 1):
+            self._cache.pop(fragment, None)
+            return
+        shard_sizes = getattr(store, "shard_sizes", None)
+        self._cache[fragment] = replace(
+            cached,
+            cardinality=size,
+            distinct_values={
+                column: min(count, size) for column, count in cached.distinct_values.items()
+            },
+            shard_cardinalities=(
+                tuple(shard_sizes(descriptor.layout.collection))
+                if shard_sizes is not None
+                else ()
+            ),
+        )
 
     # -- the runtime feedback loop --------------------------------------------------
     def observed_cardinality(self, fragment: str) -> float | None:
@@ -647,6 +699,7 @@ class StatisticsCatalog:
             shard_cardinalities=shard_cardinalities,
         )
         self._cache[fragment] = statistics
+        self._counted[fragment] = cardinality
         return statistics
 
     def get(self, fragment: str) -> FragmentStatistics:

@@ -231,11 +231,14 @@ def delta_evaluate(
             rows = old.get(relation)
             if rows is None:
                 raise DeltaError(f"no bag provided for relation {relation!r}")
-            state = Counter(rows.rows if isinstance(rows, BagIndex) else rows)
             delta = deltas.get(relation)
             if delta:
+                state = Counter(rows.rows if isinstance(rows, BagIndex) else rows)
                 apply_delta_to_bag(state, delta)
-            index = BagIndex(state)
+                index = BagIndex(state)
+            else:
+                # Unchanged: its new state is its old one, indexes and all.
+                index = _as_index(rows)
             new_indexes[relation] = index
         return index
 

@@ -22,17 +22,11 @@ The implementation is a backtracking search with two standard optimisations:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Iterator, KeysView, Sequence
 
-from repro.core.memo import LRUMemo
 from repro.core.terms import Atom, Constant, Substitution, Term, Variable
 
 __all__ = ["InstanceIndex", "find_homomorphism", "iterate_homomorphisms", "count_homomorphisms"]
-
-# Tokens distinguishing index instances for memo keys: two indexes with equal
-# content never share a fingerprint, so cached homomorphisms cannot go stale.
-_index_tokens = itertools.count()
 
 
 class InstanceIndex:
@@ -42,14 +36,12 @@ class InstanceIndex:
     them and the index keeps lookup structures in sync.
     """
 
-    __slots__ = ("_facts", "_by_relation", "_by_rel_pos_value", "_token", "_mutations")
+    __slots__ = ("_facts", "_by_relation", "_by_rel_pos_value")
 
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
         self._facts: set[Atom] = set()
         self._by_relation: dict[str, list[Atom]] = {}
         self._by_rel_pos_value: dict[tuple[str, int, object], list[Atom]] = {}
-        self._token: int = next(_index_tokens)
-        self._mutations: int = 0
         for fact in facts:
             self.add(fact)
 
@@ -59,7 +51,6 @@ class InstanceIndex:
         if fact in self._facts:
             return False
         self._facts.add(fact)
-        self._mutations += 1
         self._by_relation.setdefault(fact.relation, []).append(fact)
         for position, term in enumerate(fact.terms):
             if isinstance(term, Constant):
@@ -88,11 +79,6 @@ class InstanceIndex:
     def relations(self) -> KeysView[str]:
         """Relation names present in the instance (a live set-like view)."""
         return self._by_relation.keys()
-
-    @property
-    def fingerprint(self) -> tuple[int, int]:
-        """Identity + mutation count: a stable memo key for this index state."""
-        return (self._token, self._mutations)
 
     def by_relation(self, relation: str) -> Sequence[Atom]:
         """Facts over ``relation``."""
@@ -227,10 +213,6 @@ def iterate_homomorphisms(
     yield from search(0, seed or Substitution.empty())
 
 
-_NO_HOMOMORPHISM = object()
-_find_memo = LRUMemo("find_homomorphism", max_entries=8192)
-
-
 def find_homomorphism(
     pattern: Sequence[Atom],
     instance: InstanceIndex | Iterable[Atom],
@@ -241,28 +223,10 @@ def find_homomorphism(
 
     ``requirement`` optionally filters homomorphisms (e.g. "head variables must
     map to the expected values" for containment checks).
-
-    Requirement-free searches against an :class:`InstanceIndex` are memoized
-    on (pattern, index fingerprint, seed): the chase re-checks the same TGD
-    head against the same instance state many times per round.
     """
-    key = None
-    if requirement is None and isinstance(instance, InstanceIndex):
-        key = (
-            tuple(pattern),
-            instance.fingerprint,
-            None if seed is None else frozenset(seed.items()),
-        )
-        cached = _find_memo.get(key)
-        if cached is not _find_memo.missing:
-            return None if cached is _NO_HOMOMORPHISM else cached  # type: ignore[return-value]
     for homomorphism in iterate_homomorphisms(pattern, instance, seed=seed):
         if requirement is None or requirement(homomorphism):
-            if key is not None:
-                _find_memo.put(key, homomorphism)
             return homomorphism
-    if key is not None:
-        _find_memo.put(key, _NO_HOMOMORPHISM)
     return None
 
 

@@ -59,6 +59,7 @@ from repro.runtime.kernels import (
 from repro.runtime.operators import Aggregate, Deduplicate, Operator, Project
 from repro.stores.base import Store
 from repro.stores.replicated import ReplicatedStore, ReplicationPolicy
+from repro.stores.segment import write_group
 from repro.stores.sharded import ShardedStore
 from repro.translation.planner import Planner
 
@@ -427,6 +428,7 @@ class Estocada:
         self._statement_hits = 0
         self._statement_misses = 0
         self._drift_threshold = max(0.0, drift_threshold)
+        self._statistics.drift_threshold = self._drift_threshold
         # Serializes the rewrite-and-plan phase (rewriter, memos, plan cache
         # bookkeeping) when concurrent service workers share this facade;
         # execution itself runs outside the lock and overlaps freely.
@@ -853,8 +855,10 @@ class Estocada:
         policy the deltas are applied before returning; a store failure
         during application (e.g. a crashed replica mid-fan-out) propagates as
         its typed error with the delta still safely queued — the fragment is
-        detectably stale, never silently wrong.  Returns the write's global
-        sequence number.
+        detectably stale, never silently wrong.  On durable stores the
+        statement is one write group: each backing writes its records as one
+        WAL frame with one fsync when the statement ends (even when it
+        raises).  Returns the write's global sequence number.
         """
         inserts = self._normalize_rows(inserts)
         deletes = self._normalize_rows(deletes)
@@ -864,8 +868,11 @@ class Estocada:
         with self._planning_lock:
             self._manager.note_data_write({relation, *affected})
         if self._write_policy == "eager" and affected:
-            for fragment in affected:
-                self.maintain(fragment, cancel=cancel)
+            # The engine lock spans the group's commit, so a tombstone fold's
+            # store dump never interleaves with another statement's deltas.
+            with self._maintenance.lock, write_group():
+                for fragment in affected:
+                    self.maintain(fragment, cancel=cancel)
         return seq
 
     def maintain(
@@ -880,7 +887,8 @@ class Estocada:
         engine = self._maintenance
         targets = (fragment,) if fragment is not None else engine.stale_fragments()
         try:
-            return engine.maintain(fragment, cancel=cancel)
+            with engine.lock, write_group():
+                return engine.maintain(fragment, cancel=cancel)
         finally:
             freshened = [name for name in targets if not engine.pending(name)]
             if freshened:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.errors import DeltaError, SchemaError, StoreError
+from repro.errors import SchemaError, StoreError
 from repro.stores.base import (
     LookupRequest,
     ScanRequest,
@@ -20,6 +20,7 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
 )
+from repro.stores.heap import RowHeap
 
 __all__ = ["DocumentStore", "get_path", "flatten_document"]
 
@@ -59,14 +60,14 @@ class DocumentStore(Store):
 
     def __init__(self, name: str = "document", latency: float = 0.0) -> None:
         super().__init__(name, latency=latency)
-        self._collections: dict[str, list[dict[str, object]]] = {}
-        self._indexes: dict[tuple[str, str], dict[object, list[int]]] = {}
+        # One heap per collection; its indexes are keyed by dotted path.
+        self._collections: dict[str, RowHeap] = {}
 
     # -- collection management -----------------------------------------------------
     def create_collection(self, name: str) -> None:
         """Create an empty collection (idempotent)."""
         if name not in self._collections:
-            self._collections[name] = []
+            self._collections[name] = RowHeap(read=get_path)
             self._durable_log({"kind": "create", "collection": name})
 
     def drop_collection(self, name: str) -> None:
@@ -74,38 +75,34 @@ class DocumentStore(Store):
         if name not in self._collections:
             raise StoreError(f"collection {name!r} does not exist in store {self.name!r}")
         del self._collections[name]
-        self._indexes = {
-            key: value for key, value in self._indexes.items() if key[0] != name
-        }
         self._durable_log({"kind": "drop", "collection": name})
 
     def insert(self, collection: str, documents: Iterable[Mapping[str, object]]) -> int:
         """Insert documents into a collection (created on demand)."""
-        bucket = self._collections.setdefault(collection, [])
-        inserted: list[dict[str, object]] = []
-        for document in documents:
-            if not isinstance(document, Mapping):
-                raise SchemaError("documents must be mappings")
-            position = len(bucket)
-            stored = dict(document)
-            bucket.append(stored)
-            for (indexed_collection, path), index in self._indexes.items():
-                if indexed_collection == collection:
-                    index.setdefault(get_path(stored, path), []).append(position)
-            inserted.append(stored)
+        inserted = self._append(collection, documents)
         if inserted:
             self._durable_log({"kind": "rows", "collection": collection, "rows": inserted})
         return len(inserted)
 
+    def _append(
+        self, collection: str, documents: Iterable[Mapping[str, object]]
+    ) -> list[dict[str, object]]:
+        """Store copies of ``documents``; returns the stored dicts."""
+        heap = self._collections.get(collection)
+        if heap is None:
+            heap = self._collections[collection] = RowHeap(read=get_path)
+        inserted: list[dict[str, object]] = []
+        for document in documents:
+            if not isinstance(document, Mapping):
+                raise SchemaError("documents must be mappings")
+            stored = dict(document)
+            heap.append(stored)
+            inserted.append(stored)
+        return inserted
+
     def create_index(self, collection: str, path: str) -> None:
         """Create a single-field index on a dotted path."""
-        documents = self._collections.get(collection)
-        if documents is None:
-            raise StoreError(f"collection {collection!r} does not exist in store {self.name!r}")
-        index: dict[object, list[int]] = {}
-        for position, document in enumerate(documents):
-            index.setdefault(get_path(document, path), []).append(position)
-        self._indexes[(collection, path)] = index
+        self._documents(collection).add_index(path)
         self._durable_log({"kind": "index", "collection": collection, "column": path})
 
     def apply_delta(
@@ -115,48 +112,17 @@ class DocumentStore(Store):
         deletes: Sequence[Mapping[str, object]] = (),
     ) -> int:
         documents = self._documents(collection)
-        doomed: list[int] = []
-        taken: set[int] = set()
-        for delete in deletes:
-            record = dict(delete)
-            match = None
-            for position, stored in enumerate(documents):
-                if position not in taken and stored == record:
-                    match = position
-                    break
-            if match is None:
-                raise DeltaError(
-                    f"collection {collection!r}: delete of {record!r} matches no document"
-                )
-            taken.add(match)
-            doomed.append(match)
-        for position in sorted(doomed, reverse=True):
-            del documents[position]
-        # Indexes are positional; removals shift everything after them.
-        self._rebuild_indexes(collection)
-        with self._durable_silence():  # the delta record covers the inserts
-            touched = len(doomed) + self.insert(collection, inserts)
-        if deletes or inserts:
+        removed = documents.remove(deletes, f"collection {collection!r}")
+        added = self._append(collection, inserts)
+        if removed or added:
             self._durable_log(
-                {
-                    "kind": "delta",
-                    "collection": collection,
-                    "inserts": [dict(document) for document in inserts],
-                    "deletes": [dict(document) for document in deletes],
-                }
+                {"kind": "delta", "collection": collection, "inserts": added, "deletes": removed}
             )
-        return touched
+        return len(removed) + len(added)
 
     def truncate_collection(self, collection: str) -> None:
         self._documents(collection).clear()
-        self._rebuild_indexes(collection)
         self._durable_log({"kind": "truncate", "collection": collection})
-
-    def _rebuild_indexes(self, collection: str) -> None:
-        with self._durable_silence():  # rebuilding is not a new index definition
-            for indexed_collection, path in list(self._indexes):
-                if indexed_collection == collection:
-                    self.create_index(collection, path)
 
     # -- durability hooks --------------------------------------------------------
     def _durable_replay(self, record: Mapping[str, object]) -> None:
@@ -184,12 +150,8 @@ class DocumentStore(Store):
         return {
             name: {
                 "columns": None,  # ragged documents: segment schemas are per-freeze
-                "meta": {
-                    "indexes": sorted(
-                        path for c, path in self._indexes if c == name
-                    ),
-                },
-                "rows": [dict(document) for document in documents],
+                "meta": {"indexes": sorted(documents.indexes())},
+                "rows": list(documents),
             }
             for name, documents in self._collections.items()
         }
@@ -228,7 +190,7 @@ class DocumentStore(Store):
         return {
             "count": len(documents),
             "distinct": len(values),
-            "indexed": (collection, column) in self._indexes,
+            "indexed": documents.index_on(column) is not None,
         }
 
     @staticmethod
@@ -238,7 +200,7 @@ class DocumentStore(Store):
         return value
 
     # -- execution (native rows; stores/base.py shapes them) ----------------------------
-    def _documents(self, collection: str) -> list[dict[str, object]]:
+    def _documents(self, collection: str) -> RowHeap:
         documents = self._collections.get(collection)
         if documents is None:
             raise StoreError(f"collection {collection!r} does not exist in store {self.name!r}")
@@ -252,16 +214,16 @@ class DocumentStore(Store):
         for predicate in request.predicates:
             if predicate.op != "=":
                 continue
-            index = self._indexes.get((request.collection, predicate.column))
+            index = documents.index_on(predicate.column)
             if index is None:
                 continue
-            positions = index.get(predicate.value, ())
+            positions = index.lookup(predicate.value)
             metrics.index_lookups += 1
             if candidate_positions is None or len(positions) < len(candidate_positions):
                 candidate_positions = positions
         if candidate_positions is None:
             return documents, None, metrics
-        return documents, [documents[p] for p in candidate_positions], metrics
+        return documents, documents.rows_at(candidate_positions), metrics
 
     @staticmethod
     def _reader_of(column: str):
@@ -272,12 +234,12 @@ class DocumentStore(Store):
         # Documents are looked up by their "_id" path by convention.
         documents = self._documents(request.collection)
         metrics = StoreMetrics()
-        index = self._indexes.get((request.collection, "_id"))
+        index = documents.index_on("_id")
         rows: list[dict[str, object]] = []
         for key in request.keys:
             metrics.index_lookups += 1
             if index is not None:
-                rows.extend(documents[p] for p in index.get(key, ()))
+                rows.extend(documents.rows_at(index.lookup(key)))
             else:
                 metrics.rows_scanned += len(documents)
                 rows.extend(d for d in documents if d.get("_id") == key)

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from repro.errors import DeltaError, StoreError
+from repro.errors import StoreError
 from repro.stores.base import (
     ScanRequest,
     SearchRequest,
@@ -21,19 +21,34 @@ from repro.stores.base import (
     StoreMetrics,
 )
 from repro.stores.fulltext.analyzer import Analyzer
+from repro.stores.heap import RowHeap
 
 __all__ = ["FullTextStore"]
 
 
 class _Collection:
-    """One indexed collection: stored documents plus the inverted index."""
+    """One indexed collection: stored documents plus the inverted index.
+
+    Postings and lengths key on heap positions, which stay stable across
+    deletes; a heap compaction remaps them through :meth:`_moved`.
+    """
 
     def __init__(self, indexed_fields: tuple[str, ...]) -> None:
         self.indexed_fields = indexed_fields
-        self.documents: list[dict[str, object]] = []
+        self.documents = RowHeap(on_compact=self._moved)
         # token -> {document position -> term frequency}
         self.postings: dict[str, dict[int, int]] = {}
+        # document position -> token count (holes keep their stale entry)
         self.lengths: list[int] = []
+
+    def _moved(self, moved) -> None:
+        lengths = [0] * len(self.documents)
+        for old, new in enumerate(moved):
+            if new >= 0:
+                lengths[new] = self.lengths[old]
+        self.lengths = lengths
+        for token, postings in self.postings.items():
+            self.postings[token] = {moved[old]: frequency for old, frequency in postings.items()}
 
 
 class FullTextStore(Store):
@@ -59,8 +74,7 @@ class FullTextStore(Store):
         count = 0
         for document in documents:
             stored = dict(document)
-            position = len(bucket.documents)
-            bucket.documents.append(stored)
+            position = bucket.documents.append(stored)
             tokens = self._analyzer.analyze_fields(stored, bucket.indexed_fields)
             bucket.lengths.append(len(tokens))
             for token, frequency in Counter(tokens).items():
@@ -75,40 +89,25 @@ class FullTextStore(Store):
         deletes: Sequence[Mapping[str, object]] = (),
     ) -> int:
         bucket = self._bucket(collection)
-        doomed: list[int] = []
-        taken: set[int] = set()
-        for delete in deletes:
-            record = dict(delete)
-            match = None
-            for position, stored in enumerate(bucket.documents):
-                if position not in taken and stored == record:
-                    match = position
-                    break
-            if match is None:
-                raise DeltaError(
-                    f"collection {collection!r}: delete of {record!r} matches no document"
-                )
-            taken.add(match)
-            doomed.append(match)
-        for position in sorted(doomed, reverse=True):
-            del bucket.documents[position]
-        # Postings key on document positions; rebuild the inverted index.
-        self._reindex(bucket)
-        return len(doomed) + self.insert(collection, inserts)
+        documents = bucket.documents
+        positions = documents.locate(deletes, f"collection {collection!r}")
+        postings = bucket.postings
+        for position in positions:
+            # Unpost the document before the heap may compact and remap.
+            stored = documents.at(position)
+            for token in set(self._analyzer.analyze_fields(stored, bucket.indexed_fields)):
+                token_postings = postings[token]
+                del token_postings[position]
+                if not token_postings:
+                    del postings[token]
+        documents.delete(positions)
+        return len(positions) + self.insert(collection, inserts)
 
     def truncate_collection(self, collection: str) -> None:
         bucket = self._bucket(collection)
-        bucket.documents = []
-        self._reindex(bucket)
-
-    def _reindex(self, bucket: _Collection) -> None:
+        bucket.documents.clear()
         bucket.postings = {}
         bucket.lengths = []
-        for position, stored in enumerate(bucket.documents):
-            tokens = self._analyzer.analyze_fields(stored, bucket.indexed_fields)
-            bucket.lengths.append(len(tokens))
-            for token, frequency in Counter(tokens).items():
-                bucket.postings.setdefault(token, {})[position] = frequency
 
     def _bucket(self, collection: str) -> _Collection:
         bucket = self._collections.get(collection)
@@ -179,7 +178,7 @@ class FullTextStore(Store):
             ranked = ranked[: request.limit]
         rows: list[dict[str, object]] = []
         for position, score in ranked:
-            row = dict(bucket.documents[position])
+            row = dict(bucket.documents.at(position))
             row["_score"] = round(score, 6)
             rows.append(row)
         metrics.rows_scanned = len(scores)

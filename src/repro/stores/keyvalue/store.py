@@ -127,12 +127,32 @@ class KeyValueStore(Store):
                 f"collection {collection!r} in store {self.name!r} has no declared "
                 f"key column; cannot apply a delta"
             )
+        # Strict like every other store, and checked whole before anything
+        # changes: a delete must match its stored entry exactly, and an
+        # insert may not land on a key that stays live.
+        deleted: set = set()
         for delete in deletes:
             key = delete.get(key_column)
-            if key not in bucket:
+            if key in deleted or key not in bucket:
                 raise DeltaError(
                     f"collection {collection!r}: delete of key {key!r} matches no entry"
                 )
+            if bucket[key] != dict(delete):
+                raise DeltaError(
+                    f"collection {collection!r}: delete of {dict(delete)!r} does not "
+                    f"match the stored entry {bucket[key]!r}"
+                )
+            deleted.add(key)
+        inserted: set = set()
+        for insert in inserts:
+            key = insert.get(key_column)
+            if key in inserted or (key in bucket and key not in deleted):
+                raise DeltaError(
+                    f"collection {collection!r}: insert under key {key!r} would "
+                    "overwrite a live entry"
+                )
+            inserted.add(key)
+        for key in deleted:
             del bucket[key]
         for insert in inserts:
             # Keep the key inside the value, matching the materialization path.

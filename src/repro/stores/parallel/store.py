@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
 
-from repro.errors import DeltaError, SchemaError, StoreError
+from repro.errors import SchemaError, StoreError
+from repro.stores.heap import RowHeap
 from repro.stores.sharding import stable_hash
 from repro.stores.base import (
     LookupRequest,
@@ -28,12 +29,18 @@ __all__ = ["ParallelStore"]
 
 
 class _Dataset:
-    """One partitioned dataset: rows spread over hash partitions."""
+    """One partitioned dataset: rows spread over hash partitions.
+
+    Each partition is its own heap, carrying its own per-partition indexes.
+    """
 
     def __init__(self, partition_column: str | None, partitions: int) -> None:
         self.partition_column = partition_column
-        self.partitions: list[list[dict[str, object]]] = [[] for _ in range(partitions)]
-        self.indexes: dict[str, list[dict[object, list[int]]]] = {}
+        self.partitions: list[RowHeap] = [RowHeap() for _ in range(partitions)]
+
+    def has_index(self, column: str) -> bool:
+        """Whether ``column`` is indexed (every partition indexes alike)."""
+        return self.partitions[0].index_on(column) is not None
 
     def partition_of(self, row: Mapping[str, object]) -> int:
         # A stable hash, not the per-process-salted builtin: partition
@@ -87,24 +94,15 @@ class ParallelStore(Store):
             if not isinstance(row, Mapping):
                 raise SchemaError("parallel store rows must be mappings")
             stored = dict(row)
-            partition = target.partition_of(stored)
-            position = len(target.partitions[partition])
-            target.partitions[partition].append(stored)
-            for column, partition_indexes in target.indexes.items():
-                partition_indexes[partition].setdefault(stored.get(column), []).append(position)
+            target.partitions[target.partition_of(stored)].append(stored)
             count += 1
         return count
 
     def create_index(self, dataset: str, column: str) -> None:
         """Create a per-partition hash index on ``column``."""
         target = self._dataset(dataset)
-        partition_indexes: list[dict[object, list[int]]] = []
         for partition in target.partitions:
-            index: dict[object, list[int]] = {}
-            for position, row in enumerate(partition):
-                index.setdefault(row.get(column), []).append(position)
-            partition_indexes.append(index)
-        target.indexes[column] = partition_indexes
+            partition.add_index(column)
 
     def apply_delta(
         self,
@@ -113,45 +111,22 @@ class ParallelStore(Store):
         deletes: Sequence[Mapping[str, object]] = (),
     ) -> int:
         target = self._dataset(collection)
-        touched_partitions: set[int] = set()
-        taken: dict[int, set[int]] = {}
-        doomed: dict[int, list[int]] = {}
+        grouped: dict[int, list[Mapping[str, object]]] = {}
         for delete in deletes:
-            record = dict(delete)
-            partition_number = target.partition_of(record)
-            partition = target.partitions[partition_number]
-            claimed = taken.setdefault(partition_number, set())
-            match = None
-            for position, stored in enumerate(partition):
-                if position not in claimed and stored == record:
-                    match = position
-                    break
-            if match is None:
-                raise DeltaError(
-                    f"dataset {collection!r}: delete of {record!r} matches no row"
-                )
-            claimed.add(match)
-            doomed.setdefault(partition_number, []).append(match)
-        for partition_number, positions in doomed.items():
-            partition = target.partitions[partition_number]
-            for position in sorted(positions, reverse=True):
-                del partition[position]
-            touched_partitions.add(partition_number)
-        # Per-partition indexes are positional; rebuild the touched partitions.
-        for column, partition_indexes in target.indexes.items():
-            for partition_number in touched_partitions:
-                index: dict[object, list[int]] = {}
-                for position, row in enumerate(target.partitions[partition_number]):
-                    index.setdefault(row.get(column), []).append(position)
-                partition_indexes[partition_number] = index
-        deleted = sum(len(positions) for positions in doomed.values())
+            grouped.setdefault(target.partition_of(delete), []).append(delete)
+        # Locate every delete before removing any, so a refused delta leaves
+        # every partition unchanged.
+        owner = f"dataset {collection!r}"
+        located = [
+            (target.partitions[number], target.partitions[number].locate(records, owner))
+            for number, records in grouped.items()
+        ]
+        deleted = sum(len(partition.delete(positions)) for partition, positions in located)
         return deleted + self.insert(collection, inserts)
 
     def truncate_collection(self, collection: str) -> None:
-        target = self._dataset(collection)
-        target.partitions = [[] for _ in target.partitions]
-        for column in target.indexes:
-            target.indexes[column] = [{} for _ in target.partitions]
+        for partition in self._dataset(collection).partitions:
+            partition.clear()
 
     def _dataset(self, name: str) -> _Dataset:
         dataset = self._datasets.get(name)
@@ -188,7 +163,7 @@ class ParallelStore(Store):
         return {
             "count": len(dataset),
             "distinct": len(values),
-            "indexed": column in dataset.indexes,
+            "indexed": dataset.has_index(column),
             "partitions": len(dataset.partitions),
         }
 
@@ -202,19 +177,19 @@ class ParallelStore(Store):
             (
                 predicate
                 for predicate in request.predicates
-                if predicate.op == "=" and predicate.column in dataset.indexes
+                if predicate.op == "=" and dataset.has_index(predicate.column)
             ),
             None,
         )
         if indexed is None:
             return dataset, None, metrics
         metrics.index_lookups += len(used)
-        indexes = dataset.indexes[indexed.column]
-        narrowed = [
-            dataset.partitions[number][position]
-            for number in used
-            for position in indexes[number].get(indexed.value, ())
-        ]
+        narrowed = []
+        for number in used:
+            partition = dataset.partitions[number]
+            narrowed += partition.rows_at(
+                partition.index_on(indexed.column).lookup(indexed.value)
+            )
         return dataset, narrowed, metrics
 
     def _lookup_rows(self, request: LookupRequest):
@@ -231,9 +206,9 @@ class ParallelStore(Store):
             partition = dataset.partitions[partition_number]
             metrics.partitions_used = max(metrics.partitions_used, 1)
             metrics.index_lookups += 1
-            index = dataset.indexes.get(column)
+            index = partition.index_on(column)
             if index is not None:
-                rows.extend(partition[p] for p in index[partition_number].get(key, ()))
+                rows.extend(partition.rows_at(index.lookup(key)))
             else:
                 metrics.rows_scanned += len(partition)
                 rows.extend(row for row in partition if row.get(column) == key)

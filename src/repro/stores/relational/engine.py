@@ -141,7 +141,7 @@ class RelationalStore(Store):
                     "primary_key": list(table.primary_key),
                     "indexes": sorted(table.indexes()),
                 },
-                "rows": [dict(row) for row in table.rows],
+                "rows": list(table.rows),
             }
             for name, table in self._tables.items()
         }
@@ -197,7 +197,7 @@ class RelationalStore(Store):
                 candidate_positions = positions
         if candidate_positions is None:
             return table.rows, None, metrics
-        return table.rows, [table.row_at(p) for p in candidate_positions], metrics
+        return table.rows, table.rows_at(candidate_positions), metrics
 
     def _lookup_rows(self, request: LookupRequest):
         table = self.table(request.collection)
@@ -214,7 +214,7 @@ class RelationalStore(Store):
             column = table.primary_key[0] if table.primary_key else table.columns[0]
             index = table.index_on(column)
             if index is not None:
-                rows.extend(table.row_at(p) for p in index.lookup(key))
+                rows.extend(table.rows_at(index.lookup(key)))
             else:
                 metrics.rows_scanned += len(table)
                 rows.extend(r for r in table.rows if r.get(column) == key)

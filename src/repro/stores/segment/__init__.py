@@ -7,6 +7,7 @@ from repro.stores.segment.backing import (
     DEFAULT_SEGMENT_ROWS,
     DurableBacking,
     default_segment_rows,
+    write_group,
 )
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import SegmentReader, SegmentWriter, write_segment
@@ -24,5 +25,6 @@ __all__ = [
     "encode_value",
     "frame_offsets",
     "replay",
+    "write_group",
     "write_segment",
 ]

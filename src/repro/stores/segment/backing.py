@@ -13,7 +13,12 @@ backing mirrors each record into its own state: inserted rows accumulate in
 a per-collection *tail*, and once the tail reaches the segment size the
 backing freezes a run into a segment file (tmp + fsync + rename) and then
 appends a ``freeze`` record — in that order, so a crash at any byte leaves
-either an orphan segment file (harmless) or a fully valid freeze.
+either an orphan segment file (harmless) or a fully valid freeze.  Inside a
+:func:`write_group` (one facade write statement) the records are buffered
+and written as one frame with one fsync when the group ends.  A delete that
+finds no tail row leaves a tombstone for the frozen copy; once a
+collection's tombstones reach the segment size the backing *folds* them
+away with a compaction, right after the frame that reached the limit.
 
 **Recovery.**  Opening a directory replays MANIFEST segments and then the
 WAL's valid prefix through the store's ``_durable_replay`` hook, rebuilding
@@ -23,7 +28,8 @@ segments (their rows were already replayed from the preceding inserts).
 **Compaction.**  :meth:`compact` dumps the store's *current* in-memory
 state into a fresh segment generation with rebuilt zone maps, starts an
 empty WAL, and commits both with one atomic MANIFEST rename; files of the
-old generation become garbage and are removed best-effort afterwards.
+old generation become garbage and are removed best-effort once no scan
+that started before the commit is still streaming from them.
 
 **Scans.**  :meth:`scan_batches` serves a delegated scan straight from the
 segments + tail: segments whose zone maps provably exclude a predicate are
@@ -36,7 +42,8 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from typing import Callable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DurabilityError
 from repro.runtime.batch import freeze_value
@@ -55,6 +62,7 @@ __all__ = [
     "DurableBacking",
     "DEFAULT_SEGMENT_ROWS",
     "default_segment_rows",
+    "write_group",
 ]
 
 MANIFEST_NAME = "MANIFEST"
@@ -72,10 +80,55 @@ def default_segment_rows() -> int:
     return max(1, value)
 
 
-class _CollectionState:
-    """Per-collection durable state: frozen segments + unfrozen tail."""
+# The open write group of each thread: the backings holding its records.
+_open_groups = threading.local()
 
-    __slots__ = ("columns", "meta", "segments", "tail", "tombstones")
+
+@contextmanager
+def write_group():
+    """Group commit: every record logged inside lands as one WAL frame per backing.
+
+    Each backing a thread logs to inside the block buffers that thread's
+    records (applying them to its own state at once) and, when the outermost
+    block exits — normally *or* by an exception, since what was applied in
+    memory must be durable — writes them as one frame with one fsync, then
+    folds its tombstones if they reached the segment size.  Recovery thus
+    sees one statement's records per backing whole or not at all.  Nested
+    blocks join the outer group.
+    """
+    if getattr(_open_groups, "backings", None) is not None:
+        yield
+        return
+    backings: list[DurableBacking] = []
+    _open_groups.backings = backings
+    try:
+        yield
+    finally:
+        _open_groups.backings = None
+        for backing in backings:
+            backing._commit_group(backings)
+
+
+def _expand(records: Iterable[Mapping[str, object]]) -> Iterator[Mapping[str, object]]:
+    """WAL frame payloads to records: a group frame holds several, in order."""
+    for record in records:
+        if record.get("kind") == "group":
+            yield from record["records"]
+        else:
+            yield record
+
+
+class _CollectionState:
+    """Per-collection durable state: frozen segments + unfrozen tail.
+
+    Rows are keyed (tail counter, tombstones) by their value tuple in the
+    collection's declared column order; ragged collections with no declared
+    columns fall back to :func:`freeze_value` of the whole row.
+    """
+
+    __slots__ = (
+        "columns", "meta", "segments", "tail", "tail_keys", "tombstones", "tombstone_count"
+    )
 
     def __init__(
         self,
@@ -85,15 +138,81 @@ class _CollectionState:
         self.columns = columns
         self.meta: dict = dict(meta or {})
         self.segments: list[SegmentReader] = []
+        # The unfrozen rows, oldest first: the store's own row objects.
         self.tail: list[dict] = []
+        # How many tail rows hold each key; built on the first delete only,
+        # so bulk loads never pay for it.
+        self.tail_keys: Counter | None = None
         # Deletes that matched no tail row necessarily hit rows already frozen
-        # into segments; they are remembered here (keyed by the frozen row's
-        # canonical form) and applied when segment rows are scanned, until the
-        # next compaction purges them for real.
+        # into segments; they are remembered here and applied when segment
+        # rows are scanned, until a fold (compaction) purges them for real.
         self.tombstones: Counter = Counter()
+        self.tombstone_count = 0
 
     def frozen_rows(self) -> int:
         return sum(segment.row_count for segment in self.segments)
+
+    def key(self, row: Mapping[str, object]) -> object:
+        """The row's identity for tail and tombstone matching."""
+        if self.columns is None:
+            return freeze_value(row)
+        return self.key_of(map(row.get, self.columns))
+
+    @staticmethod
+    def key_of(values: Iterable[object]) -> object:
+        """The identity of a row given its values in declared column order."""
+        key = tuple(values)
+        try:
+            hash(key)
+        except TypeError:  # nested values: freeze them
+            return freeze_value(key)
+        return key
+
+    def append(self, rows: Sequence[dict]) -> None:
+        self.tail.extend(rows)
+        if self.tail_keys is not None:
+            self.tail_keys.update(map(self.key, rows))
+
+    def delete(self, rows: Sequence[Mapping[str, object]]) -> None:
+        """Drop one tail copy per row (searched newest first), else tombstone a
+        frozen one: O(1) for a frozen row, a C search from the tail's end plus
+        the list shift for a row still in the tail."""
+        tail = self.tail
+        tail_keys = self.tail_keys
+        if tail_keys is None:
+            tail_keys = self.tail_keys = Counter(map(self.key, tail))
+        for row in rows:
+            key = self.key(row)
+            held = tail_keys.get(key, 0)
+            if not held:
+                self.tombstones[key] += 1
+                self.tombstone_count += 1
+                continue
+            if held == 1:
+                del tail_keys[key]
+            else:
+                tail_keys[key] = held - 1
+            try:
+                position = _newest_index(tail, row)
+            except ValueError:  # equal by key only (e.g. a missing vs a None column)
+                position = next(
+                    p for p in range(len(tail) - 1, -1, -1) if self.key(tail[p]) == key
+                )
+            del tail[position]
+
+    def pop_front(self, count: int) -> list[dict]:
+        """Remove and return the oldest ``count`` tail rows (a freeze)."""
+        chunk = self.tail[:count]
+        del self.tail[:count]
+        tail_keys = self.tail_keys
+        if tail_keys is not None:
+            for key in map(self.key, chunk):
+                held = tail_keys[key]
+                if held == 1:
+                    del tail_keys[key]
+                else:
+                    tail_keys[key] = held - 1
+        return chunk
 
 
 def _reconstruct(columns: Sequence[str], row: tuple) -> dict:
@@ -124,6 +243,16 @@ class DurableBacking:
         self._collections: dict[str, _CollectionState] = {}
         self._wal: WriteAheadLog | None = None
         self._segment_seq = 0
+        # Records of the open write group, not yet in the WAL, and its owner.
+        self._pending: list[Mapping[str, object]] = []
+        self._pending_group: list | None = None
+        self._fold_due = False
+        # Scans still streaming, per generation they started in, and the
+        # files each compaction retired: a scan reads its segment files
+        # lazily, after the lock is released, so a retired file is removed
+        # only once no scan of an older generation is open.
+        self._open_scans: Counter = Counter()
+        self._retired: list[tuple[int, list[str]]] = []
 
     # -- introspection ------------------------------------------------------------
     @property
@@ -162,7 +291,7 @@ class DurableBacking:
                         "segments": len(state.segments),
                         "rows_frozen": state.frozen_rows(),
                         "rows_tail": len(state.tail),
-                        "tombstones": sum(state.tombstones.values()),
+                        "tombstones": state.tombstone_count,
                     }
                     for name, state in self._collections.items()
                 },
@@ -192,7 +321,7 @@ class DurableBacking:
             records = wal_module.replay(wal_path)
             had_disk = had_disk or bool(records) or os.path.exists(wal_path)
             with store._durable_silence():
-                for record in records:
+                for record in _expand(records):
                     self._apply(record, replay=True)
                     if record.get("kind") != "freeze":
                         store._durable_replay(record)
@@ -274,14 +403,59 @@ class DurableBacking:
 
     # -- write path ---------------------------------------------------------------
     def log(self, record: Mapping[str, object]) -> None:
-        """Append one operation record (fsync'd) and mirror it into the backing."""
+        """Log one operation record and mirror it into the backing.
+
+        Outside a :func:`write_group` the record is its own fsync'd frame;
+        inside one it is buffered until the group commits.
+        """
         with self._lock:
             if self._wal is None:
                 raise DurabilityError(
                     f"durable directory {self._directory!r} is not attached"
                 )
-            self._wal.append(record)
+            group = getattr(_open_groups, "backings", None)
+            if group is None:
+                self._flush_pending()
+                self._wal.append(record)
+                self._apply(record, replay=False)
+                self._fold_if_due()
+                return
+            if self._pending_group is not group:
+                # Another thread's statement still buffers here: its records
+                # were applied first, so they reach the WAL first.
+                self._flush_pending()
+                self._pending_group = group
+                group.append(self)
+            self._pending.append(record)
             self._apply(record, replay=False)
+
+    def _emit(self, record: Mapping[str, object]) -> None:
+        """Append a backing-minted record behind the records it follows."""
+        if self._pending_group is not None:
+            self._pending.append(record)
+        else:
+            self._wal.append(record)
+
+    def _flush_pending(self) -> None:
+        """Write the buffered group records as one frame (one fsync)."""
+        records = self._pending
+        if not records:
+            self._pending_group = None
+            return
+        self._pending, self._pending_group = [], None
+        self._wal.append(records[0] if len(records) == 1 else {"kind": "group", "records": records})
+
+    def _commit_group(self, group: list) -> None:
+        with self._lock:
+            if self._pending_group is group:
+                self._flush_pending()
+            self._fold_if_due()
+
+    def _fold_if_due(self) -> None:
+        """Fold tombstones that reached the segment size into a new generation."""
+        if self._fold_due:
+            self._fold_due = False
+            self._compact_locked()
 
     def _apply(self, record: Mapping[str, object], *, replay: bool) -> None:
         kind = record.get("kind")
@@ -296,43 +470,38 @@ class DurableBacking:
                 state.meta.update(meta)
         elif kind == "rows":
             state = self._state(collection, create=True)
-            state.tail.extend(dict(row) for row in record["rows"])
+            state.append(record["rows"])
             if not replay:
                 self._maybe_freeze(collection, state)
         elif kind == "put":
             state = self._state(collection, create=True)
-            state.tail.extend(
-                {"key": key, "value": value} for key, value in record["entries"]
-            )
+            state.append([{"key": key, "value": value} for key, value in record["entries"]])
             if not replay:
                 self._maybe_freeze(collection, state)
         elif kind == "delete_keys":
-            state = self._state(collection, create=True)
-            for key in record["keys"]:
-                for position, row in enumerate(state.tail):
-                    if row.get("key") == key:
-                        del state.tail[position]
-                        break
+            # A key-value delete names only the key.  Key-value scans never
+            # read segments and recovery replays the WAL, not frozen puts, so
+            # the put rows simply stay until a compaction dumps the live
+            # entries; they are no tombstones and never trigger a fold.
+            self._state(collection, create=True)
         elif kind == "delta":
             state = self._state(collection, create=True)
-            for delete in record.get("deletes", ()):
-                delete = dict(delete)
-                for position, row in enumerate(state.tail):
-                    if row == delete:
-                        del state.tail[position]
-                        break
-                else:
-                    state.tombstones[freeze_value(delete)] += 1
+            deletes = record.get("deletes", ())
+            if deletes:
+                state.delete(deletes)
+                self._note_tombstones(state, replay)
             inserts = record.get("inserts", ())
             if inserts:
-                state.tail.extend(dict(row) for row in inserts)
+                state.append(inserts)
                 if not replay:
                     self._maybe_freeze(collection, state)
         elif kind == "truncate":
             state = self._state(collection, create=True)
             state.segments = []
             state.tail = []
+            state.tail_keys = None
             state.tombstones = Counter()
+            state.tombstone_count = 0
         elif kind == "drop":
             self._collections.pop(collection, None)
         elif kind == "index":
@@ -349,9 +518,13 @@ class DurableBacking:
             state = self._state(collection, create=True)
             reader = SegmentReader(os.path.join(self._directory, record["segment"]))
             state.segments.append(reader)
-            del state.tail[: int(record["rows"])]
+            state.pop_front(int(record["rows"]))
         else:
             raise DurabilityError(f"unknown durable record kind {kind!r}")
+
+    def _note_tombstones(self, state: _CollectionState, replay: bool) -> None:
+        if not replay and state.tombstone_count >= self._segment_rows:
+            self._fold_due = True
 
     def _state(self, collection: str, *, create: bool) -> _CollectionState:
         state = self._collections.get(collection)
@@ -376,11 +549,11 @@ class DurableBacking:
         self._segment_seq += 1
         path = os.path.join(self._directory, filename)
         write_segment(path, collection, columns, rows)
-        self._wal.append(
+        self._emit(
             {"kind": "freeze", "collection": collection, "segment": filename, "rows": count}
         )
         state.segments.append(SegmentReader(path))
-        del state.tail[:count]
+        state.pop_front(count)
 
     # -- compaction ---------------------------------------------------------------
     def compact(self) -> Mapping[str, object] | None:
@@ -397,6 +570,10 @@ class DurableBacking:
     def _compact_locked(self) -> Mapping[str, object] | None:
         if self._store is None or self._wal is None:
             raise DurabilityError("compact() on an unattached durable backing")
+        # Buffered group records belong to the old generation: if this
+        # compaction dies before its manifest commits, recovery needs them.
+        self._flush_pending()
+        self._fold_due = False
         dump = self._store._durable_dump()
         if dump is None:
             return None
@@ -420,15 +597,16 @@ class DurableBacking:
                 filename = f"seg-{generation}-{self._segment_seq}.seg"
                 self._segment_seq += 1
                 path = os.path.join(self._directory, filename)
-                write_segment(path, name, columns, tuples)
+                # The manifest commit's directory fsync covers every new entry.
+                write_segment(path, name, columns, tuples, sync_directory=False)
                 state.segments.append(SegmentReader(path))
                 new_files.append(filename)
                 segments_written += 1
             new_states[name] = state
+        # An empty WAL has no data to sync; the manifest commit's directory
+        # fsync makes its entry durable.
         wal_path = os.path.join(self._directory, f"wal-{generation}.log")
-        with open(wal_path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        open(wal_path, "wb").close()
         manifest = {
             "generation": generation,
             "collections": {
@@ -449,7 +627,7 @@ class DurableBacking:
         self._collections = new_states
         if old_wal is not None:
             old_wal.close()
-        self._remove_stale_files(old_generation, keep=set(new_files))
+        self._retire_stale_files(old_generation, generation, keep=set(new_files))
         return {
             "generation": generation,
             "segments_written": segments_written,
@@ -469,18 +647,30 @@ class DurableBacking:
         os.replace(tmp_path, path)
         fsync_directory(self._directory)
 
-    def _remove_stale_files(self, old_generation: int, keep: set[str]) -> None:
-        """Best-effort removal of files the new manifest no longer references."""
+    def _retire_stale_files(self, old_generation: int, generation: int, keep: set[str]) -> None:
+        """Retire the files the new manifest no longer references."""
         try:
             names = os.listdir(self._directory)
         except OSError:  # pragma: no cover - directory vanished
             return
-        for name in names:
-            stale_wal = name == f"wal-{old_generation}.log"
-            stale_segment = (
-                name.startswith("seg-") and name.endswith(".seg") and name not in keep
-            )
-            if stale_wal or stale_segment:
+        stale = [
+            name
+            for name in names
+            if name == f"wal-{old_generation}.log"
+            or (name.startswith("seg-") and name.endswith(".seg") and name not in keep)
+        ]
+        self._retired.append((generation, stale))
+        self._remove_retired()
+
+    def _remove_retired(self) -> None:
+        """Best-effort removal of retired files no open scan can still read."""
+        oldest = min(self._open_scans, default=None)
+        retired, self._retired = self._retired, []
+        for generation, names in retired:
+            if oldest is not None and oldest < generation:
+                self._retired.append((generation, names))
+                continue
+            for name in names:
                 try:
                     os.remove(os.path.join(self._directory, name))
                 except OSError:  # pragma: no cover - already gone
@@ -530,14 +720,33 @@ class DurableBacking:
         metrics = StoreMetrics()
         wanted = tuple(columns)
         with self._lock:
-            state = self._collections.get(request.collection)
-            segments = tuple(state.segments) if state is not None else ()
-            tail = list(state.tail) if state is not None else []
-            tombstones = Counter(state.tombstones) if state is not None else Counter()
-        tuples = self._scan_tuples(
-            request, wanted, segments, tail, tombstones, metrics, evaluate
-        )
+            state = self._collections.get(request.collection) or _CollectionState()
+            segments = tuple(state.segments)
+            tail = list(state.tail)
+            tombstones = Counter(state.tombstones)
+            generation = self._generation
+            self._open_scans[generation] += 1
+            tuples = self._pinned(
+                generation,
+                self._scan_tuples(
+                    request, wanted, segments, tail, tombstones, state, metrics, evaluate
+                ),
+            )
+            next(tuples)  # primed: from here on, closing or dropping it unpins
         return batch_tuples(tuples, wanted, batch_size, request.limit), metrics
+
+    def _pinned(self, generation: int, tuples: Iterator[tuple]) -> Iterator[tuple]:
+        """``tuples``, holding ``generation``'s files on disk until the scan
+        is drained, closed or dropped (the first item is a priming ``()``)."""
+        try:
+            yield ()
+            yield from tuples
+        finally:
+            with self._lock:
+                self._open_scans[generation] -= 1
+                if not self._open_scans[generation]:
+                    del self._open_scans[generation]
+                self._remove_retired()
 
     def _scan_tuples(
         self,
@@ -546,6 +755,7 @@ class DurableBacking:
         segments: tuple[SegmentReader, ...],
         tail: list[dict],
         tombstones: Counter,
+        keys: _CollectionState,
         metrics: StoreMetrics,
         evaluate: Callable[[Mapping[str, object], object], bool],
     ) -> Iterator[tuple]:
@@ -576,23 +786,24 @@ class DurableBacking:
             decoded = len(positions) if positions is not None else segment.row_count
             metrics.rows_decoded += decoded
             metrics.rows_scanned += decoded
-            if pathful or tombstones:
-                # Full-width reconstruction: nested-path predicates and
-                # tombstone matching need the native row.
+            # A tombstone consumes one stored copy of its row.  Equal rows pass
+            # or fail every predicate alike, so only passing rows need checking.
+            if pathful or (tombstones and keys.columns is None):
+                # Full-width reconstruction: nested-path predicates and ragged
+                # rows (keyed by their native form) need the native row.
                 for row in segment.rows(positions):
                     native = _reconstruct(segment.columns, row)
-                    if tombstones:
-                        key = freeze_value(native)
-                        if tombstones.get(key, 0) > 0:
-                            tombstones[key] -= 1
-                            continue
                     if all(evaluate(native, p) for p in checks) and all(
                         evaluate(native, p) for p in pathful
                     ):
+                        if tombstones and _consume(tombstones, keys.key(native)):
+                            continue
                         yield tuple(native.get(column) for column in wanted)
             else:
+                key_columns = keys.columns if tombstones else ()
                 needed = set(wanted)
                 needed.update(p.column for p in checks)
+                needed.update(key_columns)
                 series = {
                     column: tuple(
                         None if value is ABSENT else value
@@ -604,17 +815,48 @@ class DurableBacking:
                     (series[p.column], COMPARATORS[p.op], p.value) for p in checks
                 )
                 output = tuple(series[column] for column in wanted)
+                key_series = tuple(series[column] for column in key_columns)
                 walk = positions if positions is not None else range(segment.row_count)
                 for position in walk:
                     if all(
                         comparator(column[position], value)
                         for column, comparator, value in tests
                     ):
+                        if key_series and _consume(
+                            tombstones,
+                            keys.key_of([column[position] for column in key_series]),
+                        ):
+                            continue
                         yield tuple(column[position] for column in output)
         metrics.rows_scanned += len(tail)
         for row in tail:
             if all(evaluate(row, p) for p in predicates):
                 yield tuple(row.get(column) for column in wanted)
+
+
+def _consume(tombstones: Counter, key: object) -> bool:
+    """Spend one tombstone on ``key`` if any is left (the row is deleted)."""
+    left = tombstones.get(key, 0)
+    if left:
+        tombstones[key] = left - 1
+    return bool(left)
+
+
+def _newest_index(rows: list, row: object) -> int:
+    """Position of a copy of ``row`` in the newest window of ``rows`` holding one.
+
+    Windows double backwards from the end and each is searched by
+    ``list.index`` in C, so nothing is copied and the search costs
+    O(distance from the end).  Raises ValueError when no copy exists.
+    """
+    high, width = len(rows), 64
+    while high > 0:
+        low = max(0, high - width)
+        try:
+            return rows.index(row, low, high)
+        except ValueError:
+            high, width = low, width * 2
+    raise ValueError(row)
 
 
 def _union_columns(rows: Sequence[Mapping[str, object]]) -> tuple[str, ...]:

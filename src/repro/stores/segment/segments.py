@@ -149,9 +149,17 @@ class SegmentWriter:
 
 
 def write_segment(
-    path: str, collection: str, columns: Sequence[str], rows: Sequence[tuple]
+    path: str,
+    collection: str,
+    columns: Sequence[str],
+    rows: Sequence[tuple],
+    sync_directory: bool = True,
 ) -> None:
-    """Write a segment file atomically: tmp file, fsync, rename, dir fsync."""
+    """Write a segment file atomically: tmp file, fsync, rename, dir fsync.
+
+    A caller committing several segments under one later directory fsync
+    (compaction's manifest rename) passes ``sync_directory=False``.
+    """
     columns = tuple(columns)
     blocks: list[bytes] = []
     zones: dict[str, object] = {}
@@ -193,7 +201,8 @@ def write_segment(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
-    fsync_directory(os.path.dirname(path) or ".")
+    if sync_directory:
+        fsync_directory(os.path.dirname(path) or ".")
 
 
 class SegmentReader:

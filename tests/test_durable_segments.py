@@ -22,6 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Estocada
+from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
+from repro.core import Atom, ConjunctiveQuery, ViewDefinition
+from repro.datamodel import TableSchema
 from repro.errors import (
     DurabilityError,
     SegmentCorruptError,
@@ -40,8 +43,10 @@ from repro.stores.segment import (
     encode_value,
     frame_offsets,
     replay,
+    write_group,
     write_segment,
 )
+from repro.stores.segment.backing import _newest_index
 from repro.testing import DiskFaultInjector, DiskFaultProfile
 
 # The recovery-chaos CI job sweeps this over a seed matrix so each run
@@ -564,6 +569,198 @@ class TestKillAtAnyOffset:
         assert _bag(_store_rows(recovered, "t")) == _bag(_oracle_rows(survivors, "t"))
 
 
+class TestKillAtAnyOffsetGrouped:
+    """Group commit + a tombstone fold: every crash point recovers whole statements.
+
+    Each statement writes two tables (two fragments) inside one write group,
+    so one WAL frame holds both tables' records (and any freeze); the third
+    statement's tombstones reach ``segment_rows`` and fold the backing into a
+    new generation.  For the WAL of *each* generation, truncated at every
+    byte offset, recovery must equal the oracle after some prefix of whole
+    statements: never one table with a statement and the other without.
+    """
+
+    SEGMENT_ROWS = 4
+
+    @staticmethod
+    def _statements():
+        """(inserts, deletes) per table per statement; deletes hit frozen rows."""
+        rows = {t: [{"a": i, "b": f"{t}{i % 3}"} for i in range(8)] for t in ("t1", "t2")}
+        later = {t: [{"a": 100 + i, "b": t} for i in range(3)] for t in ("t1", "t2")}
+        return [
+            {t: (rows[t][:6], []) for t in rows},  # freezes 4 rows per table
+            {t: (later[t][:1], rows[t][:2]) for t in rows},  # 2 tombstones each
+            {t: ([], rows[t][2:4]) for t in rows},  # 4 tombstones: the fold
+            {t: (later[t][1:2], rows[t][4:5]) for t in rows},  # the new generation
+            {t: (rows[t][6:8], [later[t][0]]) for t in rows},
+            {t: ([dict(later[t][1], b="updated")], [later[t][1]]) for t in rows},
+        ]
+
+    def test_recovery_is_a_prefix_of_whole_statements_at_every_offset(self, tmp_path):
+        live = str(tmp_path / "live")
+        snapshots: list[str] = []
+
+        def snapshot(stage):
+            if stage == "post_sync":  # each durable frame: copy the directory as it stands
+                target = str(tmp_path / f"snap-{len(snapshots)}")
+                shutil.copytree(live, target)
+                snapshots.append(target)
+
+        store = RelationalStore("pg")
+        backing = DurableBacking(live, segment_rows=self.SEGMENT_ROWS, crash_hook=snapshot)
+        store.attach_durable(backing)
+        for table in ("t1", "t2"):
+            store.create_table(table, ("a", "b"))
+        setup_frames = len(snapshots)
+        oracle = {"t1": [], "t2": []}
+        states = [{t: list(rows) for t, rows in oracle.items()}]
+        first_statement = {0: 0}  # generation -> statements already in its manifest
+        for statement in self._statements():
+            with write_group():
+                for table, (inserts, deletes) in statement.items():
+                    store.apply_delta(table, inserts=inserts, deletes=deletes)
+            for table, (inserts, deletes) in statement.items():
+                for row in deletes:
+                    oracle[table].remove(row)
+                oracle[table].extend(dict(row) for row in inserts)
+            states.append({t: list(rows) for t, rows in oracle.items()})
+            first_statement.setdefault(backing.generation, len(states) - 1)
+        assert backing.generation == 1, "the third statement's tombstones must fold"
+        assert first_statement == {0: 0, 1: 3}
+        # One frame (one fsync) per statement, freezes included.
+        assert len(snapshots) - setup_frames == len(states) - 1
+
+        def generation_of(directory):
+            return max(
+                int(name[4:-4]) for name in os.listdir(directory) if name.startswith("wal-")
+            )
+
+        latest = {}
+        for directory in snapshots[setup_frames:]:
+            latest[generation_of(directory)] = directory
+        assert sorted(latest) == [0, 1]
+        checked = 0
+        for generation, directory in latest.items():
+            wal_name = f"wal-{generation}.log"
+            starts = frame_offsets(os.path.join(directory, wal_name))
+            skipped = setup_frames if generation == 0 else 0
+            size = os.path.getsize(os.path.join(directory, wal_name))
+            for cut in range(size + 1):
+                workdir = str(tmp_path / "crash")
+                if os.path.exists(workdir):
+                    shutil.rmtree(workdir)
+                shutil.copytree(directory, workdir)
+                with open(os.path.join(workdir, wal_name), "r+b") as handle:
+                    handle.truncate(cut)
+                whole = sum(1 for start in starts[1:] if start <= cut) - skipped
+                expected = states[first_statement[generation] + max(whole, 0)]
+                recovered = RelationalStore("pg")
+                recovered.attach_durable(DurableBacking(workdir, segment_rows=self.SEGMENT_ROWS))
+                for table in ("t1", "t2"):
+                    got = _store_rows(recovered, table) if table in recovered.collections() else []
+                    assert _bag(got) == _bag(expected[table]), (
+                        f"generation {generation}: recovery diverged on {table} "
+                        f"after truncating the WAL at byte {cut}"
+                    )
+                checked += 1
+        assert checked > 0
+
+    def test_a_statement_that_raises_still_logs_what_it_applied(self, tmp_path):
+        store, _ = _fresh_relational(tmp_path)
+        store.create_table("t", ("a",))
+        with pytest.raises(RuntimeError):
+            with write_group():
+                store.apply_delta("t", inserts=[{"a": 1}])
+                raise RuntimeError("the statement fails after the first delta")
+        recovered = _recover_relational(tmp_path)
+        assert _store_rows(recovered, "t") == [{"a": 1}]
+
+
+class TestBoundedTombstones:
+    def test_fifo_deletes_of_frozen_rows_stay_bounded_and_never_resurrect(self, tmp_path):
+        segment_rows = 8
+        store, backing = _fresh_relational(tmp_path, segment_rows=segment_rows)
+        store.create_table("t", ("a", "b"))
+        live = [{"a": i, "b": i % 5} for i in range(64)]
+        store.insert("t", live)
+        generations = set()
+        while len(live) > 3:
+            doomed, live = live[:3], live[3:]
+            store.apply_delta("t", deletes=doomed, inserts=[])
+            described = backing.describe()["collections"]["t"]
+            assert described["tombstones"] <= segment_rows
+            generations.add(backing.generation)
+            request = ScanRequest("t", predicates=(Predicate("a", ">=", 0),))
+            batches, _ = store._execute_batches(request, ("a", "b"), 16)
+            scanned = [row for batch in batches for row in batch.rows]
+            assert Counter(scanned) == Counter((row["a"], row["b"]) for row in live)
+        assert len(generations) > 2  # folds happened, more than once
+        recovered = _recover_relational(tmp_path, segment_rows=segment_rows)
+        assert _bag(_store_rows(recovered, "t")) == _bag(live)
+
+
+    def test_a_scan_streaming_across_a_fold_still_reads_its_segments(self, tmp_path):
+        """A fold retires the old generation's files only after its open scans end."""
+        segment_rows = 8
+        store, backing = _fresh_relational(tmp_path, segment_rows=segment_rows)
+        store.create_table("t", ("a", "b"))
+        live = [{"a": i, "b": i % 5} for i in range(64)]
+        store.insert("t", live)
+        expected = Counter((row["a"], row["b"]) for row in live)
+        request = ScanRequest("t", predicates=(Predicate("a", ">=", 0),))
+        stream = iter(store.execute_batches(request, ("a", "b"), 4))
+        scanned = list(next(stream).rows)  # the snapshot is taken, one block read
+        generation = backing.generation
+        while backing.generation == generation:
+            doomed, live = live[:3], live[3:]
+            store.apply_delta("t", deletes=doomed, inserts=[])
+        scanned += [row for batch in stream for row in batch.rows]
+        assert Counter(scanned) == expected
+        # The drained scan released the old generation: its files are gone.
+        names = os.listdir(tmp_path / "pg")
+        assert not any(name.startswith(f"seg-{generation}-") for name in names)
+        recovered = _recover_relational(tmp_path, segment_rows=segment_rows)
+        assert _bag(_store_rows(recovered, "t")) == _bag(live)
+
+    def test_an_abandoned_scan_releases_the_retired_files(self, tmp_path):
+        store, backing = _fresh_relational(tmp_path, segment_rows=8)
+        store.create_table("t", ("a",))
+        store.insert("t", [{"a": i} for i in range(32)])
+        generation = backing.generation
+        stream = iter(store.execute_batches(ScanRequest("t"), ("a",), 4))
+        next(stream)
+        backing.compact()
+        names = os.listdir(tmp_path / "pg")
+        assert any(name.startswith(f"seg-{generation}-") for name in names)
+        stream.close()
+        names = os.listdir(tmp_path / "pg")
+        assert not any(name.startswith(f"seg-{generation}-") for name in names)
+
+    def test_keyvalue_deletes_leave_no_tombstones_and_never_fold(self, tmp_path):
+        store = KeyValueStore("redis")
+        backing = DurableBacking(str(tmp_path / "redis"), segment_rows=4)
+        store.attach_durable(backing)
+        store.create_collection("kv")
+        generation = backing.generation
+        for key in range(20):
+            store.put("kv", f"k{key}", {"v": key})
+        for key in range(0, 20, 2):
+            store.delete("kv", f"k{key}")
+        assert backing.generation == generation
+        assert backing.describe()["collections"]["kv"]["tombstones"] == 0
+        recovered = KeyValueStore("redis")
+        recovered.attach_durable(DurableBacking(str(tmp_path / "redis"), segment_rows=4))
+        for key in range(20):
+            assert recovered.get("kv", f"k{key}") == (None if key % 2 == 0 else {"v": key})
+
+    def test_tail_deletes_search_newest_first_without_copying(self):
+        rows = [{"a": i % 3} for i in range(300)]
+        assert _newest_index(rows, {"a": 1}) >= 300 - 64
+        assert _newest_index(rows[:10], {"a": 2}) == 2
+        with pytest.raises(ValueError):
+            _newest_index(rows, {"a": 7})
+
+
 # -- segment-skipping scans ----------------------------------------------------------
 
 
@@ -651,6 +848,64 @@ class TestSegmentSkippingScans:
 
 
 # -- the facade: durable_path, REPRO_DURABLE, compaction, summary ---------------------
+
+
+def _two_fragment_deployment(directory, crash_hook):
+    """``events`` kept in two fragments of one durable store: itself, and ⋈ users."""
+    est = Estocada(durable_path=directory)
+    store = RelationalStore("pg")
+    store.attach_durable(DurableBacking(os.path.join(directory, "pg"), crash_hook=crash_hook))
+    est.register_store("pg", store)
+    est.register_relational_dataset(
+        "app",
+        [
+            TableSchema("users", ("uid", "name"), primary_key=("uid",)),
+            TableSchema("events", ("uid", "val")),
+        ],
+    )
+    est.load_relation("users", [{"uid": u, "name": f"n{u}"} for u in range(4)], dataset="app")
+    est.load_relation("events", [{"uid": u % 4, "val": u} for u in range(12)], dataset="app")
+    for name, head, body, columns, collection in (
+        ("F_events", ["?u", "?v"], [Atom("events", ["?u", "?v"])], ("uid", "val"), "events"),
+        (
+            "F_user_events",
+            ["?u", "?n", "?v"],
+            [Atom("users", ["?u", "?n"]), Atom("events", ["?u", "?v"])],
+            ("uid", "name", "val"),
+            "user_events",
+        ),
+    ):
+        view = ViewDefinition(name, ConjunctiveQuery(name, head, body), column_names=columns)
+        est.register_fragment(
+            StorageDescriptor(
+                name, "app", "pg", view, StorageLayout(collection), AccessMethod("scan")
+            ),
+            indexes=("uid",),
+        )
+    return est
+
+
+class TestGroupCommit:
+    def test_one_fsync_per_write_statement_on_a_two_fragment_deployment(self, tmp_path):
+        stages = Counter()
+        est = _two_fragment_deployment(str(tmp_path / "d"), lambda stage: stages.update([stage]))
+        statements = [
+            lambda: est.insert("events", [{"uid": 1, "val": 100}, {"uid": 2, "val": 101}]),
+            lambda: est.update("events", {"uid": 1, "val": 100}, {"uid": 3, "val": 100}),
+            lambda: est.delete("events", [{"uid": 0, "val": 0}, {"uid": 1, "val": 1}]),
+        ]
+        for statement in statements:
+            stages.clear()
+            statement()
+            # Both fragments changed, yet their records share one WAL frame.
+            assert stages["pre_sync"] == 1
+        fresh = Estocada(durable_path=str(tmp_path / "d"))
+        fresh.register_store("pg", RelationalStore("pg"))
+        recovered = fresh.catalog.store("pg")
+        events = [{"uid": u % 4, "val": u} for u in range(2, 12)]
+        events += [{"uid": 2, "val": 101}, {"uid": 3, "val": 100}]
+        assert _bag(_store_rows(recovered, "events")) == _bag(events)
+        assert len(_store_rows(recovered, "user_events")) == len(events)
 
 
 class TestFacadeDurability:

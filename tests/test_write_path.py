@@ -337,6 +337,49 @@ class TestTruncateCollection:
         assert all(size == 0 for size in store.shard_sizes("t"))
 
 
+class TestKeyValueDeltaStrictness:
+    """A key-value delta is as strict as every other store's, and atomic."""
+
+    @staticmethod
+    def _store():
+        store = KeyValueStore("redis")
+        store.create_collection("kv")
+        store.set_key_column("kv", "k")
+        store.apply_delta("kv", inserts=[{"k": 1, "v": "a"}, {"k": 2, "v": "b"}])
+        return store
+
+    def test_delete_of_a_different_value_is_refused(self):
+        store = self._store()
+        with pytest.raises(DeltaError):
+            store.apply_delta("kv", deletes=[{"k": 1, "v": "zzz"}])
+        assert store.get("kv", 1) == {"k": 1, "v": "a"}
+
+    def test_insert_under_a_live_key_is_refused(self):
+        store = self._store()
+        with pytest.raises(DeltaError):
+            store.apply_delta("kv", inserts=[{"k": 1, "v": "new"}])
+        assert store.get("kv", 1) == {"k": 1, "v": "a"}
+
+    def test_two_inserts_under_one_key_are_refused(self):
+        store = self._store()
+        with pytest.raises(DeltaError):
+            store.apply_delta("kv", inserts=[{"k": 3, "v": "x"}, {"k": 3, "v": "y"}])
+        assert store.get("kv", 3) is None
+
+    def test_refused_delta_changes_nothing_and_an_update_still_lands(self):
+        store = self._store()
+        with pytest.raises(DeltaError):
+            store.apply_delta(
+                "kv", deletes=[{"k": 2, "v": "b"}], inserts=[{"k": 1, "v": "dup"}]
+            )
+        assert store.get("kv", 2) == {"k": 2, "v": "b"}
+        touched = store.apply_delta(
+            "kv", deletes=[{"k": 1, "v": "a"}], inserts=[{"k": 1, "v": "c"}]
+        )
+        assert touched == 2
+        assert store.get("kv", 1) == {"k": 1, "v": "c"}
+
+
 # ---------------------------------------------------------------------------
 # Service-admitted writes
 # ---------------------------------------------------------------------------
