@@ -108,21 +108,23 @@ def tuning_parallelism() -> None:
     ``parallelism`` workers the delegated scans overlap and the query pays
     roughly the max.  Three knobs, from coarse to fine:
 
-    * ``REPRO_PARALLELISM=4`` (environment) — process-wide default;
+    * ``REPRO_PARALLELISM=4`` (environment, read when a mediator is built)
+      — default of every mediator built afterwards;
     * ``Estocada(parallelism=4)`` — per-mediator default;
     * ``est.query(..., parallelism=4)`` — per-query override (1 = serial).
 
     Further execution knobs (all usually best left at their defaults):
 
-    * ``REPRO_BATCH_SIZE=256`` / ``Estocada(batch_size=256)`` — rows per
+    * ``Estocada(batch_size=256)`` — rows per
       ``RowBatch`` flowing through the runtime (must be >= 1; bigger batches
       amortize per-batch overhead, smaller ones reduce LIMIT overshoot);
       the per-operator throughput counters show up in
       ``result.summary()["execution"]``;
-    * ``REPRO_DURABLE=/path`` / ``Estocada(durable_path=...)`` — persist
+    * ``REPRO_DURABLE=/abs/path`` / ``Estocada(durable_path=...)`` — persist
       every registered store through a per-store WAL + columnar segment
-      backing (see :func:`durability` below; ``REPRO_SEGMENT_ROWS`` sets
-      how many rows freeze per segment).
+      backing (see :func:`durability` below; a store registered with its
+      own ``DurableBacking(path, segment_rows=N)`` sets how many rows
+      freeze per segment).
     """
     est = Estocada(parallelism=1)  # serial by default; overridden per query
     est.register_store("pg", RelationalStore("pg", latency=0.02))
@@ -364,7 +366,7 @@ def multi_tenant_service() -> None:
 def durability() -> None:
     """Durability: WAL + columnar segments behind every store.
 
-    ``Estocada(durable_path=dir)`` (or ``REPRO_DURABLE=dir``) attaches a
+    ``Estocada(durable_path=dir)`` (or ``REPRO_DURABLE=/abs/dir``) attaches a
     :class:`repro.stores.segment.DurableBacking` to each store as it is
     registered: every write is acknowledged only after an fsync'd
     write-ahead-log append, and full collections freeze into immutable

@@ -30,6 +30,7 @@ __all__ = [
     "FragmentUsage",
     "StatisticsCatalog",
     "TenantUsage",
+    "DRIFT_THRESHOLD",
     "OBSERVATION_SMOOTHING",
     "READ_LATENCY_SMOOTHING",
     "ReplicaStatistics",
@@ -37,6 +38,9 @@ __all__ = [
     "REPLICA_LATENCY_SMOOTHING",
     "REPLICA_UNHEALTHY_AFTER",
 ]
+
+DRIFT_THRESHOLD = 0.5
+"""Relative drift past which a fragment is recounted and its cached plans dropped."""
 
 OBSERVATION_SMOOTHING = 0.4
 """Weight of the newest observation in the exponentially-weighted estimate."""
@@ -361,10 +365,8 @@ class StatisticsCatalog:
     A data write to a maintained fragment is a statistics *update*
     (:meth:`note_data_write`), not a recount: the full per-column count runs
     again only once the fragment's size has drifted by more than
-    :attr:`drift_threshold` (the facade sets its own) since the last one.
+    :data:`DRIFT_THRESHOLD` since the last one.
     """
-
-    drift_threshold = 0.5
 
     def __init__(self, manager: StorageDescriptorManager) -> None:
         self._manager = manager
@@ -550,7 +552,7 @@ class StatisticsCatalog:
         The backlog and runtime observations go, as with :meth:`invalidate`,
         but the cached statistics stay: the cardinality is re-read from the
         store (an O(1) size) and the distinct counts are capped at it.  Only
-        a size that drifted past :attr:`drift_threshold` since the last full
+        a size that drifted past :data:`DRIFT_THRESHOLD` since the last full
         count drops the cache, so the next :meth:`get` recounts.
         """
         self._observed.pop(fragment, None)
@@ -567,7 +569,7 @@ class StatisticsCatalog:
             self._cache.pop(fragment, None)
             return
         counted = self._counted.get(fragment, cached.cardinality)
-        if abs(size - counted) > self.drift_threshold * max(counted, 1):
+        if abs(size - counted) > DRIFT_THRESHOLD * max(counted, 1):
             self._cache.pop(fragment, None)
             return
         shard_sizes = getattr(store, "shard_sizes", None)

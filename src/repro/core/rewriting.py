@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from repro.core.backchase import BackchaseStatistics, classical_backchase
 from repro.core.binding_patterns import AccessPatternRegistry, is_feasible
-from repro.core.chase import ChaseConfig
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.index import RewriteIndex
 from repro.core.minimization import minimize
@@ -72,8 +71,6 @@ class Rewriter:
         which is registered automatically under the view's name.
     algorithm:
         ``"pacb"`` (default) or ``"classical"``.
-    chase_config:
-        Budget configuration forwarded to the chase.
     cost_bound_factory:
         Optional zero-argument callable returning a
         :class:`repro.cost.cost_model.RewritingCostBound` (or None); called
@@ -86,7 +83,6 @@ class Rewriter:
         schema_constraints: ConstraintSet | Iterable[Constraint] | None = None,
         access_patterns: AccessPatternRegistry | None = None,
         algorithm: str = "pacb",
-        chase_config: ChaseConfig | None = None,
         cost_bound_factory: "object | None" = None,
     ) -> None:
         if algorithm not in {"pacb", "classical"}:
@@ -94,7 +90,6 @@ class Rewriter:
         self._constraints = ConstraintSet(schema_constraints or ())
         self._access_patterns = access_patterns or AccessPatternRegistry()
         self._algorithm = algorithm
-        self._chase_config = chase_config or ChaseConfig()
         self._cost_bound_factory = cost_bound_factory
         # The index is the only registry of views.
         self._index = RewriteIndex(constraints=self._constraints)
@@ -206,7 +201,6 @@ class Rewriter:
                 query,
                 candidates,
                 schema_constraints=self._constraints,
-                config=self._chase_config,
                 max_rewritings=max_rewritings,
                 cost_bound=cost_bound,
             )
@@ -217,7 +211,6 @@ class Rewriter:
                 query,
                 candidates,
                 schema_constraints=self._constraints,
-                config=self._chase_config,
                 max_rewritings=max_rewritings,
                 cost_bound=cost_bound,
             )

@@ -164,23 +164,16 @@ class RewritingCostBound:
 class CostModel:
     """Estimates the execution cost of planned rewritings."""
 
-    def __init__(
-        self,
-        statistics: StatisticsCatalog,
-        profiles: Mapping[str, StoreCostProfile] | None = None,
-    ) -> None:
+    def __init__(self, statistics: StatisticsCatalog) -> None:
         self._statistics = statistics
         self._estimator = CardinalityEstimator(statistics)
-        self._profiles = dict(DEFAULT_PROFILES)
-        if profiles:
-            self._profiles.update(profiles)
 
     # -- profiles -------------------------------------------------------------------
     def profile_for(self, data_model: str) -> StoreCostProfile:
         """The cost profile of a store data model (defaults to relational)."""
-        profile = self._profiles.get(data_model)
+        profile = DEFAULT_PROFILES.get(data_model)
         if profile is None:
-            profile = self._profiles.get("relational")
+            profile = DEFAULT_PROFILES.get("relational")
         if profile is None:
             raise CostModelError(f"no cost profile for data model {data_model!r}")
         return profile

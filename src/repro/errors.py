@@ -13,6 +13,18 @@ class ReproError(Exception):
     """Base class for every error raised by the ``repro`` package."""
 
 
+class ConfigurationError(ReproError):
+    """A ``REPRO_*`` environment variable holds a value it does not accept.
+
+    ``variable`` names the variable; the message also gives its value and
+    what the variable accepts (see :mod:`repro.settings`).
+    """
+
+    def __init__(self, message: str, variable: str = "") -> None:
+        super().__init__(message)
+        self.variable = variable
+
+
 # ---------------------------------------------------------------------------
 # Pivot model / rewriting
 # ---------------------------------------------------------------------------

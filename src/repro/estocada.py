@@ -17,8 +17,11 @@ Most applications only ever touch this class.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
@@ -28,14 +31,13 @@ from repro.catalog.descriptors import StorageDescriptor
 from repro.catalog.maintenance import MaintenanceEngine
 from repro.catalog.manager import DatasetInfo, StorageDescriptorManager
 from repro.catalog.materialize import materialize_fragment
-from repro.catalog.statistics import StatisticsCatalog
-from repro.core.chase import ChaseConfig
+from repro.catalog.statistics import DRIFT_THRESHOLD, StatisticsCatalog
 from repro.core.constraints import Constraint
 from repro.core.query import ConjunctiveQuery
 from repro.core.rewriting import Rewriter, RewritingOutcome
 from repro.core.terms import Variable
 from repro.cost.chooser import PlanChooser, RankedPlan
-from repro.cost.cost_model import CostModel, StoreCostProfile
+from repro.cost.cost_model import CostModel
 from repro.datamodel.relational import RelationalSchema, TableSchema
 from repro.errors import (
     MaintenanceError,
@@ -57,6 +59,7 @@ from repro.runtime.kernels import (
     attach_stage,
 )
 from repro.runtime.operators import Aggregate, Deduplicate, Operator, Project
+from repro.settings import Settings
 from repro.stores.base import Store
 from repro.stores.replicated import ReplicatedStore, ReplicationPolicy
 from repro.stores.segment import write_group
@@ -70,40 +73,6 @@ __all__ = [
     "DEFAULT_CACHE_NAMESPACE",
     "Estocada",
 ]
-
-
-def service_routing_enabled() -> bool:
-    """Whether ``REPRO_SERVICE=1`` routes facade queries through a QueryService.
-
-    With the switch on, every :meth:`Estocada.query` call from application
-    code is submitted to a lazily created ambient
-    :class:`~repro.service.QueryService` bound to the facade (admission
-    control with a permissive policy, the shared worker pool, tenant
-    namespaces) instead of executing inline — the CI tier-1 run uses this to
-    exercise the whole suite through the serving layer.  Calls made *by* the
-    service's own workers always execute directly.
-    """
-    return os.environ.get("REPRO_SERVICE", "0") == "1"
-
-
-def _resolve_durable_path(durable_path: str | None) -> str | None:
-    """Where the facade's stores persist, or None for purely in-memory.
-
-    An explicit ``durable_path=`` wins; otherwise ``REPRO_DURABLE`` opts in —
-    a bare ``1``/``true`` gets a fresh temporary directory (the CI tier-1
-    durable run uses this), any other non-empty value is taken as the
-    directory itself.
-    """
-    if durable_path is not None:
-        return str(durable_path)
-    raw = os.environ.get("REPRO_DURABLE", "").strip()
-    if not raw or raw.lower() in {"0", "false", "no", "off"}:
-        return None
-    if raw.lower() in {"1", "true", "yes", "on"}:
-        import tempfile
-
-        return tempfile.mkdtemp(prefix="repro-durable-")
-    return raw
 
 
 @dataclass(slots=True)
@@ -395,26 +364,37 @@ class NamespacedPlanCache:
 
 
 class Estocada:
-    """The hybrid-store mediator: register stores, datasets and fragments, then query."""
+    """The hybrid-store mediator: register stores, datasets and fragments, then query.
+
+    The environment is read once, at construction (:mod:`repro.settings`).
+    """
 
     def __init__(
         self,
         algorithm: str = "pacb",
-        chase_config: ChaseConfig | None = None,
-        cost_profiles: Mapping[str, StoreCostProfile] | None = None,
         plan_cache_size: int = 128,
         parallelism: int | None = None,
-        drift_threshold: float = 0.5,
         batch_size: int | None = None,
         durable_path: str | None = None,
     ) -> None:
-        self._durable_path = _resolve_durable_path(durable_path)
+        settings = Settings.from_env()
+        if durable_path is None:
+            durable_path = settings.durable or None
+            if durable_path is True:
+                durable_path = tempfile.mkdtemp(prefix="repro-durable-")
+                # A directory the facade made goes with the facade (or at
+                # interpreter exit); a directory the caller named never does.
+                weakref.finalize(self, shutil.rmtree, durable_path, ignore_errors=True)
+        self._durable_path = None if durable_path is None else str(durable_path)
+        self._service_routing = settings.service
         self._manager = StorageDescriptorManager()
         self._statistics = StatisticsCatalog(self._manager)
-        self._cost_model = CostModel(self._statistics, profiles=cost_profiles)
-        self._engine = ExecutionEngine(batch_size=batch_size, parallelism=parallelism)
+        self._cost_model = CostModel(self._statistics)
+        self._engine = ExecutionEngine(
+            batch_size=batch_size,
+            parallelism=settings.parallelism if parallelism is None else parallelism,
+        )
         self._algorithm = algorithm
-        self._chase_config = chase_config or ChaseConfig()
         self._relational_schemas: dict[str, RelationalSchema] = {}
         self._document_collections: dict[str, tuple[str, ...]] = {}
         self._maintenance = MaintenanceEngine(self._manager, self._statistics)
@@ -427,8 +407,6 @@ class Estocada:
         self._statement_capacity = max(0, plan_cache_size)
         self._statement_hits = 0
         self._statement_misses = 0
-        self._drift_threshold = max(0.0, drift_threshold)
-        self._statistics.drift_threshold = self._drift_threshold
         # Serializes the rewrite-and-plan phase (rewriter, memos, plan cache
         # bookkeeping) when concurrent service workers share this facade;
         # execution itself runs outside the lock and overlaps freely.
@@ -468,7 +446,7 @@ class Estocada:
 
     @property
     def batch_size(self) -> int:
-        """The batch size queries stream with (``REPRO_BATCH_SIZE`` unless set)."""
+        """The batch size queries stream with (``batch_size=``, else 256)."""
         return self._engine.batch_size
 
     def executor_config(self) -> Mapping[str, object]:
@@ -476,7 +454,7 @@ class Estocada:
         return {
             "parallelism": self._engine.parallelism,
             "batch_size": self._engine.batch_size,
-            "drift_threshold": self._drift_threshold,
+            "drift_threshold": DRIFT_THRESHOLD,
         }
 
     def register_store(self, name: str, store: Store) -> None:
@@ -1054,7 +1032,6 @@ class Estocada:
                 schema_constraints=self._manager.schema_constraints(),
                 access_patterns=self._manager.access_pattern_registry(),
                 algorithm=self._algorithm,
-                chase_config=self._chase_config,
                 cost_bound_factory=lambda: self._cost_model.rewriting_bound(
                     self._data_model_for
                 ),
@@ -1135,7 +1112,7 @@ class Estocada:
         exists, forced maintenance otherwise).  Staleness-bounded queries
         always execute inline, never through ``REPRO_SERVICE`` routing.
         """
-        if max_staleness is None and service_routing_enabled():
+        if max_staleness is None and self._service_routing:
             from repro.service import in_service_worker
 
             if not in_service_worker():
@@ -1313,7 +1290,7 @@ class Estocada:
         with self._planning_lock:
             for fragment, observed_rows in result.observed_cardinalities.items():
                 drift = self._cost_model.record_observation(fragment, observed_rows)
-                if drift is not None and drift > self._drift_threshold:
+                if drift is not None and drift > DRIFT_THRESHOLD:
                     self._plan_cache.invalidate_fragment(fragment)
             # Per-shard observations from sharded fan-out scans: a shard whose
             # row count drifted re-prices the pruning / fan-out trade-off, so
@@ -1324,7 +1301,7 @@ class Estocada:
                     drift = self._statistics.record_shard_observation(
                         fragment, shard, observed_rows
                     )
-                    if drift is not None and drift > self._drift_threshold:
+                    if drift is not None and drift > DRIFT_THRESHOLD:
                         self._plan_cache.invalidate_fragment(fragment)
 
     # -- helpers ---------------------------------------------------------------------------------

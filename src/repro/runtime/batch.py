@@ -19,13 +19,11 @@ back to bindings.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
-    "default_batch_size",
     "RowBatch",
     "binding_kernel",
     "BatchBuilder",
@@ -34,25 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 256
-
-
-def default_batch_size() -> int:
-    """The process-wide default batch size (``REPRO_BATCH_SIZE``, else 256).
-
-    An unparseable value falls back to the default; an explicit value below 1
-    is a configuration error and raises — a zero/negative batch size would
-    silently stall every stream.
-    """
-    raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if not raw:
-        return DEFAULT_BATCH_SIZE
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_BATCH_SIZE
-    if value < 1:
-        raise ValueError(f"REPRO_BATCH_SIZE must be >= 1, got {value}")
-    return value
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, bytes, type(None)))

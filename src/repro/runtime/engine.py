@@ -13,13 +13,13 @@ every Exchange is pre-started before the root is drained, so independent
 delegated store requests overlap and a multi-store fan-out pays roughly the
 *max* of the store latencies instead of their sum.  ``parallelism == 1`` is a
 strict serial fallback — Exchanges are pass-throughs and execution is
-identical to the pre-parallel engine.  The default width comes from the
-``REPRO_PARALLELISM`` environment variable (1 when unset).
+identical to the pre-parallel engine.  Without an explicit width the engine
+takes ``REPRO_PARALLELISM`` through :class:`~repro.settings.Settings` (1 when
+unset).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,22 +27,14 @@ from typing import Mapping
 
 from repro.cancellation import Deadline, current_cancel_event, set_current_cancel
 from repro.errors import DeadlineExceededError
-from repro.runtime.batch import default_batch_size
+from repro.runtime.batch import DEFAULT_BATCH_SIZE
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.runtime.parallel import Exchange, ExecutorPool
 from repro.runtime.values import Binding
+from repro.settings import Settings
 from repro.stores.base import StoreMetrics, metric_values
 
-__all__ = ["StoreBreakdown", "QueryResult", "ExecutionEngine", "default_parallelism"]
-
-
-def default_parallelism() -> int:
-    """The process-wide default executor width (``REPRO_PARALLELISM``, else 1)."""
-    raw = os.environ.get("REPRO_PARALLELISM", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+__all__ = ["StoreBreakdown", "QueryResult", "ExecutionEngine"]
 
 
 @dataclass(slots=True)
@@ -186,12 +178,12 @@ class ExecutionEngine:
         self, batch_size: int | None = None, parallelism: int | None = None
     ) -> None:
         if batch_size is None:
-            batch_size = default_batch_size()
+            batch_size = DEFAULT_BATCH_SIZE
         elif batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self._batch_size = batch_size
         self._parallelism = (
-            default_parallelism() if parallelism is None else max(1, parallelism)
+            Settings.from_env().parallelism if parallelism is None else max(1, parallelism)
         )
         self._pools: dict[int, ExecutorPool] = {}
         self._pools_lock = threading.Lock()
@@ -203,7 +195,7 @@ class ExecutionEngine:
 
     @property
     def batch_size(self) -> int:
-        """The engine's default batch size (``REPRO_BATCH_SIZE`` unless set)."""
+        """The engine's default batch size (256 unless set)."""
         return self._batch_size
 
     def _pool(self, width: int) -> ExecutorPool:

@@ -50,7 +50,6 @@ cooperative-cancellation vocabulary:
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -70,14 +69,13 @@ from repro.runtime.operators import ExecutionContext, Operator
 
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
-    "DEFAULT_WORKER_BUDGET",
+    "WORKER_BUDGET",
     "ExecutorPool",
     "Exchange",
     "ExchangeState",
     "AttemptReport",
     "HedgeOutcome",
     "run_hedged",
-    "worker_budget",
     "active_pool_workers",
     "Deadline",
     "set_current_cancel",
@@ -87,8 +85,12 @@ __all__ = [
 
 DEFAULT_QUEUE_DEPTH = 8
 
-DEFAULT_WORKER_BUDGET = 64
-"""Process-wide cap on ExecutorPool worker threads (``REPRO_WORKER_BUDGET``)."""
+WORKER_BUDGET = 64
+"""Process-wide cap on ExecutorPool worker threads (read as each pool is made).
+
+Stacked parallel layers (service workers x shards x replicas) would otherwise
+multiply threads; see :class:`ExecutorPool` for how a short grant degrades.
+"""
 
 _SENTINEL = object()
 
@@ -96,26 +98,6 @@ _T = TypeVar("_T")
 
 _budget_lock = threading.Lock()
 _active_pool_workers = 0
-
-
-def worker_budget() -> int:
-    """The process-wide Exchange worker-thread budget.
-
-    Nested parallel deployments multiply thread demand: a sharded store of
-    replicated children fanning out under several concurrent queries would,
-    with unbounded per-engine pools, create ``queries x shards x width``
-    threads.  Every :class:`ExecutorPool` draws its workers from this shared
-    budget instead (``REPRO_WORKER_BUDGET``, default 64): a pool created when
-    the budget is nearly exhausted is granted fewer threads (at least one),
-    and consumers fall back to inline execution via the Exchange
-    steal-and-run path — execution degrades to less overlap, never to
-    unbounded thread creation.
-    """
-    raw = os.environ.get("REPRO_WORKER_BUDGET", "").strip()
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_WORKER_BUDGET
-    except ValueError:
-        return DEFAULT_WORKER_BUDGET
 
 
 def active_pool_workers() -> int:
@@ -274,7 +256,7 @@ class ExecutorPool:
     and run inline by the consumer, see :meth:`ExchangeState.drain`).
 
     The requested width is additionally clamped against the *process-wide*
-    worker budget (:func:`worker_budget`): pools draw their grant from one
+    worker budget (:data:`WORKER_BUDGET`): pools draw their grant from one
     shared pot and return it on :meth:`close`, so stacking parallel layers
     (service workers x sharded fan-out x replicated children) cannot
     multiply threads past the budget.  ``requested_width`` records what the
@@ -285,7 +267,7 @@ class ExecutorPool:
         global _active_pool_workers
         self.requested_width = max(1, int(width))
         with _budget_lock:
-            available = worker_budget() - _active_pool_workers
+            available = WORKER_BUDGET - _active_pool_workers
             self.width = max(1, min(self.requested_width, available))
             _active_pool_workers += self.width
         self._granted = self.width

@@ -7,7 +7,7 @@ thread, the service admits or fast-rejects them per tenant
 a fixed worker pool executes against the shared facade.  The planning phase
 inside the facade is serialised by its planning lock; execution overlaps
 across workers, bounded by the process-wide executor budget
-(:func:`repro.runtime.worker_budget`).
+(:data:`repro.runtime.parallel.WORKER_BUDGET`).
 
 Deadlines are measured from *submission*, so time spent queued counts against
 the budget: a query dispatched after its deadline has already passed fails
@@ -91,8 +91,10 @@ def _service_worker(
 def in_service_worker() -> bool:
     """True on threads currently executing a query on behalf of the service.
 
-    The facade's ``REPRO_SERVICE`` routing checks this to avoid re-submitting
-    a query the service is already executing (infinite recursion otherwise).
+    A facade built under ``REPRO_SERVICE=1`` (read once, when the facade is
+    constructed) routes its queries through an ambient service; it checks
+    this to avoid re-submitting a query the service is already executing
+    (infinite recursion otherwise).
     """
     return getattr(_worker_local, "active", False)
 

@@ -6,7 +6,6 @@ See :mod:`repro.stores.segment.backing` for the full design narrative.
 from repro.stores.segment.backing import (
     DEFAULT_SEGMENT_ROWS,
     DurableBacking,
-    default_segment_rows,
     write_group,
 )
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
@@ -21,7 +20,6 @@ __all__ = [
     "SegmentWriter",
     "WriteAheadLog",
     "decode_value",
-    "default_segment_rows",
     "encode_value",
     "frame_offsets",
     "replay",

@@ -61,23 +61,12 @@ from repro.stores.segment.wal import WriteAheadLog
 __all__ = [
     "DurableBacking",
     "DEFAULT_SEGMENT_ROWS",
-    "default_segment_rows",
     "write_group",
 ]
 
 MANIFEST_NAME = "MANIFEST"
 DEFAULT_SEGMENT_ROWS = 4096
-
-def default_segment_rows() -> int:
-    """Rows per frozen segment (``REPRO_SEGMENT_ROWS``, else 4096)."""
-    raw = os.environ.get("REPRO_SEGMENT_ROWS", "").strip()
-    if not raw:
-        return DEFAULT_SEGMENT_ROWS
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SEGMENT_ROWS
-    return max(1, value)
+"""Rows per frozen segment unless a backing is given ``segment_rows``."""
 
 
 # The open write group of each thread: the backings holding its records.
@@ -229,12 +218,12 @@ class DurableBacking:
         self,
         directory: str,
         *,
-        segment_rows: int | None = None,
+        segment_rows: int = DEFAULT_SEGMENT_ROWS,
         sync: bool = True,
         crash_hook: Callable[[str], None] | None = None,
     ) -> None:
         self._directory = directory
-        self._segment_rows = segment_rows if segment_rows is not None else default_segment_rows()
+        self._segment_rows = segment_rows
         self._sync = sync
         self._crash_hook = crash_hook
         self._lock = threading.RLock()

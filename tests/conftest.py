@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import os
 
 import pytest
 
@@ -10,7 +11,16 @@ from repro import Estocada
 from repro.catalog import AccessMethod, ShardingSpec, StorageDescriptor, StorageLayout
 from repro.core import Atom, ConjunctiveQuery, ViewDefinition
 from repro.datamodel import TableSchema
-from repro.stores import DocumentStore, FullTextStore, KeyValueStore, ParallelStore, RelationalStore
+from repro.stores import (
+    DocumentStore,
+    FullTextStore,
+    KeyValueStore,
+    ParallelStore,
+    RelationalStore,
+    ReplicatedStore,
+    ShardedStore,
+)
+from repro.stores.segment import DurableBacking
 from repro.testing import FaultInjector, FaultProfile
 from repro.workloads import MarketplaceConfig, generate_marketplace
 
@@ -21,14 +31,33 @@ def marketplace_data():
     return generate_marketplace(MarketplaceConfig(users=60, products=80, orders=200, carts=40, log_lines=600, seed=3))
 
 
-def build_marketplace_estocada(data, algorithm: str = "pacb") -> Estocada:
-    """Wire the full multi-store marketplace deployment used by tests and benchmarks."""
-    est = Estocada(algorithm=algorithm)
-    est.register_store("pg", RelationalStore("pg"))
-    est.register_store("redis", KeyValueStore("redis"))
-    est.register_store("mongo", DocumentStore("mongo"))
-    est.register_store("solr", FullTextStore("solr"))
-    est.register_store("spark", ParallelStore("spark"))
+def register(est, name, store, segment_rows=None):
+    """``est.register_store``, with ``segment_rows`` per segment on a durable facade.
+
+    ``register_store`` keeps a backing attached beforehand, so a small
+    ``segment_rows`` makes test-sized volumes freeze segments.
+    """
+    if segment_rows is not None and est.durable_path is not None:
+        store.attach_durable(
+            DurableBacking(os.path.join(est.durable_path, name), segment_rows=segment_rows)
+        )
+    est.register_store(name, store)
+
+
+def build_marketplace_estocada(
+    data, algorithm: str = "pacb", durable_path=None, segment_rows=None
+) -> Estocada:
+    """Wire the full multi-store marketplace deployment used by tests and benchmarks.
+
+    ``durable_path`` and ``segment_rows`` (every builder takes them) persist
+    the stores under that directory at that segment size.
+    """
+    est = Estocada(algorithm=algorithm, durable_path=durable_path)
+    register(est, "pg", RelationalStore("pg"), segment_rows)
+    register(est, "redis", KeyValueStore("redis"), segment_rows)
+    register(est, "mongo", DocumentStore("mongo"), segment_rows)
+    register(est, "solr", FullTextStore("solr"), segment_rows)
+    register(est, "spark", ParallelStore("spark"), segment_rows)
 
     est.register_relational_dataset(
         "shop",
@@ -130,7 +159,12 @@ def build_marketplace_estocada(data, algorithm: str = "pacb") -> Estocada:
 
 
 def build_sharded_marketplace_estocada(
-    data, shards: int = 8, algorithm: str = "pacb", latency: float = 0.0
+    data,
+    shards: int = 8,
+    algorithm: str = "pacb",
+    latency: float = 0.0,
+    durable_path=None,
+    segment_rows=None,
 ) -> Estocada:
     """The marketplace over sharded stores: purchases and visits hash-sharded on uid.
 
@@ -140,14 +174,13 @@ def build_sharded_marketplace_estocada(
     ``latency`` is the simulated per-request service latency of every shard
     instance.
     """
-    est = Estocada(algorithm=algorithm)
-    est.register_store("pg", RelationalStore("pg", latency=latency))
-    est.register_sharded_store(
-        "shardpg", shards, lambda name: RelationalStore(name, latency=latency)
-    )
-    est.register_sharded_store(
-        "shardlog", shards, lambda name: RelationalStore(name, latency=latency)
-    )
+    est = Estocada(algorithm=algorithm, durable_path=durable_path)
+    register(est, "pg", RelationalStore("pg", latency=latency), segment_rows)
+    for name in ("shardpg", "shardlog"):
+        store = ShardedStore.homogeneous(
+            name, shards, lambda child: RelationalStore(child, latency=latency)
+        )
+        register(est, name, store, segment_rows)
     est.register_relational_dataset(
         "shop",
         [
@@ -210,6 +243,8 @@ def build_replicated_marketplace_estocada(
     profiles=None,
     policy=None,
     latency: float = 0.0,
+    durable_path=None,
+    segment_rows=None,
 ):
     """The marketplace over replicated stores: purchases and visits 3-way replicated.
 
@@ -222,8 +257,8 @@ def build_replicated_marketplace_estocada(
     :class:`~repro.stores.ReplicationPolicy` of both stores.
     """
     profiles = profiles or {}
-    est = Estocada(algorithm=algorithm)
-    est.register_store("pg", RelationalStore("pg", latency=latency))
+    est = Estocada(algorithm=algorithm, durable_path=durable_path)
+    register(est, "pg", RelationalStore("pg", latency=latency), segment_rows)
 
     def factory(name: str):
         index = int(name.rsplit(".", 1)[1])
@@ -231,8 +266,9 @@ def build_replicated_marketplace_estocada(
         profile = profiles.get(index)
         return FaultInjector(inner, profile) if profile is not None else inner
 
-    est.register_replicated_store("reppg", replicas, factory, policy=policy)
-    est.register_replicated_store("replog", replicas, factory, policy=policy)
+    for name in ("reppg", "replog"):
+        store = ReplicatedStore.homogeneous(name, replicas, factory, policy=policy)
+        register(est, name, store, segment_rows)
     est.register_relational_dataset(
         "shop",
         [

@@ -11,7 +11,7 @@ Covers the read path end to end:
   ``execute`` results (bag-identical rows, matching scan metrics,
   exactly-once finalization);
 * ``freeze_value`` fast paths and the configurable batch size
-  (``REPRO_BATCH_SIZE`` / ``Estocada(batch_size=...)``);
+  (``Estocada(batch_size=...)``);
 * the per-operator throughput counters in ``summary()["execution"]``.
 """
 
@@ -27,7 +27,6 @@ from repro import Estocada
 from repro.runtime.batch import (
     RowBatch,
     batches_from_bindings,
-    default_batch_size,
     freeze_value,
 )
 from repro.runtime.engine import ExecutionEngine
@@ -443,23 +442,9 @@ def _single_store_estocada(batch_size=None):
 
 
 class TestBatchSizeConfig:
-    def test_default_is_256(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        assert default_batch_size() == 256
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
-        assert default_batch_size() == 64
-        assert ExecutionEngine().batch_size == 64
-
-    def test_unparseable_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "many")
-        assert default_batch_size() == 256
-
-    def test_env_below_one_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "0")
-        with pytest.raises(ValueError):
-            default_batch_size()
+    def test_default_is_256(self):
+        assert ExecutionEngine().batch_size == 256
+        assert Estocada().batch_size == 256
 
     def test_kwarg_below_one_raises(self):
         with pytest.raises(ValueError):

@@ -42,7 +42,6 @@ import itertools
 import operator
 import os
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -979,27 +978,10 @@ class TestServiceDifferential:
 # -- the durable profile -------------------------------------------------------------
 
 
-@contextmanager
-def _durable_env(directory, segment_rows=64):
-    """Build deployments with write-through durability into ``directory``.
-
-    ``REPRO_SEGMENT_ROWS`` is pinned low so the marketplace volumes actually
-    freeze segments — otherwise every scan would serve from the tail and the
-    zone-pruning path would go untested.
-    """
-    saved = {
-        key: os.environ.get(key) for key in ("REPRO_DURABLE", "REPRO_SEGMENT_ROWS")
-    }
-    os.environ["REPRO_DURABLE"] = str(directory)
-    os.environ["REPRO_SEGMENT_ROWS"] = str(segment_rows)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+# The segment size is pinned low so the marketplace volumes actually freeze
+# segments — otherwise every scan would serve from the tail and the
+# zone-pruning path would go untested.
+_DURABLE_SEGMENT_ROWS = 64
 
 
 @pytest.fixture(scope="module")
@@ -1019,19 +1001,21 @@ def durable_configurations(
     entry layers seeded replica fault injection *on top of* durability.
     """
     root = tmp_path_factory.mktemp("durable-differential")
-    with _durable_env(root / "serial"):
-        serial = marketplace_builder(marketplace_data)
-    with _durable_env(root / "sharded"):
-        sharded = sharded_marketplace_builder(marketplace_data, shards=4)
-    with _durable_env(root / "chaos"):
-        chaos = replicated_marketplace_builder(
-            marketplace_data,
-            profiles={
-                i: FaultProfile(seed=CHAOS_SEED * 307 + i, error_rate=0.25)
-                for i in range(3)
-            },
-            policy=ReplicationPolicy(max_retries=4),
-        )
+
+    def durable(name):
+        return {"durable_path": str(root / name), "segment_rows": _DURABLE_SEGMENT_ROWS}
+
+    serial = marketplace_builder(marketplace_data, **durable("serial"))
+    sharded = sharded_marketplace_builder(marketplace_data, shards=4, **durable("sharded"))
+    chaos = replicated_marketplace_builder(
+        marketplace_data,
+        profiles={
+            i: FaultProfile(seed=CHAOS_SEED * 307 + i, error_rate=0.25)
+            for i in range(3)
+        },
+        policy=ReplicationPolicy(max_retries=4),
+        **durable("chaos"),
+    )
     return {
         "baseline": (marketplace_builder(marketplace_data), 1),
         "durable_serial": (serial, 1),

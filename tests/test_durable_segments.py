@@ -930,22 +930,26 @@ class TestFacadeDurability:
         monkeypatch.setenv("REPRO_DURABLE", str(tmp_path / "env"))
         est = Estocada()
         assert est.durable_path == str(tmp_path / "env")
+        # An explicit argument wins over the environment.
+        assert Estocada(durable_path=str(tmp_path / "arg")).durable_path == str(
+            tmp_path / "arg"
+        )
         monkeypatch.setenv("REPRO_DURABLE", "0")
         assert Estocada().durable_path is None
 
     def test_summary_reports_segment_activity(self, tmp_path, marketplace_data, monkeypatch):
         from tests.conftest import build_marketplace_estocada
 
-        monkeypatch.setenv("REPRO_DURABLE", str(tmp_path / "shop"))
-        monkeypatch.setenv("REPRO_SEGMENT_ROWS", "64")
-        est = build_marketplace_estocada(marketplace_data)
+        monkeypatch.delenv("REPRO_DURABLE", raising=False)
+        est = build_marketplace_estocada(
+            marketplace_data, durable_path=str(tmp_path / "shop"), segment_rows=64
+        )
         result = est.query(
             "SELECT sku, price FROM purchases WHERE category = 'shoes'", dataset="shop"
         )
         segments = result.summary()["segments"]
         assert set(segments) == {"scanned", "skipped", "rows_decoded"}
         assert segments["scanned"] >= 1
-        monkeypatch.delenv("REPRO_DURABLE")
         plain = build_marketplace_estocada(marketplace_data)
         expected = plain.query(
             "SELECT sku, price FROM purchases WHERE category = 'shoes'", dataset="shop"
@@ -970,6 +974,7 @@ class TestFacadeDurability:
         from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
         from repro.core import Atom, ConjunctiveQuery, ViewDefinition
         from repro.datamodel import TableSchema
+        from tests.conftest import register
 
         view = ViewDefinition(
             "F_events",
@@ -983,7 +988,7 @@ class TestFacadeDurability:
 
         def deploy(durable_path):
             est = Estocada(durable_path=durable_path)
-            est.register_store("pg", RelationalStore("pg"))
+            register(est, "pg", RelationalStore("pg"), segment_rows=50)
             est.register_relational_dataset(
                 "app", [TableSchema("events", ("uid", "ms"))]
             )
@@ -996,11 +1001,7 @@ class TestFacadeDurability:
             )
             return est
 
-        os.environ["REPRO_SEGMENT_ROWS"] = "50"
-        try:
-            result = deploy(str(tmp_path / "durable")).query(sql, dataset="app")
-        finally:
-            del os.environ["REPRO_SEGMENT_ROWS"]
+        result = deploy(str(tmp_path / "durable")).query(sql, dataset="app")
         expected = deploy(None).query(sql, dataset="app")
         assert _bag(result.rows) == _bag(expected.rows)
         assert len(result.rows) == 10

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Atom, ConjunctiveQuery, Constant
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.runtime import (
     ExecutionContext,
     ExecutionEngine,
@@ -25,8 +25,8 @@ from repro.runtime import (
     ExecutorPool,
     Operator,
     RowBatch,
-    default_parallelism,
 )
+from repro.runtime import parallel as parallel_module
 from repro.stores import RelationalStore, ScanRequest
 
 
@@ -455,12 +455,14 @@ class TestFeedbackLoop:
 class TestFacadeSurface:
     def test_default_parallelism_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLELISM", "4")
-        assert default_parallelism() == 4
         assert ExecutionEngine().parallelism == 4
-        monkeypatch.setenv("REPRO_PARALLELISM", "garbage")
-        assert default_parallelism() == 1
         monkeypatch.delenv("REPRO_PARALLELISM")
-        assert default_parallelism() == 1
+        assert ExecutionEngine().parallelism == 1
+        # A bad value is refused, not replaced; an explicit width never reads it.
+        monkeypatch.setenv("REPRO_PARALLELISM", "garbage")
+        with pytest.raises(ConfigurationError, match="REPRO_PARALLELISM"):
+            ExecutionEngine()
+        assert ExecutionEngine(parallelism=2).parallelism == 2
 
     def test_executor_config_and_summary(self, marketplace_builder, marketplace_data):
         est = marketplace_builder(marketplace_data)
@@ -603,11 +605,10 @@ class TestWorkerBudget:
     """ExecutorPool grants draw from one process-wide worker pot."""
 
     def test_grants_are_clamped_and_returned(self, monkeypatch):
-        from repro.runtime import active_pool_workers, worker_budget
+        from repro.runtime import active_pool_workers
 
-        monkeypatch.setenv("REPRO_WORKER_BUDGET", "4")
+        monkeypatch.setattr(parallel_module, "WORKER_BUDGET", 4)
         baseline = active_pool_workers()
-        assert worker_budget() == 4
         first = ExecutorPool(3)
         second = ExecutorPool(3)
         try:
@@ -628,7 +629,7 @@ class TestWorkerBudget:
     def test_exhausted_budget_still_grants_one_worker(self, monkeypatch):
         from repro.runtime import active_pool_workers
 
-        monkeypatch.setenv("REPRO_WORKER_BUDGET", "1")
+        monkeypatch.setattr(parallel_module, "WORKER_BUDGET", 1)
         pools = [ExecutorPool(4) for _ in range(3)]
         try:
             # Every pool makes progress (width >= 1) even with the pot empty.
@@ -641,7 +642,7 @@ class TestWorkerBudget:
     def test_nested_parallel_queries_stay_correct_under_tiny_budget(
         self, monkeypatch, marketplace_builder, marketplace_data
     ):
-        monkeypatch.setenv("REPRO_WORKER_BUDGET", "2")
+        monkeypatch.setattr(parallel_module, "WORKER_BUDGET", 2)
         est = marketplace_builder(marketplace_data)
         sql = "SELECT uid FROM users WHERE city = 'paris'"
         expected = _bag(est.query(sql, dataset="shop", parallelism=1).rows)
