@@ -20,7 +20,6 @@ import os
 import shutil
 import tempfile
 import threading
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -49,16 +48,11 @@ from repro.errors import (
 )
 from repro.languages.docql import DocumentQuery
 from repro.languages.sql.translator import SqlTranslator, TranslatedQuery
-from repro.plan.physical import push_partial_aggregation
+from repro.plan.logical import StatementShape, statement_tree
+from repro.plan.physical import PhysicalPlanner
 from repro.runtime.engine import ExecutionEngine, QueryResult
-from repro.runtime.kernels import (
-    FilterStage,
-    OutputStage,
-    PredicateSpec,
-    ProjectStage,
-    attach_stage,
-)
-from repro.runtime.operators import Aggregate, Deduplicate, Operator, Project
+from repro.runtime.kernels import PredicateSpec
+from repro.runtime.operators import Operator
 from repro.settings import Settings
 from repro.stores.base import Store
 from repro.stores.replicated import ReplicatedStore, ReplicationPolicy
@@ -77,7 +71,11 @@ __all__ = [
 
 @dataclass(slots=True)
 class Explanation:
-    """Everything the demo shows for one query: pivot form, rewritings, plans."""
+    """Everything the demo shows for one query: pivot form, rewritings, plans.
+
+    ``root`` is the statement's whole executable tree around ``chosen`` —
+    the very tree :meth:`Estocada.query` runs.
+    """
 
     pivot_query: ConjunctiveQuery
     rewritings: list[ConjunctiveQuery]
@@ -87,18 +85,27 @@ class Explanation:
     rewriting_seconds: float
     algorithm: str
     notes: list[str] = field(default_factory=list)
+    root: Operator | None = None
 
     def plan_text(self) -> str:
-        """The chosen physical plan, pretty-printed."""
-        if self.chosen is None:
+        """The statement's executable tree, pretty-printed."""
+        if self.root is None:
             return "(no executable plan)"
-        return self.chosen.plan.explain()
+        return self.root.explain()
 
 
 def _canonical_term(term) -> object:
     if isinstance(term, Variable):
         return f"?{term.name}"
     return ("const", repr(term.value))
+
+
+def _outputs(columns) -> tuple[tuple[str, bool, object], ...]:
+    """``(name, term)`` pairs as output triples: the variable read, or the constant."""
+    return tuple(
+        (name, True, term.name) if isinstance(term, Variable) else (name, False, term.value)
+        for name, term in columns
+    )
 
 
 @dataclass(slots=True)
@@ -112,6 +119,9 @@ class _Statement:
     schema is fixed at registration, so a statement memoized under
     ``(dataset, sql text)`` can never go stale.
 
+    ``shape`` is everything the statement asks beyond its conjunctive core
+    (residual filters, aggregation, outputs, DISTINCT, LIMIT), stacked above
+    a rewriting's join tree by :func:`~repro.plan.logical.statement_tree`.
     ``lowered`` is the one derived piece that does depend on planning: the
     executable tree (and its plan text) built around the ranked plan the last
     execution selected.  It is trusted only while that very
@@ -122,10 +132,7 @@ class _Statement:
     """
 
     pivot_query: ConjunctiveQuery
-    output_names: tuple[str, ...] | None = None
-    residual: tuple = ()
-    aggregation: object = None
-    extras: dict = field(default_factory=dict)
+    shape: StatementShape
     head: tuple = field(init=False)
     body: tuple = field(init=False)
     relations: frozenset[str] = field(init=False)
@@ -145,7 +152,7 @@ class _Statement:
         # durable backing turns into zone-map segment skipping.  The mediator
         # filter above still applies, so answers are unchanged.
         self.scan_hints = tuple(
-            (p.variable, p.op, p.value) for p in self.residual if not p.value_is_column
+            (p.column, p.op, p.value) for p in self.shape.predicates if not p.value_is_column
         )
 
 
@@ -1046,7 +1053,11 @@ class Estocada:
         bound_parameters: Sequence[Variable] = (),
     ) -> Explanation:
         """Rewrite and plan a query without executing it (demo steps 1–2)."""
-        return self._explain_pivot(self._to_pivot(query, dataset).pivot_query, bound_parameters)
+        statement = self._to_pivot(query, dataset)
+        explanation = self._explain_pivot(statement.pivot_query, bound_parameters)
+        if explanation.chosen is not None:
+            explanation.root = self._lower(statement, explanation.chosen)
+        return explanation
 
     def _explain_pivot(
         self, pivot_query: ConjunctiveQuery, bound_parameters: Sequence[Variable]
@@ -1055,10 +1066,7 @@ class Estocada:
         outcome: RewritingOutcome = rewriter.rewrite(
             pivot_query, bound_parameters=bound_parameters
         )
-        # Duplicate elimination is decided at the facade level (SQL bag
-        # semantics vs. pivot-query set semantics), so plans are built without
-        # a blanket Deduplicate.
-        planner = Planner(self._manager, distinct=False, cost_model=self._cost_model)
+        planner = Planner(self._manager, cost_model=self._cost_model)
         chooser = PlanChooser(planner, self._cost_model)
         ranked: list[RankedPlan] = []
         chosen: RankedPlan | None = None
@@ -1167,17 +1175,8 @@ class Estocada:
             selected = self._select_for_staleness(explanation, max_staleness)
         lowered = statement.lowered
         if lowered is None or lowered[0] is not selected:
-            root = self._apply_residual(
-                selected.plan.root,
-                statement.pivot_query,
-                statement.output_names,
-                statement.residual,
-                statement.aggregation,
-                statement.extras,
-            )
-            # The executed tree (residual filters, aggregation — possibly
-            # pushed down per shard — and output shaping included), not just
-            # the cached rewriting plan; rendered once per lowered tree.
+            root = self._lower(statement, selected)
+            # Rendered once per lowered tree.
             lowered = statement.lowered = (selected, root, root.explain())
         _, root, plan_text = lowered
         result = self._engine.execute(
@@ -1309,105 +1308,39 @@ class Estocada:
         self, query: ConjunctiveQuery | str | DocumentQuery, dataset: str | None
     ) -> _Statement:
         if isinstance(query, ConjunctiveQuery):
-            return _Statement(query)
+            # Plain pivot conjunctive queries follow set semantics.
+            return _Statement(query, StatementShape(distinct=True))
         if isinstance(query, DocumentQuery):
             pivot_query, output_names = query.to_pivot()
-            return _Statement(pivot_query, output_names)
+            outputs = _outputs(zip(output_names, pivot_query.head_terms))
+            return _Statement(pivot_query, StatementShape(outputs=outputs))
         if isinstance(query, str):
             if dataset is None:
                 raise TranslationError("SQL queries need the dataset argument")
             translated = self.translate_sql(dataset, query)
-            return _Statement(
-                translated.query,
-                translated.output_names,
-                translated.residual_predicates,
-                translated.aggregation,
-                {"distinct": translated.distinct, "limit": translated.limit},
+            aggregation = translated.aggregation
+            shape = StatementShape(
+                predicates=tuple(
+                    PredicateSpec(p.variable, p.op, p.value, p.value_is_column)
+                    for p in translated.residual_predicates
+                ),
+                aggregate=(
+                    None
+                    if aggregation is None
+                    else (aggregation.group_by, aggregation.aggregations, aggregation.scalar)
+                ),
+                outputs=_outputs(translated.outputs),
+                distinct=translated.distinct,
+                limit=translated.limit,
             )
+            return _Statement(translated.query, shape)
         raise TranslationError(f"unsupported query type {type(query).__name__}")
 
-    def _apply_residual(
-        self,
-        root: Operator,
-        pivot_query: ConjunctiveQuery,
-        output_names: tuple[str, ...] | None,
-        residual: tuple,
-        aggregation,
-        extras: dict,
-    ) -> Operator:
-        """Wrap the chosen plan with the residual (non-conjunctive) work.
-
-        The residual filters, the plan's terminal projection and the output
-        shaping become declarative kernel stages, so the whole
-        Filter → Project → Output (→ LIMIT) chain collapses into one
-        :class:`~repro.runtime.kernels.FusedPipeline`.
-        """
-        # Head variables past the output names are required only by the
-        # residual filters: the projection after the filters drops them.
-        hidden = set()
-        if output_names is not None:
-            hidden = {
-                term.name
-                for term in pivot_query.head_terms[len(output_names):]
-                if isinstance(term, Variable)
-            }
-        projection = None
-        if isinstance(root, Project):
-            kept = tuple(variable for variable in root.variables if variable not in hidden)
-            projection = ProjectStage(kept, tuple(root.renaming.items()))
-            root = root.children()[0]
-        if residual:
-            # Before the projection: a WHERE column need not be selected, and
-            # the projection would drop it.
-            specs = tuple(
-                PredicateSpec(p.variable, p.op, p.value, p.value_is_column)
-                for p in residual
-            )
-            root = attach_stage(root, FilterStage(specs))
-        if projection is not None:
-            root = attach_stage(root, projection)
-        if aggregation is not None:
-            # Over a sharded fragment scan (and with no mediator-side residual
-            # filters in between) the aggregation decomposes: each shard
-            # pre-aggregates its own rows, the mediator merges partial states.
-            pushed = None
-            if not residual:
-                pushed = push_partial_aggregation(
-                    root, aggregation.group_by, aggregation.aggregations
-                )
-            root = (
-                pushed
-                if pushed is not None
-                else Aggregate(root, aggregation.group_by, aggregation.aggregations)
-            )
-        # SQL defaults to bag semantics (DISTINCT opts into sets); plain pivot
-        # conjunctive queries follow the usual set semantics.  Deduplication
-        # runs on the shaped output: the columns the statement returns.
-        distinct = extras.get("distinct") or (output_names is None and aggregation is None)
-        limit = extras.get("limit")
-        if output_names is not None:
-            # A head variable the translator exposed only to feed an aggregate
-            # is consumed by it: it is not an output column.
-            consumed: set = set()
-            if aggregation is not None:
-                consumed = {
-                    column for _, column in aggregation.aggregations.values()
-                } - set(aggregation.group_by)
-            outputs = tuple(
-                (
-                    name,
-                    isinstance(term, Variable),
-                    term.name if isinstance(term, Variable) else term.value,
-                )
-                for name, term in zip(output_names, pivot_query.head_terms)
-                if not (isinstance(term, Variable) and term.name in consumed)
-            )
-            root = attach_stage(root, OutputStage(outputs))
-        if distinct:
-            root = Deduplicate(root)
-        if limit is not None:
-            root = attach_stage(root, None, limit)
-        return root
+    def _lower(self, statement: _Statement, ranked: RankedPlan) -> Operator:
+        """The statement's whole tree over ``ranked``'s joins, lowered."""
+        plan = ranked.plan
+        tree = statement_tree(plan.logical, statement.shape)
+        return PhysicalPlanner().lower_tree(tree, (plan.logical.joins, plan.joins))
 
     # -- storage advisor ------------------------------------------------------------------------
     def recommend_fragments(self, workload, **options):

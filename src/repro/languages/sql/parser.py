@@ -159,10 +159,6 @@ class SelectStatement:
         """The aggregate items of the SELECT list."""
         return tuple(item for item in self.items if isinstance(item, AggregateItem))
 
-    def plain_items(self) -> tuple[SelectItem, ...]:
-        """The non-aggregate items of the SELECT list."""
-        return tuple(item for item in self.items if isinstance(item, SelectItem))
-
 
 # ---------------------------------------------------------------------------
 # Parser

@@ -17,6 +17,7 @@ from repro.core.terms import Atom, Constant, Term, Variable
 from repro.datamodel.relational import RelationalSchema
 from repro.errors import TranslationError
 from repro.languages.sql.parser import (
+    AggregateItem,
     ColumnRef,
     Condition,
     Literal,
@@ -39,23 +40,31 @@ class ResidualPredicate:
 
 @dataclass(frozen=True, slots=True)
 class ResidualAggregation:
-    """Aggregation (and grouping) the runtime must apply after rewriting."""
+    """Aggregation (and grouping) the runtime must apply after rewriting.
+
+    ``scalar`` is whether the statement has no GROUP BY clause: only then
+    does it answer one row over no input.  It is not ``not group_by``, which
+    also holds when every GROUP BY column is pinned to a constant.
+    """
 
     group_by: tuple[str, ...]
     aggregations: Mapping[str, tuple[str, str | None]]
+    scalar: bool
 
 
 @dataclass(slots=True)
 class TranslatedQuery:
     """The pivot query plus the residual (non-conjunctive) work.
 
-    The query head lists the ``output_names`` columns first; any head
-    variables past them are required only by residual predicates and are
-    dropped by output shaping.
+    ``outputs`` are the statement's columns in SELECT order, each with the
+    term it returns: a head term of the pivot query, or for an aggregate
+    the variable named by its alias (the aggregation's output column).  The
+    head may carry more variables than the outputs read: GROUP BY columns,
+    aggregate arguments and the columns residual predicates compare.
     """
 
     query: ConjunctiveQuery
-    output_names: tuple[str, ...]
+    outputs: tuple[tuple[str, Term], ...]
     residual_predicates: tuple[ResidualPredicate, ...] = ()
     aggregation: ResidualAggregation | None = None
     distinct: bool = False
@@ -96,7 +105,7 @@ class SqlTranslator:
             self._apply_condition(condition, alias_to_table, union_find, constants, residual)
 
         atoms = self._build_atoms(alias_to_table, union_find, constants)
-        head_terms, output_names = self._build_head(statement, alias_to_table, union_find, constants)
+        head_terms, outputs = self._build_head(statement, alias_to_table, union_find, constants)
         # Every variable a residual comparison reads is *required*: it joins
         # the head after the output columns (with no output name), so a
         # fragment that does not expose it yields no rewriting instead of a
@@ -116,7 +125,7 @@ class SqlTranslator:
         )
         return TranslatedQuery(
             query=query,
-            output_names=output_names,
+            outputs=outputs,
             residual_predicates=tuple(residual),
             aggregation=aggregation,
             distinct=statement.distinct,
@@ -239,41 +248,36 @@ class SqlTranslator:
         alias_to_table: Mapping[str, str],
         union_find: "_UnionFind",
         constants: Mapping[str, object],
-    ) -> tuple[list[Term], tuple[str, ...]]:
+    ) -> tuple[list[Term], tuple[tuple[str, Term], ...]]:
         head_terms: list[Term] = []
-        output_names: list[str] = []
+        outputs: list[tuple[str, Term]] = []
         if statement.select_star:
             for alias, table_name in alias_to_table.items():
                 for column in self._schema.table(table_name).columns:
-                    head_terms.append(
-                        self._term_for(self._variable_name(alias, column), union_find, constants)
+                    term = self._term_for(self._variable_name(alias, column), union_find, constants)
+                    head_terms.append(term)
+                    outputs.append(
+                        (column if len(alias_to_table) == 1 else self._variable_name(alias, column), term)
                     )
-                    output_names.append(
-                        column if len(alias_to_table) == 1 else self._variable_name(alias, column)
-                    )
-        for item in statement.plain_items():
-            variable = self._resolve_column(item.column, alias_to_table)
-            head_terms.append(self._term_for(variable, union_find, constants))
-            output_names.append(item.alias)
-        # Aggregate arguments and GROUP BY columns must be exposed by the
-        # conjunctive core so the runtime can aggregate on top of it.
-        for column in statement.group_by:
-            variable = self._resolve_column(column, alias_to_table)
-            term = self._term_for(variable, union_find, constants)
-            if term not in head_terms:
-                head_terms.append(term)
-                output_names.append(column.column)
-        for item in statement.aggregates():
-            if item.argument is None:
+        for item in statement.items:
+            if isinstance(item, AggregateItem):
+                outputs.append((item.alias, Variable(item.alias)))
                 continue
-            variable = self._resolve_column(item.argument, alias_to_table)
-            term = self._term_for(variable, union_find, constants)
+            term = self._term_for(self._resolve_column(item.column, alias_to_table), union_find, constants)
+            head_terms.append(term)
+            outputs.append((item.alias, term))
+        # Aggregate arguments and GROUP BY columns must be exposed by the
+        # conjunctive core so the runtime can aggregate on top of it.  A
+        # statement of aggregates only over no such column (``COUNT(*)``)
+        # has an empty head: the rewriting's rows are all it counts.
+        arguments = [item.argument for item in statement.aggregates() if item.argument is not None]
+        for column in (*statement.group_by, *arguments):
+            term = self._term_for(self._resolve_column(column, alias_to_table), union_find, constants)
             if term not in head_terms:
                 head_terms.append(term)
-                output_names.append(item.argument.column)
-        if not head_terms:
+        if not outputs:
             raise TranslationError("the SELECT list resolves to no output columns")
-        return head_terms, tuple(output_names)
+        return head_terms, tuple(outputs)
 
     def _build_aggregation(
         self,
@@ -301,7 +305,9 @@ class SqlTranslator:
                 else None
             )
             aggregations[item.alias] = (item.function, argument)
-        return ResidualAggregation(group_by=group_by, aggregations=aggregations)
+        return ResidualAggregation(
+            group_by=group_by, aggregations=aggregations, scalar=not statement.group_by
+        )
 
 
 class _UnionFind:

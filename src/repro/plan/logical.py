@@ -3,10 +3,13 @@
 A logical plan is the translation layer's output: rewriting atoms resolved
 against the catalog, ordered for access-pattern feasibility, grouped into
 maximal per-store delegation units, and arranged as a left-deep join chain
-with a final projection (and optional duplicate elimination).  It says
-nothing about join algorithms or store-request compilation — that is the
-physical pass's job (:mod:`repro.plan.physical`), which keeps the cost
-model's choices out of the structural translation step.
+under a projection of the rewriting's head.  A *statement* stacks what no
+store can do above that join chain (:func:`statement_tree`): residual
+filters, aggregation, output naming, duplicate elimination and LIMIT, so
+one tree describes everything the statement computes.  It says nothing
+about join algorithms or store-request compilation — that is the physical
+pass's job (:mod:`repro.plan.physical`), which keeps the cost model's
+choices out of the structural translation step.
 
 Accesses to fragments materialized in a **sharded store** additionally carry
 the shard selection: when an equality constant in the atom binds the
@@ -21,12 +24,13 @@ against a different shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.catalog.manager import StorageDescriptorManager
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Variable
 from repro.errors import PlanningError
+from repro.runtime.kernels import PredicateSpec
 from repro.stores.sharded import ShardedStore
 from repro.translation.grouping import (
     AtomAccess,
@@ -40,9 +44,15 @@ __all__ = [
     "LogicalAccess",
     "LogicalJoin",
     "LogicalProject",
+    "LogicalFilter",
+    "LogicalAggregate",
+    "LogicalOutput",
     "LogicalDistinct",
+    "LogicalLimit",
     "LogicalPlan",
+    "StatementShape",
     "build_logical_plan",
+    "statement_tree",
     "shard_selection",
 ]
 
@@ -113,7 +123,7 @@ class LogicalJoin(LogicalNode):
 
 @dataclass(slots=True)
 class LogicalProject(LogicalNode):
-    """Project the head variables of the rewriting."""
+    """Keep only ``variables`` of the rows below."""
 
     child: LogicalNode
     variables: tuple[str, ...]
@@ -123,6 +133,59 @@ class LogicalProject(LogicalNode):
 
     def describe(self) -> str:
         return f"Project[{', '.join(self.variables)}]"
+
+
+@dataclass(slots=True)
+class LogicalFilter(LogicalNode):
+    """Keep the rows satisfying every residual comparison."""
+
+    child: LogicalNode
+    predicates: tuple[PredicateSpec, ...]
+
+    def children(self) -> Sequence[LogicalNode]:
+        return (self.child,)
+
+    def describe(self) -> str:
+        return f"Filter[{' AND '.join(p.describe() for p in self.predicates)}]"
+
+
+@dataclass(slots=True)
+class LogicalAggregate(LogicalNode):
+    """Group by ``group_by`` and fold ``aggregations`` (name -> (function, column)).
+
+    Emits the group-by columns followed by one column per aggregation.  A
+    ``scalar`` aggregate (a statement without GROUP BY) answers one row even
+    over no input; a grouped one answers no row then.
+    """
+
+    child: LogicalNode
+    group_by: tuple[str, ...]
+    aggregations: Mapping[str, tuple[str, str | None]]
+    scalar: bool
+
+    def children(self) -> Sequence[LogicalNode]:
+        return (self.child,)
+
+    def describe(self) -> str:
+        return f"Aggregate[by {', '.join(self.group_by) or '()'}]"
+
+
+@dataclass(slots=True)
+class LogicalOutput(LogicalNode):
+    """Name the statement's columns, in SELECT order.
+
+    One ``(name, is_variable, payload)`` triple per column: the payload is
+    the input column a variable output reads, or the constant it returns.
+    """
+
+    child: LogicalNode
+    outputs: tuple[tuple[str, bool, object], ...]
+
+    def children(self) -> Sequence[LogicalNode]:
+        return (self.child,)
+
+    def describe(self) -> str:
+        return f"Output[{', '.join(name for name, _, _ in self.outputs)}]"
 
 
 @dataclass(slots=True)
@@ -136,18 +199,84 @@ class LogicalDistinct(LogicalNode):
 
 
 @dataclass(slots=True)
+class LogicalLimit(LogicalNode):
+    """Return at most ``count`` rows."""
+
+    child: LogicalNode
+    count: int
+
+    def children(self) -> Sequence[LogicalNode]:
+        return (self.child,)
+
+    def describe(self) -> str:
+        return f"Limit[{self.count}]"
+
+
+@dataclass(slots=True)
 class LogicalPlan:
     """The logical plan of one rewriting, plus its planning metadata."""
 
     rewriting: ConjunctiveQuery
-    root: LogicalNode
+    root: LogicalProject
     groups: list[DelegationGroup]
     head_variables: tuple[str, ...]
     bound_parameters: tuple[Variable, ...] = ()
 
+    @property
+    def joins(self) -> LogicalNode:
+        """The join tree under the rewriting's head projection."""
+        return self.root.child
+
     def explain(self) -> str:
         """Printable logical plan."""
         return self.root.explain()
+
+
+@dataclass(frozen=True, slots=True)
+class StatementShape:
+    """What a statement asks of the mediator beyond its conjunctive core.
+
+    ``predicates`` are residual comparisons over the rewriting's rows;
+    ``aggregate`` is ``(group_by, aggregations, scalar)`` (the fields of
+    :class:`LogicalAggregate`) or None; ``outputs`` are
+    :class:`LogicalOutput` triples in SELECT order, or None for a pivot
+    query, which returns its head variables; ``distinct`` and ``limit``
+    shape the result.  A pure function of the statement.
+    """
+
+    predicates: tuple[PredicateSpec, ...] = ()
+    aggregate: tuple[tuple[str, ...], Mapping[str, tuple[str, str | None]], bool] | None = None
+    outputs: tuple[tuple[str, bool, object], ...] | None = None
+    distinct: bool = False
+    limit: int | None = None
+
+
+def statement_tree(plan: LogicalPlan, shape: StatementShape) -> LogicalNode:
+    """The whole statement as one tree, stacked above ``plan``'s join tree.
+
+    Filter, then Aggregate (which reads only its own columns) or a Project
+    onto the head variables the outputs read, then Output, Distinct and
+    Limit.  Deduplication runs on the shaped output: the columns the
+    statement returns.
+    """
+    node = plan.joins
+    if shape.predicates:
+        node = LogicalFilter(node, shape.predicates)
+    if shape.aggregate is not None:
+        node = LogicalAggregate(node, *shape.aggregate)
+    else:
+        kept = plan.head_variables
+        if shape.outputs is not None:
+            read = {payload for _, is_variable, payload in shape.outputs if is_variable}
+            kept = tuple(variable for variable in kept if variable in read)
+        node = LogicalProject(node, kept)
+    if shape.outputs is not None:
+        node = LogicalOutput(node, shape.outputs)
+    if shape.distinct:
+        node = LogicalDistinct(node)
+    if shape.limit is not None:
+        node = LogicalLimit(node, shape.limit)
+    return node
 
 
 def shard_selection(access: AtomAccess) -> tuple[tuple[int, ...], int] | None:
@@ -190,7 +319,6 @@ def build_logical_plan(
     rewriting: ConjunctiveQuery,
     manager: StorageDescriptorManager,
     bound_parameters: Sequence[Variable] = (),
-    distinct: bool = False,
 ) -> LogicalPlan:
     """Translate a rewriting into the logical IR.
 
@@ -223,12 +351,9 @@ def build_logical_plan(
     head_variables = tuple(
         term.name for term in rewriting.head_terms if isinstance(term, Variable)
     )
-    root = LogicalProject(root, head_variables)
-    if distinct:
-        root = LogicalDistinct(root)
     return LogicalPlan(
         rewriting=rewriting,
-        root=root,
+        root=LogicalProject(root, head_variables),
         groups=groups,
         head_variables=head_variables,
         bound_parameters=bound,

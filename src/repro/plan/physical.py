@@ -10,59 +10,49 @@ Lowering decides *how* each logical step executes:
   otherwise a hash join *or* a bind join — with a cost model, the cheaper of
   the two is picked from the estimated left cardinality and the store's cost
   profile (per-probe lookups beat a full scan when the left side is small);
-* projection and duplicate elimination map onto the streaming
-  :class:`~repro.runtime.operators.Project` / ``Deduplicate`` operators; the
-  facade's residual assembly then lowers the terminal
-  Filter → Project → Output (→ LIMIT) chain into kernel stages fused into a
-  single :class:`~repro.runtime.kernels.FusedPipeline`
-  (:func:`~repro.runtime.kernels.attach_stage`), which
-  :func:`push_partial_aggregation` sees through like a plain ``Project``;
-* every delegated store request — the independent subtrees of the plan:
-  distinct delegation groups, the build and probe sides of hash joins — is
-  wrapped in an :class:`~repro.runtime.parallel.Exchange` node, the explicit
-  marker the engine uses to overlap store requests when executing with
-  ``parallelism > 1`` (with ``parallelism == 1`` an Exchange is a pure
-  pass-through, so the serial plan semantics are unchanged);
-* a scan of a fragment in a **sharded store** lowers to one delegated request
-  *per target shard* (each against the shard's child store, each wrapped in
-  its own Exchange) united by a
-  :class:`~repro.runtime.operators.ShardGather` — a pruned point access
-  contacts a single shard, an unpruned scan scatter-gathers across all of
-  them; :func:`push_partial_aggregation` additionally rewrites
-  ``Aggregate ∘ (Project ∘) ShardGather`` into per-shard
+* the statement's nodes map onto the runtime: each maximal
+  Filter/Project/Output chain (under an optional Limit) becomes one
+  :class:`~repro.runtime.kernels.FusedPipeline`, Distinct a ``Deduplicate``,
+  and an Aggregate directly over a sharded scan per-shard
   :class:`~repro.runtime.operators.PartialAggregate` branches merged by a
-  :class:`~repro.runtime.operators.MergeAggregate`, so each shard reduces its
-  own rows before anything crosses the exchange queues;
-* a fragment in a **replicated store** compiles against the replica *router*
-  rather than a pinned replica: plans are cached and re-executed, so binding
-  a replica index at plan time would replay a cached plan against a replica
-  that has since slowed down or died.  Replica selection is split between
-  planning and execution: at planning time the cost model prices the access
-  (and the hash-vs-bind choice) with the cheapest healthy replica's EWMA
-  latency (:meth:`~repro.cost.cost_model.CostModel.request_latency_seconds`),
-  and at execution time the router resolves the same health board into the
-  actual attempt order, with bounded retry, failover and hedging
-  (:mod:`repro.stores.replicated`).  The lowered operator is annotated with
-  the replica count so ``explain()`` shows where dynamic routing happens.
+  :class:`~repro.runtime.operators.MergeAggregate` (each shard reduces its own
+  rows before anything crosses the exchange queues), any other Aggregate a
+  plain ``Aggregate``;
+* every delegated store request — the independent subtrees of the plan — is
+  wrapped in an :class:`~repro.runtime.parallel.Exchange`, the marker the
+  engine uses to overlap store requests with ``parallelism > 1`` (serially
+  an Exchange is a pass-through); a scan of a fragment in a **sharded
+  store** lowers to one such request *per target shard* under a
+  :class:`~repro.runtime.operators.ShardGather`;
+* a fragment in a **replicated store** compiles against the replica *router*,
+  never a pinned replica: the cost model prices the access with the cheapest
+  healthy replica's EWMA latency, and the router resolves the live health
+  board into the attempt order per execution
+  (:mod:`repro.stores.replicated`).  The plan text shows the replica count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.query import ConjunctiveQuery
 from repro.errors import CatalogError, CostModelError, PlanningError, StoreError
 from repro.plan.logical import (
     LogicalAccess,
+    LogicalAggregate,
     LogicalDistinct,
+    LogicalFilter,
     LogicalJoin,
+    LogicalLimit,
     LogicalNode,
+    LogicalOutput,
     LogicalPlan,
     LogicalProject,
 )
-from repro.runtime.kernels import FusedPipeline, ProjectStage
+from repro.runtime.kernels import FilterStage, FusedPipeline, OutputStage, ProjectStage
 from repro.runtime.operators import (
+    Aggregate,
     BindJoin,
     Deduplicate,
     DelegatedRequest,
@@ -70,7 +60,6 @@ from repro.runtime.operators import (
     MergeAggregate,
     Operator,
     PartialAggregate,
-    Project,
     ShardGather,
 )
 from repro.runtime.parallel import Exchange
@@ -81,22 +70,37 @@ from repro.stores.sharded import ShardedStore
 from repro.translation.grouping import AtomAccess, DelegationGroup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Mapping
-
     from repro.cost.cost_model import CostModel
 
-__all__ = ["PhysicalPlan", "PhysicalPlanner", "push_partial_aggregation"]
+__all__ = ["PhysicalPlan", "PhysicalPlanner"]
+
+# The nodes one FusedPipeline evaluates as kernel stages, and a chain's heads.
+_STAGES = (LogicalFilter, LogicalProject, LogicalOutput)
+_CHAIN = (LogicalLimit,) + _STAGES
 
 
 @dataclass(slots=True)
 class PhysicalPlan:
-    """A physical plan: the operator tree plus planning metadata."""
+    """A physical plan: the lowered join tree plus planning metadata.
+
+    ``joins`` is the one operator tree a plan holds; a statement tree built
+    over ``logical`` reuses it as is.
+    """
 
     rewriting: ConjunctiveQuery
-    root: Operator
+    joins: Operator
     groups: list[DelegationGroup]
     head_variables: tuple[str, ...]
-    logical: LogicalPlan | None = None
+    logical: LogicalPlan
+
+    @property
+    def root(self) -> Operator:
+        """The rewriting on its own: ``joins`` under its head projection.
+
+        Lowered anew on each read; the facade never reads it (it runs the
+        statement tree), so ranking a candidate lowers only its joins.
+        """
+        return PhysicalPlanner().lower_tree(self.logical.root, (self.logical.joins, self.joins))
 
     def explain(self) -> str:
         """Printable plan (operator tree)."""
@@ -118,21 +122,35 @@ class PhysicalPlanner:
     # -- lowering -----------------------------------------------------------------
     def lower(self, logical: LogicalPlan) -> PhysicalPlan:
         """Lower ``logical`` to a physical plan."""
-        accesses_so_far: list[AtomAccess] = []
-        root = self._lower_node(logical.root, accesses_so_far)
         return PhysicalPlan(
             rewriting=logical.rewriting,
-            root=root,
+            joins=self.lower_tree(logical.joins),
             groups=logical.groups,
             head_variables=logical.head_variables,
             logical=logical,
         )
 
-    def _lower_node(self, node: LogicalNode, accesses_so_far: list[AtomAccess]) -> Operator:
+    def lower_tree(
+        self, node: LogicalNode, lowered: tuple[LogicalNode, Operator] | None = None
+    ) -> Operator:
+        """Lower a logical tree (a rewriting's, or a whole statement's).
+
+        ``lowered`` pairs a join tree inside ``node`` with the operator it
+        already lowered to, which is reused as is: a statement keeps the joins
+        its plan was ranked with, and lowers only what it stacks above them.
+        """
+        return self._lower_node(node, [], lowered)
+
+    def _lower_node(
+        self,
+        node: LogicalNode,
+        accesses_so_far: list[AtomAccess],
+        lowered: tuple[LogicalNode, Operator] | None = None,
+    ) -> Operator:
+        if lowered is not None and node is lowered[0]:
+            return lowered[1]
         if isinstance(node, LogicalAccess):
-            operator = self._delegated_operator(
-                node.group, shard_targets=node.shard_targets, shard_total=node.shard_total
-            )
+            operator = self._lower_access(node)
             accesses_so_far.extend(node.group.accesses)
             return operator
         if isinstance(node, LogicalJoin):
@@ -140,11 +158,70 @@ class PhysicalPlanner:
             operator = self._lower_join(left, node, accesses_so_far)
             accesses_so_far.extend(node.right.group.accesses)
             return operator
-        if isinstance(node, LogicalProject):
-            return Project(self._lower_node(node.child, accesses_so_far), node.variables)
+        if isinstance(node, _CHAIN):
+            return self._lower_chain(node, accesses_so_far, lowered)
+        if isinstance(node, LogicalAggregate):
+            return self._lower_aggregate(node, accesses_so_far, lowered)
         if isinstance(node, LogicalDistinct):
-            return Deduplicate(self._lower_node(node.child, accesses_so_far))
+            return Deduplicate(self._lower_node(node.child, accesses_so_far, lowered))
         raise PlanningError(f"cannot lower logical node {type(node).__name__}")
+
+    def _lower_chain(
+        self,
+        node: LogicalNode,
+        accesses_so_far: list[AtomAccess],
+        lowered: tuple[LogicalNode, Operator] | None,
+    ) -> Operator:
+        """A maximal Filter/Project/Output chain, under an optional Limit, as one pipeline.
+
+        A Limit only ever closes a chain from above: fusing a stage across it
+        would filter before truncating.
+        """
+        limit = None
+        if isinstance(node, LogicalLimit):
+            limit, node = node.count, node.child
+        stages: list = []
+        while isinstance(node, _STAGES):
+            if isinstance(node, LogicalFilter):
+                stages.append(FilterStage(node.predicates))
+            elif isinstance(node, LogicalProject):
+                stages.append(ProjectStage(node.variables))
+            else:
+                stages.append(OutputStage(node.outputs))
+            node = node.child
+        child = self._lower_node(node, accesses_so_far, lowered)
+        return FusedPipeline(child, tuple(reversed(stages)), limit)
+
+    def _lower_aggregate(
+        self,
+        node: LogicalAggregate,
+        accesses_so_far: list[AtomAccess],
+        lowered: tuple[LogicalNode, Operator] | None,
+    ) -> Operator:
+        """Aggregate; directly over a sharded scan, partial per shard and merged.
+
+        Each gather branch becomes ``Exchange(PartialAggregate(shard scan))``,
+        so the blocking per-shard reduction runs on the worker that owns the
+        shard, and a :class:`MergeAggregate` above the gather combines the
+        partial states (every supported function decomposes).
+        """
+        child = node.child
+        if isinstance(child, LogicalAccess):
+            gathered = self._scatter(
+                child,
+                per_shard=lambda scan: PartialAggregate(scan, node.group_by, node.aggregations),
+            )
+            if gathered is not None:
+                accesses_so_far.extend(child.group.accesses)
+                return MergeAggregate(
+                    gathered, node.group_by, node.aggregations, scalar=node.scalar
+                )
+        return Aggregate(
+            self._lower_node(child, accesses_so_far, lowered),
+            node.group_by,
+            node.aggregations,
+            scalar=node.scalar,
+        )
 
     def _lower_join(
         self, left: Operator, node: LogicalJoin, accesses_so_far: list[AtomAccess]
@@ -156,14 +233,7 @@ class PhysicalPlanner:
         if algorithm == "bind":
             probe_columns = self._bound_probe_columns(group.accesses[0], accesses_so_far)
             return self._bind_join(left, group, probe_columns=probe_columns)
-        return HashJoin(
-            left,
-            self._delegated_operator(
-                group,
-                shard_targets=node.right.shard_targets,
-                shard_total=node.right.shard_total,
-            ),
-        )
+        return HashJoin(left, self._lower_access(node.right))
 
     # -- join algorithm choice ---------------------------------------------------------
     @staticmethod
@@ -207,29 +277,24 @@ class PhysicalPlanner:
             return "hash"
 
     # -- delegated requests --------------------------------------------------------------
-    def _delegated_operator(
-        self,
-        group: DelegationGroup,
-        shard_targets: tuple[int, ...] | None = None,
-        shard_total: int = 0,
-    ) -> Operator:
+    def _lower_access(self, node: LogicalAccess) -> Operator:
+        """One delegation group: scattered per shard when sharded, else one request."""
+        scattered = self._scatter(node)
+        return scattered if scattered is not None else self._delegated_operator(node.group)
+
+    def _delegated_operator(self, group: DelegationGroup) -> Operator:
         """One delegation group as an Exchange-wrapped store request subtree.
 
         Each delegated request is an independent leaf of the plan — exactly
         the unit the scatter-gather runtime overlaps — so every one is marked
-        with an :class:`Exchange` here.  A scan of a sharded fragment becomes
-        one request per target shard under a :class:`ShardGather`.  Requests
-        against a replicated store target the router (replica selection is
-        resolved per execution from the live health board, never baked into
-        the cached plan) and carry a ``×Nr`` annotation in the plan text.
+        with an :class:`Exchange` here.  Requests against a replicated store
+        target the router (replica selection is resolved per execution from
+        the live health board, never baked into the cached plan) and carry a
+        ``×Nr`` annotation in the plan text.
         """
         if group.is_single():
             access = group.accesses[0]
             request, output, residual = self._scan_request(access)
-            if shard_targets is not None and isinstance(request, ScanRequest):
-                return self._sharded_scan(
-                    access, request, output, residual, shard_targets, shard_total
-                )
             operator = DelegatedRequest(
                 store=group.store,
                 request=request,
@@ -281,24 +346,27 @@ class PhysicalPlanner:
             return f"{label}×{store.replica_count}r"
         return label
 
-    def _sharded_scan(
+    def _scatter(
         self,
-        access: AtomAccess,
-        request: ScanRequest,
-        output: dict[str, str],
-        residual: dict[str, object],
-        shard_targets: tuple[int, ...],
-        shard_total: int,
-    ) -> Operator:
-        """Scatter a sharded fragment scan: one delegated request per shard.
+        node: LogicalAccess,
+        per_shard: Callable[[Operator], Operator] | None = None,
+    ) -> Operator | None:
+        """A sharded fragment scan as one delegated request per target shard.
 
-        Each per-shard request targets the shard's *child* store directly and
-        is wrapped in its own Exchange, so the scatter-gather executor
-        overlaps the shard round-trips; the :class:`ShardGather` above them
-        unions the disjoint shard streams and accounts contacted vs pruned
-        shards.  A pruned access (one target) keeps the same shape — a
-        single-branch gather — so plan rendering and metrics stay uniform.
+        ``None`` unless ``node`` is a single-fragment scan in a sharded store
+        (a key lookup goes to the router instead).  Each per-shard request
+        targets the shard's *child* store directly — wrapped by ``per_shard``
+        when given — and sits in its own Exchange, so the scatter-gather
+        executor overlaps the shard round-trips; the :class:`ShardGather`
+        above them unions the disjoint shard streams and accounts contacted
+        vs pruned shards.  A pruned access (one target) keeps the same shape.
         """
+        if node.shard_targets is None or not node.group.is_single():
+            return None
+        access = node.group.accesses[0]
+        request, output, residual = self._scan_request(access)
+        if not isinstance(request, ScanRequest):
+            return None
         store = access.store
         if not isinstance(store, ShardedStore):
             raise PlanningError(
@@ -308,8 +376,8 @@ class PhysicalPlanner:
         fragment = access.descriptor.fragment_name
         collection = access.descriptor.layout.collection
         branches: list[Operator] = []
-        for index in shard_targets:
-            operator = DelegatedRequest(
+        for index in node.shard_targets:
+            operator: Operator = DelegatedRequest(
                 store=store.shard(index),
                 request=request,
                 output=output,
@@ -318,8 +386,10 @@ class PhysicalPlanner:
                 fragment=fragment,
                 shard=index,
             )
+            if per_shard is not None:
+                operator = per_shard(operator)
             branches.append(Exchange(operator, label=f"{fragment}#{index}"))
-        return ShardGather(branches, fragment=fragment, shards_total=shard_total)
+        return ShardGather(branches, fragment=fragment, shards_total=node.shard_total)
 
     def _scan_request(
         self, access: AtomAccess
@@ -488,62 +558,3 @@ class PhysicalPlanner:
             constants=residual,
             label=layout.collection,
         )
-
-
-# -- partial aggregation pushdown ------------------------------------------------------
-def push_partial_aggregation(
-    root: Operator,
-    group_by: Sequence[str],
-    aggregations: "Mapping[str, tuple[str, str | None]]",
-) -> Operator | None:
-    """Rewrite ``Aggregate(root)`` into per-shard partials when ``root`` allows.
-
-    Applies when the plan is a (possibly projected) single sharded fragment
-    access — ``Project(ShardGather(...))`` or a bare ``ShardGather`` — and
-    every aggregation function decomposes (count/sum/min/max/avg).  Each
-    gather branch is rebuilt as ``Exchange(PartialAggregate(shard scan))`` so
-    the blocking per-shard reduction runs on the Exchange worker that owns
-    the shard, and a :class:`MergeAggregate` above the gather combines the
-    partial states.  Returns ``None`` when the shape does not match; the
-    caller then falls back to a plain mediator-side ``Aggregate``.
-    """
-    node = root
-    projected: set[str] | None = None
-    if isinstance(node, Project):
-        projected = set(node.variables)
-        node = node.children()[0]
-    elif isinstance(node, FusedPipeline) and node.limit is None:
-        # The facade's lowering turns the terminal Project into a fused
-        # ProjectStage chain; the pushdown sees through it the same way
-        # (rename-free stages only — a renamed column would decouple the
-        # stage's outputs from the aggregation's input names).
-        stages = node.stages
-        if (
-            stages
-            and all(
-                isinstance(stage, ProjectStage) and not stage.renaming
-                for stage in stages
-            )
-        ):
-            projected = set(stages[-1].variables)
-            node = node.child
-    if not isinstance(node, ShardGather):
-        return None
-    needed = set(group_by) | {
-        column for _, column in aggregations.values() if column is not None
-    }
-    if projected is not None and not needed <= projected:
-        return None
-    if any(function not in {"count", "sum", "min", "max", "avg"} for function, _ in aggregations.values()):
-        return None
-    branches: list[Operator] = []
-    for branch in node.branches:
-        inner = branch.children()[0] if isinstance(branch, Exchange) else branch
-        label = getattr(branch, "label", "")
-        branches.append(
-            Exchange(PartialAggregate(inner, group_by, aggregations), label=label)
-        )
-    gathered = ShardGather(
-        branches, fragment=node.fragment, shards_total=node.shards_total
-    )
-    return MergeAggregate(gathered, group_by, aggregations)

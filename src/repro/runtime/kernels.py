@@ -15,8 +15,9 @@ Three pieces:
   single-column keys as bare scalars (no per-row tuple allocation);
 * **stages** (:class:`FilterStage`, :class:`ProjectStage`,
   :class:`OutputStage`) — the declarative, fusable forms of residual
-  filtering, projection and output shaping.  Being data (not opaque
-  callables), stages can be concatenated by :func:`attach_stage`;
+  filtering, projection and output shaping, one per logical
+  Filter/Project/Output node (:mod:`repro.plan.physical` lowers a chain of
+  them into one pipeline);
 * :class:`FusedPipeline` — a single operator evaluating a chain of stages
   (plus an optional LIMIT) in one pass per batch: rows are filtered,
   projected and reshaped without materializing a batch per stage.
@@ -44,7 +45,6 @@ __all__ = [
     "ProjectStage",
     "OutputStage",
     "FusedPipeline",
-    "attach_stage",
 ]
 
 
@@ -237,18 +237,15 @@ class FilterStage:
 
 @dataclass(frozen=True, slots=True)
 class ProjectStage:
-    """Keep only ``variables``, optionally renaming."""
+    """Keep only ``variables`` (None for one absent from the schema)."""
 
     variables: tuple[str, ...]
-    renaming: tuple[tuple[str, str], ...] = ()
 
     def compile(self, schema: tuple[str, ...]) -> tuple[tuple[str, ...], RowsKernel]:
-        renaming = dict(self.renaming)
-        output_schema = tuple(renaming.get(v, v) for v in self.variables)
         if all(variable in schema for variable in self.variables):
-            return output_schema, pick_kernel([schema.index(v) for v in self.variables])
+            return self.variables, pick_kernel([schema.index(v) for v in self.variables])
         transform = projection_kernel(schema, self.variables)
-        return output_schema, lambda rows: [transform(row) for row in rows]
+        return self.variables, lambda rows: [transform(row) for row in rows]
 
     def describe(self) -> str:
         return f"project({', '.join(self.variables)})"
@@ -256,47 +253,28 @@ class ProjectStage:
 
 @dataclass(frozen=True, slots=True)
 class OutputStage:
-    """Rename head variables to output column names.
+    """Name the statement's columns, in order.
 
     ``outputs`` holds one ``(name, is_variable, payload)`` triple per output
-    column: the payload is the head variable's name, or the constant value
-    for constant head terms.  Columns of the input schema that are neither
-    claimed outputs nor head variables (aggregation results, computed
-    extras) are appended unchanged.
+    column: the payload is the input column a variable output reads (None
+    when the schema lacks it), or the constant value of a constant output.
     """
 
     outputs: tuple[tuple[str, bool, object], ...]
 
     def compile(self, schema: tuple[str, ...]) -> tuple[tuple[str, ...], RowsKernel]:
-        head_variables = {payload for _, is_var, payload in self.outputs if is_var}
-        plan: list[tuple[str, bool, object]] = []  # (name, is_constant, value/pos)
-        for name, is_var, payload in self.outputs:
-            if is_var:
-                if payload in schema:
-                    plan.append((name, False, schema.index(payload)))
-                elif name in schema:
-                    plan.append((name, False, schema.index(name)))
-                else:
-                    plan.append((name, True, None))
+        plan: list[tuple[bool, object]] = []  # (is_constant, value or position)
+        for _, is_var, payload in self.outputs:
+            if is_var and payload in schema:
+                plan.append((False, schema.index(payload)))
             else:
-                plan.append((name, True, payload))
-        taken = {name for name, _, _ in plan}
-        extras = [
-            (column, index)
-            for index, column in enumerate(schema)
-            if column not in taken and column not in head_variables
-        ]
-        output_schema = tuple(name for name, _, _ in plan) + tuple(c for c, _ in extras)
-        if not extras and all(not is_constant for _, is_constant, _ in plan):
-            return output_schema, pick_kernel([position for _, _, position in plan])
-        extra_positions = tuple(index for _, index in extras)
+                plan.append((True, None if is_var else payload))
+        output_schema = tuple(name for name, _, _ in self.outputs)
+        if all(not is_constant for is_constant, _ in plan):
+            return output_schema, pick_kernel([position for _, position in plan])
         plan_items = tuple(plan)
         return output_schema, lambda rows: [
-            tuple(
-                value if is_constant else row[value]
-                for _, is_constant, value in plan_items
-            )
-            + tuple(row[i] for i in extra_positions)
+            tuple(value if is_constant else row[value] for is_constant, value in plan_items)
             for row in rows
         ]
 
@@ -308,7 +286,7 @@ Stage = FilterStage | ProjectStage | OutputStage
 
 
 class FusedPipeline(Operator):
-    """A Filter→Project→Output(→LIMIT) chain collapsed into one operator.
+    """A Filter/Project/Output(→LIMIT) chain collapsed into one operator.
 
     Stages run in tuple order (innermost first); each is compiled against
     an incoming batch schema exactly once per pipeline — the kernels are
@@ -398,20 +376,3 @@ class FusedPipeline(Operator):
         if self._limit is not None:
             parts.append(f"limit {self._limit}")
         return f"Fused[{' → '.join(parts) or 'passthrough'}]"
-
-
-def attach_stage(
-    root: Operator, stage: Stage | None, limit: int | None = None
-) -> FusedPipeline:
-    """Attach one compiled stage (and/or a LIMIT) above ``root``, fusing chains.
-
-    This is the fusion primitive of the physical lowering: a stage attached
-    to a :class:`FusedPipeline` that has no terminal LIMIT is *absorbed* into
-    it — consecutive Filter → Project → Output (→ LIMIT) steps collapse into
-    one operator.  A pipeline that already truncates is never extended:
-    fusing across its LIMIT would filter before truncating.
-    """
-    stages = () if stage is None else (stage,)
-    if isinstance(root, FusedPipeline) and root.limit is None:
-        return FusedPipeline(root.child, root.stages + stages, limit)
-    return FusedPipeline(root, stages, limit)

@@ -5,8 +5,7 @@ together the results of the sub-queries delegated to the underlying stores.
 Operators are small composable objects evaluated **batch-at-a-time**:
 ``batches(context)`` yields :class:`~repro.runtime.batch.RowBatch` objects
 (column-oriented, tuple-based rows) so that no operator ever materializes the
-whole result; ``rows(context)`` is the terminal collection helper that drains
-the batch stream into binding dicts.  The operator set follows the paper:
+whole result.  The operator set follows the paper:
 
 * :class:`DelegatedRequest` — evaluate a store request (the delegated
   sub-query) and map its rows to pivot variables;
@@ -14,10 +13,11 @@ the batch stream into binding dicts.  The operator set follows the paper:
   restrictions": for each left binding, call the restricted source with the
   required inputs bound;
 * :class:`HashJoin` — mediator-side equi-join of two sub-plans;
-* :class:`Project`, :class:`Deduplicate` — residual projections (residual
-  selections are :class:`~repro.runtime.kernels.FilterStage` kernels);
-* :class:`NestedConstruct` — builds nested results when no store can;
-* :class:`Aggregate` — simple grouped aggregation for the benchmark queries.
+* :class:`Deduplicate` — duplicate elimination (residual selections,
+  projections and output naming are
+  :class:`~repro.runtime.kernels.FusedPipeline` stages);
+* :class:`Aggregate` — grouped aggregation, or per shard
+  (:class:`PartialAggregate`) merged by :class:`MergeAggregate`.
 
 Operators hold no per-execution state, so one plan can be executed many times
 (the plan cache relies on this).
@@ -37,10 +37,9 @@ from repro.runtime.batch import (
     DEFAULT_BATCH_SIZE,
     BatchBuilder,
     RowBatch,
-    batches_from_bindings,
     freeze_value,
 )
-from repro.runtime.values import Binding, nest_rows
+from repro.runtime.values import Binding
 from repro.stores.base import (
     Predicate,
     ScanRequest,
@@ -59,9 +58,7 @@ __all__ = [
     "DelegatedRequest",
     "BindJoin",
     "HashJoin",
-    "Project",
     "Deduplicate",
-    "NestedConstruct",
     "Aggregate",
     "ShardGather",
     "PartialAggregate",
@@ -266,13 +263,6 @@ class Operator:
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         """The operator's streaming implementation (override this)."""
         raise NotImplementedError(f"{type(self).__name__} does not implement _batches")
-
-    def rows(self, context: ExecutionContext) -> list[Binding]:
-        """Terminal collection: drain the batch stream into binding dicts."""
-        collected: list[Binding] = []
-        for batch in self.batches(context):
-            collected.extend(batch.to_bindings())
-        return collected
 
     def children(self) -> Sequence["Operator"]:
         """Child operators (for plan printing and tests)."""
@@ -625,49 +615,6 @@ class HashJoin(Operator):
         return f"HashJoin[on={on}]"
 
 
-class Project(Operator):
-    """Keep only the distinguished variables, optionally renaming them."""
-
-    def __init__(self, child: Operator, variables: Sequence[str],
-                 renaming: Mapping[str, str] | None = None) -> None:
-        self._child = child
-        self._variables = tuple(variables)
-        self._renaming = dict(renaming or {})
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """The projected variable names (pre-renaming)."""
-        return self._variables
-
-    @property
-    def renaming(self) -> Mapping[str, str]:
-        """The output renaming (old name → new name; empty when none)."""
-        return self._renaming
-
-    def children(self) -> Sequence[Operator]:
-        return (self._child,)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        output_schema = tuple(
-            self._renaming.get(variable, variable) for variable in self._variables
-        )
-        source_schema: tuple[str, ...] | None = None
-        indexer: list[int | None] = []
-        for batch in self._child.batches(context):
-            if batch.columns != source_schema:
-                source_schema = batch.columns
-                indexer = batch.indexer(self._variables)
-            rows = [
-                tuple(row[i] if i is not None else None for i in indexer)
-                for row in batch.rows
-            ]
-            if rows:
-                yield RowBatch(output_schema, rows)
-
-    def describe(self) -> str:
-        return f"Project[{', '.join(self._variables)}]"
-
-
 class Deduplicate(Operator):
     """Set semantics: drop duplicate bindings.
 
@@ -712,39 +659,17 @@ class Deduplicate(Operator):
                 yield RowBatch(batch.columns, unique)
 
 
-class NestedConstruct(Operator):
-    """Construct nested results (a list-valued column per group)."""
-
-    def __init__(
-        self,
-        child: Operator,
-        group_keys: Sequence[str],
-        nested_name: str,
-        nested_columns: Sequence[str],
-    ) -> None:
-        self._child = child
-        self._group_keys = tuple(group_keys)
-        self._nested_name = nested_name
-        self._nested_columns = tuple(nested_columns)
-
-    def children(self) -> Sequence[Operator]:
-        return (self._child,)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        # Grouping is blocking: consume the child fully, then stream the groups.
-        nested = nest_rows(
-            self._child.rows(context), self._group_keys, self._nested_name, self._nested_columns
-        )
-        yield from batches_from_bindings(
-            nested, context.batch_size, self._group_keys + (self._nested_name,)
-        )
-
-    def describe(self) -> str:
-        return f"NestedConstruct[{self._nested_name} by {', '.join(self._group_keys)}]"
+def empty_scalar_row(aggregations: Mapping[str, tuple[str, str | None]]) -> tuple:
+    """SQL's answer to aggregates without GROUP BY over no rows: COUNT 0, the rest NULL."""
+    return tuple(0 if function == "count" else None for function, _ in aggregations.values())
 
 
 class Aggregate(Operator):
-    """Grouped aggregation (count/sum/avg/min/max) evaluated by the runtime."""
+    """Grouped aggregation (count/sum/avg/min/max) evaluated by the runtime.
+
+    A ``scalar`` aggregate (SQL without GROUP BY) answers one row even over
+    no input; otherwise no input yields no row.
+    """
 
     _FUNCTIONS = {"count", "sum", "avg", "min", "max"}
 
@@ -753,6 +678,8 @@ class Aggregate(Operator):
         child: Operator,
         group_by: Sequence[str],
         aggregations: Mapping[str, tuple[str, str | None]],
+        *,
+        scalar: bool = False,
     ) -> None:
         for name, (function, _) in aggregations.items():
             if function not in self._FUNCTIONS:
@@ -760,6 +687,7 @@ class Aggregate(Operator):
         self._child = child
         self._group_by = tuple(group_by)
         self._aggregations = dict(aggregations)
+        self._scalar = scalar
 
     def children(self) -> Sequence[Operator]:
         return (self._child,)
@@ -828,6 +756,8 @@ class Aggregate(Operator):
                 else:
                     aggregated.append(low if function == "min" else high)
             aggregated_rows.append(((key,) if single_key else key) + tuple(aggregated))
+        if not groups and self._scalar:
+            aggregated_rows.append(empty_scalar_row(self._aggregations))
         output_schema = self._group_by + tuple(self._aggregations)
         yield from batch_tuples(aggregated_rows, output_schema, context.batch_size)
         context.runtime_rows_processed += len(aggregated_rows)
@@ -917,7 +847,8 @@ class PartialAggregate(Aggregate):
     rows; a :class:`MergeAggregate` above the gather combines the partial
     states.  Pushing the blocking aggregation below the Exchange means each
     shard's rows are reduced on the worker that fetched them — only one small
-    row per group crosses the queue instead of the shard's whole scan.
+    row per group crosses the queue instead of the shard's whole scan.  A
+    shard with no rows contributes no partial: the merge answers empty input.
     """
 
     def __init__(
@@ -926,8 +857,7 @@ class PartialAggregate(Aggregate):
         group_by: Sequence[str],
         aggregations: Mapping[str, tuple[str, str | None]],
     ) -> None:
-        super().__init__(child, group_by, partial_aggregations(aggregations))
-        self._original = dict(aggregations)
+        super().__init__(child, group_by, partial_aggregations(aggregations), scalar=False)
 
     def describe(self) -> str:
         return f"PartialAggregate[by {', '.join(self._group_by) or '()'}]"
@@ -940,7 +870,8 @@ class MergeAggregate(Operator):
     aggregate columns of :func:`partial_aggregations`), at most one per group
     per shard.  States merge associatively: counts and sums add, min/max
     combine ignoring ``None`` (a shard where every value was null), and
-    ``avg`` divides the merged sum by the merged non-null count.
+    ``avg`` divides the merged sum by the merged non-null count.  A
+    ``scalar`` merge answers one row when every shard was empty.
     """
 
     def __init__(
@@ -948,6 +879,8 @@ class MergeAggregate(Operator):
         child: Operator,
         group_by: Sequence[str],
         aggregations: Mapping[str, tuple[str, str | None]],
+        *,
+        scalar: bool = False,
     ) -> None:
         for name, (function, _) in aggregations.items():
             if function not in Aggregate._FUNCTIONS:
@@ -957,6 +890,7 @@ class MergeAggregate(Operator):
         self._child = child
         self._group_by = tuple(group_by)
         self._aggregations = dict(aggregations)
+        self._scalar = scalar
 
     def children(self) -> Sequence[Operator]:
         return (self._child,)
@@ -1005,6 +939,11 @@ class MergeAggregate(Operator):
                             state.setdefault(name, None)
 
         output_schema = self._group_by + tuple(self._aggregations)
+        if not groups and self._scalar:
+            # Every shard was empty: the partials contributed nothing.
+            context.runtime_rows_processed += 1
+            yield RowBatch(output_schema, [empty_scalar_row(self._aggregations)])
+            return
         builder = BatchBuilder(output_schema, context.batch_size)
         produced = 0
         for key, state in groups.items():

@@ -1,64 +1,13 @@
-"""Values of the lightweight nested-relational runtime.
+"""Values of the ESTOCADA runtime.
 
-The ESTOCADA execution engine works on *bindings*: dictionaries mapping
-variable names to atomic values (constants, node identifiers) or nested
-values (lists of records, documents).  This module provides the small helpers
-shared by the operators: merging compatible bindings, grouping, and building
-nested results for queries that construct documents or nested tuples.
+The execution engine's operators exchange rows as
+:class:`~repro.runtime.batch.RowBatch` tuples; a *binding* — a dictionary
+mapping variable names to values — is the shape a bind join's request
+factory and a query result's rows take.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
-
-__all__ = ["Binding", "merge_bindings", "project_binding", "nest_rows", "group_rows"]
+__all__ = ["Binding"]
 
 Binding = dict[str, object]
-
-
-def merge_bindings(left: Mapping[str, object], right: Mapping[str, object]) -> Binding | None:
-    """Union of two bindings, or None when they disagree on a shared variable."""
-    merged: Binding = dict(left)
-    for key, value in right.items():
-        if key in merged and merged[key] != value:
-            return None
-        merged[key] = value
-    return merged
-
-
-def project_binding(binding: Mapping[str, object], variables: Sequence[str]) -> Binding:
-    """Keep only the chosen variables of a binding (missing ones become None)."""
-    return {variable: binding.get(variable) for variable in variables}
-
-
-def group_rows(
-    rows: Iterable[Mapping[str, object]], keys: Sequence[str]
-) -> dict[tuple, list[Binding]]:
-    """Group rows by the values of ``keys``."""
-    groups: dict[tuple, list[Binding]] = {}
-    for row in rows:
-        group_key = tuple(row.get(key) for key in keys)
-        groups.setdefault(group_key, []).append(dict(row))
-    return groups
-
-
-def nest_rows(
-    rows: Iterable[Mapping[str, object]],
-    group_keys: Sequence[str],
-    nested_name: str,
-    nested_columns: Sequence[str],
-) -> list[Binding]:
-    """Build nested records: one row per group, with a list-valued column.
-
-    This is the runtime's "Construct" helper: it produces nested tuples or
-    JSON-like results when the query requests them and no underlying store
-    supports nested construction natively.
-    """
-    nested: list[Binding] = []
-    for group_key, members in group_rows(rows, group_keys).items():
-        record: Binding = dict(zip(group_keys, group_key))
-        record[nested_name] = [
-            {column: member.get(column) for column in nested_columns} for member in members
-        ]
-        nested.append(record)
-    return nested

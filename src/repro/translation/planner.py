@@ -46,11 +46,9 @@ class Planner:
     def __init__(
         self,
         manager: StorageDescriptorManager,
-        distinct: bool = True,
         cost_model: "CostModel | None" = None,
     ) -> None:
         self._manager = manager
-        self._distinct = distinct
         self._cost_model = cost_model
 
     # -- public API -----------------------------------------------------------------
@@ -61,10 +59,7 @@ class Planner:
     ) -> LogicalPlan:
         """Translate ``rewriting`` into the logical plan IR."""
         return build_logical_plan(
-            rewriting,
-            self._manager,
-            bound_parameters=tuple(bound_parameters),
-            distinct=self._distinct,
+            rewriting, self._manager, bound_parameters=tuple(bound_parameters)
         )
 
     def plan(

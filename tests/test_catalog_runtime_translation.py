@@ -28,12 +28,9 @@ from repro.runtime import (
     FilterStage,
     FusedPipeline,
     HashJoin,
-    NestedConstruct,
     PredicateSpec,
-    Project,
+    ProjectStage,
     batches_from_bindings,
-    merge_bindings,
-    nest_rows,
 )
 from repro.stores import (
     KeyValueStore,
@@ -217,16 +214,6 @@ class _StaticOperator(DelegatedRequest):
 
 
 class TestRuntimeOperators:
-    def test_merge_bindings(self):
-        assert merge_bindings({"x": 1}, {"y": 2}) == {"x": 1, "y": 2}
-        assert merge_bindings({"x": 1}, {"x": 2}) is None
-
-    def test_nest_rows(self):
-        rows = [{"u": 1, "sku": 5}, {"u": 1, "sku": 6}, {"u": 2, "sku": 7}]
-        nested = nest_rows(rows, ["u"], "items", ["sku"])
-        by_user = {r["u"]: r["items"] for r in nested}
-        assert len(by_user[1]) == 2 and len(by_user[2]) == 1
-
     def test_hash_join_natural(self):
         left = _StaticOperator([{"u": 1, "a": "x"}, {"u": 2, "a": "y"}])
         right = _StaticOperator([{"u": 1, "b": "z"}, {"u": 3, "b": "w"}])
@@ -241,8 +228,10 @@ class TestRuntimeOperators:
 
     def test_filter_project_dedup(self):
         source = _StaticOperator([{"x": 1, "y": 1}, {"x": 2, "y": 1}, {"x": 3, "y": 2}])
-        kept = FusedPipeline(source, (FilterStage((PredicateSpec("x", ">=", 2),)),))
-        plan = Deduplicate(Project(kept, ["y"]))
+        kept = FusedPipeline(
+            source, (FilterStage((PredicateSpec("x", ">=", 2),)), ProjectStage(("y",)))
+        )
+        plan = Deduplicate(kept)
         result = ExecutionEngine().execute(plan)
         assert sorted(r["y"] for r in result.rows) == [1, 2]
 
@@ -257,12 +246,6 @@ class TestRuntimeOperators:
     def test_aggregate_rejects_unknown_function(self):
         with pytest.raises(Exception):
             Aggregate(_StaticOperator([]), [], {"x": ("median", "v")})
-
-    def test_nested_construct_operator(self):
-        source = _StaticOperator([{"u": 1, "sku": 5}, {"u": 1, "sku": 6}])
-        plan = NestedConstruct(source, ["u"], "items", ["sku"])
-        rows = ExecutionEngine().execute(plan).rows
-        assert rows[0]["items"] == [{"sku": 5}, {"sku": 6}]
 
     def test_delegated_request_maps_columns_to_variables(self):
         store = RelationalStore("pg")
@@ -291,7 +274,9 @@ class TestRuntimeOperators:
         store = RelationalStore("pg")
         store.create_table("t", ["a"])
         store.insert("t", [{"a": i} for i in range(10)])
-        plan = Project(DelegatedRequest(store, ScanRequest("t"), output={"a": "x"}), ["x"])
+        plan = FusedPipeline(
+            DelegatedRequest(store, ScanRequest("t"), output={"a": "x"}), (ProjectStage(("x",)),)
+        )
         result = ExecutionEngine().execute(plan)
         assert result.elapsed_seconds >= result.store_breakdown["pg"].elapsed_seconds
         assert result.runtime_time() >= 0
@@ -300,8 +285,8 @@ class TestRuntimeOperators:
     def test_plan_explain_tree(self):
         source = _StaticOperator([{"x": 1}])
         kept = FusedPipeline(source, (FilterStage((PredicateSpec("x", "=", 1),)),))
-        text = Project(kept, ["x"]).explain()
-        assert "Project" in text and "filter(x = 1)" in text
+        text = Deduplicate(kept).explain()
+        assert text.splitlines() == ["Deduplicate", "  Fused[filter(x = 1)]", "    Static"]
 
 
 class TestTranslation:

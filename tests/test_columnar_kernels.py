@@ -36,7 +36,6 @@ from repro.runtime.kernels import (
     OutputStage,
     PredicateSpec,
     ProjectStage,
-    attach_stage,
     key_kernel,
     predicate_kernel,
     projection_kernel,
@@ -64,6 +63,11 @@ class _Rows(Operator):
     def _batches(self, context):
         for start in range(0, len(self._rows), self._batch_size):
             yield RowBatch(self._columns, self._rows[start : start + self._batch_size])
+
+
+def _drain(operator):
+    """An operator's whole output as binding dicts."""
+    return [row for batch in operator.batches(ExecutionContext()) for row in batch.to_bindings()]
 
 
 # -- RowBatch edge cases -------------------------------------------------------------
@@ -106,7 +110,7 @@ class TestRowBatchEdges:
 
         source = _Tracking(("a",), [(i,) for i in range(9)], batch_size=3)
         fused = FusedPipeline(source, (), limit=6)
-        rows = fused.rows(ExecutionContext())
+        rows = _drain(fused)
         assert [r["a"] for r in rows] == list(range(6))
         assert pulled == [3, 3]
 
@@ -150,26 +154,37 @@ class TestKernels:
         keys = key_kernel(("a", "b"), ("b", "missing"))([(1, "x")])
         assert keys == [("x", None)]
 
-    def test_output_stage_preserves_computed_extras(self):
-        # Aggregation outputs (columns that are neither claimed outputs nor
-        # head variables) ride along unchanged, renamed head variables map.
-        stage = OutputStage((("name", True, "u"), ("fixed", False, 7)))
-        schema, kernel = stage.compile(("u", "total"))
-        assert schema == ("name", "fixed", "total")
-        assert kernel([("alice", 3)]) == [("alice", 7, 3)]
+    def test_output_stage_names_columns_in_order(self):
+        # Exactly the listed columns, in order: an aggregate's column, a
+        # renamed variable, a constant, and None for a column the input lacks.
+        stage = OutputStage(
+            (("n", True, "total"), ("name", True, "u"), ("fixed", False, 7), ("gone", True, "x"))
+        )
+        schema, kernel = stage.compile(("u", "total", "unlisted"))
+        assert schema == ("n", "name", "fixed", "gone")
+        assert kernel([("alice", 3, "dropped")]) == [(3, "alice", 7, None)]
 
-    def test_attach_stage_fuses_consecutive_stages(self):
-        source = _Rows(("a",), [(1,)])
-        first = attach_stage(source, ProjectStage(("a",)))
-        fused = attach_stage(first, FilterStage((PredicateSpec("a", "=", 1),)))
-        assert fused.child is source and len(fused.stages) == 2
+    def test_lowering_fuses_a_stage_chain_into_one_pipeline(self):
+        est = _single_store_estocada()
+        root = est.explain(
+            "SELECT uid FROM purchases WHERE price > 1 LIMIT 2", dataset="shop"
+        ).root
+        assert isinstance(root, FusedPipeline) and root.limit == 2
+        assert [type(stage) for stage in root.stages] == [FilterStage, ProjectStage, OutputStage]
+        assert "Exchange" in root.child.describe()
 
-    def test_attach_stage_never_fuses_past_a_limit(self):
-        source = _Rows(("a",), [(1,)])
-        limited = attach_stage(source, ProjectStage(("a",)), limit=1)
-        above = attach_stage(limited, FilterStage((PredicateSpec("a", "=", 1),)))
+    def test_lowering_never_fuses_past_a_limit(self):
+        from repro.plan import LogicalFilter, LogicalLimit, PhysicalPlanner
+
+        plan = _single_store_estocada().explain(
+            "SELECT uid FROM purchases", dataset="shop"
+        ).chosen.plan.logical
+        tree = LogicalFilter(LogicalLimit(plan.root, 1), (PredicateSpec("purchases_uid", "=", 1),))
+        root = PhysicalPlanner().lower_tree(tree)
         # Fusing across the LIMIT would filter before truncating — forbidden.
-        assert above.child is limited
+        assert root.stages == (FilterStage((PredicateSpec("purchases_uid", "=", 1),)),)
+        assert root.limit is None
+        assert isinstance(root.child, FusedPipeline) and root.child.limit == 1
 
 
 ROWS = st.lists(
@@ -212,10 +227,8 @@ class TestFusedEquivalence:
         for stage in stages:
             unfused = FusedPipeline(unfused, (stage,))
         unfused = FusedPipeline(unfused, (), limit=limit)
-        fused_rows = [tuple(sorted(r.items())) for r in fused.rows(ExecutionContext())]
-        unfused_rows = [
-            tuple(sorted(r.items())) for r in unfused.rows(ExecutionContext())
-        ]
+        fused_rows = [tuple(sorted(r.items())) for r in _drain(fused)]
+        unfused_rows = [tuple(sorted(r.items())) for r in _drain(unfused)]
         assert fused_rows == unfused_rows
 
 
@@ -348,44 +361,68 @@ class TestStoreBatchStreams:
         assert store.requests_served == 1
 
 
-class TestFusedPushdown:
-    def test_partial_aggregation_sees_through_fused_projection(self):
-        # The facade's lowering replaces the terminal Project with a fused
-        # ProjectStage; push_partial_aggregation must pattern-match that
-        # shape exactly like the plain Project(ShardGather) one.
-        from repro.plan.physical import push_partial_aggregation
-        from repro.runtime.operators import Aggregate, MergeAggregate, ShardGather
+def _sharded_events_estocada(shards=2):
+    """``events(g, v, extra)`` in a ``shards``-shard relational store."""
+    from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
+    from repro.core import Atom, ConjunctiveQuery, ViewDefinition
+    from repro.datamodel import TableSchema
 
-        branches = [
-            _Rows(("g", "v", "extra"), [( "a", i, None) for i in range(5)]),
-            _Rows(("g", "v", "extra"), [( "b", i * 2, None) for i in range(5)]),
-        ]
-        gather = ShardGather(branches, fragment="F", shards_total=2)
-        fused_root = FusedPipeline(gather, (ProjectStage(("g", "v")),))
-        aggregations = {"total": ("sum", "v"), "n": ("count", None)}
-        pushed = push_partial_aggregation(fused_root, ("g",), aggregations)
+    est = Estocada()
+    est.register_sharded_store("shardpg", shards)
+    est.register_relational_dataset("app", [TableSchema("events", ("g", "v", "extra"))])
+    view = ViewDefinition(
+        "F_events",
+        ConjunctiveQuery("F_events", ["?g", "?v", "?e"], [Atom("events", ["?g", "?v", "?e"])]),
+        column_names=("g", "v", "extra"),
+    )
+    est.register_fragment(
+        StorageDescriptor(
+            "F_events", "app", "shardpg", view, StorageLayout("events"),
+            AccessMethod("scan"), sharding=ShardingSpec("v", shards),
+        ),
+        rows=[{"g": "ab"[i % 2], "v": i, "extra": None} for i in range(10)],
+    )
+    return est
+
+
+class TestFusedPushdown:
+    def test_partial_aggregation_is_chosen_on_logical_nodes(self):
+        # An Aggregate directly over a sharded access lowers to per-shard
+        # partials merged above the gather, answering like a plain Aggregate
+        # over the gathered rows.
+        from repro.plan import LogicalAggregate, PhysicalPlanner
+        from repro.runtime.operators import Aggregate, MergeAggregate
+
+        est = _sharded_events_estocada()
+        plan = est.explain("SELECT g, v FROM events", dataset="app").chosen.plan.logical
+        aggregations = {"total": ("sum", "events_v"), "n": ("count", None)}
+        planner = PhysicalPlanner()
+        pushed = planner.lower_tree(
+            LogicalAggregate(plan.joins, ("events_g",), aggregations, scalar=False)
+        )
         assert isinstance(pushed, MergeAggregate)
-        plain = Aggregate(fused_root, ("g",), aggregations)
-        pushed_rows = sorted(
-            tuple(sorted(r.items())) for r in pushed.rows(ExecutionContext())
+        assert pushed.explain().count("PartialAggregate") == 2
+        plain = Aggregate(planner.lower_tree(plan.joins), ("events_g",), aggregations)
+        assert sorted(map(sorted, map(dict.items, _drain(pushed)))) == sorted(
+            map(sorted, map(dict.items, _drain(plain)))
         )
-        plain_rows = sorted(
-            tuple(sorted(r.items())) for r in plain.rows(ExecutionContext())
-        )
-        assert pushed_rows == plain_rows
 
     def test_pushdown_refuses_fused_chain_with_limit_or_filter(self):
-        from repro.plan.physical import push_partial_aggregation
-        from repro.runtime.operators import ShardGather
+        from repro.plan import LogicalAggregate, LogicalFilter, LogicalLimit, PhysicalPlanner
+        from repro.runtime.operators import Aggregate
 
-        gather = ShardGather([_Rows(("g", "v"), [("a", 1)])], fragment="F")
-        aggregations = {"total": ("sum", "v")}
-        limited = FusedPipeline(gather, (ProjectStage(("g", "v")),), limit=1)
-        assert push_partial_aggregation(limited, ("g",), aggregations) is None
-        filtered = FusedPipeline(
-            gather, (FilterStage((PredicateSpec("v", ">", 0),)),)
-        )
-        assert push_partial_aggregation(filtered, ("g",), aggregations) is None
+        est = _sharded_events_estocada()
+        joins = est.explain("SELECT g, v FROM events", dataset="app").chosen.plan.logical.joins
+        aggregations = {"total": ("sum", "events_v")}
+        for below in (
+            LogicalLimit(joins, 1),
+            LogicalFilter(joins, (PredicateSpec("events_v", ">", 0),)),
+        ):
+            root = PhysicalPlanner().lower_tree(
+                LogicalAggregate(below, ("events_g",), aggregations, scalar=False)
+            )
+            assert type(root) is Aggregate
+            assert "PartialAggregate" not in root.explain()
 
 
 # -- freeze_value fast paths ---------------------------------------------------------

@@ -123,9 +123,10 @@ def sql_queries(draw):
     Shapes: single-table scans with optional shard-key / non-key equality and
     range filters (the WHERE column in or out of the SELECT list), a
     purchases ⋈ visits join projecting both sides or one side only
-    (optionally pruned by a uid constant), and grouped aggregation over
-    purchases with decomposable functions over unselected columns (behind an
-    optional equality or range filter) — plus an optional LIMIT on the
+    (optionally pruned by a uid constant), and aggregation over purchases
+    with decomposable functions over unselected columns (behind an optional
+    equality or range filter; grouped, or scalar — a scalar one whose filter
+    selects nothing still answers one row) — plus an optional LIMIT on the
     non-aggregate shapes.
     """
     shape = draw(st.sampled_from(["scan", "point", "join", "aggregate", "users"]))
@@ -184,36 +185,44 @@ def sql_queries(draw):
         functions = draw(
             st.lists(st.sampled_from(sorted(_AGGREGATES)), min_size=1, max_size=3, unique=True)
         )
-        group = draw(st.sampled_from(["category", "uid"]))
+        # None: the scalar variant (no GROUP BY), one row even over no input.
+        group = draw(st.sampled_from(["category", "uid", None]))
         filtered = draw(st.sampled_from(["none", "category", "price"]))
         if filtered == "category":
-            category = draw(st.sampled_from(_CATEGORIES))
+            # "none" has no purchases: grouped, the answer is empty; scalar, one row.
+            category = draw(st.sampled_from(_CATEGORIES + ("none",)))
             where = f" WHERE category = '{category}'"
             keep = lambda p: p["category"] == category  # noqa: E731
         elif filtered == "price":
-            price = draw(st.integers(min_value=0, max_value=500))
+            # Out-of-range bounds let the predicate select nothing.
+            price = draw(st.integers(min_value=0, max_value=500) | st.just(10**6))
             op = draw(st.sampled_from(sorted(_COMPARE)))
             where = f" WHERE price {op} {price}"
             keep = lambda p: _COMPARE[op](p["price"], price)  # noqa: E731
         else:
             where = ""
             keep = lambda p: True  # noqa: E731
-        sql = f"SELECT {group}, {', '.join(functions)} FROM purchases{where} GROUP BY {group}"
+        if group is None:
+            sql = f"SELECT {', '.join(functions)} FROM purchases{where}"
+        else:
+            sql = f"SELECT {group}, {', '.join(functions)} FROM purchases{where} GROUP BY {group}"
         limit = None  # aggregates stay deterministic; compare them exactly
 
+        def fold_group(members):
+            # SQL: COUNT of nothing is 0, every other aggregate of nothing NULL.
+            return {
+                name: fold([p[column] for p in members]) if members or fold is len else None
+                for name, column, fold in (_AGGREGATES[f] for f in functions)
+            }
+
         def expected(data):
+            kept = [p for p in data.purchases() if keep(p)]
+            if group is None:
+                return [fold_group(kept)]
             groups = {}
-            for p in data.purchases():
-                if keep(p):
-                    groups.setdefault(p[group], []).append(p)
-            return [
-                {group: key}
-                | {
-                    name: fold([p[column] for p in members])
-                    for name, column, fold in (_AGGREGATES[f] for f in functions)
-                }
-                for key, members in groups.items()
-            ]
+            for p in kept:
+                groups.setdefault(p[group], []).append(p)
+            return [{group: key} | fold_group(members) for key, members in groups.items()]
 
     if limit is not None:
         sql += f" LIMIT {limit}"

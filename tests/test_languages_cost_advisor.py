@@ -84,7 +84,7 @@ class TestSqlTranslator:
             "SELECT pageURL, pageRank FROM rankings WHERE pageRank > 100"
         )
         assert translated.query.relations() == {"rankings"}
-        assert translated.output_names == ("pageURL", "pageRank")
+        assert [name for name, _ in translated.outputs] == ["pageURL", "pageRank"]
         assert translated.residual_predicates[0].op == ">"
 
     def test_equality_constant_becomes_pivot_constant(self):
@@ -132,7 +132,7 @@ class TestSqlTranslator:
 
     def test_select_star_expands_columns(self):
         translated = SqlTranslator(_schema()).translate("SELECT * FROM rankings")
-        assert translated.output_names == ("pageURL", "pageRank", "avgDuration")
+        assert [name for name, _ in translated.outputs] == ["pageURL", "pageRank", "avgDuration"]
 
 
 class TestDocQLAndKV:

@@ -17,7 +17,6 @@ from repro.core import (
 )
 from repro.core.homomorphism import find_homomorphism, iterate_homomorphisms
 from repro.core.query import freeze_atoms
-from repro.runtime.values import merge_bindings
 from repro.stores import Predicate, RelationalStore, ScanRequest
 from repro.stores.fulltext import Analyzer
 
@@ -179,18 +178,6 @@ def test_provenance_absorption_keeps_minimal_monomials(a):
 # ---------------------------------------------------------------------------
 # Substitutions and bindings
 # ---------------------------------------------------------------------------
-
-@given(st.dictionaries(st.sampled_from("abcd"), st.integers(), max_size=4),
-       st.dictionaries(st.sampled_from("abcd"), st.integers(), max_size=4))
-@settings(max_examples=80)
-def test_merge_bindings_agrees_with_dict_union_when_compatible(left, right):
-    merged = merge_bindings(left, right)
-    compatible = all(left[k] == right[k] for k in left.keys() & right.keys())
-    if compatible:
-        assert merged == {**left, **right}
-    else:
-        assert merged is None
-
 
 @given(st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 5)), max_size=5))
 @settings(max_examples=80)
