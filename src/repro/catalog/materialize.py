@@ -4,9 +4,8 @@ Given a storage descriptor and the rows of the fragment (computed by
 evaluating the fragment's definition over the source dataset), this module
 writes the data into the descriptor's store using the store's native loading
 API and the descriptor's layout (collection name and column mapping).  It is
-used when a dataset is first fragmented, when the storage advisor's
-recommendations are accepted, and by the benchmarks when they build the
-"before"/"after" configurations of the paper's scenario.
+used when a dataset is first fragmented and when the storage advisor's
+recommendations are accepted.
 """
 
 from __future__ import annotations

@@ -518,13 +518,10 @@ class StatisticsCatalog:
                 for name, usage in self._usage.items()
             }
 
-    def reset_fragment_usage(self, fragment: str | None = None) -> None:
-        """Forget read usage (one fragment or all) — e.g. after a migration."""
+    def reset_fragment_usage(self, fragment: str) -> None:
+        """Forget one fragment's read usage — e.g. after a migration."""
         with self._usage_lock:
-            if fragment is None:
-                self._usage.clear()
-            else:
-                self._usage.pop(fragment, None)
+            self._usage.pop(fragment, None)
 
     def invalidate(self, fragment: str | None = None) -> None:
         """Drop cached statistics and observations (one fragment or all)."""

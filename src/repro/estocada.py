@@ -303,13 +303,6 @@ class NamespacedPlanCache:
                 self._namespaces[name] = cache
             return cache
 
-    def configure(self, name: str, capacity: int) -> PlanCache:
-        """(Re)create ``name``'s cache with an explicit capacity (entries drop)."""
-        with self._lock:
-            cache = PlanCache(capacity)
-            self._namespaces[name] = cache
-            return cache
-
     def _snapshot(self) -> list[PlanCache]:
         with self._lock:
             return list(self._namespaces.values())
@@ -954,15 +947,6 @@ class Estocada:
             clear_memos()
             self._rewriter_instance = None
             self._rewriter_version = -1
-
-    def configure_tenant_cache(self, tenant: str, capacity: int) -> None:
-        """Give ``tenant``'s plan-cache namespace an explicit LRU capacity.
-
-        Called by the query service when a tenant's policy sets
-        ``plan_cache_entries``; any cached entries in the namespace drop.
-        """
-        with self._planning_lock:
-            self._plan_cache.configure(tenant, capacity)
 
     def _plan_cache_key(
         self, statement: _Statement, bound_parameters: Sequence[Variable]

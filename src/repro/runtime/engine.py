@@ -97,23 +97,6 @@ class QueryResult:
         """Time spent in the ESTOCADA runtime (total minus store time)."""
         return max(self.elapsed_seconds - self.stores_time(), 0.0)
 
-    def replica_activity(self) -> Mapping[str, int]:
-        """Recovery work done by replicated stores during this query.
-
-        ``attempts`` counts every replica request issued (including the
-        first, fault-free one per delegated request), ``retries`` the
-        same-replica re-issues after transient errors, ``hedges`` the backup
-        requests fired against stragglers, and ``failovers`` the moves to
-        another replica after a hard failure.  All zero for queries that
-        touch no replicated store.
-        """
-        return {
-            "attempts": sum(b.replica_attempts for b in self.store_breakdown.values()),
-            "retries": sum(b.replica_retries for b in self.store_breakdown.values()),
-            "hedges": sum(b.replica_hedges for b in self.store_breakdown.values()),
-            "failovers": sum(b.replica_failovers for b in self.store_breakdown.values()),
-        }
-
     def segment_activity(self) -> Mapping[str, int]:
         """Durable-segment work done during this query.
 
@@ -129,7 +112,15 @@ class QueryResult:
         }
 
     def summary(self) -> Mapping[str, object]:
-        """A JSON-friendly summary (used by the demo-style reporting)."""
+        """A JSON-friendly summary (used by the demo-style reporting).
+
+        ``replicas`` is the recovery work replicated stores did: every
+        replica request issued (``attempts``), same-replica re-issues after
+        transient errors (``retries``), backups fired against stragglers
+        (``hedges``) and moves to another replica after a hard failure
+        (``failovers``); all zero when no replicated store was touched.
+        """
+        breakdowns = self.store_breakdown.values()
         return {
             "rows": len(self.rows),
             "elapsed_seconds": self.elapsed_seconds,
@@ -142,7 +133,12 @@ class QueryResult:
                 "contacted": self.shards_contacted,
                 "pruned": self.shards_pruned,
             },
-            "replicas": dict(self.replica_activity()),
+            "replicas": {
+                "attempts": sum(b.replica_attempts for b in breakdowns),
+                "retries": sum(b.replica_retries for b in breakdowns),
+                "hedges": sum(b.replica_hedges for b in breakdowns),
+                "failovers": sum(b.replica_failovers for b in breakdowns),
+            },
             "segments": dict(self.segment_activity()),
             "execution": {
                 "batch_size": self.batch_size,

@@ -256,7 +256,10 @@ class QueryService:
 
     # -- tenant management -------------------------------------------------------------
     def register_tenant(self, tenant: str, policy: TenantPolicy) -> None:
-        """Install (or replace) a tenant's admission policy and cache namespace."""
+        """Install (or replace) a tenant's admission policy.
+
+        The tenant's plan-cache namespace is created by its first query.
+        """
         self._admission.register(tenant, policy)
         self._facade.statistics.tenant(tenant)
 

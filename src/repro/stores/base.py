@@ -470,8 +470,8 @@ class Store:
     scatter-gather runtime issues requests to one store from several Exchange
     workers concurrently.  ``latency`` is a simulated per-request service
     latency (seconds): the real systems the simulators stand in for answer no
-    request instantly, and without it the concurrency benchmarks would
-    measure nothing but Python overhead.
+    request instantly, and without it concurrent execution would have
+    nothing to overlap.
     """
 
     def __init__(self, name: str, latency: float = 0.0) -> None:
@@ -489,7 +489,7 @@ class Store:
         return self._latency
 
     def set_simulated_latency(self, seconds: float) -> None:
-        """Change the simulated per-request latency (benchmarks use this)."""
+        """Change the simulated per-request latency."""
         self._latency = max(0.0, float(seconds))
 
     # -- interface to implement ------------------------------------------------
@@ -762,7 +762,7 @@ class Store:
             self._requests_served += 1
 
     def reset_metrics(self) -> None:
-        """Zero the cumulative counters (used between benchmark runs)."""
+        """Zero the cumulative counters."""
         with self._metrics_lock:
             self._total_metrics = StoreMetrics()
             self._requests_served = 0

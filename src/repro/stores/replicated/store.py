@@ -224,10 +224,6 @@ class ReplicatedStore(Store):
         """The active replication policy."""
         return self._policy
 
-    def set_policy(self, policy: ReplicationPolicy) -> None:
-        """Swap the replication policy (benchmarks toggle hedging this way)."""
-        self._policy = policy
-
     def describe_replication(self) -> Mapping[str, object]:
         """JSON-friendly topology + policy + per-replica health summary."""
         with self._totals_lock:

@@ -1,10 +1,9 @@
-"""Deterministic fault injection and load generation for resilience benchmarks.
+"""Deterministic fault injection and load generation.
 
-This is *product* code, not test scaffolding: the benchmarks drive the
-:class:`FaultInjector` to measure tail latency under injected stragglers and
-the :class:`OpenLoopDriver` to measure QPS/tail-latency under offered load,
-and operators can use both to rehearse failure and overload drills against a
-deployment.
+This is *product* code, not test scaffolding: the :class:`FaultInjector`
+injects stragglers, errors and crashes around any store, and the
+:class:`OpenLoopDriver` offers load on a fixed schedule; operators can use
+both to rehearse failure and overload drills against a deployment.
 """
 
 from repro.testing.faults import (

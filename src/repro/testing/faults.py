@@ -7,7 +7,7 @@ child's data untouched.  Injection is driven by a dedicated
 ``random.Random(seed)`` advanced exactly once per request *in a fixed draw
 order*, so a given seed produces the same fault schedule on every run
 regardless of which fault rates are enabled: the chaos differential suite
-and the tail-latency benchmarks rely on this reproducibility.
+and the hedging tests rely on this reproducibility.
 
 The injector is the substrate of the replication layer's fault-tolerance
 guarantees: transient errors exercise bounded retry, crashes exercise
@@ -422,19 +422,3 @@ class FaultInjector(Store):
             # The child store's generator must unwind (routers account their
             # partitions there) whether the loss or the consumer ended us.
             batches.close()
-
-    def describe_faults(self) -> Mapping[str, object]:
-        """JSON-friendly profile + injection counters (benchmark reports)."""
-        with self._decision_lock:
-            injected = dict(self._injected)
-        return {
-            "store": self.name,
-            "seed": self._profile.seed,
-            "error_rate": self._profile.error_rate,
-            "slow_rate": self._profile.slow_rate,
-            "slow_seconds": self._profile.slow_seconds,
-            "mid_stream_rate": self._profile.mid_stream_rate,
-            "crash_after": self._profile.crash_after,
-            "crashed": self._crashed,
-            "injected": injected,
-        }

@@ -7,8 +7,7 @@ driver submits on a fixed schedule derived only from the offered rate —
 exactly like independent clients arriving at a shared service — so once
 offered load crosses the service's capacity, the backlog (and therefore tail
 latency) grows without bound unless admission control sheds the excess.
-That distinction is the whole point of benchmark E15: the driver here is the
-instrument that makes queueing collapse observable.
+The driver here is the instrument that makes queueing collapse observable.
 
 The driver is service-agnostic: it calls a ``submit`` callable that either
 returns a ticket (``wait()``/``error()``/``submitted_at``/``finished_at``,
@@ -110,14 +109,9 @@ class LoadReport:
 
     @property
     def p999_seconds(self) -> float:
-        """99.9th-percentile completion latency — the deep-tail the recovery
-        benchmarks track (one slow durable recovery or compaction pause shows
-        up here long before it moves the p99)."""
+        """99.9th-percentile completion latency (one slow durable recovery or
+        compaction pause shows up here long before it moves the p99)."""
         return percentile(self.latencies_seconds, 0.999)
-
-    def as_dict(self) -> Mapping[str, object]:
-        """JSON-friendly report (alias of :meth:`describe`, benchmark-facing)."""
-        return self.describe()
 
     def describe(self) -> Mapping[str, object]:
         return {

@@ -44,10 +44,66 @@ def register(est, name, store, segment_rows=None):
     est.register_store(name, store)
 
 
+def view(name, head, body, columns):
+    """A fragment view named ``name`` over ``body``, with its column names."""
+    return ViewDefinition(name, ConjunctiveQuery(name, head, body), column_names=columns)
+
+
+def user_rows(data):
+    """The marketplace users as ``F_users`` rows."""
+    return [
+        {"uid": u["uid"], "name": u["name"], "city": u["city"], "payment": u["payment"],
+         "preferred_category": u["preferred_category"]}
+        for u in data.users
+    ]
+
+
+def visit_rows(data):
+    """The browsing history as ``F_visits`` rows."""
+    return [
+        {"uid": v["uid"], "sku": v["sku"], "category": v["category"], "duration_ms": v["duration_ms"]}
+        for v in data.weblog
+    ]
+
+
+def cart_rows(data):
+    """The shopping carts flattened to one ``F_carts`` row per item."""
+    return [
+        {"cart_id": cart["_id"], "uid": cart["uid"], "sku": item["sku"], "quantity": item["quantity"]}
+        for cart in data.carts
+        for item in cart["items"]
+    ]
+
+
+def add_user_product_fragment(est, data):
+    """Materialize the paper's purchases ⋈ browsing-history view in Spark, indexed by uid."""
+    by_user_sku = {}
+    for p in data.purchases():
+        by_user_sku.setdefault((p["uid"], p["sku"]), p)
+    rows = [
+        {"uid": v["uid"], "sku": v["sku"], "category": by_user_sku[v["uid"], v["sku"]]["category"],
+         "duration_ms": v["duration_ms"]}
+        for v in data.weblog
+        if (v["uid"], v["sku"]) in by_user_sku
+    ]
+    est.register_fragment(
+        StorageDescriptor(
+            "F_user_product", "shop", "spark",
+            view("F_user_product", ["?u", "?s", "?c", "?d"],
+                 [Atom("purchases", ["?u", "?s", "?c", "?q", "?pr"]), Atom("visits", ["?u", "?s", "?c2", "?d"])],
+                 ("uid", "sku", "category", "duration_ms")),
+            StorageLayout("user_product"), AccessMethod("scan"),
+        ),
+        rows=rows,
+        indexes=("uid",),
+    )
+    return rows
+
+
 def build_marketplace_estocada(
     data, algorithm: str = "pacb", durable_path=None, segment_rows=None
 ) -> Estocada:
-    """Wire the full multi-store marketplace deployment used by tests and benchmarks.
+    """Wire the full multi-store marketplace deployment the tests share.
 
     ``durable_path`` and ``segment_rows`` (every builder takes them) persist
     the stores under that directory at that segment size.
@@ -70,11 +126,6 @@ def build_marketplace_estocada(
         ],
     )
 
-    def view(name, head, body, columns):
-        return ViewDefinition(
-            name, ConjunctiveQuery(name, head, body), column_names=columns
-        )
-
     # Users as-such in Postgres.
     est.register_fragment(
         StorageDescriptor(
@@ -83,11 +134,7 @@ def build_marketplace_estocada(
                  ("uid", "name", "city", "payment", "preferred_category")),
             StorageLayout("users"), AccessMethod("scan"),
         ),
-        rows=[
-            {"uid": u["uid"], "name": u["name"], "city": u["city"], "payment": u["payment"],
-             "preferred_category": u["preferred_category"]}
-            for u in data.users
-        ],
+        rows=user_rows(data),
         indexes=("uid",),
     )
     # User preferences in Redis, keyed by uid.
@@ -120,19 +167,10 @@ def build_marketplace_estocada(
                  ("uid", "sku", "category", "duration_ms")),
             StorageLayout("visits"), AccessMethod("scan"),
         ),
-        rows=[
-            {"uid": v["uid"], "sku": v["sku"], "category": v["category"], "duration_ms": v["duration_ms"]}
-            for v in data.weblog
-        ],
+        rows=visit_rows(data),
         indexes=("uid",),
     )
     # Shopping carts (flattened) in MongoDB.
-    cart_rows = []
-    for cart in data.carts:
-        for item in cart["items"]:
-            cart_rows.append(
-                {"cart_id": cart["_id"], "uid": cart["uid"], "sku": item["sku"], "quantity": item["quantity"]}
-            )
     est.register_fragment(
         StorageDescriptor(
             "F_carts", "shop", "mongo",
@@ -140,7 +178,7 @@ def build_marketplace_estocada(
                  ("cart_id", "uid", "sku", "quantity")),
             StorageLayout("carts"), AccessMethod("scan"),
         ),
-        rows=cart_rows,
+        rows=cart_rows(data),
         indexes=("cart_id", "uid"),
     )
     # Product catalog in SOLR.
@@ -190,9 +228,6 @@ def build_sharded_marketplace_estocada(
         ],
     )
 
-    def view(name, head, body, columns):
-        return ViewDefinition(name, ConjunctiveQuery(name, head, body), column_names=columns)
-
     est.register_fragment(
         StorageDescriptor(
             "F_users", "shop", "pg",
@@ -200,11 +235,7 @@ def build_sharded_marketplace_estocada(
                  ("uid", "name", "city", "payment", "preferred_category")),
             StorageLayout("users"), AccessMethod("scan"),
         ),
-        rows=[
-            {"uid": u["uid"], "name": u["name"], "city": u["city"], "payment": u["payment"],
-             "preferred_category": u["preferred_category"]}
-            for u in data.users
-        ],
+        rows=user_rows(data),
         indexes=("uid",),
     )
     est.register_fragment(
@@ -227,10 +258,7 @@ def build_sharded_marketplace_estocada(
             StorageLayout("visits"), AccessMethod("scan"),
             sharding=ShardingSpec("uid", shards),
         ),
-        rows=[
-            {"uid": v["uid"], "sku": v["sku"], "category": v["category"], "duration_ms": v["duration_ms"]}
-            for v in data.weblog
-        ],
+        rows=visit_rows(data),
         indexes=("uid",),
     )
     return est
@@ -278,9 +306,6 @@ def build_replicated_marketplace_estocada(
         ],
     )
 
-    def view(name, head, body, columns):
-        return ViewDefinition(name, ConjunctiveQuery(name, head, body), column_names=columns)
-
     est.register_fragment(
         StorageDescriptor(
             "F_users", "shop", "pg",
@@ -288,11 +313,7 @@ def build_replicated_marketplace_estocada(
                  ("uid", "name", "city", "payment", "preferred_category")),
             StorageLayout("users"), AccessMethod("scan"),
         ),
-        rows=[
-            {"uid": u["uid"], "name": u["name"], "city": u["city"], "payment": u["payment"],
-             "preferred_category": u["preferred_category"]}
-            for u in data.users
-        ],
+        rows=user_rows(data),
         indexes=("uid",),
     )
     est.register_fragment(
@@ -313,10 +334,7 @@ def build_replicated_marketplace_estocada(
                  ("uid", "sku", "category", "duration_ms")),
             StorageLayout("visits"), AccessMethod("scan"),
         ),
-        rows=[
-            {"uid": v["uid"], "sku": v["sku"], "category": v["category"], "duration_ms": v["duration_ms"]}
-            for v in data.weblog
-        ],
+        rows=visit_rows(data),
         indexes=("uid",),
     )
     return est

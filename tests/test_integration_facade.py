@@ -81,6 +81,8 @@ class TestFacadeQueries:
             marketplace_estocada.query("SELECT name FROM users WHERE uid = 1")
 
     def test_explain_reports_rewritings_and_plan(self, marketplace_estocada):
+        snapshot = marketplace_estocada.catalog.describe()
+        assert (len(snapshot["stores"]), len(snapshot["fragments"])) == (5, 6)
         explanation = marketplace_estocada.explain(
             "SELECT name FROM users WHERE uid = 3", dataset="shop"
         )
@@ -149,39 +151,10 @@ class TestMaterializedJoinFragment:
     def test_materialized_join_answers_personalized_search(self, marketplace_estocada, marketplace_data):
         """Materializing purchases ⋈ visits (the paper's 40 % improvement) is
         picked up by the rewriting engine and avoids the cross-store join."""
-        from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
-        from repro.core import ViewDefinition
+        from tests.conftest import add_user_product_fragment
 
         est = marketplace_estocada
-        definition = ConjunctiveQuery(
-            "F_user_product",
-            ["?u", "?s", "?c", "?d"],
-            [
-                Atom("purchases", ["?u", "?s", "?c", "?q", "?pr"]),
-                Atom("visits", ["?u", "?s", "?c2", "?d"]),
-            ],
-        )
-        purchases = marketplace_data.purchases()
-        visits = marketplace_data.weblog
-        by_user_sku = {}
-        for p in purchases:
-            by_user_sku.setdefault((p["uid"], p["sku"]), p)
-        rows = []
-        for v in visits:
-            p = by_user_sku.get((v["uid"], v["sku"]))
-            if p is not None:
-                rows.append(
-                    {"uid": v["uid"], "sku": v["sku"], "category": p["category"], "duration_ms": v["duration_ms"]}
-                )
-        est.register_fragment(
-            StorageDescriptor(
-                "F_user_product", "shop", "spark",
-                ViewDefinition("F_user_product", definition, column_names=("uid", "sku", "category", "duration_ms")),
-                StorageLayout("user_product"), AccessMethod("scan"),
-            ),
-            rows=rows,
-            indexes=("uid",),
-        )
+        rows = add_user_product_fragment(est, marketplace_data)
         query = ConjunctiveQuery(
             "personalized", ["?s", "?d"],
             [

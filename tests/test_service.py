@@ -41,9 +41,9 @@ def _bag(rows):
     return Counter(tuple(sorted(row.items())) for row in rows)
 
 
-def _build_est(latency: float = 0.0, rows: int = 16) -> Estocada:
+def _build_est(latency: float = 0.0, rows: int = 16, plan_cache_size: int = 128) -> Estocada:
     """One relational store serving t(a, b) with a configurable latency."""
-    est = Estocada()
+    est = Estocada(plan_cache_size=plan_cache_size)
     est.register_store("pg", RelationalStore("pg", latency=latency))
     est.register_relational_dataset("d", [TableSchema("t", ("a", "b"))])
     est.register_fragment(
@@ -329,11 +329,10 @@ class TestQueryService:
 
 class TestCacheNamespaces:
     def test_one_tenants_churn_cannot_evict_anothers_plans(self):
-        est = _build_est()
-        est.configure_tenant_cache("churny", capacity=1)
+        est = _build_est(plan_cache_size=1)
         queries = [SQL, "SELECT a FROM t", "SELECT b FROM t", "SELECT a, b FROM t WHERE a = 3"]
         assert est.query(SQL, dataset="d", tenant="stable").cache_hit is False
-        # Churn a capacity-1 namespace with distinct shapes: every query
+        # Churn capacity-1 namespaces with distinct shapes: every query
         # evicts the previous one, but only inside *its* namespace.
         for sql in queries:
             est.query(sql, dataset="d", tenant="churny")
