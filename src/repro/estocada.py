@@ -1321,10 +1321,8 @@ class Estocada:
         raise TranslationError(f"unsupported query type {type(query).__name__}")
 
     def _lower(self, statement: _Statement, ranked: RankedPlan) -> Operator:
-        """The statement's whole tree over ``ranked``'s joins, lowered."""
-        plan = ranked.plan
-        tree = statement_tree(plan.logical, statement.shape)
-        return PhysicalPlanner().lower_tree(tree, (plan.logical.joins, plan.joins))
+        """The statement's whole tree over ``ranked``'s pinned joins, lowered."""
+        return PhysicalPlanner().lower_tree(statement_tree(ranked.plan.logical, statement.shape))
 
     # -- storage advisor ------------------------------------------------------------------------
     def recommend_fragments(self, workload, **options):

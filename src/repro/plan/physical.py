@@ -10,6 +10,10 @@ Lowering decides *how* each logical step executes:
   otherwise a hash join *or* a bind join — with a cost model, the cheaper of
   the two is picked from the estimated left cardinality and the store's cost
   profile (per-probe lookups beat a full scan when the left side is small);
+  ranking pins the choice into the plan's logical joins;
+* **required columns** flow top-down: each node is lowered knowing which of
+  its columns its ancestors read, so a delegated request fetches only those
+  and a hash join emits exactly them, in the order its parent reads them;
 * the statement's nodes map onto the runtime: each maximal
   Filter/Project/Output chain (under an optional Limit) becomes one
   :class:`~repro.runtime.kernels.FusedPipeline`, Distinct a ``Deduplicate``,
@@ -33,7 +37,7 @@ Lowering decides *how* each logical step executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.query import ConjunctiveQuery
@@ -81,30 +85,47 @@ _CHAIN = (LogicalLimit,) + _STAGES
 
 @dataclass(slots=True)
 class PhysicalPlan:
-    """A physical plan: the lowered join tree plus planning metadata.
+    """A ranked rewriting: its logical plan with every join algorithm pinned.
 
-    ``joins`` is the one operator tree a plan holds; a statement tree built
-    over ``logical`` reuses it as is.
+    A statement lowers its own tree over ``logical``, fetching what it reads.
     """
 
     rewriting: ConjunctiveQuery
-    joins: Operator
     groups: list[DelegationGroup]
     head_variables: tuple[str, ...]
     logical: LogicalPlan
 
     @property
     def root(self) -> Operator:
-        """The rewriting on its own: ``joins`` under its head projection.
-
-        Lowered anew on each read; the facade never reads it (it runs the
-        statement tree), so ranking a candidate lowers only its joins.
-        """
-        return PhysicalPlanner().lower_tree(self.logical.root, (self.logical.joins, self.joins))
+        """The rewriting on its own (its head projection), lowered anew on each read."""
+        return PhysicalPlanner().lower_tree(self.logical.root)
 
     def explain(self) -> str:
         """Printable plan (operator tree)."""
         return self.root.explain()
+
+
+Required = tuple[str, ...] | None  # the columns read above a node, in order; None: all
+
+
+def _union(first: tuple[str, ...], second) -> tuple[str, ...]:
+    """``first`` followed by the members of ``second`` it lacks."""
+    return first + tuple(dict.fromkeys(v for v in second if v not in first))
+
+
+def _produced(node: LogicalNode) -> tuple[str, ...]:
+    """The variables a join tree's rows carry, in their natural order."""
+    if isinstance(node, LogicalJoin):
+        return _union(_produced(node.left), _produced(node.right))
+    accesses = node.group.accesses
+    return _union((), (v.name for a in accesses for v in a.variable_by_column().values()))
+
+
+def _narrowed(output: dict[str, str], required: Required) -> dict[str, str]:
+    """The ``store column -> variable`` pairs of ``output`` read above, in reading order."""
+    if required is None:
+        return output
+    return {c: v for wanted in required for c, v in output.items() if v == wanted}
 
 
 class PhysicalPlanner:
@@ -121,61 +142,63 @@ class PhysicalPlanner:
 
     # -- lowering -----------------------------------------------------------------
     def lower(self, logical: LogicalPlan) -> PhysicalPlan:
-        """Lower ``logical`` to a physical plan."""
+        """Pin ``logical``'s join algorithms: the ranked physical plan."""
+        joins = self._pin(logical.joins, [])
         return PhysicalPlan(
             rewriting=logical.rewriting,
-            joins=self.lower_tree(logical.joins),
             groups=logical.groups,
             head_variables=logical.head_variables,
-            logical=logical,
+            logical=replace(logical, root=replace(logical.root, child=joins)),
         )
 
-    def lower_tree(
-        self, node: LogicalNode, lowered: tuple[LogicalNode, Operator] | None = None
-    ) -> Operator:
+    def _pin(self, node: LogicalNode, accesses_so_far: list[AtomAccess]) -> LogicalNode:
+        """``node``'s join tree with every join's algorithm chosen."""
+        if isinstance(node, LogicalJoin):
+            left = self._pin(node.left, accesses_so_far)
+            group = node.right.group
+            if node.requires_binding and not group.is_single():
+                raise PlanningError("bind joins are built one access-restricted atom at a time")
+            node = replace(node, left=left, algorithm=self._algorithm(node, accesses_so_far))
+            accesses_so_far.extend(group.accesses)
+        else:
+            accesses_so_far.extend(node.group.accesses)
+        return node
+
+    def lower_tree(self, node: LogicalNode) -> Operator:
         """Lower a logical tree (a rewriting's, or a whole statement's).
 
-        ``lowered`` pairs a join tree inside ``node`` with the operator it
-        already lowered to, which is reused as is: a statement keeps the joins
-        its plan was ranked with, and lowers only what it stacks above them.
+        The root's every column is read; below it, each node gets only the
+        columns its ancestors read.
         """
-        return self._lower_node(node, [], lowered)
+        return self._lower_node(node, None, [])
 
     def _lower_node(
-        self,
-        node: LogicalNode,
-        accesses_so_far: list[AtomAccess],
-        lowered: tuple[LogicalNode, Operator] | None = None,
+        self, node: LogicalNode, required: Required, accesses_so_far: list[AtomAccess]
     ) -> Operator:
-        if lowered is not None and node is lowered[0]:
-            return lowered[1]
         if isinstance(node, LogicalAccess):
-            operator = self._lower_access(node)
+            operator = self._lower_access(node, required)
             accesses_so_far.extend(node.group.accesses)
             return operator
         if isinstance(node, LogicalJoin):
-            left = self._lower_node(node.left, accesses_so_far)
-            operator = self._lower_join(left, node, accesses_so_far)
-            accesses_so_far.extend(node.right.group.accesses)
-            return operator
+            return self._lower_join(node, required, accesses_so_far)
         if isinstance(node, _CHAIN):
-            return self._lower_chain(node, accesses_so_far, lowered)
+            return self._lower_chain(node, required, accesses_so_far)
         if isinstance(node, LogicalAggregate):
-            return self._lower_aggregate(node, accesses_so_far, lowered)
+            return self._lower_aggregate(node, accesses_so_far)
         if isinstance(node, LogicalDistinct):
-            return Deduplicate(self._lower_node(node.child, accesses_so_far, lowered))
+            # Deduplication compares whole rows: it reads every column.
+            return Deduplicate(self._lower_node(node.child, None, accesses_so_far))
         raise PlanningError(f"cannot lower logical node {type(node).__name__}")
 
     def _lower_chain(
-        self,
-        node: LogicalNode,
-        accesses_so_far: list[AtomAccess],
-        lowered: tuple[LogicalNode, Operator] | None,
+        self, node: LogicalNode, required: Required, accesses_so_far: list[AtomAccess]
     ) -> Operator:
         """A maximal Filter/Project/Output chain, under an optional Limit, as one pipeline.
 
         A Limit only ever closes a chain from above: fusing a stage across it
-        would filter before truncating.
+        would filter before truncating.  The child is asked for the columns
+        the chain reads, in the order the last stage reads them, so the
+        stages' picks compose to nothing when no filter column rides along.
         """
         limit = None
         if isinstance(node, LogicalLimit):
@@ -184,31 +207,43 @@ class PhysicalPlanner:
         while isinstance(node, _STAGES):
             if isinstance(node, LogicalFilter):
                 stages.append(FilterStage(node.predicates))
+                if required is not None:
+                    required = _union(required, [spec.column for spec in node.predicates] + [
+                        spec.value for spec in node.predicates if spec.value_is_column
+                    ])
             elif isinstance(node, LogicalProject):
                 stages.append(ProjectStage(node.variables))
+                read = tuple(v for v in required or () if v in node.variables)
+                required = _union(read, node.variables)
             else:
                 stages.append(OutputStage(node.outputs))
+                required = tuple(
+                    dict.fromkeys(payload for _, is_variable, payload in node.outputs if is_variable)
+                )
             node = node.child
-        child = self._lower_node(node, accesses_so_far, lowered)
+        child = self._lower_node(node, required, accesses_so_far)
         return FusedPipeline(child, tuple(reversed(stages)), limit)
 
     def _lower_aggregate(
-        self,
-        node: LogicalAggregate,
-        accesses_so_far: list[AtomAccess],
-        lowered: tuple[LogicalNode, Operator] | None,
+        self, node: LogicalAggregate, accesses_so_far: list[AtomAccess]
     ) -> Operator:
         """Aggregate; directly over a sharded scan, partial per shard and merged.
 
         Each gather branch becomes ``Exchange(PartialAggregate(shard scan))``,
         so the blocking per-shard reduction runs on the worker that owns the
         shard, and a :class:`MergeAggregate` above the gather combines the
-        partial states (every supported function decomposes).
+        partial states (every supported function decomposes).  The child is
+        asked for the group-by and aggregated columns only.
         """
         child = node.child
+        required = _union(
+            node.group_by,
+            (column for _, column in node.aggregations.values() if column is not None),
+        )
         if isinstance(child, LogicalAccess):
             gathered = self._scatter(
                 child,
+                required,
                 per_shard=lambda scan: PartialAggregate(scan, node.group_by, node.aggregations),
             )
             if gathered is not None:
@@ -217,23 +252,34 @@ class PhysicalPlanner:
                     gathered, node.group_by, node.aggregations, scalar=node.scalar
                 )
         return Aggregate(
-            self._lower_node(child, accesses_so_far, lowered),
+            self._lower_node(child, required, accesses_so_far),
             node.group_by,
             node.aggregations,
             scalar=node.scalar,
         )
 
     def _lower_join(
-        self, left: Operator, node: LogicalJoin, accesses_so_far: list[AtomAccess]
+        self, node: LogicalJoin, required: Required, accesses_so_far: list[AtomAccess]
     ) -> Operator:
+        """A join reading its keys and splitting what is read above between its sides."""
+        left_variables, right_variables = _produced(node.left), _produced(node.right)
+        produced = _union(left_variables, right_variables)
+        required = produced if required is None else tuple(v for v in required if v in produced)
+        keys = tuple(v for v in left_variables if v in right_variables)
+        left_required = _union(tuple(v for v in required if v in left_variables), keys)
+        right_required = _union(tuple(v for v in required if v in right_variables), keys)
+        left = self._lower_node(node.left, left_required, accesses_so_far)
         group = node.right.group
-        if node.requires_binding:
-            return self._bind_join(left, group)
-        algorithm = node.algorithm or self._choose_algorithm(group, accesses_so_far)
-        if algorithm == "bind":
-            probe_columns = self._bound_probe_columns(group.accesses[0], accesses_so_far)
-            return self._bind_join(left, group, probe_columns=probe_columns)
-        return HashJoin(left, self._lower_access(node.right))
+        if self._algorithm(node, accesses_so_far) == "bind":
+            probe_columns = None
+            if not node.requires_binding:
+                probe_columns = self._bound_probe_columns(group.accesses[0], accesses_so_far)
+            operator = self._bind_join(left, group, right_required, probe_columns)
+        else:
+            right = self._lower_access(node.right, right_required)
+            operator = HashJoin(left, right, columns=required)
+        accesses_so_far.extend(group.accesses)
+        return operator
 
     # -- join algorithm choice ---------------------------------------------------------
     @staticmethod
@@ -249,6 +295,12 @@ class PhysicalPlanner:
             for column, variable in access.variable_by_column().items()
             if variable in produced
         )
+
+    def _algorithm(self, node: LogicalJoin, accesses_so_far: list[AtomAccess]) -> str:
+        """``node``'s join algorithm: pinned, forced by an access pattern, or chosen."""
+        if node.requires_binding:
+            return "bind"
+        return node.algorithm or self._choose_algorithm(node.right.group, accesses_so_far)
 
     def _choose_algorithm(
         self, group: DelegationGroup, accesses_so_far: list[AtomAccess]
@@ -277,12 +329,14 @@ class PhysicalPlanner:
             return "hash"
 
     # -- delegated requests --------------------------------------------------------------
-    def _lower_access(self, node: LogicalAccess) -> Operator:
+    def _lower_access(self, node: LogicalAccess, required: Required) -> Operator:
         """One delegation group: scattered per shard when sharded, else one request."""
-        scattered = self._scatter(node)
-        return scattered if scattered is not None else self._delegated_operator(node.group)
+        scattered = self._scatter(node, required)
+        if scattered is not None:
+            return scattered
+        return self._delegated_operator(node.group, required)
 
-    def _delegated_operator(self, group: DelegationGroup) -> Operator:
+    def _delegated_operator(self, group: DelegationGroup, required: Required) -> Operator:
         """One delegation group as an Exchange-wrapped store request subtree.
 
         Each delegated request is an independent leaf of the plan — exactly
@@ -290,7 +344,8 @@ class PhysicalPlanner:
         with an :class:`Exchange` here.  Requests against a replicated store
         target the router (replica selection is resolved per execution from
         the live health board, never baked into the cached plan) and carry a
-        ``×Nr`` annotation in the plan text.
+        ``×Nr`` annotation in the plan text.  Each request outputs only the
+        ``required`` variables (residual constants are fetched beside them).
         """
         if group.is_single():
             access = group.accesses[0]
@@ -298,7 +353,7 @@ class PhysicalPlanner:
             operator = DelegatedRequest(
                 store=group.store,
                 request=request,
-                output=output,
+                output=_narrowed(output, required),
                 constants=residual,
                 label=access.descriptor.layout.collection,
                 fragment=access.descriptor.fragment_name,
@@ -309,29 +364,18 @@ class PhysicalPlanner:
         except PlanningError:
             # The store-side join would clobber a column (two collections expose
             # the same column name bound to different variables): fall back to
-            # per-fragment delegation joined at the mediator.
-            root: Operator | None = None
+            # per-fragment delegation hash-joined at the mediator.
+            chain: LogicalNode | None = None
             for access in group.accesses:
-                request, output, residual = self._scan_request(access)
-                operator = Exchange(
-                    DelegatedRequest(
-                        store=group.store,
-                        request=request,
-                        output=output,
-                        constants=residual,
-                        label=access.descriptor.layout.collection,
-                        fragment=access.descriptor.fragment_name,
-                    ),
-                    label=access.descriptor.fragment_name,
-                )
-                root = operator if root is None else HashJoin(root, operator)
-            return root
+                single = LogicalAccess(DelegationGroup(group.store, [access]))
+                chain = single if chain is None else LogicalJoin(chain, single, algorithm="hash")
+            return self._lower_node(chain, required, [])
         label = "+".join(a.descriptor.layout.collection for a in group.accesses)
         return Exchange(
             DelegatedRequest(
                 store=group.store,
                 request=request,
-                output=output,
+                output=_narrowed(output, required),
                 constants=residual,
                 label=label,
             ),
@@ -349,6 +393,7 @@ class PhysicalPlanner:
     def _scatter(
         self,
         node: LogicalAccess,
+        required: Required,
         per_shard: Callable[[Operator], Operator] | None = None,
     ) -> Operator | None:
         """A sharded fragment scan as one delegated request per target shard.
@@ -375,6 +420,7 @@ class PhysicalPlanner:
             )
         fragment = access.descriptor.fragment_name
         collection = access.descriptor.layout.collection
+        output = _narrowed(output, required)
         branches: list[Operator] = []
         for index in node.shard_targets:
             operator: Operator = DelegatedRequest(
@@ -488,9 +534,10 @@ class PhysicalPlanner:
         self,
         left: Operator,
         group: DelegationGroup,
-        probe_columns: tuple[str, ...] | None = None,
+        required: tuple[str, ...],
+        probe_columns: tuple[str, ...] | None,
     ) -> Operator:
-        """Probe a group once per left binding.
+        """Probe a group once per left binding, fetching the ``required`` variables.
 
         ``probe_columns`` are the columns fed from the left side; by default
         the fragment's access-pattern input columns (the access-restricted
@@ -541,10 +588,10 @@ class PhysicalPlanner:
                     predicates.append(Predicate(store_column, "=", value))
             return ScanRequest(collection=layout.collection, predicates=tuple(predicates))
 
-        output = {
-            layout.store_column(column): variable.name
-            for column, variable in variables.items()
-        }
+        output = _narrowed(
+            {layout.store_column(column): variable.name for column, variable in variables.items()},
+            required,
+        )
         # Constants are re-checked on the probe results: lookup requests cannot
         # carry extra predicates, and double-checking scans is harmless.
         residual = {

@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "RowBatch",
     "binding_kernel",
+    "probe_kernel",
     "BatchBuilder",
     "batches_from_bindings",
     "freeze_value",
@@ -65,21 +66,43 @@ def freeze_value(value: object) -> object:
     return value
 
 
-@lru_cache(maxsize=256)
-def binding_kernel(columns: tuple[str, ...]):
-    """The ``rows -> [binding dict, ...]`` transform of one schema, built once.
+def _compiled(source: str):
+    """Evaluate generated kernel source (positions only: no name reaches it)."""
+    return eval(source, {"__builtins__": {"zip": zip}})  # noqa: S307 - integers only
 
-    A compiled dict display (``[{'uid': a0, 'val': a1} for a0, a1 in rows]``)
-    builds each binding about three times faster than ``dict(zip(...))`` and
-    keeps the keys in schema order.  Column names enter the generated source
-    only through ``repr()``; the row variables are positional.
+
+@lru_cache(maxsize=256)
+def binding_kernel(positions: tuple[int, ...], arity: int):
+    """The ``(rows, *names) -> [binding dict, ...]`` transform of one row shape.
+
+    Each ``arity``-wide row becomes ``{names[0]: row[positions[0]], ...}``,
+    so a final projection folds into the dict construction.  A compiled dict
+    display (``[{k0: a2, k1: a0} for (a0, a1, a2) in rows]``) builds each
+    binding about three times faster than ``dict(zip(...))`` and keeps the
+    keys in output order.  The cache key is the shape alone: statements over
+    different relations and columns share a kernel.
     """
-    if not columns:
-        return lambda rows: [{} for _ in rows]
-    names = [f"a{position}" for position in range(len(columns))]
-    display = ", ".join(f"{column!r}: {name}" for column, name in zip(columns, names))
-    source = f"lambda rows: [{{{display}}} for ({', '.join(names)},) in rows]"
-    return eval(source, {"__builtins__": {}})  # noqa: S307 - names are repr()-quoted
+    keys = ", ".join(f"k{index}" for index in range(len(positions)))
+    display = ", ".join(f"k{index}: a{position}" for index, position in enumerate(positions))
+    row = "".join(f"a{position}, " for position in range(arity))
+    return _compiled(f"lambda rows, {keys}: [{{{display}}} for ({row}) in rows]")
+
+
+@lru_cache(maxsize=256)
+def probe_kernel(picks: tuple[tuple[int, int], ...], checks: tuple[tuple[int, int], ...]):
+    """A hash join's ``(left rows, their keys, build.get) -> joined rows`` probe.
+
+    ``picks`` lists each output column as ``(side, position)`` — side 0 reads
+    the left row, side 1 the matched build row — and ``checks`` pairs
+    (left, right) positions that must also agree.  One comprehension joins a
+    whole batch; like :func:`binding_kernel` it is keyed by positions only.
+    """
+    item = "".join(f"{'lr'[side]}[{position}], " for side, position in picks)
+    condition = "".join(f" if l[{left}] == r[{right}]" for left, right in checks)
+    return _compiled(
+        f"lambda rows, keys, matches: [({item}) for l, k in zip(rows, keys)"
+        f" for r in matches(k, ()){condition}]"
+    )
 
 
 class RowBatch:
@@ -99,17 +122,10 @@ class RowBatch:
     # -- construction -----------------------------------------------------------
     @classmethod
     def from_bindings(
-        cls, bindings: Sequence[Mapping[str, object]], columns: Sequence[str] | None = None
+        cls, bindings: Sequence[Mapping[str, object]], columns: Sequence[str]
     ) -> "RowBatch":
-        """Build a batch from dict rows (schema = union of keys unless given)."""
-        if columns is None:
-            seen: dict[str, None] = {}
-            for binding in bindings:
-                for key in binding:
-                    seen.setdefault(key, None)
-            columns = tuple(seen)
-        else:
-            columns = tuple(columns)
+        """Build a batch of ``columns`` from dict rows (absent keys read None)."""
+        columns = tuple(columns)
         rows = [tuple(binding.get(column) for column in columns) for binding in bindings]
         return cls(columns, rows)
 
@@ -120,24 +136,11 @@ class RowBatch:
     def __bool__(self) -> bool:
         return bool(self.rows)
 
-    def column_index(self, name: str) -> int:
-        """Position of ``name`` in the schema (raises ValueError when absent)."""
-        return self.columns.index(name)
-
-    def indexer(self, wanted: Sequence[str]) -> list[int | None]:
-        """Positions of ``wanted`` columns (None for columns not in the schema)."""
-        positions: list[int | None] = []
-        for name in wanted:
-            try:
-                positions.append(self.columns.index(name))
-            except ValueError:
-                positions.append(None)
-        return positions
-
     # -- conversion -------------------------------------------------------------
     def to_bindings(self) -> list[dict[str, object]]:
         """All rows as binding dicts (the boundary representation)."""
-        return binding_kernel(self.columns)(self.rows)
+        width = len(self.columns)
+        return binding_kernel(tuple(range(width)), width)(self.rows, *self.columns)
 
     def take(self, n: int) -> "RowBatch":
         """A batch with only the first ``n`` rows."""
@@ -180,10 +183,10 @@ class BatchBuilder:
 
 def batches_from_bindings(
     bindings: Iterable[Mapping[str, object]],
+    columns: Sequence[str],
     batch_size: int = DEFAULT_BATCH_SIZE,
-    columns: Sequence[str] | None = None,
 ) -> Iterator[RowBatch]:
-    """Chunk dict rows into batches (adapter for materialized sources)."""
+    """Chunk dict rows into batches of one schema (adapter for materialized sources)."""
     chunk: list[Mapping[str, object]] = []
     for binding in bindings:
         chunk.append(binding)

@@ -270,9 +270,9 @@ class ExecutionEngine:
             try:
                 if context.pool is not None:
                     self._prestart_exchanges(plan, context)
-                for batch in plan.batches(context):
+                for bindings in plan.bindings(context):
                     batch_count += 1
-                    rows.extend(batch.to_bindings())
+                    rows.extend(bindings)
                     if deadline is not None and deadline.expired():
                         raise DeadlineExceededError(
                             f"query exceeded its {deadline.seconds:.3f}s deadline "

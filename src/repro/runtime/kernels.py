@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from repro.runtime.batch import RowBatch
+from repro.runtime.batch import RowBatch, binding_kernel
 from repro.runtime.operators import ExecutionContext, Operator
 from repro.stores.base import COMPARATORS, tuple_picker
 
@@ -289,13 +289,16 @@ class FusedPipeline(Operator):
     """A Filter/Project/Output(→LIMIT) chain collapsed into one operator.
 
     Stages run in tuple order (innermost first); each is compiled against
-    an incoming batch schema exactly once per pipeline — the kernels are
-    kept on the instance per source schema, so a pipeline that outlives one
-    execution (the facade memoizes the lowered tree) compiles nothing on the
-    next, and schema drift compiles a second entry.  A batch makes a single
-    pass through the compiled kernels — no intermediate :class:`RowBatch`
-    objects, no per-row dict, no repeated column resolution.  The optional ``limit`` truncates the final stream
-    and abandons the upstream pipeline early.
+    the child's schema (one per execution, the same on every one) exactly
+    once per pipeline, so a pipeline that outlives one execution (the facade
+    memoizes the lowered tree) compiles nothing on the next.  Adjacent picks
+    compose into one, and a pick that keeps every column in order compiles
+    to nothing.  A batch makes a single pass through the compiled kernels —
+    no intermediate :class:`RowBatch` objects, no per-row dict, no repeated
+    column resolution.  The optional ``limit`` truncates the final stream
+    and abandons the upstream pipeline early.  At the result boundary
+    (:meth:`bindings`) a final pick is not applied at all: it folds into the
+    construction of the binding dicts.
     """
 
     def __init__(
@@ -307,10 +310,10 @@ class FusedPipeline(Operator):
         self._child = child
         self._stages = tuple(stages)
         self._limit = limit
-        # source schema -> (kernels, output schema).  Pure functions of the
-        # stages and the schema, so executions sharing this pipeline may race
-        # to fill a slot: the values are interchangeable, the last one stays.
-        self._compiled: dict[tuple[str, ...], tuple[tuple[RowsKernel, ...], tuple[str, ...]]] = {}
+        # What `_compile` returns for the child's one schema.  A pure function
+        # of the stages and that schema, so executions sharing this pipeline
+        # may race to fill it: the values are interchangeable.
+        self._compiled: tuple | None = None
 
     @property
     def child(self) -> Operator:
@@ -330,33 +333,46 @@ class FusedPipeline(Operator):
     def children(self) -> Sequence[Operator]:
         return (self._child,)
 
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
+    def _compile(self, source: tuple[str, ...]) -> tuple:
+        """``(kernels, output schema, final pick, boundary kernel)`` against ``source``.
+
+        The final pick, when the last kernel is one, is split off: the batch
+        path applies it, the result boundary's kernel folds it into the
+        binding dicts instead.
+        """
+        kernels: list[RowsKernel] = []
+        widths: list[int] = []  # the row width each kernel reads
+        schema = source
+        for stage in self._stages:
+            width = len(schema)
+            schema, kernel = stage.compile(schema)
+            picks = getattr(kernel, "picks", None)
+            if picks is not None and kernels and getattr(kernels[-1], "picks", None) is not None:
+                # project → output (or project → project): one pass
+                inner, width = kernels.pop().picks, widths.pop()
+                picks = tuple(inner[i] for i in picks)
+            if picks is not None and picks == tuple(range(width)):
+                continue  # keeps every column in order: nothing to run
+            kernels.append(kernel if picks is None else pick_kernel(picks))
+            widths.append(width)
+        final = None
+        positions, width = tuple(range(len(schema))), len(schema)
+        if kernels and getattr(kernels[-1], "picks", None) is not None:
+            final = kernels.pop()
+            positions, width = final.picks, widths.pop()
+        return tuple(kernels), schema, final, binding_kernel(positions, width)
+
+    def _stream(self, context: ExecutionContext) -> Iterator[tuple[list, tuple]]:
+        """``(rows, compiled)`` per output batch, every kernel but the final pick run."""
         remaining = self._limit
         if remaining is not None and remaining <= 0:
             return  # LIMIT 0: no store request, no batch
-        source_schema: tuple[str, ...] | None = None
-        kernels: tuple[RowsKernel, ...] = ()
-        output_schema: tuple[str, ...] = ()
+        compiled = self._compiled
         for batch in self._child.batches(context):
-            if batch.columns != source_schema:
-                source_schema = batch.columns
-                compiled = self._compiled.get(source_schema)
-                if compiled is None:
-                    compiling: list[RowsKernel] = []
-                    schema = source_schema
-                    for stage in self._stages:
-                        schema, kernel = stage.compile(schema)
-                        picks = getattr(kernel, "picks", None)
-                        inner = getattr(compiling[-1], "picks", None) if compiling else None
-                        if picks is not None and inner is not None:
-                            # project → output (or project → project): one pass
-                            compiling[-1] = pick_kernel([inner[i] for i in picks])
-                        else:
-                            compiling.append(kernel)
-                    compiled = self._compiled[source_schema] = (tuple(compiling), schema)
-                kernels, output_schema = compiled
+            if compiled is None:
+                compiled = self._compiled = self._compile(batch.columns)
             rows = batch.rows
-            for kernel in kernels:
+            for kernel in compiled[0]:
                 if not rows:
                     break
                 rows = kernel(rows)
@@ -365,11 +381,22 @@ class FusedPipeline(Operator):
             if remaining is not None and len(rows) > remaining:
                 rows = rows[:remaining]
             context.runtime_rows_processed += len(rows)
-            yield RowBatch(output_schema, rows)
+            yield rows, compiled
             if remaining is not None:
                 remaining -= len(rows)
                 if remaining <= 0:
                     return
+
+    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
+        for rows, (_, schema, final, _) in self._stream(context):
+            yield RowBatch(schema, rows if final is None else final(rows))
+
+    def bindings(self, context: ExecutionContext) -> Iterator[list[dict[str, object]]]:
+        """The result boundary: the final pick folds into the binding dicts."""
+        name = type(self).__name__
+        for rows, (_, schema, _, boundary) in self._stream(context):
+            context.tally(name, len(rows))
+            yield boundary(rows, *schema)
 
     def describe(self) -> str:
         parts = [stage.describe() for stage in self._stages]

@@ -38,6 +38,7 @@ from repro.runtime.batch import (
     BatchBuilder,
     RowBatch,
     freeze_value,
+    probe_kernel,
 )
 from repro.runtime.values import Binding
 from repro.stores.base import (
@@ -47,7 +48,6 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
     batch_tuples,
-    tuple_picker,
 )
 
 __all__ = [
@@ -264,6 +264,11 @@ class Operator:
         """The operator's streaming implementation (override this)."""
         raise NotImplementedError(f"{type(self).__name__} does not implement _batches")
 
+    def bindings(self, context: ExecutionContext) -> Iterator[list[Binding]]:
+        """The result boundary: the operator's rows as binding dicts, a batch at a time."""
+        for batch in self.batches(context):
+            yield batch.to_bindings()
+
     def children(self) -> Sequence["Operator"]:
         """Child operators (for plan printing and tests)."""
         return ()
@@ -452,16 +457,9 @@ class BindJoin(Operator):
             (fetch_columns.index(column), value) for column, value in self._constants.items()
         )
         left_schema: tuple[str, ...] | None = None
-        shared: tuple[tuple[int, int], ...] = ()
-        new_positions: tuple[int, ...] = ()
         builder: BatchBuilder | None = None
         for left_batch in self._left.batches(context):
-            if left_batch.columns != left_schema:
-                if builder is not None:
-                    tail = builder.flush()
-                    if tail is not None:
-                        context.runtime_rows_processed += len(tail)
-                        yield tail
+            if left_schema is None:
                 left_schema = left_batch.columns
                 # Probe rows must agree with the left row on shared variables.
                 shared = tuple(
@@ -507,122 +505,96 @@ class HashJoin(Operator):
     """Mediator-side equi-join of two sub-plans on their shared variables.
 
     The right (build) side is materialized into a hash table; the left side
-    streams through it batch by batch.  Join variables are inferred once from
-    the two schemas (not per probe row).
+    streams through it batch by batch.  ``columns`` are the columns it emits,
+    in the order its parent reads them (the planner passes what is read
+    above); by default the left columns followed by the right ones the left
+    lacks.  Join variables are inferred once from the two schemas.
     """
 
-    def __init__(self, left: Operator, right: Operator, on: Sequence[str] | None = None) -> None:
+    def __init__(
+        self,
+        left: Operator,
+        right: Operator,
+        on: Sequence[str] | None = None,
+        columns: Sequence[str] | None = None,
+    ) -> None:
         self._left = left
         self._right = right
         self._on = tuple(on) if on is not None else None
+        self._columns = tuple(columns) if columns is not None else None
 
     def children(self) -> Sequence[Operator]:
         return (self._left, self._right)
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         # Build side: materialize (a hash join's build side is inherently
-        # blocking) under one canonical schema.
+        # blocking).  Every operator emits one schema per execution.
         right_batches = [batch for batch in self._right.batches(context) if batch]
         if not right_batches:
             return
         right_schema = right_batches[0].columns
-        if any(batch.columns != right_schema for batch in right_batches[1:]):
-            # Schema drift across batches (sources chunking dict rows get
-            # per-chunk union schemas): realign everything on the union so no
-            # column from a later batch is dropped.
-            union: dict[str, None] = {}
-            for batch in right_batches:
-                for column in batch.columns:
-                    union.setdefault(column, None)
-            right_schema = tuple(union)
-        right_rows: list[tuple] = []
-        for batch in right_batches:
-            if batch.columns == right_schema:
-                right_rows.extend(batch.rows)
-            else:
-                indexer = batch.indexer(right_schema)
-                right_rows.extend(
-                    tuple(row[i] if i is not None else None for i in indexer)
-                    for row in batch.rows
-                )
+        right_rows = [row for batch in right_batches for row in batch.rows]
 
         # Vectorized key extraction: both sides hash their key columns
         # batch-at-a-time through the same kernel, so single-column keys stay
         # bare scalars and no per-row key tuple is allocated.
         from repro.runtime.kernels import key_kernel
 
-        join_variables = self._on
         left_schema: tuple[str, ...] | None = None
-        builds: dict[tuple[int, ...], dict] = {}
+        size = context.batch_size
         for left_batch in self._left.batches(context):
-            if not left_batch:
-                continue
-            if left_batch.columns != left_schema:
+            if left_schema is None:
                 left_schema = left_batch.columns
-                if join_variables is None:
-                    join_variables = tuple(
-                        sorted(set(left_schema) & set(right_schema))
-                    )
-                left_set = set(left_schema)
-                # Right columns not produced by the left side are appended.
-                right_tail_positions = tuple(
-                    index
-                    for index, column in enumerate(right_schema)
-                    if column not in left_set
-                )
-                output_schema = left_schema + tuple(
-                    right_schema[index] for index in right_tail_positions
+                shared = [column for column in left_schema if column in right_schema]
+                join_variables = self._on if self._on is not None else tuple(sorted(shared))
+                columns = self._columns or left_schema + tuple(
+                    column for column in right_schema if column not in left_schema
                 )
                 # Shared columns beyond the join key must still agree
                 # (compatible-bindings semantics with an explicit `on`); a
-                # keyless join is a plain cartesian product.
-                extra_checks = tuple(
-                    (left_schema.index(column), right_schema.index(column))
-                    for column in left_set & set(right_schema)
-                    if join_variables and column not in join_variables
+                # keyless join is a plain cartesian product (both sides' key
+                # is `()`).
+                probe = probe_kernel(
+                    tuple(
+                        (0, left_schema.index(column)) if column in left_schema
+                        else (1, right_schema.index(column))
+                        for column in columns
+                    ),
+                    tuple(
+                        (left_schema.index(column), right_schema.index(column))
+                        for column in shared
+                        if join_variables and column not in join_variables
+                    ),
                 )
                 left_keys_of = key_kernel(left_schema, join_variables)
-                # Build side: key -> [(right row, its tail)], every tail
-                # picked once (per tail shape, should the left schema drift).
-                # Without join variables both sides' key is `()`, so the one
-                # probe below is the cartesian product.
-                build = builds.get(right_tail_positions)
-                if build is None:
-                    build = builds[right_tail_positions] = defaultdict(list)
-                    right_tails = tuple_picker(right_tail_positions)(right_rows)
-                    right_keys = key_kernel(right_schema, join_variables)(right_rows)
-                    for key, pair in zip(right_keys, zip(right_rows, right_tails)):
-                        build[key].append(pair)
+                build: dict[object, list[tuple]] = defaultdict(list)
+                for key, row in zip(key_kernel(right_schema, join_variables)(right_rows), right_rows):
+                    build[key].append(row)
                 matches_of = build.get
-
-            # Probe a whole batch in one (lazy) comprehension, re-chunked to
-            # `batch_size`: a skewed key cannot emit one giant batch and a
-            # LIMIT above the join stops the probe mid-batch.
-            left_rows = left_batch.rows
-            joined = (
-                left_row + tail
-                for left_row, key in zip(left_rows, left_keys_of(left_rows))
-                for right_row, tail in matches_of(key, ())
-                if not extra_checks
-                or not any(left_row[li] != right_row[ri] for li, ri in extra_checks)
-            )
-            for batch in batch_tuples(joined, output_schema, context.batch_size):
-                context.runtime_rows_processed += len(batch)
-                yield batch
+            rows = left_batch.rows
+            joined = probe(rows, left_keys_of(rows), matches_of)
+            # Cut to `batch_size`: a skewed key cannot emit one giant batch,
+            # and a LIMIT above the join stops after this left batch.
+            for start in range(0, len(joined), size):
+                chunk = joined if len(joined) <= size else joined[start : start + size]
+                context.runtime_rows_processed += len(chunk)
+                yield RowBatch(columns, chunk)
 
     def describe(self) -> str:
         on = "natural" if self._on is None else ",".join(self._on)
-        return f"HashJoin[on={on}]"
+        emits = "" if self._columns is None else f", emits=({', '.join(self._columns)})"
+        return f"HashJoin[on={on}{emits}]"
 
 
 class Deduplicate(Operator):
     """Set semantics: drop duplicate bindings.
 
     Seen keys are hashed incrementally as batches stream through; a row's key
-    is its (type, value) tuple in a canonical column order (frozen into nested
-    tuples only when a value is unhashable), so keys are not rebuilt per
-    comparison.  Types are part of the key so that ``1``, ``1.0`` and ``True``
-    stay distinct rows, as under the seed engine's repr-based keys.
+    is its (type, value) tuple (frozen into nested tuples only when a value
+    is unhashable; every batch of one execution shares one schema), so keys
+    are not rebuilt per comparison.  Types are part of the key so that ``1``,
+    ``1.0`` and ``True`` stay distinct rows, as under the seed engine's
+    repr-based keys.
     """
 
     def __init__(self, child: Operator) -> None:
@@ -633,24 +605,14 @@ class Deduplicate(Operator):
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         seen: set[tuple] = set()
-        schema: tuple[str, ...] | None = None
-        order: list[int] = []
-        signature: tuple[str, ...] = ()
         for batch in self._child.batches(context):
-            if batch.columns != schema:
-                schema = batch.columns
-                order = sorted(range(len(schema)), key=lambda i: schema[i])
-                signature = tuple(schema[i] for i in order)
             unique: list[tuple] = []
             for row in batch.rows:
-                key = (signature, tuple((row[i].__class__, row[i]) for i in order))
+                key = tuple((value.__class__, value) for value in row)
                 try:
                     is_new = key not in seen
                 except TypeError:
-                    key = (
-                        signature,
-                        tuple((row[i].__class__, freeze_value(row[i])) for i in order),
-                    )
+                    key = tuple((value.__class__, freeze_value(value)) for value in row)
                     is_new = key not in seen
                 if is_new:
                     seen.add(key)
@@ -763,7 +725,7 @@ class Aggregate(Operator):
         context.runtime_rows_processed += len(aggregated_rows)
 
     def describe(self) -> str:
-        return f"Aggregate[by {', '.join(self._group_by) or '()'}]"
+        return f"{type(self).__name__}[by {', '.join(self._group_by) or '()'}]"
 
 
 class ShardGather(Operator):
@@ -859,19 +821,16 @@ class PartialAggregate(Aggregate):
     ) -> None:
         super().__init__(child, group_by, partial_aggregations(aggregations), scalar=False)
 
-    def describe(self) -> str:
-        return f"PartialAggregate[by {', '.join(self._group_by) or '()'}]"
 
-
-class MergeAggregate(Operator):
+class MergeAggregate(Aggregate):
     """Combine per-shard partial aggregates into final groups.
 
     The child yields partial rows (``group_by`` columns plus the decomposed
     aggregate columns of :func:`partial_aggregations`), at most one per group
-    per shard.  States merge associatively: counts and sums add, min/max
-    combine ignoring ``None`` (a shard where every value was null), and
-    ``avg`` divides the merged sum by the merged non-null count.  A
-    ``scalar`` merge answers one row when every shard was empty.
+    per shard.  Merging is itself an aggregation over those rows: counts and
+    sums add, min/max combine ignoring ``None`` (a shard where every value
+    was null), and ``avg`` divides the merged sum by the merged non-null
+    count.  A ``scalar`` merge answers one row when every shard was empty.
     """
 
     def __init__(
@@ -882,87 +841,29 @@ class MergeAggregate(Operator):
         *,
         scalar: bool = False,
     ) -> None:
-        for name, (function, _) in aggregations.items():
-            if function not in Aggregate._FUNCTIONS:
-                raise ExecutionError(
-                    f"unsupported aggregation function {function!r} for {name!r}"
-                )
-        self._child = child
-        self._group_by = tuple(group_by)
-        self._aggregations = dict(aggregations)
-        self._scalar = scalar
-
-    def children(self) -> Sequence[Operator]:
-        return (self._child,)
+        super().__init__(child, group_by, aggregations)
+        self._final, self._final_scalar = self._aggregations, scalar
+        self._aggregations = {
+            name: ("sum" if function == "count" else function, name)
+            for name, (function, _) in partial_aggregations(self._final).items()
+        }
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        partial_columns = tuple(partial_aggregations(self._aggregations))
-        schema: tuple[str, ...] | None = None
-        group_indexer: list[int | None] = []
-        partial_indexer: dict[str, int | None] = {}
-        groups: dict[tuple, dict[str, object]] = {}
-        for batch in self._child.batches(context):
-            if batch.columns != schema:
-                schema = batch.columns
-                group_indexer = batch.indexer(self._group_by)
-                partial_indexer = {
-                    column: (batch.columns.index(column) if column in batch.columns else None)
-                    for column in partial_columns
-                }
-            for row in batch.rows:
-                key = tuple(row[i] if i is not None else None for i in group_indexer)
-                state = groups.setdefault(key, {})
-                for name, (function, _) in self._aggregations.items():
-                    if function == "avg":
-                        psum_index = partial_indexer.get(f"{name}__psum")
-                        pcount_index = partial_indexer.get(f"{name}__pcount")
-                        psum = row[psum_index] if psum_index is not None else 0
-                        pcount = row[pcount_index] if pcount_index is not None else 0
-                        total, count = state.get(name, (0, 0))
-                        state[name] = (total + (psum or 0), count + (pcount or 0))
-                        continue
-                    index = partial_indexer.get(name)
-                    value = row[index] if index is not None else None
-                    if function in ("count", "sum"):
-                        state[name] = state.get(name, 0) + (value or 0)
-                    elif function == "min":
-                        current = state.get(name)
-                        if value is not None:
-                            state[name] = value if current is None else min(current, value)
-                        else:
-                            state.setdefault(name, None)
-                    elif function == "max":
-                        current = state.get(name)
-                        if value is not None:
-                            state[name] = value if current is None else max(current, value)
-                        else:
-                            state.setdefault(name, None)
+        width = len(self._group_by)
+        position = {name: width + index for index, name in enumerate(self._aggregations)}
 
-        output_schema = self._group_by + tuple(self._aggregations)
-        if not groups and self._scalar:
-            # Every shard was empty: the partials contributed nothing.
-            context.runtime_rows_processed += 1
-            yield RowBatch(output_schema, [empty_scalar_row(self._aggregations)])
-            return
-        builder = BatchBuilder(output_schema, context.batch_size)
-        produced = 0
-        for key, state in groups.items():
-            merged: list[object] = []
-            for name, (function, _) in self._aggregations.items():
+        def final(row: tuple) -> tuple:
+            merged = []
+            for name, (function, _) in self._final.items():
                 if function == "avg":
-                    total, count = state.get(name, (0, 0))
+                    total, count = row[position[f"{name}__psum"]], row[position[f"{name}__pcount"]]
                     merged.append(total / count if count else None)
                 else:
-                    merged.append(state.get(name))
-            full = builder.add(key + tuple(merged))
-            if full is not None:
-                produced += len(full)
-                yield full
-        tail = builder.flush()
-        if tail is not None:
-            produced += len(tail)
-            yield tail
-        context.runtime_rows_processed += produced
+                    merged.append(row[position[name]])
+            return row[:width] + tuple(merged)
 
-    def describe(self) -> str:
-        return f"MergeAggregate[by {', '.join(self._group_by) or '()'}]"
+        schema = self._group_by + tuple(self._final)
+        merged = [final(row) for batch in super()._batches(context) for row in batch.rows]
+        if not merged and self._final_scalar:
+            merged = [empty_scalar_row(self._final)]  # every shard was empty
+        yield from batch_tuples(merged, schema, context.batch_size)

@@ -205,9 +205,10 @@ class _StaticOperator(DelegatedRequest):
 
     def __init__(self, bindings):
         self._bindings = bindings
+        self._columns = tuple(dict.fromkeys(key for binding in bindings for key in binding))
 
     def _batches(self, context):
-        return batches_from_bindings(self._bindings, context.batch_size)
+        return batches_from_bindings(self._bindings, self._columns, context.batch_size)
 
     def describe(self):
         return "Static"

@@ -82,9 +82,9 @@ class TestRowBatchEdges:
         assert batch.take(5) is batch
 
     def test_from_bindings_schema_mismatch_fills_none(self):
-        # Rows disagreeing on their keys: the schema is the union (first-seen
-        # order) and absent columns surface as None, like the dict boundary.
-        batch = RowBatch.from_bindings([{"a": 1}, {"b": 2}, {"a": 3, "b": 4}])
+        # Rows disagreeing on their keys: absent columns surface as None,
+        # like the dict boundary.
+        batch = RowBatch.from_bindings([{"a": 1}, {"b": 2}, {"a": 3, "b": 4}], ("a", "b"))
         assert batch.columns == ("a", "b")
         assert batch.rows == [(1, None), (None, 2), (3, 4)]
 
@@ -94,7 +94,7 @@ class TestRowBatchEdges:
         assert batch.rows == [(2, None)]
 
     def test_batches_from_bindings_respects_batch_size(self):
-        batches = list(batches_from_bindings([{"a": i} for i in range(7)], batch_size=3))
+        batches = list(batches_from_bindings([{"a": i} for i in range(7)], ("a",), batch_size=3))
         assert [len(b) for b in batches] == [3, 3, 1]
 
     def test_fused_limit_exactly_at_batch_boundary(self):

@@ -34,6 +34,9 @@ rewritings a brute-force oracle over plain tuples enumerates.
 LIMIT queries are nondeterministic by design (any k rows of the answer are a
 correct answer), so for them the harness checks cardinality and containment
 in the oracle's full result instead of equality.
+
+Every executed plan is also held to **required-column pruning**: no
+delegated store request may fetch a variable that no ancestor reads.
 """
 
 from __future__ import annotations
@@ -47,6 +50,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import (
+    Aggregate,
+    BindJoin,
+    Deduplicate,
+    DelegatedRequest,
+    FilterStage,
+    FusedPipeline,
+    HashJoin,
+    OutputStage,
+    ProjectStage,
+)
 from repro.stores import ReplicationPolicy
 from repro.testing import FaultProfile
 
@@ -229,20 +243,85 @@ def sql_queries(draw):
     return sql, limit, expected
 
 
+def _emitted(op) -> tuple:
+    """The columns ``op`` emits, read off the plan (white-box: operator fields)."""
+    if isinstance(op, DelegatedRequest):
+        return tuple(op._output.values())
+    if isinstance(op, BindJoin):
+        left = _emitted(op._left)
+        return left + tuple(v for v in op._output.values() if v not in left)
+    if isinstance(op, HashJoin):
+        left, right = _emitted(op._left), _emitted(op._right)
+        return op._columns or left + tuple(c for c in right if c not in left)
+    if isinstance(op, FusedPipeline):
+        schema = _emitted(op.child)
+        for stage in op.stages:
+            schema = stage.compile(schema)[0]
+        return schema
+    if isinstance(op, Aggregate):
+        return op._group_by + tuple(getattr(op, "_final", op._aggregations))
+    return _emitted(op.children()[0])  # Exchange, ShardGather, Deduplicate
+
+
+def _unread_fetches(plan) -> set:
+    """Variables some DelegatedRequest fetches that none of its ancestors reads.
+
+    An ancestor reads a variable it filters, projects, outputs, groups,
+    aggregates, deduplicates or joins on; the caller reads the root's columns.
+    """
+    unread: set = set()
+
+    def visit(op, read: set) -> None:
+        if isinstance(op, DelegatedRequest):
+            unread.update(set(op._output.values()) - read)
+        elif isinstance(op, FusedPipeline):
+            reads = set()
+            for stage in op.stages:
+                if isinstance(stage, FilterStage):
+                    reads |= {spec.column for spec in stage.specs}
+                    reads |= {spec.value for spec in stage.specs if spec.value_is_column}
+                elif isinstance(stage, ProjectStage):
+                    reads |= set(stage.variables)
+                else:
+                    reads |= {payload for _, is_var, payload in stage.outputs if is_var}
+            shaped = any(isinstance(s, (ProjectStage, OutputStage)) for s in op.stages)
+            visit(op.child, reads | (set() if shaped else read))
+        elif isinstance(op, HashJoin):
+            keys = set(_emitted(op._left)) & set(_emitted(op._right))
+            for child in op.children():
+                visit(child, read | keys)
+        elif isinstance(op, BindJoin):
+            visit(op._left, read | (set(_emitted(op._left)) & set(op._output.values())))
+        elif isinstance(op, Aggregate):
+            inputs = {column for _, column in op._aggregations.values() if column is not None}
+            visit(op.children()[0], set(op._group_by) | inputs)
+        elif isinstance(op, Deduplicate):
+            visit(op.children()[0], read | set(_emitted(op)))
+        else:
+            for child in op.children():
+                visit(child, read)
+
+    visit(plan, set(_emitted(plan)))
+    return unread
+
+
 def _assert_matches_oracle(configurations, case, data, note=""):
     """Every ``(estocada, parallelism)`` deployment answers ``case`` like its oracle.
 
     Each deployment runs the statement twice: the repeat takes the warm path
     (memoized translation, cached plan, the lowered tree and its compiled
-    kernels shared with the first run) and is held to the same oracle.
+    kernels shared with the first run) and is held to the same oracle.  The
+    executed plan must fetch nothing that it does not read.
     """
     sql, limit, expected = case
     full = _bag(expected(data))
     for name, (est, parallelism) in configurations.items():
         for run in ("first run", "warm repeat"):
-            rows = est.query(sql, dataset="shop", parallelism=parallelism).rows
+            result = est.query(sql, dataset="shop", parallelism=parallelism)
+            rows = result.rows
             got = _bag(rows)
             where = f"{name} ({run})"
+            assert not _unread_fetches(result.plan), f"{where} fetches unread columns on {sql!r}"
             if limit is None:
                 assert got == full, f"{where} diverged from the oracle on {sql!r}{note}"
             else:

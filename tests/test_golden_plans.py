@@ -167,7 +167,7 @@ class TestGoldenPlans:
             Fused[project(purchases_sku) → output(sku)]
               ShardGather[F_purchases, 1/4 shards]
                 Exchange[F_purchases#3]
-                  DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_category', 'purchases_price', 'purchases_sku']]
+                  DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_sku']]
             """
         )
 
@@ -178,13 +178,13 @@ class TestGoldenPlans:
             Fused[project(purchases_uid, purchases_sku) → output(uid, sku)]
               ShardGather[F_purchases, 4/4 shards]
                 Exchange[F_purchases#0]
-                  DelegatedRequest[store=shardpg.0, purchases#0, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                  DelegatedRequest[store=shardpg.0, purchases#0, vars=['purchases_sku', 'purchases_uid']]
                 Exchange[F_purchases#1]
-                  DelegatedRequest[store=shardpg.1, purchases#1, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                  DelegatedRequest[store=shardpg.1, purchases#1, vars=['purchases_sku', 'purchases_uid']]
                 Exchange[F_purchases#2]
-                  DelegatedRequest[store=shardpg.2, purchases#2, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                  DelegatedRequest[store=shardpg.2, purchases#2, vars=['purchases_sku', 'purchases_uid']]
                 Exchange[F_purchases#3]
-                  DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                  DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_sku', 'purchases_uid']]
             """
         )
 
@@ -193,18 +193,18 @@ class TestGoldenPlans:
         assert explanation.plan_text() == _golden(
             """
             Fused[project(u_name, p_sku) → output(name, sku)]
-              HashJoin[on=natural]
+              HashJoin[on=natural, emits=(u_name, p_sku)]
                 ShardGather[F_purchases, 4/4 shards]
                   Exchange[F_purchases#0]
-                    DelegatedRequest[store=shardpg.0, purchases#0, vars=['p_category', 'p_price', 'p_sku', 'p_uid']]
+                    DelegatedRequest[store=shardpg.0, purchases#0, vars=['p_sku', 'p_uid']]
                   Exchange[F_purchases#1]
-                    DelegatedRequest[store=shardpg.1, purchases#1, vars=['p_category', 'p_price', 'p_sku', 'p_uid']]
+                    DelegatedRequest[store=shardpg.1, purchases#1, vars=['p_sku', 'p_uid']]
                   Exchange[F_purchases#2]
-                    DelegatedRequest[store=shardpg.2, purchases#2, vars=['p_category', 'p_price', 'p_sku', 'p_uid']]
+                    DelegatedRequest[store=shardpg.2, purchases#2, vars=['p_sku', 'p_uid']]
                   Exchange[F_purchases#3]
-                    DelegatedRequest[store=shardpg.3, purchases#3, vars=['p_category', 'p_price', 'p_sku', 'p_uid']]
+                    DelegatedRequest[store=shardpg.3, purchases#3, vars=['p_sku', 'p_uid']]
                 Exchange[F_users]
-                  DelegatedRequest[store=pg, users, vars=['p_uid', 'u_city', 'u_name']]
+                  DelegatedRequest[store=pg, users, vars=['p_uid', 'u_name']]
             """
         )
 
@@ -217,16 +217,16 @@ class TestGoldenPlans:
                   ShardGather[F_purchases, 4/4 shards]
                     Exchange[F_purchases#0]
                       PartialAggregate[by purchases_category]
-                        DelegatedRequest[store=shardpg.0, purchases#0, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                        DelegatedRequest[store=shardpg.0, purchases#0, vars=['purchases_category', 'purchases_price']]
                     Exchange[F_purchases#1]
                       PartialAggregate[by purchases_category]
-                        DelegatedRequest[store=shardpg.1, purchases#1, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                        DelegatedRequest[store=shardpg.1, purchases#1, vars=['purchases_category', 'purchases_price']]
                     Exchange[F_purchases#2]
                       PartialAggregate[by purchases_category]
-                        DelegatedRequest[store=shardpg.2, purchases#2, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                        DelegatedRequest[store=shardpg.2, purchases#2, vars=['purchases_category', 'purchases_price']]
                     Exchange[F_purchases#3]
                       PartialAggregate[by purchases_category]
-                        DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_category', 'purchases_price', 'purchases_sku', 'purchases_uid']]
+                        DelegatedRequest[store=shardpg.3, purchases#3, vars=['purchases_category', 'purchases_price']]
                 """
             ),
             "  ",
@@ -239,7 +239,7 @@ class TestGoldenPlans:
             Fused[output(city, n)]
               Aggregate[by users_city]
                 Exchange[F_users]
-                  DelegatedRequest[store=pg, users, vars=['users_city', 'users_name', 'users_uid']]
+                  DelegatedRequest[store=pg, users, vars=['users_city', 'users_uid']]
             """
         )
 

@@ -572,8 +572,10 @@ class TestFusedPicks:
         (batch,) = _drain(pipeline)
         assert batch.columns == ("out_z", "out_x")
         assert batch.rows == [(3, 1), (6, 4)]
-        ((kernels, _),) = pipeline._compiled.values()
-        assert len(kernels) == 1 and kernels[0].picks == (2, 0)
+        # One composed pick, split off as the final one: the result boundary
+        # folds it into the binding dicts instead of running it.
+        kernels, _, final, _ = pipeline._compiled
+        assert kernels == () and final.picks == (2, 0)
         assert pipeline.describe() == "Fused[project(z, x) → output(out_z, out_x)]"
 
     def test_one_and_zero_column_picks_keep_row_tuples(self):
@@ -606,7 +608,7 @@ class TestBindingKernel:
         assert RowBatch((), [(), ()]).to_bindings() == [{}, {}]
         assert RowBatch(("a",), [(1,), (2,)]).to_bindings() == [{"a": 1}, {"a": 2}]
         assert RowBatch(("a", "a"), [(1, 2)]).to_bindings() == [{"a": 2}]
-        assert binding_kernel(("a", "b")) is binding_kernel(("a", "b"))
+        assert binding_kernel((0, 1), 2) is binding_kernel((0, 1), 2)
 
 
 class TestDelegatedConstants:

@@ -67,13 +67,13 @@ def catalog():
 class TestRowBatch:
     def test_roundtrip(self):
         bindings = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        batch = RowBatch.from_bindings(bindings)
+        batch = RowBatch.from_bindings(bindings, ("a", "b"))
         assert batch.columns == ("a", "b")
         assert batch.rows == [(1, "x"), (2, "y")]
         assert batch.to_bindings() == bindings
 
     def test_union_schema_fills_missing_with_none(self):
-        batch = RowBatch.from_bindings([{"a": 1}, {"b": 2}])
+        batch = RowBatch.from_bindings([{"a": 1}, {"b": 2}], ("a", "b"))
         assert set(batch.columns) == {"a", "b"}
         assert len(batch) == 2
         assert {None} < {v for row in batch.rows for v in row}
@@ -149,15 +149,16 @@ class TestBatchBoundaryCorrectness:
 
 
 def _legacy(bindings):
-    """A source operator chunking dict rows (one union schema per chunk)."""
+    """A source operator chunking dict rows under the union of their keys."""
     from repro.runtime import Operator, batches_from_bindings
 
     class _Legacy(Operator):
         def __init__(self, items):
             self._items = items
+            self._columns = tuple(dict.fromkeys(key for item in items for key in item))
 
         def _batches(self, context):
-            return batches_from_bindings(self._items, context.batch_size)
+            return batches_from_bindings(self._items, self._columns, context.batch_size)
 
     return _Legacy(bindings)
 
@@ -171,15 +172,27 @@ class TestOperatorEdgeCases:
         rows = ExecutionEngine().execute(Deduplicate(source)).rows
         assert len(rows) == 3
 
-    def test_hash_join_build_side_schema_drift_keeps_late_columns(self):
-        # A right child chunked with per-batch union schemas must not lose a
-        # column that only appears in a later batch.
-        from repro.runtime import ExecutionEngine, HashJoin
+    def test_every_operator_of_a_plan_emits_one_schema(self, catalog):
+        # Every operator fixes its columns once per execution, whatever the
+        # batch size: a bind-join plan, and a hash join over dict-row sources
+        # whose rows lack some of their columns.
+        from repro.runtime import ExecutionContext, HashJoin
 
-        left = _legacy([{"a": 1}])
-        right = _legacy([{"a": 1}, {"a": 1}, {"a": 1, "b": "extra"}])
-        result = ExecutionEngine(batch_size=2).execute(HashJoin(left, right))
-        assert {"a": 1, "b": "extra"} in result.rows
+        def operators(root):
+            yield root
+            for child in root.children():
+                yield from operators(child)
+
+        plans = [
+            Planner(catalog).plan(TestBatchBoundaryCorrectness.QUERY).root,
+            HashJoin(_legacy([{"a": 1}]), _legacy([{"a": 1}, {"a": 1}, {"a": 1, "b": "x"}])),
+        ]
+        for plan in plans:
+            for operator in operators(plan):
+                batches = list(operator.batches(ExecutionContext(batch_size=2)))
+                assert batches, operator.describe()
+                assert len({batch.columns for batch in batches}) == 1, operator.describe()
+        assert {"a": 1, "b": "x"} in ExecutionEngine(batch_size=2).execute(plans[1]).rows
 
 
 class TestLogicalPlanIR:
