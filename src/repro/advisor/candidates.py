@@ -51,18 +51,6 @@ class CandidateFragment:
         return len(self.definition.head_terms)
 
 
-def _query_key_columns(query: ConjunctiveQuery, atom: Atom) -> list[int]:
-    """Positions of ``atom`` bound to constants or to head variables in ``query``."""
-    head_variables = set(query.head_variables())
-    positions: list[int] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            positions.append(position)
-        elif isinstance(term, Variable) and term in head_variables:
-            continue
-    return positions
-
-
 def enumerate_candidates(
     workload: Sequence[WorkloadQuery], name_prefix: str = "cand"
 ) -> list[CandidateFragment]:

@@ -126,16 +126,6 @@ class MaintenanceEngine:
             raise MaintenanceError(f"relation {name!r} is not registered for writes")
         return order
 
-    def relation_rows(self, name: str) -> list[dict[str, object]]:
-        """The shadowed relation's current rows (bag order unspecified)."""
-        with self._lock:
-            order = self.relation_columns(name)
-            bag = self._bags[name].rows
-            rows: list[dict[str, object]] = []
-            for row, count in bag.items():
-                rows.extend(dict(zip(order, row)) for _ in range(count))
-            return rows
-
     # -- fragments ---------------------------------------------------------------------
     def watch_fragment(self, descriptor: StorageDescriptor) -> bool:
         """Start maintaining ``descriptor`` if all its base relations are shadowed.

@@ -494,18 +494,6 @@ class StatisticsCatalog:
                     sample - usage.ewma_latency_seconds
                 )
 
-    def fragment_usage(self, fragment: str) -> FragmentUsage:
-        """The fragment's read-usage counters (zeroed when never read)."""
-        with self._usage_lock:
-            usage = self._usage.get(fragment)
-            if usage is None:
-                return FragmentUsage(fragment=fragment)
-            return FragmentUsage(
-                fragment=fragment,
-                reads=usage.reads,
-                ewma_latency_seconds=usage.ewma_latency_seconds,
-            )
-
     def usage_snapshot(self) -> Mapping[str, FragmentUsage]:
         """A copy of every tracked fragment's read usage."""
         with self._usage_lock:
@@ -584,10 +572,6 @@ class StatisticsCatalog:
         )
 
     # -- the runtime feedback loop --------------------------------------------------
-    def observed_cardinality(self, fragment: str) -> float | None:
-        """The current exponentially-weighted observed cardinality, if any."""
-        return self._observed.get(fragment)
-
     def record_observation(
         self, fragment: str, observed_rows: int, smoothing: float = OBSERVATION_SMOOTHING
     ) -> float | None:

@@ -54,14 +54,6 @@ class AccessPattern:
         """Positions that must be bound before access."""
         return tuple(i for i, ch in enumerate(self.pattern) if ch == "i")
 
-    def output_positions(self) -> tuple[int, ...]:
-        """Positions returned by the access."""
-        return tuple(i for i, ch in enumerate(self.pattern) if ch == "o")
-
-    def is_free(self) -> bool:
-        """True when the relation can be scanned with no bound position."""
-        return "i" not in self.pattern
-
 
 class AccessPatternRegistry:
     """Registry mapping relation names to their access patterns.

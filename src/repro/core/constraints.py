@@ -230,27 +230,6 @@ class ConstraintSet:
         """Constraints whose body mentions ``relation``."""
         return tuple(c for _, c in self._by_body_relation.get(relation, ()))
 
-    def relevant_to(self, relations: Iterable[str]) -> tuple[Constraint, ...]:
-        """Constraints whose body relations all occur in ``relations``.
-
-        This is the inverted-index dispatch used by the chase: a constraint
-        whose body mentions a relation absent from the instance can have no
-        trigger, so scanning it is wasted work.  Insertion order is preserved,
-        which keeps chase firing order (and hence labelled-null numbering)
-        identical to a full scan over the same instance.
-        """
-        present = relations if isinstance(relations, (set, frozenset)) else set(relations)
-        picked: dict[int, Constraint] = {}
-        seen: set[int] = set()
-        for relation in present:
-            for sequence, constraint in self._by_body_relation.get(relation, ()):
-                if sequence in seen:
-                    continue
-                seen.add(sequence)
-                if self._body_relations[sequence] <= present:
-                    picked[sequence] = constraint
-        return tuple(picked[sequence] for sequence in sorted(picked))
-
     def constraints_with_body_relations(self) -> Iterator[tuple[Constraint, frozenset[str]]]:
         """Pairs ``(constraint, body relation names)`` in insertion order.
 

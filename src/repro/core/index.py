@@ -186,10 +186,6 @@ class RewriteIndex:
         selected.sort(key=lambda item: item[0])
         return [view for _, view in selected]
 
-    def views_over(self, relation: str) -> frozenset[str]:
-        """Names of views whose definition body mentions ``relation``."""
-        return frozenset(self._views_by_relation.get(relation, ()))
-
     def __len__(self) -> int:
         return len(self._views)
 

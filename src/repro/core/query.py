@@ -108,10 +108,6 @@ class ConjunctiveQuery:
         """The body atoms over ``relation``."""
         return tuple(atom for atom in self.body if atom.relation == relation)
 
-    def is_boolean(self) -> bool:
-        """True when the query has an empty head (yes/no query)."""
-        return not self.head_terms
-
     # -- transformations -----------------------------------------------------
     def apply(self, substitution: Substitution) -> "ConjunctiveQuery":
         """Apply a substitution to head and body."""
@@ -148,10 +144,6 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(
             self.head_relation, self.head_terms, body, name=name or self.name
         )
-
-    def with_name(self, name: str) -> "ConjunctiveQuery":
-        """A copy of this query with a different name."""
-        return ConjunctiveQuery(self.head_relation, self.head_terms, self.body, name=name)
 
     def extend_body(self, extra: Iterable[Atom]) -> "ConjunctiveQuery":
         """A copy with additional body atoms appended."""

@@ -306,10 +306,6 @@ class Substitution:
         """Iterate over (variable, term) bindings."""
         return self._mapping.items()
 
-    def as_dict(self) -> dict[Variable, Term]:
-        """A copy of the underlying mapping."""
-        return dict(self._mapping)
-
     # -- combination ---------------------------------------------------------
     def compose(self, other: "Substitution") -> "Substitution":
         """Return ``self`` followed by ``other`` (apply self, then other)."""

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.catalog.statistics import StatisticsCatalog
-from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
 from repro.translation.grouping import AtomAccess
 
@@ -84,14 +83,3 @@ class CardinalityEstimator:
                 if isinstance(term, Variable) and term not in bound:
                     bound[term] = (access.descriptor.fragment_name, column)
         return max(total or 0.0, 0.0)
-
-    def estimate_query_rows(
-        self, rewriting: ConjunctiveQuery, ordered_accesses: Sequence[AtomAccess]
-    ) -> float:
-        """Cardinality estimate for the rewriting's answer (post projection).
-
-        Projection with set semantics can only shrink the result; we keep the
-        join estimate as an upper bound, which is what the chooser compares.
-        """
-        del rewriting  # the head does not change the textbook estimate we use
-        return self.estimate_rows(ordered_accesses)

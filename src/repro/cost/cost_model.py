@@ -24,6 +24,7 @@ from repro.catalog.statistics import StatisticsCatalog
 from repro.core.terms import Constant, Variable
 from repro.cost.cardinality import CardinalityEstimator
 from repro.errors import CostModelError
+from repro.stores.base import Predicate
 from repro.translation.grouping import AtomAccess, DelegationGroup
 
 __all__ = [
@@ -353,12 +354,9 @@ class CostModel:
         if fraction_of is None:
             return None
         layout = access.descriptor.layout
-        from repro.runtime.kernels import ZoneBound
-
         bounds = tuple(
-            ZoneBound(layout.store_column(column), "=", value)
+            Predicate(layout.store_column(column), "=", value)
             for column, value in access.constant_by_column().items()
-            if value is not None
         )
         return fraction_of(layout.collection, bounds)
 

@@ -84,10 +84,6 @@ class DataModelEncoding:
                 return candidate
         raise PivotModelError(f"{self.model_name} encoding has no relation {name!r}")
 
-    def relation_names(self) -> frozenset[str]:
-        """Names of every relation used by the encoding."""
-        return frozenset(signature.name for signature in self.signatures())
-
     def extended_constraints(self, extra: Iterable[Constraint]) -> ConstraintSet:
         """The model axioms plus caller-provided constraints."""
         combined = ConstraintSet(self.constraints())

@@ -71,10 +71,6 @@ class NestedRelationSchema:
         """Columns of the top-level pivot relation (surrogate id first)."""
         return ("rowID",) + self.atomic_columns
 
-    def nested_column_names(self) -> tuple[str, ...]:
-        """Names of the nested columns."""
-        return tuple(name for name, _ in self.nested_columns)
-
     def inner_columns(self, nested_column: str) -> tuple[str, ...]:
         """Columns of one nested column's pivot relation (parent id first)."""
         for name, columns in self.nested_columns:

@@ -51,7 +51,6 @@ from repro.languages.sql.translator import SqlTranslator, TranslatedQuery
 from repro.plan.logical import StatementShape, statement_tree
 from repro.plan.physical import PhysicalPlanner
 from repro.runtime.engine import ExecutionEngine, QueryResult
-from repro.runtime.kernels import PredicateSpec
 from repro.runtime.operators import Operator
 from repro.settings import Settings
 from repro.stores.base import Store
@@ -114,10 +113,10 @@ class _Statement:
 
     For SQL text that is the translation against its dataset's schema; for
     every query kind it is also the *shape* half of the plan-cache key
-    (canonical head/body, body relations) and the scan hints.  Nothing here
-    depends on fragments, stores, data, epochs or tenants, and a dataset's
-    schema is fixed at registration, so a statement memoized under
-    ``(dataset, sql text)`` can never go stale.
+    (canonical head/body, body relations).  Nothing here depends on
+    fragments, stores, data, epochs or tenants, and a dataset's schema is
+    fixed at registration, so a statement memoized under ``(dataset, sql
+    text)`` can never go stale.
 
     ``shape`` is everything the statement asks beyond its conjunctive core
     (residual filters, aggregation, outputs, DISTINCT, LIMIT), stacked above
@@ -136,7 +135,6 @@ class _Statement:
     head: tuple = field(init=False)
     body: tuple = field(init=False)
     relations: frozenset[str] = field(init=False)
-    scan_hints: tuple[tuple[str, str, object], ...] = field(init=False)
     lowered: "tuple[RankedPlan, Operator, str] | None" = field(init=False, default=None)
 
     def __post_init__(self) -> None:
@@ -147,13 +145,6 @@ class _Statement:
             for atom in query.body
         )
         self.relations = query.relations()
-        # Residual comparisons double as scan hints: leaves that output the
-        # compared variable narrow their store request with the bound, which a
-        # durable backing turns into zone-map segment skipping.  The mediator
-        # filter above still applies, so answers are unchanged.
-        self.scan_hints = tuple(
-            (p.column, p.op, p.value) for p in self.shape.predicates if not p.value_is_column
-        )
 
 
 class PlanCache:
@@ -730,11 +721,6 @@ class Estocada:
         """The fragment maintenance engine behind the DML methods."""
         return self._maintenance
 
-    @property
-    def write_policy(self) -> str:
-        """``"eager"`` (maintain affected fragments at write time) or ``"deferred"``."""
-        return self._write_policy
-
     def set_write_policy(self, policy: str) -> None:
         """Choose when pending deltas are applied.
 
@@ -918,17 +904,6 @@ class Estocada:
                 "statement_hits": self._statement_hits,
                 "statement_misses": self._statement_misses,
             }
-
-    def clear_plan_cache(self) -> None:
-        """Drop every cached rewrite/plan entry, in every namespace.
-
-        Counters are preserved.  Note that the core rewriting engine keeps
-        its *own* memo caches (containment verdicts, chase results,
-        homomorphism searches) which this does not touch — a repeated query
-        will re-run the PACB pipeline but replay memoized verdicts.  Use
-        :meth:`clear_caches` for a genuinely cold measurement.
-        """
-        self._plan_cache.clear()
 
     def clear_caches(self) -> None:
         """Drop every plan-cache entry, the statement memo *and* the core rewrite memos.
@@ -1164,10 +1139,7 @@ class Estocada:
             lowered = statement.lowered = (selected, root, root.explain())
         _, root, plan_text = lowered
         result = self._engine.execute(
-            root,
-            parallelism=parallelism,
-            deadline_seconds=deadline_seconds,
-            scan_hints=statement.scan_hints,
+            root, parallelism=parallelism, deadline_seconds=deadline_seconds
         )
         result.cache_hit = cache_hit
         sharding_note = ""
@@ -1304,10 +1276,7 @@ class Estocada:
             translated = self.translate_sql(dataset, query)
             aggregation = translated.aggregation
             shape = StatementShape(
-                predicates=tuple(
-                    PredicateSpec(p.variable, p.op, p.value, p.value_is_column)
-                    for p in translated.residual_predicates
-                ),
+                predicates=translated.residual_predicates,
                 aggregate=(
                     None
                     if aggregation is None

@@ -3,7 +3,6 @@
 from repro.languages.sql.parser import SelectStatement, parse_select, tokenize
 from repro.languages.sql.translator import (
     ResidualAggregation,
-    ResidualPredicate,
     SqlTranslator,
     TranslatedQuery,
 )
@@ -14,6 +13,5 @@ __all__ = [
     "SelectStatement",
     "SqlTranslator",
     "TranslatedQuery",
-    "ResidualPredicate",
     "ResidualAggregation",
 ]

@@ -3,8 +3,9 @@
 The conjunctive core of the statement (tables, column equalities, constant
 equality predicates) becomes a :class:`ConjunctiveQuery`; everything the
 conjunctive pivot model cannot express — inequality predicates, aggregates,
-DISTINCT, LIMIT — is returned as *residual* work for the ESTOCADA runtime to
-apply on top of the rewritten plan.
+DISTINCT, LIMIT — is returned as *residual* work for the mediator, planned
+on top of the rewritten plan (comparisons as the runtime's ``PredicateSpec``,
+which lowering pushes into store requests where a store can take them).
 """
 
 from __future__ import annotations
@@ -24,18 +25,9 @@ from repro.languages.sql.parser import (
     SelectStatement,
     parse_select,
 )
+from repro.runtime.kernels import PredicateSpec
 
-__all__ = ["ResidualPredicate", "ResidualAggregation", "TranslatedQuery", "SqlTranslator"]
-
-
-@dataclass(frozen=True, slots=True)
-class ResidualPredicate:
-    """A non-equality predicate the runtime must apply after rewriting."""
-
-    variable: str
-    op: str
-    value: object
-    value_is_column: bool = False
+__all__ = ["ResidualAggregation", "TranslatedQuery", "SqlTranslator"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +57,7 @@ class TranslatedQuery:
 
     query: ConjunctiveQuery
     outputs: tuple[tuple[str, Term], ...]
-    residual_predicates: tuple[ResidualPredicate, ...] = ()
+    residual_predicates: tuple[PredicateSpec, ...] = ()
     aggregation: ResidualAggregation | None = None
     distinct: bool = False
     limit: int | None = None
@@ -88,7 +80,7 @@ class SqlTranslator:
         variables = self._build_variables(alias_to_table)
         union_find = _UnionFind(variables)
 
-        residual: list[ResidualPredicate] = []
+        residual: list[PredicateSpec] = []
         constants: dict[str, object] = {}
         # Two passes: column-column equalities first (they change variable
         # representatives), then constants and residual predicates, so every
@@ -111,7 +103,7 @@ class SqlTranslator:
         # fragment that does not expose it yields no rewriting instead of a
         # plan whose filter reads nothing.
         for predicate in residual:
-            read = [predicate.variable]
+            read = [predicate.column]
             if predicate.value_is_column:
                 read.append(predicate.value)
             for variable in read:
@@ -183,7 +175,7 @@ class SqlTranslator:
         alias_to_table: Mapping[str, str],
         union_find: "_UnionFind",
         constants: dict[str, object],
-        residual: list[ResidualPredicate],
+        residual: list[PredicateSpec],
     ) -> None:
         left = self._resolve_column(condition.left, alias_to_table)
         if isinstance(condition.right, Literal):
@@ -198,11 +190,7 @@ class SqlTranslator:
                 constants[representative] = condition.right.value
             else:
                 residual.append(
-                    ResidualPredicate(
-                        variable=union_find.find(left),
-                        op=condition.op,
-                        value=condition.right.value,
-                    )
+                    PredicateSpec(union_find.find(left), condition.op, condition.right.value)
                 )
             return
         right = self._resolve_column(condition.right, alias_to_table)
@@ -210,11 +198,8 @@ class SqlTranslator:
             union_find.union(left, right)
         else:
             residual.append(
-                ResidualPredicate(
-                    variable=union_find.find(left),
-                    op=condition.op,
-                    value=union_find.find(right),
-                    value_is_column=True,
+                PredicateSpec(
+                    union_find.find(left), condition.op, union_find.find(right), value_is_column=True
                 )
             )
 

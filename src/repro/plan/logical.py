@@ -81,12 +81,15 @@ class LogicalAccess(LogicalNode):
     ``shard_targets`` is ``None`` for unsharded fragments; for fragments in a
     sharded store it lists the shards that can hold matching rows (all of
     them for an unpruned scan, exactly one when a constant binds the shard
-    key), and ``shard_total`` is the store's shard count.
+    key), and ``shard_total`` is the store's shard count.  ``comparisons``
+    are the WHERE comparisons the group's store requests carry (placed by
+    the physical pass).
     """
 
     group: DelegationGroup
     shard_targets: tuple[int, ...] | None = None
     shard_total: int = 0
+    comparisons: tuple[PredicateSpec, ...] = ()
 
     def describe(self) -> str:
         fragments = "+".join(
@@ -284,10 +287,9 @@ def shard_selection(access: AtomAccess) -> tuple[tuple[int, ...], int] | None:
 
     Pruning uses the equality constants of the atom: a constant on the shard
     key routes to exactly one shard (under either strategy); without one,
-    every shard is a target.  Range predicates on the shard key live outside
-    the conjunctive pivot query (they are residual, mediator-side work) so
-    range pruning happens inside the sharded store when a compiled request
-    carries such a predicate — never here.
+    every shard is a target.  Range comparisons live outside the conjunctive
+    pivot query: lowering puts them into each target shard's request, and
+    they prune no shard here.
     """
     spec = access.descriptor.sharding
     if spec is None or not isinstance(access.store, ShardedStore):

@@ -54,7 +54,7 @@ from repro.plan.logical import (
     LogicalPlan,
     LogicalProject,
 )
-from repro.runtime.kernels import FilterStage, FusedPipeline, OutputStage, ProjectStage
+from repro.runtime.kernels import FilterStage, FusedPipeline, OutputStage, PredicateSpec, ProjectStage
 from repro.runtime.operators import (
     Aggregate,
     BindJoin,
@@ -81,6 +81,11 @@ __all__ = ["PhysicalPlan", "PhysicalPlanner"]
 # The nodes one FusedPipeline evaluates as kernel stages, and a chain's heads.
 _STAGES = (LogicalFilter, LogicalProject, LogicalOutput)
 _CHAIN = (LogicalLimit,) + _STAGES
+_JOIN_TREE = (LogicalAccess, LogicalJoin)
+
+# The comparisons a store request carries with the statement's semantics: a
+# store's "!=" keeps a row whose value is None, which SQL drops.
+_PUSHED_OPS = frozenset(("<", "<=", ">", ">="))
 
 
 @dataclass(slots=True)
@@ -167,10 +172,58 @@ class PhysicalPlanner:
     def lower_tree(self, node: LogicalNode) -> Operator:
         """Lower a logical tree (a rewriting's, or a whole statement's).
 
-        The root's every column is read; below it, each node gets only the
-        columns its ancestors read.
+        Comparisons go into the store requests that can take them first;
+        then the root's every column is read, and below it each node gets
+        only the columns its ancestors read.
         """
-        return self._lower_node(node, None, [])
+        return self._lower_node(self._push_comparisons(node), None, [])
+
+    # -- comparisons into store requests ------------------------------------------------
+    def _push_comparisons(self, node: LogicalNode) -> LogicalNode:
+        """``node`` with each Filter's comparisons placed where they run once.
+
+        A Filter directly over a join tree offers each literal ``<``, ``<=``,
+        ``>`` or ``>=`` comparison to every scan of the tree that outputs the
+        compared variable and whose store selects; a bind join's probe side
+        takes none.  The Filter keeps what no scan took, and goes when that
+        is nothing.
+        """
+        if isinstance(node, _JOIN_TREE):
+            return node
+        child = self._push_comparisons(node.child)
+        if isinstance(node, LogicalFilter) and isinstance(child, _JOIN_TREE):
+            offered = tuple(
+                p
+                for p in node.predicates
+                if p.op in _PUSHED_OPS and not p.value_is_column and p.value is not None
+            )
+            taken: set[PredicateSpec] = set()
+            child = self._offer(self._pin(child, []), offered, taken)
+            kept = tuple(p for p in node.predicates if p not in taken)
+            return replace(node, child=child, predicates=kept) if kept else child
+        return node if child is node.child else replace(node, child=child)
+
+    def _offer(
+        self, node: LogicalNode, offered: tuple[PredicateSpec, ...], taken: set[PredicateSpec]
+    ) -> LogicalNode:
+        """``node``'s (pinned) join tree with ``offered`` placed on the scans that take them."""
+        if isinstance(node, LogicalJoin):
+            left, right = self._offer(node.left, offered, taken), node.right
+            if node.algorithm != "bind":
+                right = self._offer(right, offered, taken)
+            return replace(node, left=left, right=right)
+        accesses = node.group.accesses
+        comparisons = tuple(p for p in offered if any(self._takes(a, p) for a in accesses))
+        taken.update(comparisons)
+        return replace(node, comparisons=comparisons) if comparisons else node
+
+    def _takes(self, access: AtomAccess, comparison: PredicateSpec) -> bool:
+        """Whether ``access``'s scan request can carry ``comparison``."""
+        return (
+            access.store.capabilities().supports_selection
+            and not self._point_lookup(access)
+            and any(v.name == comparison.column for v in access.variable_by_column().values())
+        )
 
     def _lower_node(
         self, node: LogicalNode, required: Required, accesses_so_far: list[AtomAccess]
@@ -334,9 +387,9 @@ class PhysicalPlanner:
         scattered = self._scatter(node, required)
         if scattered is not None:
             return scattered
-        return self._delegated_operator(node.group, required)
+        return self._delegated_operator(node, required)
 
-    def _delegated_operator(self, group: DelegationGroup, required: Required) -> Operator:
+    def _delegated_operator(self, node: LogicalAccess, required: Required) -> Operator:
         """One delegation group as an Exchange-wrapped store request subtree.
 
         Each delegated request is an independent leaf of the plan — exactly
@@ -347,9 +400,11 @@ class PhysicalPlanner:
         ``×Nr`` annotation in the plan text.  Each request outputs only the
         ``required`` variables (residual constants are fetched beside them).
         """
+        group, comparisons = node.group, node.comparisons
+        where = [comparison.describe() for comparison in comparisons]
         if group.is_single():
             access = group.accesses[0]
-            request, output, residual = self._scan_request(access)
+            request, output, residual = self._scan_request(access, comparisons)
             operator = DelegatedRequest(
                 store=group.store,
                 request=request,
@@ -357,17 +412,21 @@ class PhysicalPlanner:
                 constants=residual,
                 label=access.descriptor.layout.collection,
                 fragment=access.descriptor.fragment_name,
+                where=where,
             )
             return Exchange(operator, label=self._exchange_label(group.store, access))
         try:
-            request, output, residual = self._join_request(group)
+            request, output, residual = self._join_request(group, comparisons)
         except PlanningError:
             # The store-side join would clobber a column (two collections expose
             # the same column name bound to different variables): fall back to
             # per-fragment delegation hash-joined at the mediator.
             chain: LogicalNode | None = None
             for access in group.accesses:
-                single = LogicalAccess(DelegationGroup(group.store, [access]))
+                single = LogicalAccess(
+                    DelegationGroup(group.store, [access]),
+                    comparisons=tuple(c for c in comparisons if self._takes(access, c)),
+                )
                 chain = single if chain is None else LogicalJoin(chain, single, algorithm="hash")
             return self._lower_node(chain, required, [])
         label = "+".join(a.descriptor.layout.collection for a in group.accesses)
@@ -378,6 +437,7 @@ class PhysicalPlanner:
                 output=_narrowed(output, required),
                 constants=residual,
                 label=label,
+                where=where,
             ),
             label=label,
         )
@@ -409,7 +469,7 @@ class PhysicalPlanner:
         if node.shard_targets is None or not node.group.is_single():
             return None
         access = node.group.accesses[0]
-        request, output, residual = self._scan_request(access)
+        request, output, residual = self._scan_request(access, node.comparisons)
         if not isinstance(request, ScanRequest):
             return None
         store = access.store
@@ -431,16 +491,32 @@ class PhysicalPlanner:
                 label=f"{collection}#{index}",
                 fragment=fragment,
                 shard=index,
+                where=[comparison.describe() for comparison in node.comparisons],
             )
             if per_shard is not None:
                 operator = per_shard(operator)
             branches.append(Exchange(operator, label=f"{fragment}#{index}"))
         return ShardGather(branches, fragment=fragment, shards_total=node.shard_total)
 
+    @staticmethod
+    def _point_lookup(access: AtomAccess) -> bool:
+        """A lookup fragment whose key columns constants all pin: a LookupRequest."""
+        key_columns = access.descriptor.access.key_columns
+        constants_by_column = access.constant_by_column()
+        return (
+            access.descriptor.access.kind == "lookup"
+            and bool(key_columns)
+            and all(column in constants_by_column for column in key_columns)
+        )
+
     def _scan_request(
-        self, access: AtomAccess
+        self, access: AtomAccess, comparisons: tuple[PredicateSpec, ...] = ()
     ) -> tuple[StoreRequest, dict[str, str], dict[str, object]]:
-        """Compile one atom into a scan/lookup request plus its output mapping."""
+        """Compile one atom into a scan/lookup request plus its output mapping.
+
+        A scan carries the atom's constants and the ``comparisons`` on the
+        variables it outputs (only scans of a selecting store are offered any).
+        """
         layout = access.descriptor.layout
         capabilities = access.store.capabilities()
 
@@ -448,11 +524,7 @@ class PhysicalPlanner:
         # point access: emit a LookupRequest (key-value stores reject scans).
         key_columns = access.descriptor.access.key_columns
         constants_by_column = access.constant_by_column()
-        if (
-            access.descriptor.access.kind == "lookup"
-            and key_columns
-            and all(column in constants_by_column for column in key_columns)
-        ):
+        if self._point_lookup(access):
             output = {
                 layout.store_column(column): variable.name
                 for column, variable in access.variable_by_column().items()
@@ -476,9 +548,15 @@ class PhysicalPlanner:
                 predicates.append(Predicate(store_column, "=", value))
             else:
                 residual[store_column] = value
+        variables = access.variable_by_column()
+        predicates.extend(
+            Predicate(layout.store_column(column), comparison.op, comparison.value)
+            for comparison in comparisons
+            for column, variable in variables.items()
+            if variable.name == comparison.column
+        )
         output = {
-            layout.store_column(column): variable.name
-            for column, variable in access.variable_by_column().items()
+            layout.store_column(column): variable.name for column, variable in variables.items()
         }
         request = ScanRequest(
             collection=layout.collection,
@@ -488,14 +566,14 @@ class PhysicalPlanner:
         return request, output, residual
 
     def _join_request(
-        self, group: DelegationGroup
+        self, group: DelegationGroup, comparisons: tuple[PredicateSpec, ...]
     ) -> tuple[StoreRequest, dict[str, str], dict[str, object]]:
         """Compile a multi-atom group into one delegated join request."""
         requests: list[StoreRequest] = []
         outputs: list[dict[str, str]] = []
         residuals: dict[str, object] = {}
         for access in group.accesses:
-            request, output, residual = self._scan_request(access)
+            request, output, residual = self._scan_request(access, comparisons)
             requests.append(request)
             outputs.append(output)
             residuals.update(residual)

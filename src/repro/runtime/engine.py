@@ -230,7 +230,6 @@ class ExecutionEngine:
         batch_size: int | None = None,
         parallelism: int | None = None,
         deadline_seconds: float | None = None,
-        scan_hints: tuple[tuple[str, str, object], ...] = (),
     ) -> QueryResult:
         """Run ``plan`` and return its result with the performance breakdown.
 
@@ -246,7 +245,6 @@ class ExecutionEngine:
         context = ExecutionContext(
             parameters=dict(parameters or {}),
             batch_size=batch_size or self._batch_size,
-            scan_hints=scan_hints,
         )
         deadline: Deadline | None = None
         previous_cancel = None

@@ -35,8 +35,6 @@ from repro.stores.base import COMPARATORS, tuple_picker
 
 __all__ = [
     "PredicateSpec",
-    "ZoneBound",
-    "extract_zone_bounds",
     "predicate_kernel",
     "projection_kernel",
     "pick_kernel",
@@ -55,11 +53,14 @@ RowsKernel = Callable[[list], list]
 
 @dataclass(frozen=True, slots=True)
 class PredicateSpec:
-    """One residual comparison, compilable against any batch schema.
+    """One WHERE comparison over a statement's variables.
 
     ``value`` is a literal, or — with ``value_is_column`` — the name of the
     other column.  A ``None`` operand (or a column absent from the schema)
-    fails the comparison.
+    fails the comparison.  The SQL translator emits these; lowering compiles
+    the ones a store can take into its request's ``Predicate``s (which
+    compare a column with a literal, never two columns) and a Filter
+    evaluates the rest.
     """
 
     column: str
@@ -71,46 +72,6 @@ class PredicateSpec:
         """Compact rendering for plan text."""
         target = self.value if self.value_is_column else repr(self.value)
         return f"{self.column} {self.op} {target}"
-
-
-@dataclass(frozen=True, slots=True)
-class ZoneBound:
-    """One literal comparison usable for zone-map segment pruning.
-
-    The durable segment engine compares these against a segment's per-column
-    min/max to decide whether the segment can possibly contain a matching
-    row.  Only comparisons against a non-None **literal** qualify:
-    column-to-column comparisons and ``None`` literals carry no prunable
-    bound (``= None`` matches nulls, which zone min/max does not describe).
-    """
-
-    column: str
-    op: str
-    value: object
-
-
-def extract_zone_bounds(predicates: Sequence) -> tuple[ZoneBound, ...]:
-    """The prunable bounds of a predicate conjunction.
-
-    Accepts both runtime :class:`PredicateSpec` objects and store-layer
-    ``Predicate`` objects (anything with ``column``/``op``/``value``; a
-    truthy ``value_is_column`` disqualifies the comparison).  The result is
-    what :meth:`repro.stores.segment.segments.SegmentReader.excluded_by`
-    consumes, and what the cost model feeds into
-    ``Store.segment_scan_fraction`` when pricing delegated scans.
-    """
-    bounds: list[ZoneBound] = []
-    for predicate in predicates:
-        if getattr(predicate, "value_is_column", False):
-            continue
-        op = predicate.op
-        if op not in COMPARATORS:
-            continue
-        value = predicate.value
-        if value is None:
-            continue
-        bounds.append(ZoneBound(predicate.column, op, value))
-    return tuple(bounds)
 
 
 def predicate_kernel(specs: Sequence[PredicateSpec], schema: Sequence[str]) -> RowsKernel:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
@@ -42,7 +42,6 @@ from repro.runtime.batch import (
 )
 from repro.runtime.values import Binding
 from repro.stores.base import (
-    Predicate,
     ScanRequest,
     Store,
     StoreMetrics,
@@ -145,11 +144,6 @@ class ExecutionContext:
 
     parameters: dict[str, object] = field(default_factory=dict)
     batch_size: int = DEFAULT_BATCH_SIZE
-    # Residual comparison predicates in pivot-variable form, pushed into leaf
-    # scans at execution time: (variable, op, value) triples.  Stores re-check
-    # predicates anyway, so the hints only *narrow* what leaves read — on a
-    # durable backing they become zone-map bounds that skip whole segments.
-    scan_hints: tuple[tuple[str, str, object], ...] = ()
     store_results: list[tuple[str, StoreMetrics]] = field(default_factory=list)
     runtime_rows_processed: int = 0
     pool: object | None = None
@@ -198,7 +192,6 @@ class ExecutionContext:
         return ExecutionContext(
             parameters=self.parameters,
             batch_size=self.batch_size,
-            scan_hints=self.scan_hints,
             tracker=self.tracker,
             failure=self.failure,
             deadline=self.deadline,
@@ -297,7 +290,9 @@ class DelegatedRequest(Operator):
     request serves; when the request is an unrestricted scan that runs to
     exhaustion, the observed row count is recorded for the statistics
     feedback loop (partial/filtered streams would poison the estimate and are
-    skipped).
+    skipped).  ``where`` renders, in variable terms, the WHERE comparisons
+    lowering compiled into ``request``: the store evaluates them, nothing
+    above does.
     """
 
     def __init__(
@@ -309,9 +304,11 @@ class DelegatedRequest(Operator):
         label: str | None = None,
         fragment: str | None = None,
         shard: int | None = None,
+        where: Sequence[str] = (),
     ) -> None:
         self._store = store
         self._request = request
+        self._where = tuple(where)
         self._output = dict(output)
         self._constants = dict(constants or {})
         self._label = label or getattr(request, "collection", type(request).__name__)
@@ -329,31 +326,6 @@ class DelegatedRequest(Operator):
         # Requests against a replicated router resolve their replica at
         # execution time from the store's health board.
         self._replica_count = getattr(store, "replica_count", None)
-
-    def _hinted_request(self, context: ExecutionContext) -> tuple[StoreRequest, bool]:
-        """Fold the context's scan hints into this leaf's scan request.
-
-        A hint applies when this leaf outputs the hinted variable; its store
-        column comes from inverting ``output``.  The mediator still applies
-        the residual filter above, so the pushed predicate is a pure
-        narrowing — store comparators share the runtime's None semantics
-        (inequalities on missing values are False on both sides).  Plans are
-        cached and shared across executions, so the stored request is never
-        mutated: an augmented copy is built per execution.
-        """
-        request = self._request
-        hints = context.scan_hints
-        if not hints or not isinstance(request, ScanRequest):
-            return request, False
-        column_of = {variable: column for column, variable in self._output.items()}
-        extra = tuple(
-            Predicate(column_of[variable], op, value)
-            for variable, op, value in hints
-            if variable in column_of
-        )
-        if not extra:
-            return request, False
-        return replace(request, predicates=request.predicates + extra), True
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         """The store streams row-tuple batches end-to-end.
@@ -378,8 +350,7 @@ class DelegatedRequest(Operator):
             # holds, unlike a predicate kernel); the slice drops `extra`.
             probe = itemgetter(*map(fetch_columns.index, self._constants))
             expected = probe([self._constants.get(column) for column in fetch_columns])
-        request, hinted = self._hinted_request(context)
-        stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
+        stream = self._store.execute_batches(self._request, fetch_columns, context.batch_size)
         batches = iter(stream)
         context.tracker.enter()
         try:
@@ -402,17 +373,16 @@ class DelegatedRequest(Operator):
                 )
             context.tracker.exit()
         # Only reached when the stream ran to exhaustion (an abandoned
-        # generator never resumes past the finally).  A hinted scan is
-        # filtered, so its row count is not a fragment cardinality —
-        # recording it would poison the statistics feedback.
-        if self._observable and not hinted:
+        # generator never resumes past the finally).
+        if self._observable:
             context.observe(self._fragment, stream.metrics.rows_returned, self._shard)
 
     def describe(self) -> str:
         replicas = f", replicas={self._replica_count}" if self._replica_count else ""
+        where = f", where=[{', '.join(self._where)}]" if self._where else ""
         return (
             f"DelegatedRequest[store={self._store.name}, {self._label}{replicas}, "
-            f"vars={sorted(self._output.values())}]"
+            f"vars={sorted(self._output.values())}{where}]"
         )
 
 

@@ -229,12 +229,6 @@ class AdmissionController:
             state = self._tenants[tenant]
             state.in_flight = max(0, state.in_flight - 1)
 
-    def has_capacity(self, tenant: str) -> bool:
-        """True when the tenant may start another query right now."""
-        with self._lock:
-            state = self._tenants[tenant]
-            return state.in_flight < state.policy.max_concurrent
-
     def queue_depth(self) -> int:
         """Total queries admitted but not yet running, across all tenants."""
         with self._lock:

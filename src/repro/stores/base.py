@@ -103,10 +103,6 @@ class Predicate:
         if self.op not in COMPARATORS:
             raise StoreError(f"unsupported predicate operator {self.op!r}")
 
-    def evaluate(self, row: Mapping[str, object]) -> bool:
-        """Evaluate the predicate on one row (missing columns compare as None)."""
-        return COMPARATORS[self.op](row.get(self.column), self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class ScanRequest:
@@ -676,9 +672,9 @@ class Store:
     def segment_scan_fraction(self, collection: str, bounds) -> float | None:
         """Expected fraction of ``collection`` a scan touches after pruning.
 
-        The cost model calls this with the query's literal bounds
-        (:class:`~repro.runtime.kernels.ZoneBound`) to price delegated scans
-        by segments-after-pruning; None means no zone-map statistics exist.
+        The cost model calls this with the scan's literal ``Predicate``
+        bounds to price delegated scans by segments-after-pruning; None means
+        no zone-map statistics exist.
         """
         backing = self._durable
         if backing is None:

@@ -80,12 +80,6 @@ class ParallelStore(Store):
             raise StoreError(f"dataset {name!r} already exists in store {self.name!r}")
         self._datasets[name] = _Dataset(partition_column, partitions or self._default_partitions)
 
-    def drop_dataset(self, name: str) -> None:
-        """Drop a dataset."""
-        if name not in self._datasets:
-            raise StoreError(f"dataset {name!r} does not exist in store {self.name!r}")
-        del self._datasets[name]
-
     def insert(self, dataset: str, rows: Iterable[Mapping[str, object]]) -> int:
         """Insert rows (records may contain nested lists of records)."""
         target = self._dataset(dataset)

@@ -47,7 +47,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DurabilityError
 from repro.runtime.batch import freeze_value
-from repro.runtime.kernels import extract_zone_bounds
 from repro.stores.base import COMPARATORS, StoreMetrics, batch_tuples
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import (
@@ -751,9 +750,8 @@ class DurableBacking:
         predicates = tuple(request.predicates)
         positional = tuple(p for p in predicates if "." not in p.column)
         pathful = tuple(p for p in predicates if "." in p.column)
-        bounds = extract_zone_bounds(positional)
         for segment in segments:
-            if bounds and segment.excluded_by(bounds):
+            if positional and segment.excluded_by(positional):
                 metrics.segments_skipped += 1
                 continue
             metrics.segments_scanned += 1

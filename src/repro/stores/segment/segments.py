@@ -251,14 +251,17 @@ class SegmentReader:
     def excluded_by(self, bounds: Iterable) -> bool:
         """True when some bound provably excludes every row of this segment.
 
-        ``bounds`` are ``ZoneBound``-shaped objects (``column``/``op``/
-        ``value`` with a non-None literal value).  Follows the store
-        comparator semantics: ordered comparisons never match null-likes,
-        ``=`` never matches them for a non-None literal, ``!=`` always does.
+        ``bounds`` are store ``Predicate``s; one with a None literal bounds
+        nothing (``= None`` matches nulls, which zone min/max does not
+        describe) and is skipped.  Follows the store comparator semantics:
+        ordered comparisons never match null-likes, ``=`` never matches them
+        for a non-None literal, ``!=`` always does.
         """
         for bound in bounds:
             op = bound.op
             value = bound.value
+            if value is None:
+                continue
             zone = self.zones.get(bound.column)
             if bound.column not in self._column_index:
                 # The column is absent from every row of this segment, so its
@@ -331,12 +334,6 @@ class SegmentReader:
             )
         self._cache[column] = values
         return values
-
-    def column_codes(self, column: str) -> tuple | None:
-        """The dictionary codes of ``column`` (None when not dict-encoded)."""
-        if column not in self.dictionaries:
-            return None
-        return self._read_block(column)
 
     def column_values(self, column: str) -> tuple:
         """The decoded values of ``column`` (``ABSENT`` holes preserved).

@@ -114,7 +114,6 @@ class WriteAheadLog:
         self._handle = open(path, "ab")
         if valid_length != len(data):
             self._handle.truncate(valid_length)
-        self._size = valid_length
 
     @property
     def path(self) -> str:
@@ -125,11 +124,6 @@ class WriteAheadLog:
     def record_count(self) -> int:
         """Records durably in the log."""
         return self._records
-
-    @property
-    def size_bytes(self) -> int:
-        """Bytes durably in the log."""
-        return self._size
 
     def append(self, record: Mapping[str, object]) -> int:
         """Append one record, fsync, and return its index."""
@@ -147,7 +141,6 @@ class WriteAheadLog:
             self.crash_hook("post_sync")
         index = self._records
         self._records += 1
-        self._size += len(frame)
         return index
 
     def append_many(self, records: Iterable[Mapping[str, object]]) -> int:

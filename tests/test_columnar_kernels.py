@@ -166,12 +166,19 @@ class TestKernels:
 
     def test_lowering_fuses_a_stage_chain_into_one_pipeline(self):
         est = _single_store_estocada()
+        # "!=" stays a mediator filter, fused with the projection and output.
         root = est.explain(
-            "SELECT uid FROM purchases WHERE price > 1 LIMIT 2", dataset="shop"
+            "SELECT uid FROM purchases WHERE price <> 1 LIMIT 2", dataset="shop"
         ).root
         assert isinstance(root, FusedPipeline) and root.limit == 2
         assert [type(stage) for stage in root.stages] == [FilterStage, ProjectStage, OutputStage]
         assert "Exchange" in root.child.describe()
+        # A range comparison rides in the store request: no filter stage.
+        root = est.explain(
+            "SELECT uid FROM purchases WHERE price > 1 LIMIT 2", dataset="shop"
+        ).root
+        assert [type(stage) for stage in root.stages] == [ProjectStage, OutputStage]
+        assert "where=[purchases_price > 1]" in root.explain()
 
     def test_lowering_never_fuses_past_a_limit(self):
         from repro.plan import LogicalFilter, LogicalLimit, PhysicalPlanner
@@ -407,22 +414,31 @@ class TestFusedPushdown:
             map(sorted, map(dict.items, _drain(plain)))
         )
 
-    def test_pushdown_refuses_fused_chain_with_limit_or_filter(self):
+    def test_pushdown_refuses_a_limit_but_not_a_pushed_filter(self):
         from repro.plan import LogicalAggregate, LogicalFilter, LogicalLimit, PhysicalPlanner
-        from repro.runtime.operators import Aggregate
+        from repro.runtime.operators import Aggregate, MergeAggregate
 
         est = _sharded_events_estocada()
         joins = est.explain("SELECT g, v FROM events", dataset="app").chosen.plan.logical.joins
         aggregations = {"total": ("sum", "events_v")}
-        for below in (
-            LogicalLimit(joins, 1),
-            LogicalFilter(joins, (PredicateSpec("events_v", ">", 0),)),
-        ):
-            root = PhysicalPlanner().lower_tree(
-                LogicalAggregate(below, ("events_g",), aggregations, scalar=False)
-            )
-            assert type(root) is Aggregate
-            assert "PartialAggregate" not in root.explain()
+        root = PhysicalPlanner().lower_tree(
+            LogicalAggregate(LogicalLimit(joins, 1), ("events_g",), aggregations, scalar=False)
+        )
+        assert type(root) is Aggregate
+        assert "PartialAggregate" not in root.explain()
+        # The range comparison goes into every shard's request, so nothing
+        # stands between the Aggregate and the sharded scan.
+        filtered = LogicalFilter(joins, (PredicateSpec("events_v", ">", 4),))
+        root = PhysicalPlanner().lower_tree(
+            LogicalAggregate(filtered, ("events_g",), aggregations, scalar=False)
+        )
+        assert type(root) is MergeAggregate
+        assert root.explain().count("PartialAggregate") == 2
+        assert root.explain().count("where=[events_v > 4]") == 2
+        assert sorted(map(sorted, map(dict.items, _drain(root)))) == [
+            [("events_g", "a"), ("total", 6 + 8)],
+            [("events_g", "b"), ("total", 5 + 7 + 9)],
+        ]
 
 
 # -- freeze_value fast paths ---------------------------------------------------------
@@ -530,7 +546,7 @@ class TestExecutionReporting:
     def test_fused_plan_collapses_filter_project_output(self):
         est = _single_store_estocada()
         result = est.query(
-            "SELECT uid, sku, price FROM purchases WHERE price >= 3 LIMIT 4",
+            "SELECT uid, sku, price FROM purchases WHERE price <> 3 LIMIT 4",
             dataset="shop",
         )
         assert len(result.rows) == 4
@@ -538,3 +554,12 @@ class TestExecutionReporting:
         assert "filter(" in result.plan_description
         assert "output(" in result.plan_description
         assert "limit 4" in result.plan_description
+        # A range comparison is the store's: the pipeline only projects.
+        result = est.query(
+            "SELECT uid, sku, price FROM purchases WHERE price >= 3 LIMIT 4",
+            dataset="shop",
+        )
+        assert len(result.rows) == 4
+        assert result.plan_description.count("Fused[") == 1
+        assert "filter(" not in result.plan_description
+        assert "where=[purchases_price >= 3]" in result.plan_description

@@ -104,7 +104,9 @@ def configurations(marketplace_builder, sharded_marketplace_builder, marketplace
 
 _CITIES = ("paris", "lyon", "nantes", "lille")
 _CATEGORIES = ("shoes", "electronics", "books", "kitchen")
-_COMPARE = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+_COMPARE = {
+    ">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le, "!=": operator.ne
+}
 # SQL text → (output column, input column, plain-Python fold over the group's values).
 _AGGREGATES = {
     "COUNT(sku) AS n": ("n", "sku", len),
@@ -137,7 +139,8 @@ def sql_queries(draw):
     Shapes: single-table scans with optional shard-key / non-key equality and
     range filters (the WHERE column in or out of the SELECT list), a
     purchases ⋈ visits join projecting both sides or one side only
-    (optionally pruned by a uid constant), and aggregation over purchases
+    (optionally pruned by a uid constant, optionally with a comparison on
+    the purchases side), and aggregation over purchases
     with decomposable functions over unselected columns (behind an optional
     equality or range filter; grouped, or scalar — a scalar one whose filter
     selects nothing still answers one row) — plus an optional LIMIT on the
@@ -178,12 +181,21 @@ def sql_queries(draw):
     elif shape == "join":
         select = draw(st.sampled_from(sorted(_JOIN_PROJECTIONS)))
         uid = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=59)))
+        # A comparison on one side of the join (its column in or out of SELECT).
+        bound = draw(
+            st.one_of(
+                st.none(),
+                st.tuples(st.sampled_from(sorted(_COMPARE)), st.integers(0, 500)),
+            )
+        )
         sql = (
             f"SELECT {select} FROM purchases p, visits v "
             "WHERE p.uid = v.uid AND p.sku = v.sku"
         )
         if uid is not None:
             sql += f" AND p.uid = {uid}"
+        if bound is not None:
+            sql += f" AND p.price {bound[0]} {bound[1]}"
 
         def expected(data):
             return [
@@ -191,6 +203,7 @@ def sql_queries(draw):
                  for name, side, column in _JOIN_PROJECTIONS[select]}
                 for p in data.purchases()
                 if uid is None or p["uid"] == uid
+                if bound is None or _COMPARE[bound[0]](p["price"], bound[1])
                 for v in data.weblog
                 if p["uid"] == v["uid"] and p["sku"] == v["sku"]
             ]
@@ -305,13 +318,37 @@ def _unread_fetches(plan) -> set:
     return unread
 
 
+def _refiltered(plan) -> set:
+    """Comparisons a Filter stage evaluates that a DelegatedRequest below it carries."""
+
+    def carried(op) -> set:
+        if isinstance(op, DelegatedRequest):
+            return set(op._where)
+        return set().union(*map(carried, op.children()))
+
+    twice: set = set()
+
+    def visit(op) -> None:
+        if isinstance(op, FusedPipeline):
+            below = carried(op.child)
+            for stage in op.stages:
+                if isinstance(stage, FilterStage):
+                    twice.update({spec.describe() for spec in stage.specs} & below)
+        for child in op.children():
+            visit(child)
+
+    visit(plan)
+    return twice
+
+
 def _assert_matches_oracle(configurations, case, data, note=""):
     """Every ``(estocada, parallelism)`` deployment answers ``case`` like its oracle.
 
     Each deployment runs the statement twice: the repeat takes the warm path
     (memoized translation, cached plan, the lowered tree and its compiled
     kernels shared with the first run) and is held to the same oracle.  The
-    executed plan must fetch nothing that it does not read.
+    executed plan must fetch nothing that it does not read, and evaluate no
+    comparison both in a store request and in a Filter above it.
     """
     sql, limit, expected = case
     full = _bag(expected(data))
@@ -322,6 +359,7 @@ def _assert_matches_oracle(configurations, case, data, note=""):
             got = _bag(rows)
             where = f"{name} ({run})"
             assert not _unread_fetches(result.plan), f"{where} fetches unread columns on {sql!r}"
+            assert not _refiltered(result.plan), f"{where} filters {sql!r} twice"
             if limit is None:
                 assert got == full, f"{where} diverged from the oracle on {sql!r}{note}"
             else:

@@ -31,7 +31,6 @@ from repro.errors import (
     SimulatedCrashError,
     WalCorruptionError,
 )
-from repro.runtime.kernels import ZoneBound, extract_zone_bounds
 from repro.stores import DocumentStore, KeyValueStore, RelationalStore
 from repro.stores.base import Predicate, ScanRequest
 from repro.stores.segment import (
@@ -227,7 +226,7 @@ class TestSegmentFiles:
     def test_zone_pruning_decisions(self, tmp_path):
         path, _ = _write_demo_segment(tmp_path)
         reader = SegmentReader(path)
-        prune = lambda column, op, value: reader.excluded_by([ZoneBound(column, op, value)])
+        prune = lambda column, op, value: reader.excluded_by([Predicate(column, op, value)])
         assert prune("a", "=", 200)  # above the max
         assert prune("a", ">", 49)
         assert prune("a", "<", 0)
@@ -237,21 +236,22 @@ class TestSegmentFiles:
         assert prune("b", "=", "cat9")  # in zone range but not in the dictionary
         assert prune("missing", "=", 1)  # absent column scans as None
         assert not prune("missing", "!=", 1)
+        assert not prune("missing", "=", None)  # a None literal bounds nothing
 
     def test_all_null_column_gets_the_null_class(self, tmp_path):
         path = str(tmp_path / "nulls.seg")
         write_segment(path, "t", ("x",), [(None,), (ABSENT,), (float("nan"),)])
         reader = SegmentReader(path)
         assert reader.zones["x"]["cls"] == "null"
-        assert reader.excluded_by([ZoneBound("x", "=", 5)])
-        assert not reader.excluded_by([ZoneBound("x", "!=", 5)])
+        assert reader.excluded_by([Predicate("x", "=", 5)])
+        assert not reader.excluded_by([Predicate("x", "!=", 5)])
 
     def test_mixed_class_column_is_never_pruned(self, tmp_path):
         path = str(tmp_path / "mixed.seg")
         write_segment(path, "t", ("x",), [(1,), ("one",)])
         reader = SegmentReader(path)
         assert "x" not in reader.zones
-        assert not reader.excluded_by([ZoneBound("x", "=", 99)])
+        assert not reader.excluded_by([Predicate("x", "=", 99)])
 
     def test_cursor_streams_batches_with_absent_as_none(self, tmp_path):
         path = str(tmp_path / "ragged.seg")
@@ -830,7 +830,7 @@ class TestSegmentSkippingScans:
 
     def test_scan_fraction_prices_pruning_for_the_cost_model(self, tmp_path):
         store, _ = self._loaded_store(tmp_path)
-        bounds = extract_zone_bounds((Predicate("a", "=", 5),))
+        bounds = (Predicate("a", "=", 5),)
         fraction = store.segment_scan_fraction("t", bounds)
         # One 50-row segment survives out of 200 frozen + 30 tail rows.
         assert fraction == pytest.approx(80 / 230)

@@ -33,8 +33,14 @@ POINT_SQL = "SELECT sku FROM purchases WHERE uid = 7"
 SCAN_SQL = "SELECT uid, sku FROM purchases"
 JOIN_SQL = "SELECT u.name, p.sku FROM users u, purchases p WHERE u.uid = p.uid"
 PUSHDOWN_SQL = "SELECT category, SUM(price) AS total FROM purchases GROUP BY category"
+FILTERED_PUSHDOWN_SQL = (
+    "SELECT category, SUM(price) AS total FROM purchases WHERE price > 100 GROUP BY category"
+)
 UNSHARDED_AGGREGATE_SQL = "SELECT city, COUNT(uid) AS n FROM users GROUP BY city"
-GOLDEN_SQL = (POINT_SQL, SCAN_SQL, JOIN_SQL, PUSHDOWN_SQL, UNSHARDED_AGGREGATE_SQL)
+GOLDEN_SQL = (
+    POINT_SQL, SCAN_SQL, JOIN_SQL, PUSHDOWN_SQL, FILTERED_PUSHDOWN_SQL, UNSHARDED_AGGREGATE_SQL
+)
+RANGE_SQL = "SELECT uid, ts FROM events WHERE val > 93 AND val <> 97"
 
 # The benchmark spine's statement shapes over its ``app`` dataset: the three
 # point_lookup statements and the five scan_analytics classes.
@@ -50,6 +56,7 @@ SPINE_SQL = (
 )
 # Statements reaching the operators neither list above does.
 FURTHER_SQL = (
+    RANGE_SQL,
     "SELECT DISTINCT kind FROM events LIMIT 2",
     "SELECT e.kind, t.tag FROM events e, tags t WHERE e.uid = t.uid",
 )
@@ -230,6 +237,36 @@ class TestGoldenPlans:
                 """
             ),
             "  ",
+        )
+
+    def test_a_range_filtered_aggregate_still_pushes_down_per_shard(self, deployment):
+        # The comparison rides in every shard's request, so no Filter stands
+        # between the Aggregate and the sharded scan.
+        explanation = deployment.explain(FILTERED_PUSHDOWN_SQL, dataset="shop")
+        branch = (
+            "Exchange[F_purchases#{i}]\n"
+            "  PartialAggregate[by purchases_category]\n"
+            "    DelegatedRequest[store=shardpg.{i}, purchases#{i}, "
+            "vars=['purchases_category', 'purchases_price'], where=[purchases_price > 100]]"
+        )
+        branches = "\n".join(branch.format(i=i) for i in range(4))
+        assert explanation.plan_text() == "\n".join(
+            (
+                "Fused[output(category, total)]",
+                "  MergeAggregate[by purchases_category]",
+                "    ShardGather[F_purchases, 4/4 shards]",
+                textwrap.indent(branches, "      "),
+            )
+        )
+
+    def test_range_comparisons_ride_in_the_request_and_not_equal_stays(self, app):
+        explanation = app.explain(RANGE_SQL, dataset="app")
+        assert explanation.plan_text() == _golden(
+            """
+            Fused[filter(events_val != 97) → project(events_uid, events_ts) → output(uid, ts)]
+              Exchange[F_events]
+                DelegatedRequest[store=pg, events, vars=['events_ts', 'events_uid', 'events_val'], where=[events_val > 93]]
+            """
         )
 
     def test_pushdown_refuses_non_shard_roots(self, deployment):

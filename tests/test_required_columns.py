@@ -4,10 +4,11 @@ The physical lowering walks the statement tree top-down with the columns
 each node's ancestors read (output payloads, projections, filter columns,
 aggregate keys and inputs, join keys).  These tests pin the fetch lists of
 the benchmark spine's ``scan_analytics`` shapes, check that a column read
-only by a filter is still fetched, that a zero-column fetch keeps every
-row's multiplicity, that bind-join and per-shard partial-aggregate fetches
-are narrowed, and that the compiled probe and result kernels are shared by
-statements of one shape over different relations.
+only by a comparison the store request carries is not fetched, that a
+zero-column fetch keeps every row's multiplicity, that bind-join and
+per-shard partial-aggregate fetches are narrowed, and that the compiled
+probe and result kernels are shared by statements of one shape over
+different relations.
 """
 
 from __future__ import annotations
@@ -128,9 +129,12 @@ class TestScanAnalyticsFetchLists:
 
 
 class TestWhatMustStillBeFetched:
-    def test_a_filter_only_column_is_fetched_and_applied(self, app):
+    def test_a_pushed_filter_column_is_not_fetched(self, app):
         sql = "SELECT uid, ts FROM events WHERE val > 93"
-        assert _fetches(app, sql) == [["events_ts", "events_uid", "events_val"]]
+        # The store evaluates the comparison on its own column: nothing above
+        # reads events_val, so the request does not fetch it.
+        assert _fetches(app, sql) == [["events_ts", "events_uid"]]
+        assert "filter(" not in app.explain(sql, dataset="app").plan_text()
         rows = app.query(sql, dataset="app").rows
         assert _bag(rows) == _bag(
             {"uid": event["uid"], "ts": event["ts"]} for event in EVENTS if event["val"] > 93

@@ -414,8 +414,10 @@ class TestPredicates:
         [("=", 5, True), ("!=", 5, False), ("<", 10, True), (">=", 5, True), (">", 5, False)],
     )
     def test_comparisons(self, op, value, expected):
-        assert Predicate("c", op, value).evaluate({"c": 5}) is expected
+        store = RelationalStore("pg")
+        assert store._evaluate({"c": 5}, Predicate("c", op, value)) is expected
 
     def test_missing_column_compares_as_none(self):
-        assert not Predicate("c", "=", 5).evaluate({})
-        assert not Predicate("c", "<", 5).evaluate({})
+        store = RelationalStore("pg")
+        assert not store._evaluate({}, Predicate("c", "=", 5))
+        assert not store._evaluate({}, Predicate("c", "<", 5))
