@@ -26,7 +26,7 @@ full loop the paper sketches: observe, recommend, re-organize, unattended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.catalog.descriptors import StorageDescriptor

@@ -35,6 +35,7 @@ from repro.catalog.manager import StorageDescriptorManager
 from repro.catalog.statistics import StatisticsCatalog
 from repro.core.deltas import BagIndex, delta_evaluate, evaluate
 from repro.core.query import ConjunctiveQuery
+from repro.stores.document import unflatten_document
 from repro.errors import (
     DeltaError,
     MaintenanceCancelledError,
@@ -375,7 +376,7 @@ class MaintenanceEngine:
                     f"with {len(watched.pending)} delta(s) still pending"
                 )
             entry = watched.pending[0]
-            inserts, deletes = self._store_delta(watched, entry.delta)
+            inserts, deletes = self._store_delta(watched, entry.delta, store)
             try:
                 written += store.apply_delta(collection, inserts=inserts, deletes=deletes)
             except (StoreError, WriteError, DeltaError):
@@ -387,17 +388,26 @@ class MaintenanceEngine:
         return written
 
     def _store_delta(
-        self, watched: _WatchedFragment, delta: Mapping[tuple, int]
+        self, watched: _WatchedFragment, delta: Mapping[tuple, int], store
     ) -> tuple[list[dict[str, object]], list[dict[str, object]]]:
-        """Expand a signed view delta into store-side insert/delete rows."""
+        """Expand a signed view delta into store-side insert/delete rows.
+
+        A document store holds a dotted store column as a nested path, the
+        way :func:`~repro.catalog.materialize.materialize_fragment` wrote it,
+        so a delete matches the stored document.
+        """
         layout = watched.descriptor.layout
         store_columns = [layout.store_column(column) for column in watched.view_columns]
+        nested = store.capabilities().data_model == "document" and any(
+            "." in column for column in store_columns
+        )
+        shape = unflatten_document if nested else dict
         inserts: list[dict[str, object]] = []
         deletes: list[dict[str, object]] = []
         for row, count in delta.items():
             record = dict(zip(store_columns, row))
             target = inserts if count > 0 else deletes
-            target.extend(dict(record) for _ in range(abs(count)))
+            target.extend(shape(record) for _ in range(abs(count)))
         return inserts, deletes
 
     def _finish_fragment(self, watched: _WatchedFragment) -> None:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from repro.catalog.descriptors import StorageDescriptor
 from repro.errors import CatalogError
 from repro.stores.base import Store
-from repro.stores.document import DocumentStore
+from repro.stores.document import DocumentStore, unflatten_document
 from repro.stores.fulltext import FullTextStore
 from repro.stores.keyvalue import KeyValueStore
 from repro.stores.parallel import ParallelStore
@@ -125,6 +125,8 @@ def materialize_fragment(
         return written
 
     if isinstance(store, DocumentStore):
+        if any("." in column for column in store_columns):
+            store_rows = list(map(unflatten_document, store_rows))
         written = store.insert(collection, store_rows)
         for column in indexes:
             store.create_index(collection, descriptor.layout.store_column(column))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from repro.catalog.descriptors import StorageDescriptor, StorageLayout
 from repro.catalog.materialize import materialize_fragment

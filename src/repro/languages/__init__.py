@@ -2,6 +2,5 @@
 
 from repro.languages.sql import SqlTranslator, parse_select
 from repro.languages.docql import DocumentQuery
-from repro.languages.kv import KeyValueApi
 
-__all__ = ["SqlTranslator", "parse_select", "DocumentQuery", "KeyValueApi"]
+__all__ = ["SqlTranslator", "parse_select", "DocumentQuery"]

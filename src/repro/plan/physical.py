@@ -558,11 +558,7 @@ class PhysicalPlanner:
         output = {
             layout.store_column(column): variable.name for column, variable in variables.items()
         }
-        request = ScanRequest(
-            collection=layout.collection,
-            predicates=tuple(predicates),
-            projection=None,
-        )
+        request = ScanRequest(collection=layout.collection, predicates=tuple(predicates))
         return request, output, residual
 
     def _join_request(

@@ -5,17 +5,18 @@ reproduction replaces them with in-process simulators that expose a common
 minimal interface to the ESTOCADA mediator:
 
 * a **capability profile** (:class:`StoreCapabilities`) describing which
-  operations the store can evaluate natively — selections, projections,
-  joins, key lookups, text search, nested construction — which is what the
+  operations the store can evaluate natively — selections, joins, key
+  lookups, text search, nested construction — which is what the
   translation layer consults when deciding how much of a rewriting can be
   *delegated* to the store;
 * a micro-IR of **store requests** (:class:`ScanRequest`,
   :class:`LookupRequest`, :class:`JoinRequest`, :class:`SearchRequest`)
   that delegated sub-queries are compiled into;
 * one **request path** per store: each request kind is answered once, as
-  the store's native rows, and both output shapes — dict rows for direct
-  callers, row-tuple batches for the runtime — are derived here, together
-  with the execution metrics that the demo scenario surfaces ("performance
+  the store's native rows, and shaped here into row-tuple batches of the
+  columns the consumer reads, each column read off a native row by the
+  store's one column reader (:meth:`Store._reader_of`), together with the
+  execution metrics that the demo scenario surfaces ("performance
   statistics split across the underlying DMS and ESTOCADA's runtime").
 
 Each concrete store also exposes simple statistics (cardinalities, distinct
@@ -28,6 +29,7 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,6 +54,7 @@ __all__ = [
     "batch_tuples",
     "kept_rows",
     "row_batches",
+    "row_reader",
     "tuple_picker",
 ]
 
@@ -81,7 +84,6 @@ class StoreCapabilities:
     data_model: str
     supports_scan: bool = True
     supports_selection: bool = True
-    supports_projection: bool = True
     supports_join: bool = False
     supports_aggregation: bool = False
     supports_key_lookup: bool = False
@@ -106,11 +108,10 @@ class Predicate:
 
 @dataclass(frozen=True, slots=True)
 class ScanRequest:
-    """Scan a collection, applying predicates and a projection."""
+    """Scan a collection, applying predicates."""
 
     collection: str
     predicates: tuple[Predicate, ...] = ()
-    projection: tuple[str, ...] | None = None
     limit: int | None = None
 
 
@@ -120,7 +121,6 @@ class LookupRequest:
 
     collection: str
     keys: tuple[object, ...]
-    projection: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +130,6 @@ class JoinRequest:
     left: "StoreRequest"
     right: "StoreRequest"
     on: tuple[tuple[str, str], ...]
-    projection: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,8 +234,8 @@ def _where(rows, read, column, comparator, value):
 def kept_rows(
     rows: Iterable[dict[str, object]],
     predicates: Sequence[Predicate],
+    reader_of: Callable[[str], Callable],
     limit: int | None = None,
-    reader_of: Callable[[str], Callable] | None = None,
 ) -> Iterator[dict[str, object]]:
     """The dict rows satisfying every predicate, lazily, stopping at ``limit``.
 
@@ -245,12 +244,11 @@ def kept_rows(
     ``(reader, column, comparator, value)`` and becomes one generator chained
     on the previous, so a row is dropped at its first failing comparison and
     nothing is evaluated past ``limit`` kept rows.  ``reader_of(column)``
-    picks how a column is read off a row (default ``dict.get``: a missing
-    column compares as None).
+    is the store's column reader (:meth:`Store._reader_of`).
     """
     kept = iter(rows)
     for predicate in predicates:
-        read = dict.get if reader_of is None else reader_of(predicate.column)
+        read = reader_of(predicate.column)
         kept = _where(
             kept, read, predicate.column, COMPARATORS[predicate.op], predicate.value
         )
@@ -272,27 +270,54 @@ def tuple_picker(keys: Sequence) -> Callable[[Sequence], list[tuple]]:
     return lambda rows: list(map(pick, rows))
 
 
-def row_batches(
-    rows: Iterable[Mapping[str, object]], columns: Sequence[str], batch_size: int
-):
-    """``RowBatch`` objects of ``columns`` built from dict rows, a chunk a time.
+def row_reader(
+    columns: Sequence[str], reader_of: Callable[[str], Callable]
+) -> Callable[[Mapping[str, object]], tuple]:
+    """``native row -> tuple`` of ``columns``, each read by ``reader_of(column)``."""
+    reads = tuple((reader_of(column), column) for column in columns)
+    return lambda row: tuple([read(row, column) for read, column in reads])
 
-    The output half of the store scan kernel: one :func:`tuple_picker` call
-    builds a whole chunk's tuples; a chunk holding a row that lacks one of
-    the columns raises ``KeyError`` and is rebuilt with ``.get`` (missing
-    reads None).
+
+@lru_cache(maxsize=1024)
+def _chunk_reader(
+    columns: tuple[str, ...], reader_of: Callable[[str], Callable]
+) -> Callable[[list], list[tuple]]:
+    """``chunk of native rows -> [tuple of columns, ...]``, built once per
+    ``(columns, reader)``: one :func:`tuple_picker` call when every reader
+    is ``dict.get``, falling back to :func:`row_reader` for a chunk holding
+    a row that lacks one of the columns (``KeyError``)."""
+    read = row_reader(columns, reader_of)
+    if any(reader_of(column) is not dict.get for column in columns):
+        return lambda chunk: list(map(read, chunk))
+    pick = tuple_picker(columns)
+
+    def tuples(chunk: list) -> list[tuple]:
+        try:
+            return pick(chunk)
+        except KeyError:
+            return list(map(read, chunk))
+
+    return tuples
+
+
+def row_batches(
+    rows: Iterable[Mapping[str, object]],
+    columns: Sequence[str],
+    batch_size: int,
+    reader_of: Callable[[str], Callable],
+):
+    """``RowBatch`` objects of ``columns`` read off native rows, a chunk a time.
+
+    The output half of the store scan kernel: each column is read by
+    ``reader_of(column)`` (see :func:`row_reader`), a whole chunk per call.
     """
     from repro.runtime.batch import RowBatch
 
     columns = tuple(columns)
+    tuples = _chunk_reader(columns, reader_of)
     rows = iter(rows)
-    pick = tuple_picker(columns)
     while chunk := list(islice(rows, batch_size)):
-        try:
-            tuples = pick(chunk)
-        except KeyError:
-            tuples = [tuple(map(row.get, columns)) for row in chunk]
-        yield RowBatch(columns, tuples)
+        yield RowBatch(columns, tuples(chunk))
 
 
 class _DurableSilence:
@@ -451,14 +476,14 @@ class Store:
     store-side hash join is shared too, enabled by
     ``capabilities().supports_join``.  Every rows hook returns ``(rows,
     metrics)`` with the rows filtered lazily, cut at the limit and never
-    copied.  Both output shapes are derived here: :meth:`execute` copies the
-    rows into projected dicts (the view for direct callers) and
-    :meth:`execute_batches` chunks them into row-tuple batches (the
-    runtime's path, which alone serves an unindexed durable scan from
-    segments).  Both wrappers add timing and the cumulative per-store
-    counters used by the demo's performance reporting.  Router stores, which
-    hold no rows, override the two shape hooks (:meth:`_dict_result`,
-    :meth:`_execute_batches`) instead.
+    copied.  :meth:`_reader_of` alone decides how a column is read off a
+    native row — by predicates, join keys, output batches and segment scans
+    alike.  :meth:`execute_batches` chunks the rows into row-tuple batches
+    (served from segments for an unindexed durable scan) and adds timing and
+    the cumulative per-store counters used by the demo's performance
+    reporting; :meth:`execute` collects such a stream into dicts for direct
+    callers.  Router stores, which hold no rows, override
+    :meth:`_execute_batches` instead.
 
     Stores are **thread-safe for request execution**: requests carry their own
     per-request metrics, cumulative counters are folded in under a lock, and
@@ -531,7 +556,7 @@ class Store:
 
     def _kept(self, candidates, request: ScanRequest, metrics: StoreMetrics):
         metrics.rows_scanned += len(candidates)
-        return kept_rows(candidates, request.predicates, request.limit, self._reader_of)
+        return kept_rows(candidates, request.predicates, self._reader_of, request.limit)
 
     def _lookup_rows(self, request: LookupRequest):
         raise self._reject("key lookups")
@@ -540,49 +565,36 @@ class Store:
         raise self._reject("full-text search")
 
     def _join_rows(self, request: JoinRequest):
-        """The store-side hash join of two sub-requests' (projected) rows."""
+        """The store-side hash join of two sub-requests' native rows (the left
+        row wins a shared column)."""
         if not self.capabilities().supports_join:
             raise self._reject("joins")
         if not request.on:
             raise StoreError(
                 f"store-side join in {self.name!r} requires at least one equality column pair"
             )
-        left = self._dict_result(request.left)
-        right = self._dict_result(request.right)
-        build: dict[tuple, list[dict[str, object]]] = {}
-        for row in right.rows:
-            key = tuple(row.get(right_column) for _, right_column in request.on)
-            build.setdefault(key, []).append(row)
-        joined = [
-            {**match, **row}
-            for row in left.rows
-            for match in build.get(tuple(row.get(column) for column, _ in request.on), ())
-        ]
-        metrics = left.metrics.merge(right.metrics)
-        metrics.rows_scanned += len(left.rows) + len(right.rows)
+        left, metrics = self._rows(request.left)
+        right, right_metrics = self._rows(request.right)
+        left, right = list(left), list(right)
+        left_key = row_reader([column for column, _ in request.on], self._reader_of)
+        right_key = row_reader([column for _, column in request.on], self._reader_of)
+        build: dict[tuple, list[Mapping[str, object]]] = {}
+        for row in right:
+            build.setdefault(right_key(row), []).append(row)
+        joined = [{**match, **row} for row in left for match in build.get(left_key(row), ())]
+        metrics = metrics.merge(right_metrics)
+        metrics.rows_scanned += len(left) + len(right)
         return joined, metrics
 
     @staticmethod
     def _reader_of(column: str) -> Callable:
-        """How ``column`` is read off a native row, by predicates and projections."""
+        """How ``column`` is read off a native row: ``read(row, column)``."""
         return dict.get
-
-    # -- the two output shapes -----------------------------------------------------
-    def _dict_result(self, request: StoreRequest) -> StoreResult:
-        """The dict view: one projected copy per native row."""
-        rows, metrics = self._rows(request)
-        projection = getattr(request, "projection", None)
-        if projection is None:
-            return StoreResult([dict(row) for row in rows], metrics)
-        readers = [(column, self._reader_of(column)) for column in projection]
-        return StoreResult(
-            [{column: read(row, column) for column, read in readers} for row in rows], metrics
-        )
 
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ):
-        """The batch view: :class:`~repro.runtime.batch.RowBatch` objects of ``columns``.
+        """:class:`~repro.runtime.batch.RowBatch` objects of ``columns``.
 
         Returns the batch iterator plus the request's base metrics
         (``rows_returned`` and ``elapsed_seconds`` are filled in by the
@@ -601,14 +613,9 @@ class Store:
         else:
             _, narrowed, metrics = self._scan_candidates(request)
             if narrowed is None:
-                return backing.scan_batches(request, columns, batch_size, evaluate=self._evaluate)
+                return backing.scan_batches(request, columns, batch_size, self._reader_of)
             rows = self._kept(narrowed, request, metrics)
-        return row_batches(rows, columns, batch_size), metrics
-
-    def _evaluate(self, row: Mapping[str, object], predicate: Predicate) -> bool:
-        """One predicate on one native row, read the way scans read it."""
-        read = self._reader_of(predicate.column)
-        return COMPARATORS[predicate.op](read(row, predicate.column), predicate.value)
+        return row_batches(rows, columns, batch_size, self._reader_of), metrics
 
     # -- write path --------------------------------------------------------------
     def apply_delta(
@@ -719,20 +726,15 @@ class Store:
         return backing
 
     # -- public API -------------------------------------------------------------
-    def execute(self, request: StoreRequest) -> StoreResult:
-        """Execute a request as dict rows, recording timing and cumulative metrics.
+    def execute(self, request: StoreRequest, columns: Sequence[str]) -> StoreResult:
+        """Execute a request and collect ``columns`` of every row as dicts.
 
-        The materialized view for direct callers (tests, examples, the
-        router fan-out of a dict request); the runtime reads through
-        :meth:`execute_batches`.
+        A convenience for direct callers: it drains :meth:`execute_batches`,
+        which is what the runtime reads.
         """
-        started = time.perf_counter()
-        interruptible_sleep(self._latency)
-        result = self._dict_result(request)
-        result.metrics.elapsed_seconds = time.perf_counter() - started
-        result.metrics.rows_returned = len(result.rows)
-        self._note_request(result.metrics)
-        return result
+        stream = self.execute_batches(request, columns)
+        rows = [dict(zip(batch.columns, row)) for batch in stream for row in batch.rows]
+        return StoreResult(rows, stream.metrics)
 
     def execute_batches(
         self,

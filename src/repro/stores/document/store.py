@@ -22,7 +22,7 @@ from repro.stores.base import (
 )
 from repro.stores.heap import RowHeap
 
-__all__ = ["DocumentStore", "get_path", "flatten_document"]
+__all__ = ["DocumentStore", "get_path", "flatten_document", "unflatten_document"]
 
 
 def get_path(document: Mapping[str, object], path: str) -> object:
@@ -53,6 +53,28 @@ def flatten_document(document: Mapping[str, object], prefix: str = "") -> dict[s
         else:
             flat[path] = value
     return flat
+
+
+def unflatten_document(flat: Mapping[str, object]) -> dict[str, object]:
+    """Nest dotted keys into sub-documents: the inverse of :func:`flatten_document`.
+
+    ``{"k": 1, "attrs.x": 2}`` becomes ``{"k": 1, "attrs": {"x": 2}}``, so
+    :func:`get_path` reads each dotted key back.  A key that is both a value
+    and the prefix of another key (``"a"`` and ``"a.b"``) raises
+    :class:`~repro.errors.SchemaError`.
+    """
+    nested: dict[str, object] = {}
+    for path, value in flat.items():
+        *parents, leaf = path.split(".")
+        target = nested
+        for segment in parents:
+            target = target.setdefault(segment, {})
+            if not isinstance(target, dict):
+                raise SchemaError(f"document key {path!r} runs through a value")
+        if leaf in target:
+            raise SchemaError(f"document key {path!r} is also a sub-document")
+        target[leaf] = value
+    return nested
 
 
 class DocumentStore(Store):
@@ -163,7 +185,6 @@ class DocumentStore(Store):
             data_model="document",
             supports_scan=True,
             supports_selection=True,
-            supports_projection=True,
             supports_join=False,
             supports_aggregation=False,
             supports_key_lookup=True,
@@ -227,7 +248,7 @@ class DocumentStore(Store):
 
     @staticmethod
     def _reader_of(column: str):
-        """Dotted paths walk the document (batches read top-level keys)."""
+        """Dotted paths walk the document; other columns are top-level keys."""
         return get_path if "." in column else dict.get
 
     def _lookup_rows(self, request: LookupRequest):

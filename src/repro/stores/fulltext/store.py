@@ -122,7 +122,6 @@ class FullTextStore(Store):
             data_model="fulltext",
             supports_scan=True,
             supports_selection=True,
-            supports_projection=True,
             supports_join=False,
             supports_aggregation=False,
             supports_key_lookup=False,

@@ -238,7 +238,6 @@ class KeyValueStore(Store):
             data_model="keyvalue",
             supports_scan=self._allow_scans,
             supports_selection=False,
-            supports_projection=True,
             supports_join=False,
             supports_aggregation=False,
             supports_key_lookup=True,
@@ -293,7 +292,7 @@ class KeyValueStore(Store):
             bucket = self._collection(request.collection)
             metrics = StoreMetrics(rows_scanned=len(bucket))
             rows = (self._entry_to_row(key, value) for key, value in bucket.items())
-        return kept_rows(rows, request.predicates, request.limit), metrics
+        return kept_rows(rows, request.predicates, self._reader_of, request.limit), metrics
 
     @staticmethod
     def _entry_to_row(key: object, value: object) -> dict[str, object]:

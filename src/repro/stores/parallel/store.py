@@ -135,7 +135,6 @@ class ParallelStore(Store):
             data_model="nested",
             supports_scan=True,
             supports_selection=True,
-            supports_projection=True,
             supports_join=True,
             supports_aggregation=True,
             supports_key_lookup=True,

@@ -153,7 +153,6 @@ class RelationalStore(Store):
             data_model="relational",
             supports_scan=True,
             supports_selection=True,
-            supports_projection=True,
             supports_join=True,
             supports_aggregation=True,
             supports_key_lookup=True,

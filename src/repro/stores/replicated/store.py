@@ -22,11 +22,9 @@ request, all bounded by the :class:`ReplicationPolicy`:
   stops the loser at its next cancellable wait (the same cooperative
   mechanism LIMIT cancellation uses).
 
-One loop serves both output shapes, parameterized by the per-replica call:
-a batch request's attempt drains the replica's own ``execute_batches``
-stream (so a durable replica serves an unindexed scan from its segments,
-exactly as it would unreplicated), a dict request's attempt is the
-replica's ``execute``.
+An attempt drains the replica's own ``execute_batches`` stream, so a
+durable replica serves an unindexed scan from its segments, exactly as it
+would unreplicated.
 
 Every attempt is materialized *inside* the router before any row reaches the
 consumer, so a retried or failed-over request can never leak partial rows —
@@ -60,7 +58,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -403,16 +400,6 @@ class ReplicatedStore(Store):
             replica.reset_metrics()
 
     # -- execution ---------------------------------------------------------------------
-    # Both output shapes run the one retry/failover/hedge loop, :meth:`_routed`;
-    # they differ only in the per-replica call.
-    def _dict_result(self, request: StoreRequest) -> StoreResult:
-        def call(replica: Store):
-            result = replica.execute(request)
-            return result, result.metrics
-
-        result, _ = self._routed(call)
-        return result
-
     def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
         def call(replica: Store):
             # Drained inside the attempt, so a retried or failed-over request

@@ -47,7 +47,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DurabilityError
 from repro.runtime.batch import freeze_value
-from repro.stores.base import COMPARATORS, StoreMetrics, batch_tuples
+from repro.stores.base import (
+    COMPARATORS,
+    StoreMetrics,
+    batch_tuples,
+    kept_rows,
+    row_reader,
+)
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import (
     SegmentReader,
@@ -695,15 +701,15 @@ class DurableBacking:
         request,
         columns: Sequence[str],
         batch_size: int,
-        *,
-        evaluate: Callable[[Mapping[str, object], object], bool],
+        reader_of: Callable[[str], Callable],
     ) -> tuple[Iterator, StoreMetrics]:
         """Serve a delegated scan from segments + tail, skipping excluded segments.
 
-        ``evaluate(row_dict, predicate)`` must implement the store's native
-        predicate semantics; it is used for tail rows and for predicates the
-        positional fast path cannot express (a dotted column may be a path
-        into nested documents, so it is checked on the reconstructed row).
+        ``reader_of(column)`` is the store's column reader
+        (``read(native_row, column)``).  A column it reads with ``dict.get``
+        is a segment column, so its predicates prune by zone maps and run
+        on the decoded column; any other column (a dotted path into nested
+        documents) is read off the reconstructed native row.
         """
         metrics = StoreMetrics()
         wanted = tuple(columns)
@@ -717,7 +723,7 @@ class DurableBacking:
             tuples = self._pinned(
                 generation,
                 self._scan_tuples(
-                    request, wanted, segments, tail, tombstones, state, metrics, evaluate
+                    request, wanted, segments, tail, tombstones, state, metrics, reader_of
                 ),
             )
             next(tuples)  # primed: from here on, closing or dropping it unpins
@@ -745,11 +751,19 @@ class DurableBacking:
         tombstones: Counter,
         keys: _CollectionState,
         metrics: StoreMetrics,
-        evaluate: Callable[[Mapping[str, object], object], bool],
+        reader_of: Callable[[str], Callable],
     ) -> Iterator[tuple]:
         predicates = tuple(request.predicates)
-        positional = tuple(p for p in predicates if "." not in p.column)
-        pathful = tuple(p for p in predicates if "." in p.column)
+        positional = tuple(p for p in predicates if reader_of(p.column) is dict.get)
+        pathful = tuple(p for p in predicates if reader_of(p.column) is not dict.get)
+        # Full-width reconstruction: path reads and ragged rows with
+        # tombstones (keyed by their native form) need the native row.
+        native_rows = (
+            bool(pathful)
+            or any(reader_of(column) is not dict.get for column in wanted)
+            or bool(tombstones and keys.columns is None)
+        )
+        output = row_reader(wanted, reader_of)
         for segment in segments:
             if positional and segment.excluded_by(positional):
                 metrics.segments_skipped += 1
@@ -775,17 +789,12 @@ class DurableBacking:
             metrics.rows_scanned += decoded
             # A tombstone consumes one stored copy of its row.  Equal rows pass
             # or fail every predicate alike, so only passing rows need checking.
-            if pathful or (tombstones and keys.columns is None):
-                # Full-width reconstruction: nested-path predicates and ragged
-                # rows (keyed by their native form) need the native row.
-                for row in segment.rows(positions):
-                    native = _reconstruct(segment.columns, row)
-                    if all(evaluate(native, p) for p in checks) and all(
-                        evaluate(native, p) for p in pathful
-                    ):
-                        if tombstones and _consume(tombstones, keys.key(native)):
-                            continue
-                        yield tuple(native.get(column) for column in wanted)
+            if native_rows:
+                natives = (_reconstruct(segment.columns, row) for row in segment.rows(positions))
+                for native in kept_rows(natives, checks + pathful, reader_of):
+                    if tombstones and _consume(tombstones, keys.key(native)):
+                        continue
+                    yield output(native)
             else:
                 key_columns = keys.columns if tombstones else ()
                 needed = set(wanted)
@@ -801,7 +810,7 @@ class DurableBacking:
                 tests = tuple(
                     (series[p.column], COMPARATORS[p.op], p.value) for p in checks
                 )
-                output = tuple(series[column] for column in wanted)
+                outputs = tuple(series[column] for column in wanted)
                 key_series = tuple(series[column] for column in key_columns)
                 walk = positions if positions is not None else range(segment.row_count)
                 for position in walk:
@@ -814,11 +823,9 @@ class DurableBacking:
                             keys.key_of([column[position] for column in key_series]),
                         ):
                             continue
-                        yield tuple(column[position] for column in output)
+                        yield tuple(column[position] for column in outputs)
         metrics.rows_scanned += len(tail)
-        for row in tail:
-            if all(evaluate(row, p) for p in predicates):
-                yield tuple(row.get(column) for column in wanted)
+        yield from map(output, kept_rows(tail, predicates, reader_of))
 
 
 def _consume(tombstones: Counter, key: object) -> bool:

@@ -16,8 +16,8 @@ The router serves the common store-request micro-IR:
 * per-request metrics report ``partitions_used`` (shards contacted) and
   ``partitions_pruned`` so the mediator can surface pruning effectiveness.
 
-One routing loop serves both output shapes; the runtime's batch requests
-forward each contacted child's own batch stream.
+The routing loop forwards each contacted child's own batch stream, and
+rows are routed to shards by the shards' own column reader.
 
 Executing through the router is *serial* — each contacted shard is queried in
 turn, paying the sum of the child latencies.  The physical planner therefore
@@ -49,7 +49,6 @@ from repro.stores.base import (
     StoreCapabilities,
     StoreMetrics,
     StoreRequest,
-    StoreResult,
 )
 from repro.stores.sharding import ShardingSpec
 
@@ -172,11 +171,12 @@ class ShardedStore(Store):
         :meth:`insert` path use — never a per-call hash — so a written row is
         always found again by a pruned scan on its key.
         """
+        read = self._shards[0]._reader_of(spec.shard_key)  # the shards' column reader
         grouped: dict[int, list[dict[str, object]]] = {}
         for row in rows:
             if not isinstance(row, Mapping):
                 raise SchemaError("sharded store rows must be mappings")
-            grouped.setdefault(spec.route(row.get(spec.shard_key)), []).append(dict(row))
+            grouped.setdefault(spec.route(read(row, spec.shard_key)), []).append(dict(row))
         return grouped
 
     def apply_delta(
@@ -329,33 +329,47 @@ class ShardedStore(Store):
         }
 
     # -- execution ---------------------------------------------------------------------
-    # Both output shapes run the one routing loop, :meth:`_fan_out`; they
-    # differ only in the per-child call: the dict view materializes each
-    # child's ``execute``, the batch view forwards each child's
-    # ``execute_batches`` stream untouched (no row is repacked).
-    def _dict_result(self, request: StoreRequest) -> StoreResult:
-        def serve(child: Store, sub: StoreRequest):
-            result = child.execute(sub)
-            return (result.rows,), lambda: result.metrics
-
-        metrics = StoreMetrics()
-        pieces = self._fan_out(request, serve, lambda rows, n: rows[:n], metrics)
-        return StoreResult([row for rows in pieces for row in rows], metrics)
-
     def _execute_batches(self, request: StoreRequest, columns, batch_size: int):
+        """The routing loop: forward each routed shard's batch stream, cut at the limit.
+
+        Child streams pass through untouched (no row is repacked).  The
+        contacted/pruned accounting is filled in when the loop ends,
+        normally or abandoned (the batch wrapper reads the metrics only
+        after closing this generator).
+        """
+        routes = self._routes(request)
+        limit = getattr(request, "limit", None)
         wanted = tuple(columns)
-
-        def serve(child: Store, sub: StoreRequest):
-            stream = child.execute_batches(sub, wanted, batch_size)
-
-            def finish() -> StoreMetrics:
-                stream.close()
-                return stream.metrics
-
-            return stream, finish
-
+        shards = self._shards
         metrics = StoreMetrics()
-        return self._fan_out(request, serve, lambda batch, n: batch.take(n), metrics), metrics
+
+        def batches():
+            contacted: set[int] = set()
+            produced = 0
+            try:
+                for index, sub in routes:
+                    child = shards[index]
+                    if request.collection not in child.collections():
+                        continue
+                    contacted.add(index)
+                    stream = child.execute_batches(sub, wanted, batch_size)
+                    try:
+                        for batch in stream:
+                            if limit is not None and produced + len(batch) >= limit:
+                                batch = batch.take(limit - produced)
+                                if batch:
+                                    yield batch
+                                return
+                            produced += len(batch)
+                            yield batch
+                    finally:
+                        stream.close()
+                        metrics.add(stream.metrics)
+            finally:
+                metrics.partitions_used = len(contacted)
+                metrics.partitions_pruned = len(shards) - len(contacted)
+
+        return batches(), metrics
 
     def _routes(self, request: StoreRequest) -> list[tuple[int, StoreRequest]]:
         """``(shard, child request)`` pairs that can hold the request's rows.
@@ -394,54 +408,9 @@ class ShardedStore(Store):
             if self._shards[index].capabilities().requires_key_lookup:
                 probe: StoreRequest = replace(request, keys=(key,))
             else:
-                probe = ScanRequest(
-                    request.collection,
-                    (Predicate(spec.shard_key, "=", key),),
-                    request.projection,
-                )
+                probe = ScanRequest(request.collection, (Predicate(spec.shard_key, "=", key),))
             routes.append((index, probe))
         return routes
-
-    def _fan_out(self, request: StoreRequest, serve, take, metrics: StoreMetrics):
-        """The routing loop: contact each routed shard, cut at the limit, account.
-
-        ``serve(child, sub)`` issues one child request and returns its pieces
-        (row lists or batches) plus a callable yielding the child's metrics
-        once it is done; ``take(piece, n)`` keeps a piece's first ``n`` rows.
-        The contacted/pruned accounting is filled in when the loop ends,
-        normally or abandoned (the batch wrapper reads the metrics only after
-        closing this generator).
-        """
-        routes = self._routes(request)
-        limit = getattr(request, "limit", None)
-        shards = self._shards
-
-        def pieces():
-            contacted: set[int] = set()
-            produced = 0
-            try:
-                for index, sub in routes:
-                    child = shards[index]
-                    if request.collection not in child.collections():
-                        continue
-                    contacted.add(index)
-                    served, finish = serve(child, sub)
-                    try:
-                        for piece in served:
-                            if limit is not None and produced + len(piece) >= limit:
-                                piece = take(piece, limit - produced)
-                                if piece:
-                                    yield piece
-                                return
-                            produced += len(piece)
-                            yield piece
-                    finally:
-                        metrics.add(finish())
-            finally:
-                metrics.partitions_used = len(contacted)
-                metrics.partitions_pruned = len(shards) - len(contacted)
-
-        return pieces()
 
     def _check_collection(self, collection: str) -> None:
         if collection not in self.collections():

@@ -1,9 +1,9 @@
-"""Deterministic fault injection and load generation.
+"""Deterministic fault injection.
 
 This is *product* code, not test scaffolding: the :class:`FaultInjector`
 injects stragglers, errors and crashes around any store, and the
-:class:`OpenLoopDriver` offers load on a fixed schedule; operators can use
-both to rehearse failure and overload drills against a deployment.
+:class:`DiskFaultInjector` tears and crashes the durable write path;
+operators can use both to rehearse failure drills against a deployment.
 """
 
 from repro.testing.faults import (
@@ -12,15 +12,10 @@ from repro.testing.faults import (
     FaultInjector,
     FaultProfile,
 )
-from repro.testing.workload import LoadReport, OpenLoopDriver, WorkloadQuery, percentile
 
 __all__ = [
     "DiskFaultInjector",
     "DiskFaultProfile",
     "FaultInjector",
     "FaultProfile",
-    "LoadReport",
-    "OpenLoopDriver",
-    "WorkloadQuery",
-    "percentile",
 ]

@@ -34,7 +34,7 @@ from typing import Iterator, Mapping, Sequence
 from repro.errors import SimulatedCrashError, StoreCrashedError, TransientStoreError
 from repro.runtime.batch import RowBatch
 from repro.runtime.parallel import interruptible_sleep
-from repro.stores.base import Store, StoreMetrics, StoreRequest, StoreResult
+from repro.stores.base import Store, StoreMetrics, StoreRequest
 
 __all__ = ["FaultProfile", "FaultInjector", "DiskFaultProfile", "DiskFaultInjector"]
 
@@ -383,19 +383,8 @@ class FaultInjector(Store):
         return decision.mid_stream_after
 
     # -- execution -------------------------------------------------------------------
-    # Either output shape takes one fault decision per request and then runs
-    # the child's own hook for that shape (its native scan, its segments).
-    def _dict_result(self, request: StoreRequest) -> StoreResult:
-        lost_after = self._begin()
-        result = self._inner._dict_result(request)
-        if lost_after is not None and len(result.rows) > lost_after:
-            # The store did the work but the response died partway through;
-            # the caller must retry (and must tolerate the duplicate work).
-            raise TransientStoreError(
-                f"store {self.name!r} lost the response after {lost_after} rows"
-            )
-        return result
-
+    # A request takes one fault decision and then runs the child's own batch
+    # hook (its native scan, its segments).
     def _execute_batches(
         self, request: StoreRequest, columns: Sequence[str], batch_size: int
     ) -> tuple[Iterator[RowBatch], StoreMetrics]:

@@ -1,4 +1,4 @@
-"""Synthetic workload and data generators (marketplace, Big Data Benchmark, logs)."""
+"""Synthetic workload and data generators (marketplace, Big Data Benchmark)."""
 
 from repro.workloads.bigdata import BigDataConfig, BigDataData, generate_bigdata
 from repro.workloads.marketplace import (
@@ -7,7 +7,6 @@ from repro.workloads.marketplace import (
     generate_marketplace,
     key_lookup_workload,
 )
-from repro.workloads.weblog import generate_log_lines, parse_log_line, parse_log_lines
 
 __all__ = [
     "MarketplaceConfig",
@@ -17,7 +16,4 @@ __all__ = [
     "BigDataConfig",
     "BigDataData",
     "generate_bigdata",
-    "generate_log_lines",
-    "parse_log_line",
-    "parse_log_lines",
 ]

@@ -21,7 +21,7 @@ from repro.stores import (
     ShardedStore,
 )
 from repro.stores.segment import DurableBacking
-from repro.testing import FaultInjector, FaultProfile
+from repro.testing import FaultInjector
 from repro.workloads import MarketplaceConfig, generate_marketplace
 
 

@@ -7,8 +7,8 @@ Covers the read path end to end:
 * the kernel builders (predicates, projections, vectorized join keys) and
   the fused-stage semantics, including a hypothesis property holding fused
   and unfused stage chains bag-identical;
-* the stores' native ``execute_batches`` streams against their materialized
-  ``execute`` results (bag-identical rows, matching scan metrics,
+* the stores' native ``execute_batches`` streams against the dicts
+  ``execute`` collects (bag-identical rows, matching scan metrics,
   exactly-once finalization);
 * ``freeze_value`` fast paths and the configurable batch size
   (``Estocada(batch_size=...)``);
@@ -243,11 +243,9 @@ class TestFusedEquivalence:
 
 
 def _assert_stream_equivalence(store, request, columns):
-    """Materialized result and native batch stream agree on rows and scan metrics."""
-    materialized = store.execute(request)
-    dict_rows = [
-        tuple(row.get(column) for column in columns) for row in materialized.rows
-    ]
+    """``execute``'s dict rows and a native batch stream agree on rows and scan metrics."""
+    materialized = store.execute(request, columns)
+    dict_rows = [tuple(row[column] for column in columns) for row in materialized.rows]
     served_before = store.requests_served
     batch_stream = store.execute_batches(request, columns, batch_size=4)
     batches = list(batch_stream)

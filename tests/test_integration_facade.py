@@ -203,20 +203,6 @@ class TestWorkloads:
         urls = {r["pageURL"] for r in data.rankings}
         assert all(v["destURL"] in urls for v in data.uservisits)
 
-    def test_weblog_round_trip(self, marketplace_data):
-        from repro.workloads import generate_log_lines, parse_log_lines
-
-        lines = generate_log_lines(marketplace_data.weblog[:100])
-        parsed = parse_log_lines(lines)
-        assert len(parsed) == 100
-        assert parsed[0]["uid"] == marketplace_data.weblog[0]["uid"]
-        assert parsed[0]["sku"] == marketplace_data.weblog[0]["sku"]
-
-    def test_weblog_malformed_lines_dropped(self):
-        from repro.workloads import parse_log_lines
-
-        assert parse_log_lines(["garbage", ""]) == []
-
     def test_advisor_end_to_end_improves_personalized_search(self, marketplace_estocada):
         query = ConjunctiveQuery(
             "personalized", ["?u", "?s"],

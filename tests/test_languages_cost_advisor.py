@@ -8,7 +8,6 @@ from repro.core import Atom, ConjunctiveQuery, Constant
 from repro.cost import CostModel, PlanChooser
 from repro.errors import ParseError, TranslationError
 from repro.languages.docql import DocumentQuery
-from repro.languages.kv import KeyValueApi
 from repro.languages.sql import SqlTranslator, parse_select, tokenize
 from repro.datamodel import RelationalSchema, TableSchema
 from repro.translation import Planner
@@ -153,18 +152,6 @@ class TestDocQLAndKV:
     def test_document_query_describe(self):
         described = DocumentQuery("carts", ("uid",)).where("uid", 3).describe()
         assert described["filters"] == {"uid": 3}
-
-    def test_kv_get_query(self):
-        api = KeyValueApi("prefs", ("uid", "category"))
-        query, names = api.get_query(42)
-        assert names == ("category",)
-        assert query.body[0].terms[0] == Constant(42)
-
-    def test_kv_mget(self):
-        api = KeyValueApi("prefs", ("uid", "category"))
-        queries = api.mget_queries([1, 2, 3])
-        assert len(queries) == 3
-        assert queries[0][0] == 1
 
 
 class TestCostModel:

@@ -205,7 +205,7 @@ def test_relational_scan_predicate_matches_python_filter(rows, probe):
     store = RelationalStore("pg")
     store.create_table("t", ["a", "b"])
     store.insert("t", [{"a": a, "b": b} for a, b in rows])
-    result = store.execute(ScanRequest("t", (Predicate("b", "=", probe),)))
+    result = store.execute(ScanRequest("t", (Predicate("b", "=", probe),)), ("a", "b"))
     assert len(result.rows) == sum(1 for _, b in rows if b == probe)
 
 

@@ -115,7 +115,7 @@ class TestFaultInjector:
             outcomes = []
             for _ in range(20):
                 try:
-                    injector.execute(ScanRequest("t"))
+                    injector.execute(ScanRequest("t"), ("a", "b"))
                     outcomes.append("ok")
                 except TransientStoreError:
                     outcomes.append("err")
@@ -132,7 +132,7 @@ class TestFaultInjector:
             pattern = []
             for _ in range(15):
                 try:
-                    injector.execute(ScanRequest("t"))
+                    injector.execute(ScanRequest("t"), ("a", "b"))
                     pattern.append(False)
                 except TransientStoreError:
                     pattern.append(True)
@@ -146,14 +146,14 @@ class TestFaultInjector:
 
     def test_crash_after_and_revive(self):
         injector = FaultInjector(_loaded_relational("x"), FaultProfile(crash_after=2))
-        assert len(injector.execute(ScanRequest("t")).rows) == 20
-        assert len(injector.execute(ScanRequest("t")).rows) == 20
+        assert len(injector.execute(ScanRequest("t"), ("a", "b")).rows) == 20
+        assert len(injector.execute(ScanRequest("t"), ("a", "b")).rows) == 20
         with pytest.raises(StoreCrashedError):
-            injector.execute(ScanRequest("t"))
+            injector.execute(ScanRequest("t"), ("a", "b"))
         with pytest.raises(StoreCrashedError):
             injector.collections()
         injector.revive()
-        assert len(injector.execute(ScanRequest("t")).rows) == 20
+        assert len(injector.execute(ScanRequest("t"), ("a", "b")).rows) == 20
 
     def test_mid_stream_loss_is_transient(self):
         injector = FaultInjector(
@@ -161,13 +161,12 @@ class TestFaultInjector:
             FaultProfile(seed=3, mid_stream_rate=1.0),
         )
         with pytest.raises(TransientStoreError):
-            injector.execute(ScanRequest("t"))
+            injector.execute(ScanRequest("t"), ("a", "b"))
         assert injector.injection_report()["mid_stream"] == 1
 
     def test_batch_requests_run_the_childs_native_scan(self, tmp_path):
-        # Only the batch shape serves a scan from the durable segments (the
-        # dict view walks the heap), so segment activity on the wrapper's
-        # stream shows the child's own batch scan ran.
+        # Segment activity on the wrapper's stream shows the child's own
+        # batch scan ran, served from its durable segments.
         from repro.stores.segment import DurableBacking
 
         inner = RelationalStore("x")
@@ -178,16 +177,16 @@ class TestFaultInjector:
         stream = injector.execute_batches(ScanRequest("t"), ("a", "b"), batch_size=64)
         assert sum(len(batch) for batch in stream) == 230
         assert stream.metrics.segments_scanned == 4
-        assert stream.metrics.rows_scanned == injector.execute(ScanRequest("t")).metrics.rows_scanned
+        assert stream.metrics.rows_scanned == injector.execute(ScanRequest("t"), ("a", "b")).metrics.rows_scanned
         assert injector.requests_served == 2
 
     def test_mid_stream_loss_finalizes_once(self):
         inner = _loaded_relational("x", rows=200)
         profile = FaultProfile(seed=3, mid_stream_rate=1.0)
-        # Same seed, same four draws per request: the materialized path tells
-        # after how many rows this schedule loses its first response.
+        # Same seed, same four draws per request: a first request tells after
+        # how many rows this schedule loses its response.
         with pytest.raises(TransientStoreError) as lost:
-            FaultInjector(inner, profile).execute(ScanRequest("t"))
+            FaultInjector(inner, profile).execute(ScanRequest("t"), ("a", "b"))
         after = int(str(lost.value).split(" after ")[1].split()[0])
         injector = FaultInjector(inner, profile)
         stream = injector.execute_batches(ScanRequest("t"), ("a",), batch_size=4)
@@ -223,7 +222,7 @@ class TestFaultInjector:
             set_current_cancel(cancel)
             started = time.perf_counter()
             try:
-                injector.execute(ScanRequest("t"))
+                injector.execute(ScanRequest("t"), ("a", "b"))
             except TransientStoreError:
                 outcome["elapsed"] = time.perf_counter() - started
             finally:
@@ -289,7 +288,7 @@ class TestReplicatedStore:
 
     def test_reads_route_and_writes_fan_out(self):
         store = _replicated()
-        result = store.execute(ScanRequest("t"))
+        result = store.execute(ScanRequest("t"), ("a", "b"))
         assert len(result.rows) == 20
         store.insert("t", [{"a": 99, "b": 9}])
         for replica in store.replica_stores():
@@ -304,7 +303,7 @@ class TestReplicatedStore:
         )
         retries = 0
         for _ in range(10):
-            result = store.execute(ScanRequest("t"))
+            result = store.execute(ScanRequest("t"), ("a", "b"))
             assert len(result.rows) == 20
             retries += result.metrics.replica_retries
         assert retries > 0
@@ -312,14 +311,14 @@ class TestReplicatedStore:
 
     def test_dead_primary_fails_over_and_circuit_breaks(self):
         store = _replicated(profiles={0: FaultProfile(crash_after=0)})
-        first = store.execute(ScanRequest("t"))
+        first = store.execute(ScanRequest("t"), ("a", "b"))
         assert len(first.rows) == 20
         assert first.metrics.replica_failovers == 1
         # Three consecutive failures mark the replica unhealthy; from then on
         # it is not attempted first anymore.
         for _ in range(4):
-            store.execute(ScanRequest("t"))
-        settled = store.execute(ScanRequest("t"))
+            store.execute(ScanRequest("t"), ("a", "b"))
+        settled = store.execute(ScanRequest("t"), ("a", "b"))
         assert settled.metrics.replica_failovers == 0
         assert not store.health.statistics(0).healthy
 
@@ -327,7 +326,7 @@ class TestReplicatedStore:
         injector = FaultInjector(_loaded_relational("r.0"), FaultProfile(crash_after=0))
         store = ReplicatedStore("rep", [injector, _loaded_relational("r.1")])
         for _ in range(5):
-            store.execute(ScanRequest("t"))
+            store.execute(ScanRequest("t"), ("a", "b"))
         assert not store.health.statistics(0).healthy
         injector.revive()
         # The unhealthy replica is still reachable as a last resort; a direct
@@ -340,7 +339,7 @@ class TestReplicatedStore:
             profiles={i: FaultProfile(crash_after=0) for i in range(3)}
         )
         with pytest.raises(AllReplicasFailedError):
-            store.execute(ScanRequest("t"))
+            store.execute(ScanRequest("t"), ("a", "b"))
 
     def test_max_failovers_bounds_the_attempted_replicas(self):
         store = _replicated(
@@ -348,7 +347,7 @@ class TestReplicatedStore:
             policy=ReplicationPolicy(max_failovers=0),
         )
         with pytest.raises(AllReplicasFailedError) as excinfo:
-            store.execute(ScanRequest("t"))
+            store.execute(ScanRequest("t"), ("a", "b"))
         assert "r.0" in str(excinfo.value)
         assert "r.1" not in str(excinfo.value)
 
@@ -360,7 +359,7 @@ class TestReplicatedStore:
             ),
         )
         started = time.perf_counter()
-        result = store.execute(ScanRequest("t"))
+        result = store.execute(ScanRequest("t"), ("a", "b"))
         elapsed = time.perf_counter() - started
         assert len(result.rows) == 20
         assert result.metrics.replica_hedges >= 1
@@ -380,7 +379,7 @@ class TestReplicatedStore:
                 hedge=True, hedge_delay_seconds=0.05, prefer_order=(0, 1, 2)
             ),
         )
-        result = store.execute(ScanRequest("t"))
+        result = store.execute(ScanRequest("t"), ("a", "b"))
         assert len(result.rows) == 20
         assert result.metrics.replica_failovers >= 1
         assert result.metrics.replica_hedges == 0
@@ -409,7 +408,7 @@ class TestReplicatedStore:
 
         store = _replicated()
         with pytest.raises(UnsupportedOperationError):
-            store.execute(SearchRequest(collection="t", text="x"))
+            store.execute(SearchRequest(collection="t", text="x"), ("a", "b"))
         # No replica was blamed and nothing beyond the first was attempted:
         # the request itself is at fault, every copy would refuse it alike.
         for index in range(store.replica_count):
@@ -434,7 +433,7 @@ class TestReplicatedStore:
         try:
             started = time.perf_counter()
             with pytest.raises(TransientStoreError):
-                store.execute(ScanRequest("t"))
+                store.execute(ScanRequest("t"), ("a", "b"))
             assert time.perf_counter() - started < 1.0
         finally:
             set_current_cancel(None)
@@ -478,9 +477,9 @@ class TestReplicatedStore:
             profiles={i: FaultProfile(seed=31 + i, error_rate=0.4) for i in range(3)},
             policy=ReplicationPolicy(max_retries=4),
         )
-        expected = sorted(map(repr, clean.execute(ScanRequest("t")).rows))
+        expected = sorted(map(repr, clean.execute(ScanRequest("t"), ("a", "b")).rows))
         for _ in range(5):
-            got = sorted(map(repr, faulty.execute(ScanRequest("t")).rows))
+            got = sorted(map(repr, faulty.execute(ScanRequest("t"), ("a", "b")).rows))
             assert got == expected
 
 

@@ -57,6 +57,7 @@ class Harness:
     keyed = None  # primary-key column, if rows must keep it unique
     indexed: tuple[str, ...] = ()
     collection = "c"
+    columns = ("a", "b")  # every key a drawn row holds
 
     def rows(self):
         raise NotImplementedError
@@ -68,7 +69,9 @@ class Harness:
         raise NotImplementedError
 
     def scan(self, store, *predicates, limit=None):
-        return store.execute(ScanRequest(self.collection, tuple(predicates), limit=limit))
+        return store.execute(
+            ScanRequest(self.collection, tuple(predicates), limit=limit), self.columns
+        )
 
     def extra_checks(self, store, oracle):
         """Store-specific lookups beyond equality scans (default: none)."""
@@ -104,6 +107,7 @@ class RelationalIndexed(RelationalPlain):
 class RelationalKeyed(Harness):
     keyed = "id"
     indexed = ("a",)
+    columns = ("id", "a")
 
     def rows(self):
         return st.fixed_dictionaries({"id": st.integers(0, 7), "a": SMALL})
@@ -122,12 +126,13 @@ class RelationalKeyed(Harness):
 
     def extra_checks(self, store, oracle):
         for key in range(8):
-            got = store.execute(LookupRequest(self.collection, (key,))).rows
+            got = store.execute(LookupRequest(self.collection, (key,)), self.columns).rows
             assert got == [row for row in oracle if row["id"] == key]
 
 
 class DocumentPathIndexed(Harness):
     indexed = ("p.x",)
+    columns = ("p", "b")
 
     def rows(self):
         return st.builds(lambda x, b: {"p": {"x": x}, "b": b}, SMALL, SMALL)
@@ -168,11 +173,13 @@ class ParallelPartitioned(Harness):
         if self.partition_column is None:
             return
         for key in range(4):
-            got = store.execute(LookupRequest(self.collection, (key,))).rows
+            got = store.execute(LookupRequest(self.collection, (key,)), self.columns).rows
             assert _bag(got) == _bag(row for row in oracle if row["a"] == key)
 
 
 class FullTextSearched(Harness):
+    columns = ("n", "text")
+
     def rows(self):
         words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3)
         return st.builds(lambda n, w: {"n": n, "text": " ".join(w)}, SMALL, words)
@@ -190,7 +197,9 @@ class FullTextSearched(Harness):
 
     def extra_checks(self, store, oracle):
         for word in WORDS:
-            hits = store.execute(SearchRequest(self.collection, word)).rows
+            hits = store.execute(
+                SearchRequest(self.collection, word), self.columns + ("_score",)
+            ).rows
             assert all("_score" in hit for hit in hits)
             stripped = [{k: v for k, v in hit.items() if k != "_score"} for hit in hits]
             assert _bag(stripped) == _bag(row for row in oracle if word in row["text"].split())

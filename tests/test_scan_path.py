@@ -1,13 +1,15 @@
 """The delegated-scan read path, layer by layer, against plain-Python oracles.
 
-* the store scan kernel (``kept_rows`` + ``row_batches``) behind both output
-  shapes of the dict-heap stores: a hypothesis differential over ragged
-  rows, ``None``s, every comparator, wanted columns the collection lacks,
-  dotted paths and limits; the same differential over every request kind of
-  every store (lookups, store-side joins, key-pinned scans, ranked search)
-  and through the sharded and replicated routers; limit parity between
-  ``execute`` and ``execute_batches`` for every store kind; laziness under a
-  small limit;
+* the store scan kernel (``kept_rows`` + ``row_batches``) behind both entry
+  points (``execute`` and ``execute_batches``) of the dict-heap stores: a
+  hypothesis differential over ragged rows, ``None``s, every comparator,
+  wanted columns the collection lacks, dotted paths and limits; the same
+  differential over every request kind of every store (lookups, store-side
+  joins, key-pinned scans, ranked search), through the sharded and
+  replicated routers, and over nested documents read by dotted columns (a
+  missing intermediate key, a list index) from the heap and from a
+  compacted durable store's segments; limit parity between ``execute`` and
+  ``execute_batches`` for every store kind; laziness under a small limit;
 * ``HashJoin``: bounded output batches under a skewed key, early exit under
   a LIMIT, the explicit-``on`` agreement check and the cartesian product;
 * ``Aggregate``: running states that do not depend on where batches split;
@@ -70,12 +72,16 @@ def _oracle_compare(op, left, right):
 
 
 def _oracle_read(row, path):
-    """Top-level key, or a dotted walk through nested dicts (missing -> None)."""
+    """Top-level key, or a dotted walk through nested dicts and list indexes
+    (missing -> None)."""
     current = row
     for segment in path.split("."):
-        if not isinstance(current, dict):
+        if isinstance(current, dict):
+            current = current.get(segment)
+        elif isinstance(current, list) and segment.isdigit() and int(segment) < len(current):
+            current = current[int(segment)]
+        else:
             return None
-        current = current.get(segment)
     return current
 
 
@@ -98,8 +104,10 @@ def _batch_bag(store, request, wanted, batch_size=4):
     return Counter(row for batch in batches for row in batch.rows)
 
 
-def _dict_bag(store, request, wanted):
-    return Counter(tuple(row.get(column) for column in wanted) for row in store.execute(request).rows)
+def _execute_bag(store, request, wanted):
+    result = store.execute(request, wanted)
+    assert all(set(row) == set(wanted) for row in result.rows)
+    return Counter(tuple(row[column] for column in wanted) for row in result.rows)
 
 
 # -- the store scan kernel -------------------------------------------------------------
@@ -132,7 +140,7 @@ def _scans(draw, ragged):
 
 def _request(collection, predicates, limit):
     return ScanRequest(
-        collection, tuple(Predicate(column, op, value) for column, op, value in predicates), None, limit
+        collection, tuple(Predicate(column, op, value) for column, op, value in predicates), limit
     )
 
 
@@ -148,7 +156,7 @@ class TestScanKernelDifferential:
             store.create_index("t", "a")
         request = _request("t", predicates, limit)
         expected = _oracle_scan(rows, predicates, wanted, limit)
-        assert _dict_bag(store, request, wanted) == expected
+        assert _execute_bag(store, request, wanted) == expected
         assert _batch_bag(store, request, wanted) == expected
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -162,7 +170,7 @@ class TestScanKernelDifferential:
             store.create_index("t", "n.x")
         request = _request("t", predicates, limit)
         expected = _oracle_scan(rows, predicates, wanted, limit)
-        assert _dict_bag(store, request, wanted) == expected
+        assert _execute_bag(store, request, wanted) == expected
         assert _batch_bag(store, request, wanted) == expected
 
 
@@ -228,7 +236,7 @@ def _parallel(rows, indexed):
 
 def _join(store, rows, predicates, limit):
     """t ⋈ u on ``a`` (``u.a`` is ``t.b``); the left row wins shared columns."""
-    left = ScanRequest("t", _predicates(predicates), None, limit)
+    left = ScanRequest("t", _predicates(predicates), limit)
     request = JoinRequest(left, ScanRequest("u"), (("a", "a"),))
     right = [{"a": row["b"], "d": row["c"]} for row in rows]
     kept = _oracle_kept(rows, predicates, limit)
@@ -269,89 +277,133 @@ def _sharded(rows):
     return store
 
 
-def _case_relational_lookup(rows, predicates, limit, keys, indexed):
+def _case_relational_lookup(rows, predicates, limit, keys, indexed, make_directory):
     expected = [row for key in keys for row in rows if row["a"] == key]
     return _relational(rows, indexed), LookupRequest("t", keys), expected, None
 
 
-def _case_relational_join(rows, predicates, limit, keys, indexed):
+def _case_relational_join(rows, predicates, limit, keys, indexed, make_directory):
     return _join(_relational(rows, indexed), rows, predicates, limit)
 
 
-def _case_document_lookup(rows, predicates, limit, keys, indexed):
+def _case_document_lookup(rows, predicates, limit, keys, indexed, make_directory):
     store, documents = _documents(rows, indexed)
     expected = [d for key in keys for d in documents if d["_id"] == key]
     return store, LookupRequest("t", keys), expected, None
 
 
-def _case_keyvalue_lookup(rows, predicates, limit, keys, indexed):
+def _case_keyvalue_lookup(rows, predicates, limit, keys, indexed, make_directory):
     store, entries = _keyvalue(rows)
     expected = [entries[key] for key in keys if key in entries]
     return store, LookupRequest("t", keys), expected, None
 
 
-def _case_keyvalue_pinned_scan(rows, predicates, limit, keys, indexed):
+def _case_keyvalue_pinned_scan(rows, predicates, limit, keys, indexed, make_directory):
     # One or two key pins (two different ones match nothing) plus the rest.
     predicates = [("key", "=", key) for key in keys] + predicates
     store, entries = _keyvalue(rows)
     expected = _oracle_kept(list(entries.values()), predicates, limit)
-    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+    return store, ScanRequest("t", _predicates(predicates), limit), expected, None
 
 
-def _case_fulltext_scan(rows, predicates, limit, keys, indexed):
+def _case_fulltext_scan(rows, predicates, limit, keys, indexed, make_directory):
     store, documents = _fulltext(rows)
     expected = _oracle_kept(documents, predicates, limit)
-    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+    return store, ScanRequest("t", _predicates(predicates), limit), expected, None
 
 
-def _case_fulltext_search(rows, predicates, limit, keys, indexed):
+def _case_fulltext_search(rows, predicates, limit, keys, indexed, make_directory):
     store, documents = _fulltext(rows)
     words = [_WORDS[key] for key in keys]
     request = SearchRequest("t", " ".join(words), limit=limit)
     return store, request, _oracle_search(documents, words, limit), None
 
 
-def _case_parallel_scan(rows, predicates, limit, keys, indexed):
-    request = ScanRequest("t", _predicates(predicates), None, limit)
+def _case_parallel_scan(rows, predicates, limit, keys, indexed, make_directory):
+    request = ScanRequest("t", _predicates(predicates), limit)
     return _parallel(rows, indexed), request, _oracle_kept(rows, predicates), limit
 
 
-def _case_parallel_lookup(rows, predicates, limit, keys, indexed):
+def _case_parallel_lookup(rows, predicates, limit, keys, indexed, make_directory):
     expected = [row for key in keys for row in rows if row["a"] == key]
     return _parallel(rows, indexed), LookupRequest("t", keys), expected, None
 
 
-def _case_parallel_join(rows, predicates, limit, keys, indexed):
+def _case_parallel_join(rows, predicates, limit, keys, indexed, make_directory):
     # No limit: partitions do not keep insertion order, so "the first k" differ.
     return _join(_parallel(rows, indexed), rows, predicates, None)
 
 
-def _case_sharded_scan(rows, predicates, limit, keys, indexed):
-    request = ScanRequest("t", _predicates(predicates), None, limit)
+def _case_sharded_scan(rows, predicates, limit, keys, indexed, make_directory):
+    request = ScanRequest("t", _predicates(predicates), limit)
     return _sharded(rows), request, _oracle_kept(rows, predicates), limit
 
 
-def _case_sharded_lookup(rows, predicates, limit, keys, indexed):
+def _case_sharded_lookup(rows, predicates, limit, keys, indexed, make_directory):
     expected = [row for key in keys for row in rows if row["a"] == key]
     return _sharded(rows), LookupRequest("t", keys), expected, None
 
 
-def _case_replicated_scan(rows, predicates, limit, keys, indexed):
+def _nest(row):
+    """A document holding ``b`` at ``n.x`` and ``c`` at ``n.l.1``.
+
+    Where ``a`` is None the document has no ``n`` (every path through it
+    reads None); where ``a`` is 0, ``n`` lacks ``x`` and its list ends
+    before index 1.
+    """
+    document = {"_id": row["a"], "a": row["a"]}
+    if row["a"] is not None:
+        document["n"] = {"x": row["b"], "l": [row["a"], row["c"]]} if row["a"] else {"l": [0]}
+    return document
+
+
+def _nested_scan(rows, predicates, limit):
+    """The drawn scan over :func:`_nest` documents, ``b``/``c`` read by their paths."""
+    paths = {"b": "n.x", "c": "n.l.1"}
+    predicates = [(paths.get(column, column), op, value) for column, op, value in predicates]
+    documents = [_nest(row) for row in rows]
+    request = ScanRequest("t", _predicates(predicates), limit)
+    return documents, request, _oracle_kept(documents, predicates, limit)
+
+
+def _case_document_nested_scan(rows, predicates, limit, keys, indexed, make_directory):
+    documents, request, expected = _nested_scan(rows, predicates, limit)
+    store = DocumentStore("mongo")
+    store.insert("t", documents)
+    if indexed:
+        store.create_index("t", "n.x")
+    return store, request, expected, None
+
+
+def _case_document_nested_segments(rows, predicates, limit, keys, indexed, make_directory):
+    documents, request, expected = _nested_scan(rows, predicates, limit)
+    store = DocumentStore("mongo")
+    store.attach_durable(DurableBacking(str(make_directory()), segment_rows=4))
+    cut = (len(documents) + 1) // 2
+    store.insert("t", documents[:cut])
+    store.compact_durable()
+    store.insert("t", documents[cut:])  # a WAL tail beside the segments
+    if documents:
+        assert store.durable_backing().has_segments("t")
+    return store, request, expected, None
+
+
+def _case_replicated_scan(rows, predicates, limit, keys, indexed, make_directory):
     store = ReplicatedStore("rep", [_relational(rows, indexed), _relational(rows, not indexed)])
     expected = _oracle_kept(rows, predicates, limit)
-    return store, ScanRequest("t", _predicates(predicates), None, limit), expected, None
+    return store, ScanRequest("t", _predicates(predicates), limit), expected, None
 
 
 _CASES = {
     name[len("_case_"):]: case for name, case in globals().items() if name.startswith("_case_")
 }
 # Columns no drawn row has, except through a request kind that adds them.
-_EXTRA_WANTED = ("key", "d", "_score")
+_EXTRA_WANTED = ("key", "d", "_score", "n.x", "n.l.1", "n.l.5", "n.x.y")
 
 
-def _rows_of(store, request, wanted, shape):
-    if shape == "dict":
-        return [tuple(row.get(column) for column in wanted) for row in store.execute(request).rows]
+def _rows_of(store, request, wanted, entry_point):
+    if entry_point == "execute":
+        return [tuple(row[column] for column in wanted) for row in store.execute(request, wanted).rows]
     batches = list(store.execute_batches(request, wanted, 4))
     assert all(batch.columns == wanted and 0 < len(batch) <= 4 for batch in batches)
     return [row for batch in batches for row in batch.rows]
@@ -363,20 +415,22 @@ class TestRequestKindDifferential:
     @pytest.mark.parametrize("case", sorted(_CASES))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_scans(ragged=False), st.lists(_values, min_size=1, max_size=2), st.booleans())
-    def test_both_shapes_match_the_oracle(self, case, scan, keys, indexed):
+    def test_both_shapes_match_the_oracle(self, tmp_path_factory, case, scan, keys, indexed):
         rows, predicates, wanted, limit = scan
-        store, request, expected, any_of = _CASES[case](rows, predicates, limit, tuple(keys), indexed)
+        store, request, expected, any_of = _CASES[case](
+            rows, predicates, limit, tuple(keys), indexed, lambda: tmp_path_factory.mktemp(case)
+        )
         wanted = wanted + _EXTRA_WANTED
-        expected_rows = [tuple(row.get(column) for column in wanted) for row in expected]
-        for shape in ("dict", "batches"):
-            got = _rows_of(store, request, wanted, shape)
+        expected_rows = [tuple(_oracle_read(row, column) for column in wanted) for row in expected]
+        for entry_point in ("execute", "batches"):
+            got = _rows_of(store, request, wanted, entry_point)
             if isinstance(request, SearchRequest):
-                assert got == expected_rows, shape  # the ranking, not just the hits
+                assert got == expected_rows, entry_point  # the ranking, not just the hits
             elif any_of is None:
-                assert Counter(got) == Counter(expected_rows), shape
+                assert Counter(got) == Counter(expected_rows), entry_point
             else:
-                assert len(got) == min(any_of, len(expected_rows)), shape
-                assert Counter(got) <= Counter(expected_rows), shape
+                assert len(got) == min(any_of, len(expected_rows)), entry_point
+                assert Counter(got) <= Counter(expected_rows), entry_point
 
 
 def _stores_with_five_rows(tmp_path):
@@ -406,10 +460,10 @@ class TestLimitParity:
     def test_both_entry_points_agree_at_every_limit(self, tmp_path, limit):
         """``batch_tuples(..., limit=0)`` used to yield one row."""
         for store in _stores_with_five_rows(tmp_path):
-            request = ScanRequest("t", (), None, limit)
+            request = ScanRequest("t", (), limit)
             wanted = ("b",)
             batched = _batch_bag(store, request, wanted)
-            assert batched == _dict_bag(store, request, wanted), store.name
+            assert batched == _execute_bag(store, request, wanted), store.name
             assert sum(batched.values()) == min(limit, 5), store.name
 
     def test_batch_tuples_limit_zero_yields_nothing(self):
@@ -430,8 +484,8 @@ class TestScanLaziness:
         store = RelationalStore("pg")
         store.create_table("t", ("a",))
         store.insert("t", [{"a": i} for i in range(5_000)])
-        request = ScanRequest("t", (Predicate("a", ">", 9),), None, 10)
-        assert len(store.execute(request).rows) == 10
+        request = ScanRequest("t", (Predicate("a", ">", 9),), 10)
+        assert len(store.execute(request, ("a",)).rows) == 10
         assert len(calls) == 20
         calls.clear()
         rows = [row for batch in store.execute_batches(request, ("a",), 4) for row in batch.rows]

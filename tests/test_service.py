@@ -3,9 +3,8 @@
 Covers the admission primitives (token bucket, bounded queues, concurrency
 quotas, priority classes), the service lifecycle (deadlines measured from
 submission, close semantics, strict-tenant mode), per-tenant plan-cache
-namespace isolation, the facade's ``REPRO_SERVICE`` ambient routing, the
-per-tenant usage counters surfaced through ``summary()``, and the open-loop
-workload driver's accounting.
+namespace isolation, the facade's ``REPRO_SERVICE`` ambient routing,
+and the per-tenant usage counters surfaced through ``summary()``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.service import (
     in_service_worker,
 )
 from repro.stores import RelationalStore
-from repro.testing import OpenLoopDriver, WorkloadQuery
 
 
 def _bag(rows):
@@ -377,62 +375,3 @@ class TestAmbientRouting:
         finally:
             if est._ambient_service is not None:
                 est._ambient_service.close()
-
-
-class TestOpenLoopDriver:
-    def test_accounting_is_conservative(self):
-        est = _build_est(latency=0.005)
-        service = QueryService(
-            est, workers=2, default_policy=TenantPolicy(max_concurrent=2, queue_depth=4)
-        )
-        try:
-            driver = OpenLoopDriver(
-                lambda item: service.submit(
-                    item.query, dataset=item.dataset, tenant=item.tenant
-                ),
-                [WorkloadQuery(query=SQL, dataset="d", tenant="load")],
-                seed=3,
-            )
-            report = driver.run(200.0, 0.3, slo_seconds=0.5, drain_seconds=2.0)
-        finally:
-            service.close()
-        assert report.submitted > 0
-        # Every submission is accounted for exactly once.
-        assert report.submitted == (
-            report.completed + report.shed + report.timed_out
-            + report.failed + report.unfinished
-        )
-        assert report.completed == len(report.latencies_seconds)
-        assert sum(report.shed_reasons.values()) == report.shed
-        described = report.describe()
-        assert described["p99_seconds"] >= described["p50_seconds"]
-        assert 0.0 <= described["slo_attainment"] <= 1.0
-
-    def test_shed_load_is_counted_not_raised(self):
-        est = _build_est(latency=0.05)
-        service = QueryService(
-            est, workers=1, default_policy=TenantPolicy(max_concurrent=1, queue_depth=1)
-        )
-        try:
-            driver = OpenLoopDriver(
-                lambda item: service.submit(
-                    item.query, dataset=item.dataset, tenant=item.tenant
-                ),
-                [WorkloadQuery(query=SQL, dataset="d", tenant="hot")],
-                seed=3,
-            )
-            # ~100 qps against a ~20 qps service with a 1-deep queue: most of
-            # the offered load must be shed, and the run must survive it.
-            report = driver.run(100.0, 0.3, drain_seconds=2.0)
-        finally:
-            service.close()
-        assert report.shed > 0
-        assert report.shed_reasons.get("queue_full", 0) > 0
-        assert report.completed > 0
-
-    def test_rejects_empty_mix_and_bad_rate(self):
-        with pytest.raises(ValueError):
-            OpenLoopDriver(lambda item: None, [])
-        driver = OpenLoopDriver(lambda item: None, [WorkloadQuery(query=SQL)])
-        with pytest.raises(ValueError):
-            driver.run(0.0, 1.0)

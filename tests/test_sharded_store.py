@@ -130,12 +130,12 @@ class TestShardedStoreRouter:
         assert store.collection_size("orders") == len(rows)
         # Every row sits in the shard its uid hashes to.
         for index, child in enumerate(store.shard_stores()):
-            for row in child.execute(ScanRequest("orders")).rows:
+            for row in child.execute(ScanRequest("orders"), ("uid",)).rows:
                 assert stable_hash(row["uid"]) % 4 == index
 
     def test_scan_without_shard_key_predicate_contacts_all_shards(self):
         _, store, _, rows = self._materialized()
-        result = store.execute(ScanRequest("orders"))
+        result = store.execute(ScanRequest("orders"), ("uid", "total"))
         assert len(result.rows) == len(rows)
         assert result.metrics.partitions_used == 4
         assert result.metrics.partitions_pruned == 0
@@ -143,7 +143,7 @@ class TestShardedStoreRouter:
     def test_equality_on_shard_key_prunes_to_one_shard(self):
         _, store, _, rows = self._materialized()
         result = store.execute(
-            ScanRequest("orders", predicates=(Predicate("uid", "=", 7),))
+            ScanRequest("orders", predicates=(Predicate("uid", "=", 7),)), ("uid", "total")
         )
         assert result.rows == [row for row in rows if row["uid"] == 7]
         assert result.metrics.partitions_used == 1
@@ -158,9 +158,7 @@ class TestShardedStoreRouter:
         manager.register_fragment(descriptor)
         rows = [{"uid": i % 40, "total": float(i)} for i in range(200)]
         materialize_fragment(store, descriptor, rows)
-        result = store.execute(
-            ScanRequest("orders", predicates=(Predicate("uid", "<", 5),))
-        )
+        result = store.execute(ScanRequest("orders", predicates=(Predicate("uid", "<", 5),)), ("uid",))
         assert sorted(r["uid"] for r in result.rows) == sorted(
             r["uid"] for r in rows if r["uid"] < 5
         )
@@ -169,7 +167,7 @@ class TestShardedStoreRouter:
 
     def test_lookup_routes_by_key(self):
         _, store, _, rows = self._materialized()
-        result = store.execute(LookupRequest("orders", keys=(7,)))
+        result = store.execute(LookupRequest("orders", keys=(7,)), ("uid", "total"))
         assert result.rows == [row for row in rows if row["uid"] == 7]
         assert result.metrics.partitions_used == 1
 

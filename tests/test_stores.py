@@ -21,7 +21,13 @@ from repro.stores import (
     ScanRequest,
     SearchRequest,
 )
-from repro.stores.document.store import flatten_document, get_path
+from repro.stores.base import kept_rows
+from repro.stores.document.store import flatten_document, get_path, unflatten_document
+
+USERS = ("uid", "name", "city")
+ORDERS = ("order_id", "uid", "total")
+CARTS = ("_id", "user", "items")
+VISITS = ("uid", "sku", "duration")
 
 
 @pytest.fixture
@@ -54,38 +60,38 @@ class TestRelationalStore:
         assert caps.supports_join and caps.supports_selection and not caps.requires_key_lookup
 
     def test_full_scan(self, relational):
-        result = relational.execute(ScanRequest("users"))
+        result = relational.execute(ScanRequest("users"), USERS)
         assert len(result.rows) == 3
         assert result.metrics.rows_scanned == 3
 
     def test_scan_with_predicate(self, relational):
-        result = relational.execute(ScanRequest("users", (Predicate("city", "=", "paris"),)))
+        result = relational.execute(ScanRequest("users", (Predicate("city", "=", "paris"),)), USERS)
         assert {row["uid"] for row in result.rows} == {1, 3}
 
     def test_scan_with_comparison_predicate(self, relational):
-        result = relational.execute(ScanRequest("orders", (Predicate("total", ">", 20),)))
+        result = relational.execute(ScanRequest("orders", (Predicate("total", ">", 20),)), ORDERS)
         assert {row["order_id"] for row in result.rows} == {10, 12}
 
     def test_index_used_for_equality(self, relational):
         relational.create_index("users", "city")
-        result = relational.execute(ScanRequest("users", (Predicate("city", "=", "paris"),)))
+        result = relational.execute(ScanRequest("users", (Predicate("city", "=", "paris"),)), USERS)
         assert result.metrics.index_lookups == 1
         assert result.metrics.rows_scanned == 2
 
     def test_projection(self, relational):
-        result = relational.execute(ScanRequest("users", projection=("name",)))
+        result = relational.execute(ScanRequest("users"), ("name",))
         assert all(set(row) == {"name"} for row in result.rows)
 
     def test_limit(self, relational):
-        result = relational.execute(ScanRequest("users", limit=2))
+        result = relational.execute(ScanRequest("users", limit=2), USERS)
         assert len(result.rows) == 2
 
     def test_primary_key_lookup(self, relational):
-        result = relational.execute(LookupRequest("users", keys=(2,)))
+        result = relational.execute(LookupRequest("users", keys=(2,)), USERS)
         assert result.rows[0]["name"] == "bob"
 
     def test_lookup_missing_key_returns_empty(self, relational):
-        assert relational.execute(LookupRequest("users", keys=(99,))).rows == []
+        assert relational.execute(LookupRequest("users", keys=(99,)), USERS).rows == []
 
     def test_delegated_join(self, relational):
         request = JoinRequest(
@@ -93,12 +99,12 @@ class TestRelationalStore:
             right=ScanRequest("orders"),
             on=(("uid", "uid"),),
         )
-        result = relational.execute(request)
+        result = relational.execute(request, USERS + ("order_id", "total"))
         assert {row["order_id"] for row in result.rows} == {10, 11, 12}
 
     def test_join_requires_on_columns(self, relational):
         with pytest.raises(StoreError):
-            relational.execute(JoinRequest(ScanRequest("users"), ScanRequest("orders"), on=()))
+            relational.execute(JoinRequest(ScanRequest("users"), ScanRequest("orders"), on=()), USERS)
 
     def test_duplicate_primary_key_rejected(self, relational):
         with pytest.raises(StoreError):
@@ -106,7 +112,7 @@ class TestRelationalStore:
 
     def test_unknown_table(self, relational):
         with pytest.raises(StoreError):
-            relational.execute(ScanRequest("nope"))
+            relational.execute(ScanRequest("nope"), USERS)
 
     def test_row_schema_checked(self, relational):
         with pytest.raises(SchemaError):
@@ -114,7 +120,7 @@ class TestRelationalStore:
 
     def test_search_not_supported(self, relational):
         with pytest.raises(UnsupportedOperationError):
-            relational.execute(SearchRequest("users", "ana"))
+            relational.execute(SearchRequest("users", "ana"), USERS)
 
     def test_statistics(self, relational):
         stats = relational.column_statistics("users", "city")
@@ -122,8 +128,8 @@ class TestRelationalStore:
 
     def test_cumulative_metrics(self, relational):
         relational.reset_metrics()
-        relational.execute(ScanRequest("users"))
-        relational.execute(ScanRequest("orders"))
+        relational.execute(ScanRequest("users"), USERS)
+        relational.execute(ScanRequest("orders"), ORDERS)
         assert relational.requests_served == 2
         assert relational.total_metrics.rows_scanned == 6
 
@@ -151,40 +157,46 @@ class TestDocumentStore:
     def test_flatten(self):
         assert flatten_document({"a": {"b": 1}, "c": 2}) == {"a.b": 1, "c": 2}
 
+    def test_unflatten_reverses_flatten(self):
+        document = {"a": {"b": 1, "d": {"e": [1, 2]}}, "c": 2}
+        assert unflatten_document(flatten_document(document)) == document
+        with pytest.raises(SchemaError):
+            unflatten_document({"a": 1, "a.b": 2})
+        with pytest.raises(SchemaError):
+            unflatten_document({"a.b": 2, "a": 1})
+
     def test_path_predicate_scan(self, documents):
-        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)))
+        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)), CARTS)
         assert {row["_id"] for row in result.rows} == {1, 3}
 
     def test_projection_of_paths(self, documents):
-        result = documents.execute(
-            ScanRequest("carts", (Predicate("_id", "=", 2),), projection=("user.city",))
-        )
+        result = documents.execute(ScanRequest("carts", (Predicate("_id", "=", 2),)), ("user.city",))
         assert result.rows == [{"user.city": "lyon"}]
 
     def test_index_usage(self, documents):
         documents.create_index("carts", "user.uid")
-        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)))
+        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)), CARTS)
         assert result.metrics.index_lookups == 1
         assert result.metrics.rows_scanned == 2
 
     def test_index_maintained_on_insert(self, documents):
         documents.create_index("carts", "user.uid")
         documents.insert("carts", [{"_id": 4, "user": {"uid": 10}}])
-        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)))
+        result = documents.execute(ScanRequest("carts", (Predicate("user.uid", "=", 10),)), CARTS)
         assert len(result.rows) == 3
 
     def test_lookup_by_id(self, documents):
-        result = documents.execute(LookupRequest("carts", keys=(2,)))
+        result = documents.execute(LookupRequest("carts", keys=(2,)), CARTS)
         assert result.rows[0]["_id"] == 2
 
     def test_joins_rejected(self, documents):
         request = JoinRequest(ScanRequest("carts"), ScanRequest("carts"), on=(("_id", "_id"),))
         with pytest.raises(UnsupportedOperationError):
-            documents.execute(request)
+            documents.execute(request, CARTS)
 
     def test_unknown_collection(self, documents):
         with pytest.raises(StoreError):
-            documents.execute(ScanRequest("nope"))
+            documents.execute(ScanRequest("nope"), CARTS)
 
     def test_non_mapping_rejected(self, documents):
         with pytest.raises(SchemaError):
@@ -222,20 +234,20 @@ class TestKeyValueStore:
         assert not keyvalue.delete("session", "abc")
 
     def test_lookup_request(self, keyvalue):
-        result = keyvalue.execute(LookupRequest("prefs", keys=(1,)))
+        result = keyvalue.execute(LookupRequest("prefs", keys=(1,)), ("category", "key"))
         assert result.rows == [{"category": "books", "key": 1}]
 
     def test_scan_without_key_rejected(self, keyvalue):
         with pytest.raises(AccessPatternViolation):
-            keyvalue.execute(ScanRequest("prefs"))
+            keyvalue.execute(ScanRequest("prefs"), ("key",))
 
     def test_scan_with_key_predicate_is_lookup(self, keyvalue):
-        result = keyvalue.execute(ScanRequest("prefs", (Predicate("key", "=", 2),)))
+        result = keyvalue.execute(ScanRequest("prefs", (Predicate("key", "=", 2),)), ("category",))
         assert result.rows[0]["category"] == "toys"
 
     @staticmethod
     def _both_shapes(store, request):
-        rows = [row["category"] for row in store.execute(request).rows]
+        rows = [row["category"] for row in store.execute(request, ("category",)).rows]
         stream = store.execute_batches(request, ("category",))
         return rows, [row[0] for batch in stream for row in batch.rows]
 
@@ -251,7 +263,7 @@ class TestKeyValueStore:
 
     def test_durable_scans_read_entries_not_segments(self, tmp_path):
         # Frozen segments hold superseded ``{key, value}`` puts, not entry rows:
-        # a batch scan must read the live entries, as the dict view does.
+        # a scan must read the live entries.
         from repro.stores.segment import DurableBacking
 
         store = KeyValueStore("redis", allow_scans=True)
@@ -273,7 +285,7 @@ class TestKeyValueStore:
     def test_scans_allowed_when_configured(self):
         store = KeyValueStore("debug", allow_scans=True)
         store.put_many("c", {1: "a", 2: "b"})
-        assert len(store.execute(ScanRequest("c")).rows) == 2
+        assert len(store.execute(ScanRequest("c"), ("key", "value")).rows) == 2
 
     def test_capabilities_reflect_restriction(self, keyvalue):
         assert keyvalue.capabilities().requires_key_lookup
@@ -281,7 +293,9 @@ class TestKeyValueStore:
 
     def test_joins_rejected(self, keyvalue):
         with pytest.raises(UnsupportedOperationError):
-            keyvalue.execute(JoinRequest(ScanRequest("prefs"), ScanRequest("prefs"), on=(("key", "key"),)))
+            keyvalue.execute(
+                JoinRequest(ScanRequest("prefs"), ScanRequest("prefs"), on=(("key", "key"),)), ("key",)
+            )
 
     def test_unknown_collection(self, keyvalue):
         with pytest.raises(StoreError):
@@ -309,28 +323,28 @@ def fulltext():
 
 class TestFullTextStore:
     def test_search_ranks_relevant_first(self, fulltext):
-        result = fulltext.execute(SearchRequest("catalog", "running shoes"))
+        result = fulltext.execute(SearchRequest("catalog", "running shoes"), ("sku",))
         assert result.rows[0]["sku"] == 1
         assert {row["sku"] for row in result.rows} >= {1, 3}
 
     def test_search_no_hits(self, fulltext):
-        assert fulltext.execute(SearchRequest("catalog", "zzzunknown")).rows == []
+        assert fulltext.execute(SearchRequest("catalog", "zzzunknown"), ("sku",)).rows == []
 
     def test_search_limit(self, fulltext):
-        result = fulltext.execute(SearchRequest("catalog", "running", limit=1))
+        result = fulltext.execute(SearchRequest("catalog", "running", limit=1), ("sku",))
         assert len(result.rows) == 1
 
     def test_scores_attached(self, fulltext):
-        result = fulltext.execute(SearchRequest("catalog", "coffee"))
+        result = fulltext.execute(SearchRequest("catalog", "coffee"), ("_score",))
         assert result.rows[0]["_score"] > 0
 
     def test_scan_on_stored_fields(self, fulltext):
-        result = fulltext.execute(ScanRequest("catalog", (Predicate("sku", "=", 2),)))
+        result = fulltext.execute(ScanRequest("catalog", (Predicate("sku", "=", 2),)), ("title",))
         assert result.rows[0]["title"] == "blue coffee mug"
 
     def test_joins_and_lookups_rejected(self, fulltext):
         with pytest.raises(UnsupportedOperationError):
-            fulltext.execute(LookupRequest("catalog", keys=(1,)))
+            fulltext.execute(LookupRequest("catalog", keys=(1,)), ("sku",))
 
     def test_duplicate_collection_rejected(self, fulltext):
         with pytest.raises(StoreError):
@@ -358,23 +372,23 @@ def parallel():
 
 class TestParallelStore:
     def test_scan_all_partitions(self, parallel):
-        result = parallel.execute(ScanRequest("visits"))
+        result = parallel.execute(ScanRequest("visits"), VISITS)
         assert len(result.rows) == 40
         assert result.metrics.partitions_used >= 1
 
     def test_selection(self, parallel):
-        result = parallel.execute(ScanRequest("visits", (Predicate("uid", "=", 2),)))
+        result = parallel.execute(ScanRequest("visits", (Predicate("uid", "=", 2),)), VISITS)
         assert all(row["uid"] == 2 for row in result.rows)
         assert len(result.rows) == 8
 
     def test_partition_pruning_on_lookup(self, parallel):
-        result = parallel.execute(LookupRequest("visits", keys=(3,)))
+        result = parallel.execute(LookupRequest("visits", keys=(3,)), VISITS)
         assert all(row["uid"] == 3 for row in result.rows)
         assert result.metrics.partitions_used == 1
 
     def test_index_accelerates_scan(self, parallel):
         parallel.create_index("visits", "uid")
-        result = parallel.execute(ScanRequest("visits", (Predicate("uid", "=", 1),)))
+        result = parallel.execute(ScanRequest("visits", (Predicate("uid", "=", 1),)), VISITS)
         assert result.metrics.index_lookups >= 1
         assert len(result.rows) == 8
 
@@ -386,7 +400,7 @@ class TestParallelStore:
             right=ScanRequest("users"),
             on=(("uid", "uid"),),
         )
-        result = parallel.execute(request)
+        result = parallel.execute(request, VISITS + ("name",))
         assert len(result.rows) == 8
         assert all(row["name"] == "u1" for row in result.rows)
 
@@ -414,10 +428,19 @@ class TestPredicates:
         [("=", 5, True), ("!=", 5, False), ("<", 10, True), (">=", 5, True), (">", 5, False)],
     )
     def test_comparisons(self, op, value, expected):
-        store = RelationalStore("pg")
-        assert store._evaluate({"c": 5}, Predicate("c", op, value)) is expected
+        assert _holds(RelationalStore("pg"), {"c": 5}, Predicate("c", op, value)) is expected
 
     def test_missing_column_compares_as_none(self):
         store = RelationalStore("pg")
-        assert not store._evaluate({}, Predicate("c", "=", 5))
-        assert not store._evaluate({}, Predicate("c", "<", 5))
+        assert not _holds(store, {}, Predicate("c", "=", 5))
+        assert not _holds(store, {}, Predicate("c", "<", 5))
+
+    def test_a_dotted_column_walks_a_document(self):
+        document = {"attrs": {"x": 5}, "attrs.x": 9}
+        assert _holds(DocumentStore("mongo"), document, Predicate("attrs.x", "=", 5))
+        assert _holds(RelationalStore("pg"), document, Predicate("attrs.x", "=", 9))
+
+
+def _holds(store, row, predicate):
+    """``predicate`` on one native row, through the store's scan filter and reader."""
+    return bool(list(kept_rows([row], [predicate], store._reader_of)))
