@@ -1,7 +1,7 @@
 """Pivot-model encodings of the heterogeneous data models ESTOCADA supports.
 
-Each encoding maps one native data model (relational, document, key-value,
-nested relations) onto the relational pivot model, providing the virtual
+Each encoding maps one native data model (relational, document, key-value)
+onto the relational pivot model, providing the virtual
 relation signatures, the constraints axiomatising the model, and an encoder
 for concrete instances.
 """
@@ -9,7 +9,6 @@ for concrete instances.
 from repro.datamodel.document import DOCUMENT_RELATIONS, DocumentEncoding
 from repro.datamodel.encoding import DataModelEncoding, RelationSignature
 from repro.datamodel.keyvalue import KeyValueCollectionSchema, KeyValueEncoding
-from repro.datamodel.nested import NestedEncoding, NestedRelationSchema
 from repro.datamodel.relational import RelationalEncoding, RelationalSchema, TableSchema
 
 __all__ = [
@@ -22,6 +21,4 @@ __all__ = [
     "DOCUMENT_RELATIONS",
     "KeyValueEncoding",
     "KeyValueCollectionSchema",
-    "NestedEncoding",
-    "NestedRelationSchema",
 ]

@@ -7,8 +7,8 @@ packages, for one data model:
 * the names and arities of the pivot relations encoding it (the *signature*),
 * the constraints axiomatising the model (e.g. "every node has exactly one
   parent", "every child is a descendant"),
-* a way to encode native data (tuples, documents, key-value pairs, nested
-  records) into pivot facts, so that the rewriting engine and the tests can
+* a way to encode native data (tuples, documents, key-value pairs) into
+  pivot facts, so that the rewriting engine and the tests can
   reason about concrete instances.
 """
 

@@ -455,7 +455,9 @@ class Estocada:
         store gets its own :class:`~repro.stores.segment.DurableBacking` in a
         per-store subdirectory: existing segments and WAL records are
         recovered into the store before registration returns, and every
-        subsequent write is logged.
+        subsequent write is logged.  Every leaf store kind persists this way
+        (relational, document, key-value, parallel and full-text); a sharded
+        or replicated store gives each child its own subdirectory.
         """
         if self._durable_path is not None and store.durable_backing() is None:
             from repro.stores.segment import DurableBacking

@@ -323,11 +323,8 @@ def row_batches(
 class _DurableSilence:
     """Reentrant guard suppressing durable logging inside a ``with`` block.
 
-    Used during recovery replay (re-applying a record must not re-log it)
-    and by compound writes built from other logged writes (e.g. a document
-    delta whose inserts go through ``insert``): the outermost operation logs
-    one record, the nested calls stay quiet.  A counter rather than a flag,
-    so nested silences compose.
+    Used during recovery replay: re-applying a record must not re-log it.
+    A counter rather than a flag, so nested silences compose.
     """
 
     __slots__ = ("_store",)
@@ -605,7 +602,9 @@ class Store:
 
         A scan of a durable store that no index narrowed is served from the
         segments: zone maps skip whole segments a predicate provably
-        excludes, which a heap walk cannot.
+        excludes, which a heap walk cannot.  What the store already counted
+        for the scan (index probes, partitions) joins the segment scan's
+        metrics.
         """
         backing = self._durable_scan_source(request)
         if backing is None:
@@ -613,7 +612,11 @@ class Store:
         else:
             _, narrowed, metrics = self._scan_candidates(request)
             if narrowed is None:
-                return backing.scan_batches(request, columns, batch_size, self._reader_of)
+                batches, scanned = backing.scan_batches(
+                    request, columns, batch_size, self._reader_of
+                )
+                scanned.add(metrics)
+                return batches, scanned
             rows = self._kept(narrowed, request, metrics)
         return row_batches(rows, columns, batch_size, self._reader_of), metrics
 
@@ -652,9 +655,11 @@ class Store:
         into this store (via :meth:`_durable_replay`); if the directory is
         empty but the store already holds data, the contents are snapshotted
         so durability starts complete.  From then on the store's write
-        operations append WAL records through :meth:`_durable_log`.  Only
-        stores that implement the replay/dump hooks actually persist
-        anything; attaching to any other store is a harmless no-op backing.
+        operations append WAL records through :meth:`_durable_log`.  Every
+        leaf store persists: the relational, document, parallel and
+        full-text stores through :class:`~repro.stores.heap.HeapStore`'s
+        replay/dump hooks, the key-value store through its own; router
+        stores give each child store its own backing instead.
         """
         if self._durable is not None:
             raise StoreError(f"store {self.name!r} already has a durable backing")

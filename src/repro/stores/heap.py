@@ -1,4 +1,5 @@
-"""The row-addressed heap every leaf store keeps its rows in.
+"""The row-addressed heap every leaf store keeps its rows in, and the one
+store built on it.
 
 Rows live in one list and a row's position there is its id.  A delete leaves
 a hole (``None``) instead of shifting the rows behind it, so positions stay
@@ -15,27 +16,41 @@ deletes as there are live rows.
 A strict bag delete (:meth:`RowHeap.locate`) finds each record's stored copy
 through the primary key, else through the narrowest index bucket the record's
 own values select, and walks the heap only when the heap has no index.
+
+:class:`HeapStore` is the relational, document, parallel and full-text
+stores' common base: one heap per collection plus a per-collection ``meta``
+dict, and one implementation of collection management, the write path
+(inserts, bag deltas, truncation, indexes), durability (WAL records, replay,
+compaction dumps), statistics, index-narrowed scans and key lookups.  Each
+store adds only what differs: how a collection is declared, how rows are
+stored and checked, how a column is read, and any side structure it keeps
+current through the heap hooks.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import DeltaError
+from repro.errors import DeltaError, SchemaError, StoreError
+from repro.stores.base import LookupRequest, ScanRequest, Store, StoreMetrics
 
-__all__ = ["HashIndex", "RowHeap"]
+__all__ = ["HashIndex", "RowHeap", "HeapStore"]
 
 _live = partial(operator.is_not, None)
 
 
 @dataclass(slots=True)
 class HashIndex:
-    """A hash index on one column: value -> ascending positions of its rows."""
+    """A hash index on one column: value -> ascending positions of its rows.
+
+    ``read(row, column)`` is how the column is read off a row.
+    """
 
     column: str
+    read: Callable[[Mapping[str, object], str], object]
     _buckets: dict[object, list[int]] = field(default_factory=dict)
 
     def add(self, value: object, position: int) -> None:
@@ -67,26 +82,26 @@ class HashIndex:
 class RowHeap:
     """Rows addressed by position, with hash indexes kept per appended/deleted row.
 
-    ``read(row, column)`` is how an indexed column is read off a row
-    (``dict.get`` by default; the document store passes its dotted-path
-    reader).  ``key`` names primary-key columns whose value tuple is unique
-    and maps straight to a position.  ``on_compact(moved)`` is told of every
+    ``reader_of(column)`` is how an indexed column is read off a row (the
+    owning store's column reader, giving ``read(row, column)``).  ``key``
+    names primary-key columns whose value tuple is unique and maps straight
+    to a position.  ``on_compact(moved)`` is told of every
     compaction, with ``moved[old position]`` the row's new position (-1 for
     a hole), so an owner keeping its own position-keyed structures can
     follow.
     """
 
-    __slots__ = ("_slots", "_holes", "_read", "_indexes", "_key", "_primary", "_on_compact")
+    __slots__ = ("_slots", "_holes", "_reader_of", "_indexes", "_key", "_primary", "_on_compact")
 
     def __init__(
         self,
+        reader_of: Callable[[str], Callable],
         key: Sequence[str] = (),
-        read: Callable[[Mapping[str, object], str], object] = dict.get,
         on_compact: Callable[[Sequence[int]], None] | None = None,
     ) -> None:
         self._slots: list[dict[str, object] | None] = []
         self._holes = 0
-        self._read = read
+        self._reader_of = reader_of
         self._indexes: dict[str, HashIndex] = {}
         self._key = tuple(key)
         self._primary: dict[tuple, int] = {}
@@ -115,6 +130,11 @@ class RowHeap:
         slots = self._slots
         return [slots[position] for position in positions]
 
+    @property
+    def key(self) -> tuple[str, ...]:
+        """The primary-key columns (empty when the heap has no key)."""
+        return self._key
+
     def key_position(self, key: tuple) -> int | None:
         """Position of the row whose primary-key values are ``key``."""
         return self._primary.get(key)
@@ -124,8 +144,8 @@ class RowHeap:
         """Create (or return the existing) hash index on ``column``."""
         index = self._indexes.get(column)
         if index is None:
-            index = HashIndex(column)
-            read = self._read
+            index = HashIndex(column, self._reader_of(column))
+            read = index.read
             for position, row in enumerate(self._slots):
                 if row is not None:
                     index.add(read(row, column), position)
@@ -147,9 +167,8 @@ class RowHeap:
         self._slots.append(row)
         if self._key:
             self._primary[tuple(row[column] for column in self._key)] = position
-        read = self._read
         for column, index in self._indexes.items():
-            index.add(read(row, column), position)
+            index.add(index.read(row, column), position)
         return position
 
     def locate(self, records: Iterable[Mapping[str, object]], owner: str) -> list[int]:
@@ -180,9 +199,8 @@ class RowHeap:
                 return None
             return position
         candidates: Sequence[int] | None = None
-        read = self._read
         for column, index in self._indexes.items():
-            value = read(record, column)
+            value = index.read(record, column)
             try:
                 bucket = index.lookup(value)
             except TypeError:  # an unhashable value was never indexed
@@ -211,7 +229,6 @@ class RowHeap:
         Compacts the heap afterwards when holes outnumber live rows.
         """
         slots = self._slots
-        read = self._read
         removed: list[dict[str, object]] = []
         for position in positions:
             row = slots[position]
@@ -220,23 +237,11 @@ class RowHeap:
             if self._key:
                 del self._primary[tuple(row[column] for column in self._key)]
             for column, index in self._indexes.items():
-                index.discard(read(row, column), position)
+                index.discard(index.read(row, column), position)
         self._holes += len(removed)
         if self._holes > len(self):
             self._compact()
         return removed
-
-    def remove(self, records: Iterable[Mapping[str, object]], owner: str) -> list[dict[str, object]]:
-        """Strictly delete one stored copy per record; returns the deleted rows."""
-        return self.delete(self.locate(records, owner))
-
-    def clear(self) -> None:
-        """Drop every row, keeping the index definitions."""
-        self._slots = []
-        self._holes = 0
-        self._primary = {}
-        for column in self._indexes:
-            self._indexes[column] = HashIndex(column)
 
     def _compact(self) -> None:
         """Move the live rows to the front, in order, and remap every position."""
@@ -253,3 +258,241 @@ class RowHeap:
             index.remap(moved)
         if self._on_compact is not None:
             self._on_compact(moved)
+
+
+class HeapStore(Store):
+    """A leaf store keeping each collection in one :class:`RowHeap`.
+
+    ``meta`` is what a collection was declared with (a store's create verb
+    fills it in); the keys read here are ``columns`` (the declared columns:
+    rows are checked against them and persisted in their order; none means
+    ragged rows) and ``primary_key`` (the heap's unique key).  The durable
+    ``create`` record carries ``meta`` whole, so recovery rebuilds a
+    collection exactly as it was declared.
+
+    A subclass supplies its create verb and, where it differs from the
+    default, :meth:`_stored` (the stored form of written rows),
+    :meth:`_check_inserts` (refusing rows before anything is written),
+    :meth:`_lookup_column`, :meth:`_new_heap`, and the two heap hooks
+    :meth:`_rows_added` / :meth:`_rows_removed` through which it keeps a
+    position-keyed side structure current.
+    """
+
+    _noun = "collection"  # how error messages name a collection
+
+    def __init__(self, name: str, latency: float = 0.0) -> None:
+        super().__init__(name, latency=latency)
+        self._heaps: dict[str, RowHeap] = {}
+        self._meta: dict[str, dict[str, object]] = {}
+
+    # -- collections ---------------------------------------------------------------
+    def _create(self, collection: str, meta: Mapping[str, object]) -> None:
+        """Declare an empty collection (an existing one raises)."""
+        if collection in self._heaps:
+            raise StoreError(
+                f"{self._noun} {collection!r} already exists in store {self.name!r}"
+            )
+        self._meta[collection] = dict(meta)
+        self._heaps[collection] = self._new_heap(collection)
+        self._durable_log(
+            {
+                "kind": "create",
+                "collection": collection,
+                "columns": meta.get("columns"),
+                "meta": dict(meta),
+            }
+        )
+
+    def drop_collection(self, collection: str) -> None:
+        """Drop a collection and its indexes (a missing one raises)."""
+        self.rows(collection)  # raises when missing
+        del self._heaps[collection], self._meta[collection]
+        self._durable_log({"kind": "drop", "collection": collection})
+
+    def rows(self, collection: str) -> RowHeap:
+        """The collection's heap: its live rows in insertion order (do not mutate)."""
+        heap = self._heaps.get(collection)
+        if heap is None:
+            raise StoreError(
+                f"{self._noun} {collection!r} does not exist in store {self.name!r}"
+            )
+        return heap
+
+    def collections(self) -> Sequence[str]:
+        return tuple(self._heaps)
+
+    def collection_size(self, collection: str) -> int:
+        return len(self.rows(collection))
+
+    def column_statistics(self, collection: str, column: str) -> Mapping[str, object]:
+        heap = self.rows(collection)
+        self._check_column(collection, column)
+        index = heap.index_on(column)
+        if index is not None:
+            distinct = index.distinct_count()
+        else:
+            read = self._reader_of(column)
+            try:
+                distinct = len({read(row, column) for row in heap})
+            except TypeError:  # nested values: count them by their text
+                distinct = len({repr(read(row, column)) for row in heap})
+        return {"count": len(heap), "distinct": distinct, "indexed": index is not None}
+
+    def _check_column(self, collection: str, column: str) -> None:
+        columns = self._meta[collection].get("columns")
+        if columns is not None and column not in columns:
+            raise SchemaError(f"{self._noun} {collection!r} has no column {column!r}")
+
+    # -- writes ----------------------------------------------------------------------
+    def insert(self, collection: str, rows: Iterable[Mapping[str, object]]) -> int:
+        """Append rows to a collection; returns how many were stored."""
+        heap = self.rows(collection)
+        added = self._stored(collection, rows)
+        self._check_inserts(collection, heap, added, ())
+        self._append(collection, heap, added)
+        if added:
+            self._durable_log({"kind": "rows", "collection": collection, "rows": added})
+        return len(added)
+
+    def apply_delta(
+        self,
+        collection: str,
+        inserts: Sequence[Mapping[str, object]] = (),
+        deletes: Sequence[Mapping[str, object]] = (),
+    ) -> int:
+        heap = self.rows(collection)
+        added = self._stored(collection, inserts)
+        # Every delete is located and every insert checked before anything
+        # changes, so a refused delta leaves the collection as it was.
+        positions = heap.locate(self._stored(collection, deletes), f"{self._noun} {collection!r}")
+        self._check_inserts(collection, heap, added, positions)
+        removed: list[dict[str, object]] = []
+        if positions:
+            self._rows_removed(collection, heap, positions)
+            removed = heap.delete(positions)
+        self._append(collection, heap, added)
+        if removed or added:
+            self._durable_log(
+                {"kind": "delta", "collection": collection, "inserts": added, "deletes": removed}
+            )
+        return len(removed) + len(added)
+
+    def _append(self, collection: str, heap: RowHeap, rows: list[dict[str, object]]) -> None:
+        append = heap.append
+        positions = [append(row) for row in rows]
+        if positions:
+            self._rows_added(collection, heap, positions)
+
+    def truncate_collection(self, collection: str) -> None:
+        indexes = self.rows(collection).indexes()
+        heap = self._heaps[collection] = self._new_heap(collection)
+        for column in indexes:
+            heap.add_index(column)
+        self._durable_log({"kind": "truncate", "collection": collection})
+
+    def create_index(self, collection: str, column: str) -> None:
+        """Create a hash index on ``column`` (a dotted path where paths are read)."""
+        heap = self.rows(collection)
+        self._check_column(collection, column)
+        heap.add_index(column)
+        self._durable_log({"kind": "index", "collection": collection, "column": column})
+
+    # -- what a store may refine -----------------------------------------------------------
+    def _new_heap(self, collection: str) -> RowHeap:
+        """An empty heap for ``collection`` (on create and on truncate)."""
+        return RowHeap(self._reader_of, key=self._meta[collection].get("primary_key", ()))
+
+    def _stored(
+        self, collection: str, rows: Iterable[Mapping[str, object]]
+    ) -> list[dict[str, object]]:
+        """The stored form of written rows: copies of mappings."""
+        stored = []
+        for row in rows:
+            if not isinstance(row, Mapping):
+                raise SchemaError(f"{self._noun} {collection!r}: rows must be mappings")
+            stored.append(dict(row))
+        return stored
+
+    def _check_inserts(
+        self, collection: str, heap: RowHeap, rows: list[dict[str, object]], freed: Sequence[int]
+    ) -> None:
+        """Refuse ``rows`` by raising; ``freed`` positions are being deleted with them."""
+
+    def _rows_added(self, collection: str, heap: RowHeap, positions: list[int]) -> None:
+        """Rows were appended at ``positions``."""
+
+    def _rows_removed(self, collection: str, heap: RowHeap, positions: list[int]) -> None:
+        """The rows at ``positions`` are about to be deleted."""
+
+    def _lookup_column(self, collection: str) -> str:
+        """The column key lookups match."""
+        raise self._reject("key lookups")
+
+    # -- durability ---------------------------------------------------------------------
+    def _durable_replay(self, record: Mapping[str, object]) -> None:
+        kind = record.get("kind")
+        collection = record.get("collection")
+        if kind == "create":
+            if collection not in self._heaps:
+                meta = dict(record.get("meta") or {})
+                meta.pop("indexes", None)  # the dump's; rebuilt by "index" records
+                self._create(collection, meta)
+        elif kind == "rows":
+            self.insert(collection, record["rows"])
+        elif kind == "delta":
+            self.apply_delta(
+                collection, inserts=record.get("inserts", ()), deletes=record.get("deletes", ())
+            )
+        elif kind == "truncate":
+            self.truncate_collection(collection)
+        elif kind == "index":
+            self.create_index(collection, record["column"])
+        elif kind == "drop" and collection in self._heaps:
+            self.drop_collection(collection)
+
+    def _durable_dump(self) -> Mapping[str, Mapping[str, object]]:
+        return {
+            name: {
+                "columns": self._meta[name].get("columns"),
+                "meta": {**self._meta[name], "indexes": sorted(heap.indexes())},
+                "rows": list(heap),
+            }
+            for name, heap in self._heaps.items()
+        }
+
+    # -- reads ----------------------------------------------------------------------------
+    def _scan_candidates(self, request: ScanRequest):
+        """The collection's rows, narrowed by the most selective equality index."""
+        heap = self.rows(request.collection)
+        metrics = StoreMetrics()
+        candidates: Sequence[int] | None = None
+        for predicate in request.predicates:
+            index = heap.index_on(predicate.column) if predicate.op == "=" else None
+            if index is None:
+                continue
+            positions = index.lookup(predicate.value)
+            metrics.index_lookups += 1
+            if candidates is None or len(positions) < len(candidates):
+                candidates = positions
+        if candidates is None:
+            return heap, None, metrics
+        return heap, heap.rows_at(candidates), metrics
+
+    def _lookup_rows(self, request: LookupRequest):
+        """Rows whose lookup column equals a key: through the primary key or an
+        index on that column, else by a scan per key."""
+        heap = self.rows(request.collection)
+        column = self._lookup_column(request.collection)
+        keys = request.keys
+        metrics = StoreMetrics(index_lookups=len(keys))
+        index = heap.index_on(column)
+        if heap.key == (column,):
+            found = (heap.key_position((key,)) for key in keys)
+            rows = [heap.at(position) for position in found if position is not None]
+        elif index is not None:
+            rows = [row for key in keys for row in heap.rows_at(index.lookup(key))]
+        else:
+            read = self._reader_of(column)
+            metrics.rows_scanned += len(heap) * len(keys)
+            rows = [row for key in keys for row in heap if read(row, column) == key]
+        return rows, metrics

@@ -1,6 +1,5 @@
 """Simulated relational store (Postgres stand-in)."""
 
 from repro.stores.relational.engine import RelationalStore
-from repro.stores.relational.table import HashIndex, Table
 
-__all__ = ["RelationalStore", "Table", "HashIndex"]
+__all__ = ["RelationalStore"]

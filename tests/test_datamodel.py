@@ -1,4 +1,4 @@
-"""Tests for the pivot-model encodings of relational, document, key-value and nested data."""
+"""Tests for the pivot-model encodings of relational, document and key-value data."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.datamodel import (
     DocumentEncoding,
     KeyValueCollectionSchema,
     KeyValueEncoding,
-    NestedEncoding,
-    NestedRelationSchema,
     RelationalEncoding,
     RelationalSchema,
     TableSchema,
@@ -176,59 +174,3 @@ class TestKeyValueEncoding:
     def test_duplicate_collection_rejected(self):
         with pytest.raises(PivotModelError):
             KeyValueEncoding([KeyValueCollectionSchema("a"), KeyValueCollectionSchema("a")])
-
-
-class TestNestedEncoding:
-    def _schema(self) -> NestedRelationSchema:
-        return NestedRelationSchema(
-            name="user_history",
-            atomic_columns=("uid", "category"),
-            nested_columns=(("purchases", ("sku", "price")), ("visits", ("url",))),
-            key=("uid", "category"),
-        )
-
-    def test_signatures(self):
-        encoding = NestedEncoding([self._schema()])
-        names = {s.name for s in encoding.signatures()}
-        assert names == {"user_history", "user_history_purchases", "user_history_visits"}
-        assert encoding.signature("user_history_purchases").columns == ("rowID", "sku", "price")
-
-    def test_constraints_include_rowid_key_and_inclusion(self):
-        encoding = NestedEncoding([self._schema()])
-        constraint_names = {c.name for c in encoding.constraints()}
-        assert "nested_rowid_user_history" in constraint_names
-        assert "nested_parent_user_history_purchases" in constraint_names
-
-    def test_encode_record(self):
-        encoding = NestedEncoding([self._schema()])
-        facts = encoding.encode(
-            {
-                "user_history": [
-                    {
-                        "uid": 1,
-                        "category": "books",
-                        "purchases": [{"sku": 5, "price": 9.0}],
-                        "visits": [{"url": "/p/5"}, {"url": "/p/6"}],
-                    }
-                ]
-            }
-        )
-        assert len([f for f in facts if f.relation == "user_history"]) == 1
-        assert len([f for f in facts if f.relation == "user_history_purchases"]) == 1
-        assert len([f for f in facts if f.relation == "user_history_visits"]) == 2
-
-    def test_missing_atomic_column_rejected(self):
-        encoding = NestedEncoding([self._schema()])
-        with pytest.raises(SchemaError):
-            encoding.encode({"user_history": [{"uid": 1}]})
-
-    def test_nested_column_must_be_list(self):
-        encoding = NestedEncoding([self._schema()])
-        with pytest.raises(SchemaError):
-            encoding.encode(
-                {"user_history": [{"uid": 1, "category": "x", "purchases": "oops"}]}
-            )
-
-    def test_key_must_be_atomic(self):
-        with pytest.raises(PivotModelError):
-            NestedRelationSchema("bad", ("a",), key=("missing",))

@@ -31,8 +31,15 @@ from repro.errors import (
     SimulatedCrashError,
     WalCorruptionError,
 )
-from repro.stores import DocumentStore, KeyValueStore, RelationalStore
-from repro.stores.base import Predicate, ScanRequest
+from repro.runtime.batch import freeze_value
+from repro.stores import (
+    DocumentStore,
+    FullTextStore,
+    KeyValueStore,
+    ParallelStore,
+    RelationalStore,
+)
+from repro.stores.base import Predicate, ScanRequest, SearchRequest
 from repro.stores.segment import (
     ABSENT,
     DurableBacking,
@@ -482,21 +489,33 @@ def _oracle_rows(records, collection):
     return rows
 
 
+# Every heap store, and how it declares the collection ``t`` of ``{"a", "b"}`` rows.
+HEAP_STORES = {
+    "relational": (RelationalStore, lambda store: store.create_table("t", ("a", "b"))),
+    "document": (DocumentStore, lambda store: store.create_collection("t")),
+    "parallel": (ParallelStore, lambda store: store.create_dataset("t", partition_column="a")),
+    "fulltext": (FullTextStore, lambda store: store.create_collection("t", indexed_fields=("b",))),
+}
+
+
 class TestKillAtAnyOffset:
     """The acceptance harness: recovery is correct at every crash point."""
 
-    def _build_scripted_history(self, tmp_path):
+    def _build_scripted_history(self, tmp_path, kind="relational"):
         """A write sequence that exercises inserts, freezes and deltas."""
-        store, backing = _fresh_relational(tmp_path, segment_rows=4, subdir="live")
-        store.create_table("t", ("a", "b"))
+        factory, create = HEAP_STORES[kind]
+        store = factory(kind)
+        store.attach_durable(DurableBacking(str(tmp_path / "live"), segment_rows=4))
+        create(store)
         store.insert("t", [{"a": i, "b": i % 3} for i in range(6)])  # one freeze
         store.apply_delta("t", deletes=[{"a": 1, "b": 1}])  # tombstone (frozen row)
         store.insert("t", [{"a": i, "b": i % 3} for i in range(6, 11)])  # another freeze
         store.apply_delta("t", inserts=[{"a": 100, "b": 0}], deletes=[{"a": 9, "b": 0}])
         return str(tmp_path / "live")
 
-    def test_recovery_is_bag_identical_at_every_wal_byte_offset(self, tmp_path):
-        live = self._build_scripted_history(tmp_path)
+    @pytest.mark.parametrize("kind", sorted(HEAP_STORES))
+    def test_recovery_is_bag_identical_at_every_wal_byte_offset(self, tmp_path, kind):
+        live = self._build_scripted_history(tmp_path, kind)
         wal_path = os.path.join(live, "wal-0.log")
         size = os.path.getsize(wal_path)
         starts = frame_offsets(wal_path)
@@ -512,10 +531,10 @@ class TestKillAtAnyOffset:
             # The oracle: every frame fully contained in the surviving prefix.
             survivors = sum(1 for start in starts[1:] if start <= cut)
             expected = _oracle_rows(full_records[:survivors], "t")
-            recovered = RelationalStore("pg")
+            recovered = HEAP_STORES[kind][0](kind)
             recovered.attach_durable(DurableBacking(workdir, segment_rows=4))
             assert _bag(_store_rows(recovered, "t")) == _bag(expected), (
-                f"recovery diverged after truncating the WAL at byte {cut}"
+                f"{kind}: recovery diverged after truncating the WAL at byte {cut}"
             )
             checked += 1
         assert checked == size + 1  # every byte offset, including 0 and EOF
@@ -837,6 +856,17 @@ class TestSegmentSkippingScans:
         assert store.segment_scan_fraction("t", ()) == 1.0
         assert store.segment_scan_fraction("missing", bounds) is None
 
+    def test_a_parallel_scan_served_from_segments_reports_its_partitions(self, tmp_path):
+        store = ParallelStore("spark", default_partitions=4)
+        store.attach_durable(DurableBacking(str(tmp_path / "spark"), segment_rows=50))
+        store.create_dataset("t", partition_column="a")
+        store.insert("t", [{"a": i, "b": f"x{i % 3}"} for i in range(230)])
+        rows, metrics = self._scan(store, Predicate("b", "=", "x1"))
+        assert sorted(row[0] for row in rows) == [i for i in range(230) if i % 3 == 1]
+        assert metrics.segments_scanned == 4  # served from the segments ...
+        assert metrics.partitions_used == 4  # ... yet the partitions are counted
+        assert store.compact_durable()["collections"] == {"t": 230}
+
     def test_tombstoned_rows_never_resurrect_in_scans(self, tmp_path):
         store, _ = self._loaded_store(tmp_path)
         store.apply_delta("t", deletes=[{"a": 5, "b": "x2"}])
@@ -1009,6 +1039,86 @@ class TestFacadeDurability:
         # 400 rows freeze into 8 monotone segments of 50; ms >= 390 excludes
         # the first seven by zone map alone.
         assert segments == {"scanned": 1, "skipped": 7, "rows_decoded": 50}
+
+
+class TestRestart:
+    """Bootstrap, write, reopen, verify: every store of a deployment comes back.
+
+    The marketplace deployment spans all five store kinds.  After a
+    maintained write that lands in the parallel store's fragment, a fresh
+    facade over the same directory must recover every collection of every
+    store bag-identical, with full-text search ranking the same hits; a
+    compaction and a second reopen must change none of it.
+    """
+
+    STORES = {
+        "pg": RelationalStore,
+        "redis": KeyValueStore,
+        "mongo": DocumentStore,
+        "solr": FullTextStore,
+        "spark": ParallelStore,
+    }
+    SEARCH = SearchRequest("catalog", "blue running sneaker")
+
+    def _sizes(self, est):
+        """Rows per collection per store."""
+        stores = {name: est.catalog.store(name) for name in self.STORES}
+        return {
+            name: {collection: store.collection_size(collection) for collection in store.collections()}
+            for name, store in stores.items()
+        }
+
+    def _state(self, est):
+        """Every collection's row bag per store, and the ranked search hits."""
+        stores = {name: est.catalog.store(name) for name in self.STORES}
+        bags = {
+            name: {
+                collection: Counter(map(freeze_value, _store_rows(store, collection)))
+                for collection in store.collections()
+            }
+            for name, store in stores.items()
+        }
+        return bags, stores["solr"].execute(self.SEARCH, ("sku", "_score")).rows
+
+    def _reopen(self, directory):
+        from tests.conftest import register
+
+        fresh = Estocada(durable_path=directory)
+        for name, factory in self.STORES.items():
+            register(fresh, name, factory(name), segment_rows=64)
+        return fresh
+
+    def test_every_store_comes_back_after_a_maintained_write(
+        self, tmp_path, marketplace_data, monkeypatch
+    ):
+        from tests.conftest import build_marketplace_estocada, visit_rows
+
+        monkeypatch.delenv("REPRO_DURABLE", raising=False)
+        directory = str(tmp_path / "shop")
+        est = build_marketplace_estocada(marketplace_data, durable_path=directory, segment_rows=64)
+        est.load_relation("visits", visit_rows(marketplace_data), dataset="shop")
+        visits = next(d for d in est.catalog.fragments() if d.fragment_name == "F_visits")
+        assert est.maintenance.watch_fragment(visits)
+        written = {"uid": 1, "sku": 9999, "category": "books", "duration_ms": 4242}
+        assert est.insert("visits", written) == 1
+        sizes = {
+            "pg": {"users": 60, "purchases": len(marketplace_data.purchases())},
+            "redis": {"prefs": 60},
+            "mongo": {"carts": 40},
+            "solr": {"catalog": 80},
+            "spark": {"visits": 601},
+        }
+        assert self._sizes(est) == sizes
+        recovered = self._reopen(directory)
+        assert self._sizes(recovered) == sizes
+        bags, hits = self._state(est)
+        assert bags["spark"]["visits"][freeze_value(written)] == 1
+        assert hits
+        assert self._state(recovered) == (bags, hits)
+        reports = recovered.compact()
+        assert reports["solr"]["collections"] == {"catalog": 80}
+        assert reports["spark"]["collections"] == {"visits": 601}
+        assert self._state(self._reopen(directory)) == (bags, hits)
 
 
 # -- property: rows -> segments -> cursor is the identity ----------------------------

@@ -299,7 +299,7 @@ class TestChaosMaintenance:
         for injector in injectors.values():
             replica_bag = Counter(
                 (r["uid"], r["sku"], r["qty"])
-                for r in injector.fault_target.table("orders").rows
+                for r in injector.fault_target.rows("orders")
             )
             assert replica_bag == oracle.bag("orders")
 

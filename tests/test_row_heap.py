@@ -53,7 +53,6 @@ def _path(row, path):
 class Harness:
     """One store kind: how to build it, draw rows, and read it back."""
 
-    ordered = True  # one heap: scans follow insertion order
     keyed = None  # primary-key column, if rows must keep it unique
     indexed: tuple[str, ...] = ()
     collection = "c"
@@ -65,8 +64,8 @@ class Harness:
     def build(self):
         raise NotImplementedError
 
-    def heaps(self, store):
-        raise NotImplementedError
+    def heap(self, store):
+        return store.rows(self.collection)
 
     def scan(self, store, *predicates, limit=None):
         return store.execute(
@@ -89,9 +88,6 @@ class RelationalPlain(Harness):
         store = RelationalStore("pg")
         store.create_table(self.collection, ("a", "b"))
         return store
-
-    def heaps(self, store):
-        return [store.table(self.collection).rows]
 
 
 class RelationalIndexed(RelationalPlain):
@@ -121,9 +117,6 @@ class RelationalKeyed(Harness):
         store.create_index(self.collection, "a")
         return store
 
-    def heaps(self, store):
-        return [store.table(self.collection).rows]
-
     def extra_checks(self, store, oracle):
         for key in range(8):
             got = store.execute(LookupRequest(self.collection, (key,)), self.columns).rows
@@ -146,12 +139,8 @@ class DocumentPathIndexed(Harness):
         store.create_index(self.collection, "p.x")
         return store
 
-    def heaps(self, store):
-        return [store._documents(self.collection)]
-
 
 class ParallelPartitioned(Harness):
-    ordered = False  # partition by partition
     indexed = ("b",)
 
     def __init__(self, partition_column):
@@ -166,15 +155,12 @@ class ParallelPartitioned(Harness):
         store.create_index(self.collection, "b")
         return store
 
-    def heaps(self, store):
-        return store._dataset(self.collection).partitions
-
     def extra_checks(self, store, oracle):
         if self.partition_column is None:
             return
         for key in range(4):
             got = store.execute(LookupRequest(self.collection, (key,)), self.columns).rows
-            assert _bag(got) == _bag(row for row in oracle if row["a"] == key)
+            assert got == [row for row in oracle if row["a"] == key]
 
 
 class FullTextSearched(Harness):
@@ -191,9 +177,6 @@ class FullTextSearched(Harness):
         store = FullTextStore("solr")
         store.create_collection(self.collection, indexed_fields=("text",))
         return store
-
-    def heaps(self, store):
-        return [store._bucket(self.collection).documents]
 
     def extra_checks(self, store, oracle):
         for word in WORDS:
@@ -218,30 +201,18 @@ HARNESSES = {
 
 def check(harness, store, oracle):
     """Everything the store answers must equal what the oracle list implies."""
-    rows = harness.scan(store).rows
-    if harness.ordered:
-        assert rows == oracle
-        for limit in (0, 1, 2, len(oracle)):
-            assert harness.scan(store, limit=limit).rows == oracle[:limit]
-    else:
-        assert _bag(rows) == _bag(oracle)
-        for limit in (0, 1, 2):
-            limited = harness.scan(store, limit=limit).rows
-            assert len(limited) == min(limit, len(oracle))
-            assert not _bag(limited) - _bag(oracle)
+    assert harness.scan(store).rows == oracle  # one heap: insertion order
+    for limit in (0, 1, 2, len(oracle)):
+        assert harness.scan(store, limit=limit).rows == oracle[:limit]
     assert store.collection_size(harness.collection) == len(oracle)
     for column in harness.indexed:
         for value in range(4):
             result = harness.scan(store, Predicate(column, "=", value))
             assert result.metrics.index_lookups >= 1 or not oracle
-            expected = [row for row in oracle if _path(row, column) == value]
-            if harness.ordered:
-                assert result.rows == expected
-            else:
-                assert _bag(result.rows) == _bag(expected)
+            assert result.rows == [row for row in oracle if _path(row, column) == value]
     harness.extra_checks(store, oracle)
-    for heap in harness.heaps(store):
-        assert heap.holes <= len(heap)
+    heap = harness.heap(store)
+    assert heap.holes <= len(heap)
 
 
 def _remove_first(oracle, record):
@@ -311,17 +282,17 @@ def test_a_schedule_crossing_the_hole_compaction(name):
     store = harness.build()
     oracle = [harness.sample(i) for i in range(24)]
     store.apply_delta(harness.collection, inserts=[dict(r) for r in oracle])
-    heaps = harness.heaps(store)
+    heap = harness.heap(store)
     compacted = False
     added = 0
     while len(oracle) > 1:
         picks = sorted({0, len(oracle) // 2})
         doomed = [dict(oracle[i]) for i in picks]
-        holes_before = sum(heap.holes for heap in heaps)
+        holes_before = heap.holes
         store.apply_delta(harness.collection, deletes=doomed)
         for record in doomed:
             _remove_first(oracle, record)
-        compacted |= sum(heap.holes for heap in heaps) < holes_before + len(doomed)
+        compacted |= heap.holes < holes_before + len(doomed)
         check(harness, store, oracle)
         if len(oracle) % 5 == 0:
             # Append after a compaction too: new rows take fresh positions.

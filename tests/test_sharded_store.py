@@ -21,6 +21,7 @@ from repro.cost import CostModel
 from repro.errors import CatalogError, StoreError
 from repro.stores import (
     DocumentStore,
+    ParallelStore,
     Predicate,
     RelationalStore,
     ScanRequest,
@@ -28,7 +29,6 @@ from repro.stores import (
     stable_hash,
 )
 from repro.stores.base import LookupRequest
-from repro.stores.parallel.store import _Dataset
 from repro.translation.grouping import resolve_atoms
 
 
@@ -76,10 +76,12 @@ class TestStableHash:
         # The old implementation used the per-process-salted builtin hash():
         # partition placement was not reproducible across runs.  Keyed and
         # keyless rows must both route through the stable hash now.
-        keyed = _Dataset("uid", 4)
-        assert keyed.partition_of({"uid": 17}) == stable_hash(17) % 4
-        keyless = _Dataset(None, 4)
-        assert keyless.partition_of({"a": 1, "b": "x"}) == keyless.partition_of({"b": "x", "a": 1})
+        store = ParallelStore("spark", default_partitions=4)
+        store.create_dataset("keyed", partition_column="uid")
+        assert store._partition_of("keyed", {"uid": 17}) == stable_hash(17) % 4
+        store.create_dataset("keyless")
+        partition_of = store._partition_of
+        assert partition_of("keyless", {"a": 1, "b": "x"}) == partition_of("keyless", {"b": "x", "a": 1})
 
 
 class TestShardingSpec:

@@ -20,6 +20,7 @@ from repro.stores import (
     RelationalStore,
     ScanRequest,
     SearchRequest,
+    stable_hash,
 )
 from repro.stores.base import kept_rows
 from repro.stores.document.store import flatten_document, get_path, unflatten_document
@@ -109,6 +110,19 @@ class TestRelationalStore:
     def test_duplicate_primary_key_rejected(self, relational):
         with pytest.raises(StoreError):
             relational.insert("users", [{"uid": 1, "name": "dup", "city": "x"}])
+
+    @pytest.mark.parametrize("duplicate", [1, 4], ids=["held", "in_batch"])
+    def test_duplicate_primary_key_refuses_the_whole_insert(self, relational, duplicate):
+        # The key check runs before any row is appended: the fresh row
+        # ahead of the duplicate must not be left behind.
+        batch = [
+            {"uid": 4, "name": "dan", "city": "nice"},
+            {"uid": duplicate, "name": "dup", "city": "x"},
+        ]
+        with pytest.raises(StoreError):
+            relational.insert("users", batch)
+        assert sorted(row["uid"] for row in relational.execute(ScanRequest("users"), USERS).rows) == [1, 2, 3]
+        assert relational.execute(LookupRequest("users", keys=(4,)), USERS).rows == []
 
     def test_unknown_table(self, relational):
         with pytest.raises(StoreError):
@@ -386,6 +400,12 @@ class TestParallelStore:
         assert all(row["uid"] == 3 for row in result.rows)
         assert result.metrics.partitions_used == 1
 
+    def test_lookup_uses_the_partitions_its_keys_hash_to(self, parallel):
+        keys = (0, 1, 2, 3, 4)
+        result = parallel.execute(LookupRequest("visits", keys=keys), VISITS)
+        assert sorted(row["sku"] for row in result.rows) == list(range(100, 140))
+        assert result.metrics.partitions_used == len({stable_hash(key) % 4 for key in keys})
+
     def test_index_accelerates_scan(self, parallel):
         parallel.create_index("visits", "uid")
         result = parallel.execute(ScanRequest("visits", (Predicate("uid", "=", 1),)), VISITS)
@@ -408,10 +428,13 @@ class TestParallelStore:
         with pytest.raises(StoreError):
             parallel.create_dataset("visits")
 
-    def test_statistics_include_partitions(self, parallel):
+    def test_statistics_and_scans_follow_the_partitions(self, parallel):
         stats = parallel.column_statistics("visits", "uid")
-        assert stats["partitions"] == 4
-        assert stats["distinct"] == 5
+        assert stats == {"count": 40, "distinct": 5, "indexed": False}
+        # One heap, a live-row count per partition: a scan uses the
+        # partitions the five uids hash to.
+        used = parallel.execute(ScanRequest("visits"), VISITS).metrics.partitions_used
+        assert used == len({stable_hash(uid) % 4 for uid in range(5)})
 
     def test_zero_partitions_rejected(self):
         with pytest.raises(StoreError):

@@ -123,7 +123,7 @@ class TestShardedWriteRouting:
             for index in range(8):
                 held = any(
                     row["uid"] == uid
-                    for row in store.shard(index).table("t").rows
+                    for row in store.shard(index).rows("t")
                 )
                 assert held == (index == owner)
 
@@ -136,7 +136,7 @@ class TestShardedWriteRouting:
             deletes=[{"uid": 7, "val": "old"}],
         )
         owner = spec.route(7)
-        vals = [row["val"] for row in store.shard(owner).table("t").rows if row["uid"] == 7]
+        vals = [row["val"] for row in store.shard(owner).rows("t") if row["uid"] == 7]
         assert vals == ["new"]
 
     def test_equality_pruning_agrees_with_write_routing(self):
@@ -157,13 +157,13 @@ class TestShardedWriteRouting:
         )
         owner = spec.route(1)
         assert spec.route(True) == spec.route(1.0) == owner
-        vals = sorted(row["val"] for row in store.shard(owner).table("t").rows)
+        vals = sorted(row["val"] for row in store.shard(owner).rows("t"))
         assert vals == ["a", "b"]
 
     def test_partial_shard_failure_rolls_back_and_types_the_error(self):
         store, spec = self._store(shards=4)
         store.insert("t", [{"uid": uid, "val": "x"} for uid in range(12)])
-        before = {index: list(store.shard(index).table("t").rows) for index in range(4)}
+        before = {index: list(store.shard(index).rows("t")) for index in range(4)}
         # One insert per shard plus one delete of a row that does not exist:
         # the owning shard's child apply_delta fails, the rest roll back.
         inserts = [{"uid": uid, "val": "y"} for uid in range(12, 16)]
@@ -171,7 +171,7 @@ class TestShardedWriteRouting:
             store.apply_delta("t", inserts=inserts, deletes=[{"uid": 0, "val": "absent"}])
         assert excinfo.value.rolled_back
         assert excinfo.value.failed_children
-        after = {index: list(store.shard(index).table("t").rows) for index in range(4)}
+        after = {index: list(store.shard(index).rows("t")) for index in range(4)}
         assert after == before
 
 
