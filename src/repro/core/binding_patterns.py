@@ -11,8 +11,9 @@ the source).
 A rewriting is *feasible* only if its atoms can be ordered so that, when an
 atom over an access-restricted relation is reached, all its input positions
 are already bound — by a constant of the query or by an output of a
-previously evaluated atom.  The same notion drives the planner's choice of a
-BindJoin order at execution time.
+previously evaluated atom.  The same notion drives the planner's join order
+at execution time: an access-restricted atom is fetched by the distinct
+values its left side binds (a keyed join).
 """
 
 from __future__ import annotations

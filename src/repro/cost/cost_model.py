@@ -6,8 +6,9 @@ partitioned store).  The plan cost estimator walks the same delegation groups
 the planner produces and charges:
 
 * full-scan or index-assisted cost for the first group,
-* per-probe lookup cost times the estimated number of left rows for BindJoin
-  groups,
+* per-probe lookup cost times the estimated number of left rows for groups
+  fetched by a keyed (bind) join — the price of one request per left row,
+  though the keyed join issues one per ``batch_size`` distinct keys,
 * scan + build cost for hash-joined groups,
 * a mediator (runtime) cost proportional to the rows the runtime touches.
 
@@ -291,8 +292,12 @@ class CostModel:
         request_cost = profile.request_overhead + per_probe_latency
 
         if probe_columns and (requires_key or has_index):
-            # BindJoin / index nested loop: one lookup per left row (each
-            # probe is its own request, so each pays the store's latency).
+            # Keyed (bind) join: priced as one lookup request per left row,
+            # each paying the store's latency.  The keyed join sends one
+            # request per `batch_size` distinct keys instead; this price is
+            # kept on purpose, so every statement keeps its plan, until the
+            # model is calibrated against the runtime (ROADMAP.md, "Plan
+            # quality").
             per_probe_rows = stats.cardinality
             for column in probe_columns + constant_columns:
                 per_probe_rows *= stats.selectivity_of_equality(column)
@@ -405,12 +410,13 @@ class CostModel:
         left_rows: float,
         probe_columns: Sequence[str] = (),
     ) -> str:
-        """'bind' when probing ``access`` once per left row beats scanning it.
+        """'bind' when fetching ``access`` by the left side's keys beats scanning it.
 
         Used by the physical planning pass for groups that do not *require*
         a bind join: compares the per-probe lookup cost (times the estimated
-        left cardinality) against a delegated scan plus the mediator-side
-        hash join of its result.
+        left cardinality — the per-left-row price kept until the model is
+        calibrated against the keyed join's batched requests) against a
+        delegated scan plus the mediator-side hash join of its result.
         """
         stats = self._statistics.get(access.descriptor.fragment_name)
         profile = self.profile_for(access.store.capabilities().data_model)

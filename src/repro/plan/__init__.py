@@ -6,8 +6,10 @@ join structure between them, with the statement's filters, aggregation,
 output naming, duplicate elimination and LIMIT stacked above.  The
 **physical planning pass** (:mod:`repro.plan.physical`) lowers that IR to the
 runtime's operator tree, deciding *how* each step runs — delegated scan vs.
-key lookup vs. store-side join, and hash join vs. bind join per group, the
-latter chosen by the cost model when one is available.
+key lookup vs. store-side join, and per group whether a hash join fetches
+its right side whole or by the left side's keys (a bind join), the latter
+forced by an access pattern or chosen by the cost model when one is
+available.
 """
 
 from repro.plan.logical import (

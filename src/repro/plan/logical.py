@@ -106,7 +106,8 @@ class LogicalJoin(LogicalNode):
     """Join the plan so far with one more delegation group.
 
     ``requires_binding`` is True when the right group's access pattern needs
-    values produced by the left side (the join *must* be a bind join);
+    values produced by the left side (the join *must* be a bind join, its
+    right side fetched by the left side's keys);
     ``algorithm`` pins the implementation ('hash' or 'bind'), or is None to
     let the physical pass choose.
     """

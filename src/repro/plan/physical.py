@@ -5,12 +5,13 @@ Lowering decides *how* each logical step executes:
 * each delegation group is compiled into the store-request micro-IR — scans
   with pushed-down equality predicates, key lookups when constants pin the
   whole key, or delegated joins for join-capable stores;
-* each logical join becomes a :class:`~repro.runtime.operators.BindJoin` when
-  the right group's access pattern requires left-produced values, and
-  otherwise a hash join *or* a bind join — with a cost model, the cheaper of
-  the two is picked from the estimated left cardinality and the store's cost
-  profile (per-probe lookups beat a full scan when the left side is small);
-  ranking pins the choice into the plan's logical joins;
+* each logical join becomes a :class:`~repro.runtime.operators.HashJoin`.
+  Its right side is *keyed* — fetched by the left side's distinct key
+  values, ``batch_size`` keys per store request — when the right group's
+  access pattern requires left-produced values, or when the cost model
+  prefers such a bind join (from the estimated left cardinality and the
+  store's cost profile); otherwise it is a plain delegated request.
+  Ranking pins the choice into the plan's logical joins;
 * **required columns** flow top-down: each node is lowered knowing which of
   its columns its ancestors read, so a delegated request fetches only those
   and a hash join emits exactly them, in the order its parent reads them;
@@ -57,7 +58,6 @@ from repro.plan.logical import (
 from repro.runtime.kernels import FilterStage, FusedPipeline, OutputStage, PredicateSpec, ProjectStage
 from repro.runtime.operators import (
     Aggregate,
-    BindJoin,
     Deduplicate,
     DelegatedRequest,
     HashJoin,
@@ -67,7 +67,6 @@ from repro.runtime.operators import (
     ShardGather,
 )
 from repro.runtime.parallel import Exchange
-from repro.runtime.values import Binding
 from repro.stores.base import JoinRequest, LookupRequest, Predicate, ScanRequest, StoreRequest
 from repro.stores.replicated import ReplicatedStore
 from repro.stores.sharded import ShardedStore
@@ -136,10 +135,10 @@ def _narrowed(output: dict[str, str], required: Required) -> dict[str, str]:
 class PhysicalPlanner:
     """Lowers logical plans to operator trees, choosing join algorithms.
 
-    Without a cost model the lowering is purely structural (hash joins unless
-    an access pattern forces a bind join) — the seed planner's behavior.  With
-    one, single-atom scannable groups may instead be probed per left row when
-    the estimated probe cost undercuts the scan.
+    Without a cost model the lowering is purely structural (plain hash joins
+    unless an access pattern forces a keyed one) — the seed planner's
+    behavior.  With one, single-atom scannable groups may instead be fetched
+    by the left side's keys when the estimated probe cost undercuts the scan.
     """
 
     def __init__(self, cost_model: "CostModel | None" = None) -> None:
@@ -160,11 +159,8 @@ class PhysicalPlanner:
         """``node``'s join tree with every join's algorithm chosen."""
         if isinstance(node, LogicalJoin):
             left = self._pin(node.left, accesses_so_far)
-            group = node.right.group
-            if node.requires_binding and not group.is_single():
-                raise PlanningError("bind joins are built one access-restricted atom at a time")
             node = replace(node, left=left, algorithm=self._algorithm(node, accesses_so_far))
-            accesses_so_far.extend(group.accesses)
+            accesses_so_far.extend(node.right.group.accesses)
         else:
             accesses_so_far.extend(node.group.accesses)
         return node
@@ -184,7 +180,7 @@ class PhysicalPlanner:
 
         A Filter directly over a join tree offers each literal ``<``, ``<=``,
         ``>`` or ``>=`` comparison to every scan of the tree that outputs the
-        compared variable and whose store selects; a bind join's probe side
+        compared variable and whose store selects; a keyed join's right side
         takes none.  The Filter keeps what no scan took, and goes when that
         is nothing.
         """
@@ -322,17 +318,48 @@ class PhysicalPlanner:
         left_required = _union(tuple(v for v in required if v in left_variables), keys)
         right_required = _union(tuple(v for v in required if v in right_variables), keys)
         left = self._lower_node(node.left, left_required, accesses_so_far)
-        group = node.right.group
         if self._algorithm(node, accesses_so_far) == "bind":
-            probe_columns = None
-            if not node.requires_binding:
-                probe_columns = self._bound_probe_columns(group.accesses[0], accesses_so_far)
-            operator = self._bind_join(left, group, right_required, probe_columns)
+            right = self._keyed_access(node, right_required, accesses_so_far)
         else:
             right = self._lower_access(node.right, right_required)
-            operator = HashJoin(left, right, columns=required)
-        accesses_so_far.extend(group.accesses)
-        return operator
+        accesses_so_far.extend(node.right.group.accesses)
+        return HashJoin(left, right, columns=required)
+
+    def _keyed_access(
+        self, node: LogicalJoin, required: tuple[str, ...], accesses_so_far: list[AtomAccess]
+    ) -> Operator:
+        """The right side of a keyed join: fetched by the left side's distinct keys.
+
+        The key is a lookup fragment's key column, else the first bound probe
+        column: an access-pattern input column when the join requires
+        binding, otherwise a column whose variable the left side produces.
+        A lookup fetches ``LookupRequest(keys=...)``; a scan adds ``in`` to
+        the atom's constants.  The constants are re-checked on every fetched
+        row (a lookup cannot carry them).  A key pinned by a constant leaves
+        a plain access: its point lookup needs nothing from the left.
+        """
+        access = node.right.group.accesses[0]
+        layout, method = access.descriptor.layout, access.descriptor.access
+        bound = self._bound_probe_columns(access, accesses_so_far)
+        if method.kind == "lookup":
+            candidates = (method.key_columns or access.input_columns())[:1]
+        else:
+            candidates = access.input_columns() if node.requires_binding else bound
+        column = next((c for c in candidates if c in bound), None)
+        if column is None:
+            return self._lower_access(node.right, required)
+        request, output, _ = self._scan_request(access)
+        if method.kind == "lookup":
+            request = LookupRequest(layout.collection, keys=())
+        return DelegatedRequest(
+            store=node.right.group.store,
+            request=request,
+            output=_narrowed(output, required),
+            constants={layout.store_column(c): v for c, v in access.constant_by_column().items()},
+            label=layout.collection,
+            fragment=access.descriptor.fragment_name,
+            key=layout.store_column(column),
+        )
 
     # -- join algorithm choice ---------------------------------------------------------
     @staticmethod
@@ -352,6 +379,8 @@ class PhysicalPlanner:
     def _algorithm(self, node: LogicalJoin, accesses_so_far: list[AtomAccess]) -> str:
         """``node``'s join algorithm: pinned, forced by an access pattern, or chosen."""
         if node.requires_binding:
+            if not node.right.group.is_single():
+                raise PlanningError("bind joins are built one access-restricted atom at a time")
             return "bind"
         return node.algorithm or self._choose_algorithm(node.right.group, accesses_so_far)
 
@@ -602,80 +631,3 @@ class PhysicalPlanner:
             joined = JoinRequest(left=joined, right=request, on=tuple(on))
             joined_output.update(output)
         return joined, merged_output, residuals
-
-    # -- bind joins ----------------------------------------------------------------------
-    def _bind_join(
-        self,
-        left: Operator,
-        group: DelegationGroup,
-        required: tuple[str, ...],
-        probe_columns: tuple[str, ...] | None,
-    ) -> Operator:
-        """Probe a group once per left binding, fetching the ``required`` variables.
-
-        ``probe_columns`` are the columns fed from the left side; by default
-        the fragment's access-pattern input columns (the access-restricted
-        case), or — for a cost-chosen bind join over a scannable fragment —
-        the columns whose variables the left side produces.
-        """
-        if not group.is_single():
-            raise PlanningError("bind joins are built one access-restricted atom at a time")
-        access = group.accesses[0]
-        layout = access.descriptor.layout
-        input_columns = (
-            tuple(probe_columns) if probe_columns is not None else access.input_columns()
-        )
-        lookup_key_columns = access.descriptor.access.key_columns or input_columns[:1]
-
-        # Columns whose value comes from the left side (variables already bound)
-        # and columns fixed by constants in the atom.
-        constants = access.constant_by_column()
-        variables = access.variable_by_column()
-
-        def request_factory(binding: Binding) -> StoreRequest | None:
-            key_values: list[object] = []
-            predicates: list[Predicate] = []
-            for column in input_columns:
-                if column in constants:
-                    value = constants[column]
-                else:
-                    variable = variables.get(column)
-                    if variable is None or variable.name not in binding:
-                        return None
-                    value = binding[variable.name]
-                if column in lookup_key_columns and access.descriptor.access.kind == "lookup":
-                    key_values.append(value)
-                else:
-                    predicates.append(Predicate(layout.store_column(column), "=", value))
-            if access.descriptor.access.kind == "lookup":
-                if not key_values:
-                    return None
-                return LookupRequest(
-                    collection=layout.collection,
-                    keys=tuple(key_values),
-                )
-            # Non-lookup probe: a scan restricted by the bound columns plus the
-            # atom's own constants.
-            for column, value in constants.items():
-                store_column = layout.store_column(column)
-                if all(store_column != p.column for p in predicates):
-                    predicates.append(Predicate(store_column, "=", value))
-            return ScanRequest(collection=layout.collection, predicates=tuple(predicates))
-
-        output = _narrowed(
-            {layout.store_column(column): variable.name for column, variable in variables.items()},
-            required,
-        )
-        # Constants are re-checked on the probe results: lookup requests cannot
-        # carry extra predicates, and double-checking scans is harmless.
-        residual = {
-            layout.store_column(column): value for column, value in constants.items()
-        }
-        return BindJoin(
-            left=left,
-            store=group.store,
-            request_factory=request_factory,
-            output=output,
-            constants=residual,
-            label=layout.collection,
-        )

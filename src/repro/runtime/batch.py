@@ -11,8 +11,7 @@ operators resolve column positions once per batch instead of once per row.
 The stores themselves produce :class:`RowBatch` streams
 (:meth:`repro.stores.base.Store.execute_batches`), so tuples flow end-to-end
 through a query.  Bindings (``dict[str, object]``) are the *boundary*
-representation: bind-join request factories get a dict view of the left
-row, and the terminal collection in
+representation: the terminal collection in
 :class:`~repro.runtime.engine.ExecutionEngine` converts the final batches
 back to bindings.
 """
@@ -27,7 +26,6 @@ __all__ = [
     "RowBatch",
     "binding_kernel",
     "probe_kernel",
-    "BatchBuilder",
     "batches_from_bindings",
     "freeze_value",
 ]
@@ -150,35 +148,6 @@ class RowBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<RowBatch {len(self.rows)} rows x {self.columns}>"
-
-
-class BatchBuilder:
-    """Accumulates tuple rows for one schema, emitting full batches."""
-
-    __slots__ = ("columns", "batch_size", "_rows")
-
-    def __init__(self, columns: Sequence[str], batch_size: int = DEFAULT_BATCH_SIZE) -> None:
-        self.columns = tuple(columns)
-        self.batch_size = max(1, batch_size)
-        self._rows: list[tuple] = []
-
-    def add(self, row: tuple) -> RowBatch | None:
-        """Add one row; returns a full batch when the size threshold is hit."""
-        self._rows.append(row)
-        if len(self._rows) >= self.batch_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> RowBatch | None:
-        """The pending rows as a (possibly short) batch, or None when empty."""
-        if not self._rows:
-            return None
-        batch = RowBatch(self.columns, self._rows)
-        self._rows = []
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 def batches_from_bindings(

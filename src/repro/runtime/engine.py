@@ -2,8 +2,8 @@
 
 The engine is deliberately small — ESTOCADA pushes as much work as possible to
 the underlying stores, and the runtime only evaluates the "last-step"
-operations (BindJoin, mediator-side joins, residual filters, projection and
-nested construction).  The :class:`QueryResult` carries the answer rows plus a
+operations (mediator-side joins, keyed fetches of access-restricted
+sources, residual filters, projection and nested construction).  The :class:`QueryResult` carries the answer rows plus a
 performance breakdown *split across the underlying DMSs and the runtime*,
 which is exactly what the demo's step 3 displays.
 
@@ -259,7 +259,7 @@ class ExecutionEngine:
         try:
             if deadline is not None:
                 # Publish the deadline's cancel event on the consumer thread
-                # too: serial store waits and bind-join probes running here
+                # too: serial store waits and keyed-join fetches running here
                 # wake the moment the timer fires (Exchange workers register
                 # their own cancel events as deadline listeners).
                 previous_cancel = current_cancel_event()

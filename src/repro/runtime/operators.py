@@ -9,10 +9,10 @@ whole result.  The operator set follows the paper:
 
 * :class:`DelegatedRequest` — evaluate a store request (the delegated
   sub-query) and map its rows to pivot variables;
-* :class:`BindJoin` — the operator "needed to access data sources with access
-  restrictions": for each left binding, call the restricted source with the
-  required inputs bound;
-* :class:`HashJoin` — mediator-side equi-join of two sub-plans;
+* :class:`HashJoin` — mediator-side equi-join of two sub-plans.  Over a
+  *keyed* right side it is also the operator "needed to access data sources
+  with access restrictions": the restricted source is called with the left
+  side's distinct key values bound, ``batch_size`` keys per request;
 * :class:`Deduplicate` — duplicate elimination (residual selections,
   projections and output naming are
   :class:`~repro.runtime.kernels.FusedPipeline` stages);
@@ -27,21 +27,22 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.runtime.batch import (
     DEFAULT_BATCH_SIZE,
-    BatchBuilder,
     RowBatch,
     freeze_value,
     probe_kernel,
 )
 from repro.runtime.values import Binding
 from repro.stores.base import (
+    LookupRequest,
+    Predicate,
     ScanRequest,
     Store,
     StoreMetrics,
@@ -55,7 +56,6 @@ __all__ = [
     "ExecutionContext",
     "Operator",
     "DelegatedRequest",
-    "BindJoin",
     "HashJoin",
     "Deduplicate",
     "Aggregate",
@@ -293,6 +293,11 @@ class DelegatedRequest(Operator):
     skipped).  ``where`` renders, in variable terms, the WHERE comparisons
     lowering compiled into ``request``: the store evaluates them, nothing
     above does.
+
+    A *keyed* request (``key`` names a store column) is the right side of a
+    keyed :class:`HashJoin`: ``request`` is a template that :meth:`fetch`
+    fills with a set of that column's values — a lookup's keys, or a scan's
+    ``in`` predicate beside its constants.
     """
 
     def __init__(
@@ -305,6 +310,7 @@ class DelegatedRequest(Operator):
         fragment: str | None = None,
         shard: int | None = None,
         where: Sequence[str] = (),
+        key: str | None = None,
     ) -> None:
         self._store = store
         self._request = request
@@ -314,8 +320,10 @@ class DelegatedRequest(Operator):
         self._label = label or getattr(request, "collection", type(request).__name__)
         self._fragment = fragment
         self._shard = shard
+        self._key = key
         self._observable = (
             fragment is not None
+            and key is None
             and isinstance(request, ScanRequest)
             and not request.predicates
             and request.limit is None
@@ -327,7 +335,30 @@ class DelegatedRequest(Operator):
         # execution time from the store's health board.
         self._replica_count = getattr(store, "replica_count", None)
 
+    @property
+    def key_variable(self) -> str | None:
+        """The variable a keyed fetch is keyed by (None when not keyed)."""
+        return None if self._key is None else self._output[self._key]
+
+    def fetch(self, context: ExecutionContext, keys: Sequence) -> Iterator[RowBatch]:
+        """The rows whose key column holds one of ``keys``, ``batch_size`` keys per request."""
+        template, size = self._request, context.batch_size
+        requests = (
+            replace(template, keys=chunk)
+            if isinstance(template, LookupRequest)
+            else replace(
+                template,
+                predicates=template.predicates + (Predicate(self._key, "in", frozenset(chunk)),),
+            )
+            for chunk in (keys[start : start + size] for start in range(0, len(keys), size))
+        )
+        batches = (batch for request in requests for batch in self._stream(context, request))
+        return self._tallied(batches, context, type(self).__name__)
+
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
+        return self._stream(context, self._request)
+
+    def _stream(self, context: ExecutionContext, request: StoreRequest) -> Iterator[RowBatch]:
         """The store streams row-tuple batches end-to-end.
 
         The store builds batches whose schema is exactly the requested store
@@ -350,7 +381,7 @@ class DelegatedRequest(Operator):
             # holds, unlike a predicate kernel); the slice drops `extra`.
             probe = itemgetter(*map(fetch_columns.index, self._constants))
             expected = probe([self._constants.get(column) for column in fetch_columns])
-        stream = self._store.execute_batches(self._request, fetch_columns, context.batch_size)
+        stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
         batches = iter(stream)
         context.tracker.enter()
         try:
@@ -380,95 +411,11 @@ class DelegatedRequest(Operator):
     def describe(self) -> str:
         replicas = f", replicas={self._replica_count}" if self._replica_count else ""
         where = f", where=[{', '.join(self._where)}]" if self._where else ""
+        keyed = f", keyed={self._key}" if self._key is not None else ""
         return (
             f"DelegatedRequest[store={self._store.name}, {self._label}{replicas}, "
-            f"vars={sorted(self._output.values())}{where}]"
+            f"vars={sorted(self._output.values())}{where}{keyed}]"
         )
-
-
-class BindJoin(Operator):
-    """For every left binding, probe an access-restricted source.
-
-    ``request_factory`` receives the left binding and returns the store
-    request to issue (typically a :class:`LookupRequest` with the key bound,
-    or a :class:`ScanRequest` with an equality predicate).  Rows returned by
-    the probe are mapped through ``output`` and merged with the left binding;
-    probe rows disagreeing with the left binding on a shared variable are
-    dropped (the usual compatible-bindings semantics).
-    """
-
-    def __init__(
-        self,
-        left: Operator,
-        store: Store,
-        request_factory: Callable[[Binding], StoreRequest | None],
-        output: Mapping[str, str],
-        constants: Mapping[str, object] | None = None,
-        label: str = "probe",
-    ) -> None:
-        self._left = left
-        self._store = store
-        self._request_factory = request_factory
-        self._output = dict(output)
-        self._constants = dict(constants or {})
-        self._label = label
-
-    def children(self) -> Sequence[Operator]:
-        return (self._left,)
-
-    def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
-        # Each probe fetches the output columns plus the constant-only ones;
-        # a variable reads the last column mapped to it.
-        fetch_columns = tuple(self._output) + tuple(
-            column for column in self._constants if column not in self._output
-        )
-        position_of = {variable: index for index, variable in enumerate(self._output.values())}
-        constant_checks = tuple(
-            (fetch_columns.index(column), value) for column, value in self._constants.items()
-        )
-        left_schema: tuple[str, ...] | None = None
-        builder: BatchBuilder | None = None
-        for left_batch in self._left.batches(context):
-            if left_schema is None:
-                left_schema = left_batch.columns
-                # Probe rows must agree with the left row on shared variables.
-                shared = tuple(
-                    (left_schema.index(variable), position)
-                    for variable, position in position_of.items()
-                    if variable in left_schema
-                )
-                new_variables = tuple(v for v in position_of if v not in left_schema)
-                new_positions = tuple(position_of[v] for v in new_variables)
-                builder = BatchBuilder(left_schema + new_variables, context.batch_size)
-            for left_row in left_batch.rows:
-                request = self._request_factory(dict(zip(left_schema, left_row)))
-                if request is None:
-                    continue
-                stream = self._store.execute_batches(request, fetch_columns, context.batch_size)
-                context.tracker.enter()
-                try:
-                    probed = [row for batch in stream for row in batch.rows]
-                finally:
-                    stream.close()
-                    context.tracker.exit()
-                context.record(self._store.name, stream.metrics)
-                for row in probed:
-                    if any(row[position] != value for position, value in constant_checks):
-                        continue
-                    if any(left_row[left] != row[right] for left, right in shared):
-                        continue
-                    full = builder.add(left_row + tuple(row[p] for p in new_positions))
-                    if full is not None:
-                        context.runtime_rows_processed += len(full)
-                        yield full
-        if builder is not None:
-            tail = builder.flush()
-            if tail is not None:
-                context.runtime_rows_processed += len(tail)
-                yield tail
-
-    def describe(self) -> str:
-        return f"BindJoin[store={self._store.name}, {self._label}, vars={sorted(self._output.values())}]"
 
 
 class HashJoin(Operator):
@@ -479,6 +426,12 @@ class HashJoin(Operator):
     in the order its parent reads them (the planner passes what is read
     above); by default the left columns followed by the right ones the left
     lacks.  Join variables are inferred once from the two schemas.
+
+    Over a keyed :class:`DelegatedRequest` the order turns: the left side is
+    drained first, and the build side is fetched by its distinct values of
+    the key variable — ``ceil(d / batch_size)`` store requests for ``d``
+    keys, however many left rows share them.  A LIMIT above such a join no
+    longer stops the left scan early.
     """
 
     def __init__(
@@ -492,6 +445,7 @@ class HashJoin(Operator):
         self._right = right
         self._on = tuple(on) if on is not None else None
         self._columns = tuple(columns) if columns is not None else None
+        self._key = getattr(right, "key_variable", None)  # set when the right side is keyed
 
     def children(self) -> Sequence[Operator]:
         return (self._left, self._right)
@@ -499,7 +453,16 @@ class HashJoin(Operator):
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
         # Build side: materialize (a hash join's build side is inherently
         # blocking).  Every operator emits one schema per execution.
-        right_batches = [batch for batch in self._right.batches(context) if batch]
+        if self._key is None:
+            right_batches = [batch for batch in self._right.batches(context) if batch]
+            left_batches = self._left.batches(context) if right_batches else ()
+        else:
+            left_batches = [batch for batch in self._left.batches(context) if batch]
+            if not left_batches:
+                return
+            position = left_batches[0].columns.index(self._key)
+            keys = tuple(dict.fromkeys(row[position] for b in left_batches for row in b.rows))
+            right_batches = [batch for batch in self._right.fetch(context, keys) if batch]
         if not right_batches:
             return
         right_schema = right_batches[0].columns
@@ -512,7 +475,7 @@ class HashJoin(Operator):
 
         left_schema: tuple[str, ...] | None = None
         size = context.batch_size
-        for left_batch in self._left.batches(context):
+        for left_batch in left_batches:
             if left_schema is None:
                 left_schema = left_batch.columns
                 shared = [column for column in left_schema if column in right_schema]

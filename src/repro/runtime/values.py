@@ -2,8 +2,7 @@
 
 The execution engine's operators exchange rows as
 :class:`~repro.runtime.batch.RowBatch` tuples; a *binding* — a dictionary
-mapping variable names to values — is the shape a bind join's request
-factory and a query result's rows take.
+mapping variable names to values — is the shape a query result's rows take.
 """
 
 from __future__ import annotations

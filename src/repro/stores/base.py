@@ -51,6 +51,7 @@ __all__ = [
     "Store",
     "COMPARATORS",
     "DEFAULT_STREAM_BATCH_SIZE",
+    "member",
     "batch_tuples",
     "kept_rows",
     "row_batches",
@@ -61,6 +62,18 @@ __all__ = [
 DEFAULT_STREAM_BATCH_SIZE = 256
 
 
+def member(value: object, keys: frozenset) -> bool:
+    """Whether ``value`` equals one of ``keys``: the ``in`` comparison.
+
+    ``None`` matches a ``None`` key as ``= None`` does; an unhashable value
+    equals no key.
+    """
+    try:
+        return value in keys
+    except TypeError:
+        return False
+
+
 COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -68,6 +81,7 @@ COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "<=": lambda left, right: left is not None and right is not None and left <= right,
     ">": lambda left, right: left is not None and right is not None and left > right,
     ">=": lambda left, right: left is not None and right is not None and left >= right,
+    "in": member,
 }
 
 
@@ -95,7 +109,10 @@ class StoreCapabilities:
 
 @dataclass(frozen=True, slots=True)
 class Predicate:
-    """A simple comparison predicate ``column <op> value`` on a collection."""
+    """A simple comparison predicate ``column <op> value`` on a collection.
+
+    ``in`` takes a frozenset of keys as its value: a join's key set.
+    """
 
     column: str
     op: str
@@ -492,6 +509,13 @@ class Store:
     nothing to overlap.
     """
 
+    # Whether scans may read the rows a durable backing keeps in segments.  A
+    # store whose native rows are not what it logs (key-value entries,
+    # last-write-wins by key) says no: its backing then mirrors no row and
+    # freezes nothing — recovery replays the WAL, and a compaction dumps the
+    # live state.
+    _segment_scans = True
+
     def __init__(self, name: str, latency: float = 0.0) -> None:
         self.name = name
         self._total_metrics = StoreMetrics()
@@ -689,7 +713,7 @@ class Store:
         no zone-map statistics exist.
         """
         backing = self._durable
-        if backing is None:
+        if backing is None or not self._segment_scans:
             return None
         return backing.scan_fraction(collection, bounds)
 
@@ -724,6 +748,7 @@ class Store:
         backing = self._durable
         if (
             backing is None
+            or not self._segment_scans
             or not isinstance(request, ScanRequest)
             or not backing.has_segments(request.collection)
         ):

@@ -30,12 +30,13 @@ current through the heap hooks.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro.errors import DeltaError, SchemaError, StoreError
-from repro.stores.base import LookupRequest, ScanRequest, Store, StoreMetrics
+from repro.stores.base import LookupRequest, ScanRequest, Store, StoreMetrics, member
 
 __all__ = ["HashIndex", "RowHeap", "HeapStore"]
 
@@ -462,16 +463,24 @@ class HeapStore(Store):
 
     # -- reads ----------------------------------------------------------------------------
     def _scan_candidates(self, request: ScanRequest):
-        """The collection's rows, narrowed by the most selective equality index."""
+        """The collection's rows, narrowed by the most selective equality index.
+
+        An ``in`` predicate narrows by the union of its keys' buckets, in heap
+        order.
+        """
         heap = self.rows(request.collection)
         metrics = StoreMetrics()
         candidates: Sequence[int] | None = None
         for predicate in request.predicates:
-            index = heap.index_on(predicate.column) if predicate.op == "=" else None
+            index = heap.index_on(predicate.column) if predicate.op in ("=", "in") else None
             if index is None:
                 continue
-            positions = index.lookup(predicate.value)
-            metrics.index_lookups += 1
+            if predicate.op == "=":
+                positions = index.lookup(predicate.value)
+                metrics.index_lookups += 1
+            else:
+                positions = sorted(p for key in predicate.value for p in index.lookup(key))
+                metrics.index_lookups += len(predicate.value)
             if candidates is None or len(positions) < len(candidates):
                 candidates = positions
         if candidates is None:
@@ -480,7 +489,7 @@ class HeapStore(Store):
 
     def _lookup_rows(self, request: LookupRequest):
         """Rows whose lookup column equals a key: through the primary key or an
-        index on that column, else by a scan per key."""
+        index on that column, else by one walk of the heap against the keys."""
         heap = self.rows(request.collection)
         column = self._lookup_column(request.collection)
         keys = request.keys
@@ -493,6 +502,10 @@ class HeapStore(Store):
             rows = [row for key in keys for row in heap.rows_at(index.lookup(key))]
         else:
             read = self._reader_of(column)
-            metrics.rows_scanned += len(heap) * len(keys)
-            rows = [row for key in keys for row in heap if read(row, column) == key]
+            metrics.rows_scanned += len(heap)
+            wanted = frozenset(keys)
+            rows = [row for row in heap if member(read(row, column), wanted)]
+            if len(wanted) < len(keys):  # a key listed twice answers its rows twice
+                counts = Counter(keys)
+                rows = [row for row in rows for _ in range(counts[read(row, column)])]
         return rows, metrics

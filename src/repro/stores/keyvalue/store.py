@@ -4,8 +4,9 @@ Collections map keys to values (plain collections) or to field/value hashes
 (hash collections).  The defining property — central to the paper's encoding
 of access-pattern restrictions — is that entries can only be retrieved **by
 key**: scan requests without an equality predicate on the key are rejected,
-which forces the rewriting engine and planner to produce key-feeding
-(BindJoin) plans.
+which forces the rewriting engine and planner to produce key-feeding plans
+(a keyed ``HashJoin`` looks up the left side's distinct keys, ``batch_size``
+keys per request).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.stores.base import (
     Store,
     StoreCapabilities,
     StoreMetrics,
-    StoreRequest,
     kept_rows,
 )
 
@@ -28,6 +28,10 @@ __all__ = ["KeyValueStore"]
 
 class KeyValueStore(Store):
     """An in-memory key-value DMS with a mandatory-key access pattern."""
+
+    # Last-write-wins by key: append-only segments would replay superseded
+    # puts (and hold ``{key, value}`` pairs, not the entry rows scans read).
+    _segment_scans = False
 
     def __init__(
         self, name: str = "keyvalue", allow_scans: bool = False, latency: float = 0.0
@@ -219,17 +223,6 @@ class KeyValueStore(Store):
                 "rows": [{"key": key, "value": value} for key, value in bucket.items()],
             }
         return dump
-
-    def _durable_scan_source(self, request: StoreRequest):
-        # Key-value semantics are last-write-wins by key; append-only segments
-        # would replay superseded puts (and hold ``{key, value}`` pairs, not
-        # the entry rows scans read), so scans never serve from the backing.
-        return None
-
-    def segment_scan_fraction(self, collection: str, bounds) -> float | None:
-        # Scans never serve from segments here (see _durable_scan_source), so
-        # the cost model must not price them as if pruning applied.
-        return None
 
     # -- store interface -----------------------------------------------------------------
     def capabilities(self) -> StoreCapabilities:

@@ -13,7 +13,9 @@ backing mirrors each record into its own state: inserted rows accumulate in
 a per-collection *tail*, and once the tail reaches the segment size the
 backing freezes a run into a segment file (tmp + fsync + rename) and then
 appends a ``freeze`` record — in that order, so a crash at any byte leaves
-either an orphan segment file (harmless) or a fully valid freeze.  Inside a
+either an orphan segment file (harmless) or a fully valid freeze.  A store
+whose scans read no segments (the key-value store) keeps no tail: its rows
+reach segments only when a compaction dumps them.  Inside a
 :func:`write_group` (one facade write statement) the records are buffered
 and written as one frame with one fsync when the group ends.  A delete that
 finds no tail row leaves a tombstone for the frozen copy; once a
@@ -73,6 +75,10 @@ MANIFEST_NAME = "MANIFEST"
 DEFAULT_SEGMENT_ROWS = 4096
 """Rows per frozen segment unless a backing is given ``segment_rows``."""
 
+
+# The records that carry rows (``put`` and ``delete_keys`` are key-value
+# writes, whose store reads no segment).
+_ROW_KINDS = frozenset(("rows", "delta", "put", "delete_keys"))
 
 # The open write group of each thread: the backings holding its records.
 _open_groups = threading.local()
@@ -454,7 +460,10 @@ class DurableBacking:
     def _apply(self, record: Mapping[str, object], *, replay: bool) -> None:
         kind = record.get("kind")
         collection = record.get("collection")
-        if kind == "create":
+        if kind in _ROW_KINDS and not self._store._segment_scans:
+            # No scan reads these rows: recovery replays them from the WAL.
+            self._state(collection, create=True)
+        elif kind == "create":
             state = self._state(collection, create=True)
             columns = record.get("columns")
             if columns:
@@ -467,17 +476,6 @@ class DurableBacking:
             state.append(record["rows"])
             if not replay:
                 self._maybe_freeze(collection, state)
-        elif kind == "put":
-            state = self._state(collection, create=True)
-            state.append([{"key": key, "value": value} for key, value in record["entries"]])
-            if not replay:
-                self._maybe_freeze(collection, state)
-        elif kind == "delete_keys":
-            # A key-value delete names only the key.  Key-value scans never
-            # read segments and recovery replays the WAL, not frozen puts, so
-            # the put rows simply stay until a compaction dumps the live
-            # entries; they are no tombstones and never trigger a fold.
-            self._state(collection, create=True)
         elif kind == "delta":
             state = self._state(collection, create=True)
             deletes = record.get("deletes", ())

@@ -251,16 +251,17 @@ class SegmentReader:
     def excluded_by(self, bounds: Iterable) -> bool:
         """True when some bound provably excludes every row of this segment.
 
-        ``bounds`` are store ``Predicate``s; one with a None literal bounds
-        nothing (``= None`` matches nulls, which zone min/max does not
-        describe) and is skipped.  Follows the store comparator semantics:
-        ordered comparisons never match null-likes, ``=`` never matches them
-        for a non-None literal, ``!=`` always does.
+        ``bounds`` are store ``Predicate``s; one with a None literal, or an
+        ``in`` whose key set holds None, bounds nothing (``= None`` matches
+        nulls, which zone min/max does not describe) and is skipped.  Follows
+        the store comparator semantics: ordered comparisons never match
+        null-likes, ``=`` and ``in`` never match them for non-None literals,
+        ``!=`` always does.
         """
         for bound in bounds:
             op = bound.op
             value = bound.value
-            if value is None:
+            if value is None or (op == "in" and None in value):
                 continue
             zone = self.zones.get(bound.column)
             if bound.column not in self._column_index:

@@ -12,7 +12,7 @@ The router serves the common store-request micro-IR:
   of child stores that can hold matching rows (equality → one shard under
   either strategy, range operators → a boundary interval under range
   sharding), and only the surviving shards are contacted;
-* **lookups** route each key straight to its shard;
+* **lookups** group their keys by shard: one request per contacted shard;
 * per-request metrics report ``partitions_used`` (shards contacted) and
   ``partitions_pruned`` so the mediator can surface pruning effectiveness.
 
@@ -29,8 +29,9 @@ per-shard child stores are exposed via :meth:`shard` for exactly that.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import replace
 from typing import Callable
 
 from repro.errors import (
@@ -378,7 +379,8 @@ class ShardedStore(Store):
         contract values of the *shard-key* column (a ``LookupRequest``
         carries no column name, so there is nothing else to route by — the
         materialization path rejects lookup fragments keyed on any other
-        column), so each key becomes a point probe of its own shard.
+        column), so the keys are grouped by shard and each contacted shard
+        gets one request for its keys.
         """
         if isinstance(request, JoinRequest):
             raise self._reject("store-side joins (the mediator joins shard results)")
@@ -402,14 +404,26 @@ class ShardedStore(Store):
                 f"collection {request.collection!r} has no sharding spec; "
                 "key lookups need one to route"
             )
-        routes: list[tuple[int, StoreRequest]] = []
+        by_shard: dict[int, list[object]] = {}
         for key in request.keys:
-            index = spec.route(key)
+            by_shard.setdefault(spec.route(key), []).append(key)
+        routes: list[tuple[int, StoreRequest]] = []
+        for index in sorted(by_shard):
+            keys = by_shard[index]
             if self._shards[index].capabilities().requires_key_lookup:
-                probe: StoreRequest = replace(request, keys=(key,))
-            else:
-                probe = ScanRequest(request.collection, (Predicate(spec.shard_key, "=", key),))
-            routes.append((index, probe))
+                routes.append((index, replace(request, keys=tuple(keys))))
+                continue
+            # A scan matches a row once: a key listed n times rides in n scans.
+            pending = Counter(keys)
+            while pending:
+                layer = tuple(pending)
+                predicate = (
+                    Predicate(spec.shard_key, "=", layer[0])
+                    if len(layer) == 1
+                    else Predicate(spec.shard_key, "in", frozenset(layer))
+                )
+                routes.append((index, ScanRequest(request.collection, (predicate,))))
+                pending -= Counter(layer)
         return routes
 
     def _check_collection(self, collection: str) -> None:

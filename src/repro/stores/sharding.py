@@ -96,13 +96,16 @@ class ShardingSpec:
     def shards_for_predicate(self, op: str, value: object) -> tuple[int, ...]:
         """The shards that can hold rows satisfying ``shard_key <op> value``.
 
-        Equality prunes to one shard under either strategy; range operators
-        prune only under range sharding (a hash scatters adjacent values).
-        Unknown operators and uncomparable values fall back to all shards —
-        pruning must never lose rows.
+        Equality prunes to one shard under either strategy, and ``in`` to the
+        shards its keys route to; range operators prune only under range
+        sharding (a hash scatters adjacent values).  Unknown operators and
+        uncomparable values fall back to all shards — pruning must never
+        lose rows.
         """
         if op == "=":
             return (self.route(value),)
+        if op == "in":
+            return tuple(sorted({self.route(key) for key in value}))
         if self.strategy != "range" or op not in _RANGE_OPS:
             return self.all_shards()
         try:

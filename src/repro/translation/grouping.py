@@ -65,8 +65,8 @@ class AtomAccess:
 
         An input position filled by a constant can be pushed into the store
         request directly; an input position filled by a variable (other than a
-        caller-supplied parameter) must receive its values tuple-by-tuple from
-        the rest of the plan, i.e. through a BindJoin.
+        caller-supplied parameter) must receive its values from the rest of
+        the plan, i.e. through a keyed join fed the left side's distinct keys.
         """
         for column in self.input_columns():
             position = self.columns.index(column)

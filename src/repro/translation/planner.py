@@ -10,10 +10,11 @@ plan IR (:mod:`repro.plan`):
    **delegated** together to the same join-capable store;
 2. the **physical pass** (:class:`repro.plan.physical.PhysicalPlanner`)
    compiles each group into the store-request micro-IR and stitches the
-   delegated requests together with runtime operators —
-   :class:`~repro.runtime.operators.BindJoin` when a group needs values
-   produced earlier (access-restricted sources), and otherwise hash join or
-   bind join as the cost model prefers.
+   delegated requests together with runtime operators — a
+   :class:`~repro.runtime.operators.HashJoin` per join, whose right side is
+   fetched by the left side's distinct keys when a group needs values
+   produced earlier (access-restricted sources) or when the cost model
+   prefers such a bind join.
 
 :class:`Planner` is the façade tying the two passes together.  Choosing
 *among* alternative rewritings remains the chooser's job (:mod:`repro.cost`).
@@ -39,7 +40,7 @@ class Planner:
     """Builds physical plans for rewritings over the registered fragments.
 
     With a ``cost_model``, the physical pass picks the join algorithm (hash
-    vs. bind join) per delegation group from estimated cardinalities; without
+    vs. keyed bind join) per delegation group from estimated cardinalities; without
     one the lowering is purely structural, as in the seed planner.
     """
 

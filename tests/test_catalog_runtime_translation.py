@@ -21,7 +21,6 @@ from repro.errors import (
 )
 from repro.runtime import (
     Aggregate,
-    BindJoin,
     Deduplicate,
     DelegatedRequest,
     ExecutionEngine,
@@ -258,18 +257,19 @@ class TestRuntimeOperators:
         assert "pg" in result.store_breakdown
 
     def test_bind_join_probes_per_left_row(self):
+        # A keyed join fetches the left side's distinct keys in one request.
         kv = KeyValueStore("redis")
         kv.put_many("prefs", {1: {"cat": "books"}, 2: {"cat": "toys"}})
         left = _StaticOperator([{"u": 1}, {"u": 2}, {"u": 99}])
-        operator = BindJoin(
-            left,
-            kv,
-            request_factory=lambda b: LookupRequest("prefs", keys=(b["u"],)),
-            output={"key": "u", "cat": "c"},
+        right = DelegatedRequest(
+            kv, LookupRequest("prefs", keys=()), output={"key": "u", "cat": "c"}, key="key"
         )
-        result = ExecutionEngine().execute(operator)
-        assert len(result.rows) == 2
-        assert result.store_breakdown["redis"].requests == 3
+        result = ExecutionEngine().execute(HashJoin(left, right))
+        assert sorted(result.rows, key=lambda row: row["u"]) == [
+            {"u": 1, "c": "books"},
+            {"u": 2, "c": "toys"},
+        ]
+        assert result.store_breakdown["redis"].requests == 1
 
     def test_engine_reports_store_and_runtime_split(self):
         store = RelationalStore("pg")
@@ -342,7 +342,7 @@ class TestTranslation:
             [Atom("F_users", ["?u", "?n", "?c"]), Atom("F_prefs", ["?u", "?n2", "?c2"])],
         )
         plan = Planner(catalog).plan(rewriting)
-        assert "BindJoin" in plan.explain()
+        assert "keyed=" in plan.explain()
         result = ExecutionEngine().execute(plan.root)
         assert {"u": 1, "n2": "ana"} in result.rows
 

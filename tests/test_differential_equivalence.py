@@ -52,7 +52,6 @@ from hypothesis import strategies as st
 
 from repro.runtime import (
     Aggregate,
-    BindJoin,
     Deduplicate,
     DelegatedRequest,
     FilterStage,
@@ -256,14 +255,51 @@ def sql_queries(draw):
     return sql, limit, expected
 
 
+def _prefs_join(data):
+    category = {u["uid"]: u["preferred_category"] for u in data.users}
+    return [
+        {"sku": p["sku"], "preferred_category": category[p["uid"]]}
+        for p in data.purchases()
+        if p["uid"] in category
+    ]
+
+
+def _visits_join(data):
+    return [
+        {"sku": v["sku"], "preferred_category": u["preferred_category"]}
+        for u in data.users
+        for v in data.weblog
+        if v["uid"] == u["uid"]
+    ]
+
+
+# Fixed joins whose plans fetch the right side by the left side's keys: the
+# first through the lookup-only key-value fragment F_prefs wherever the
+# deployment hosts it, the second (by cost) through the sharded or
+# replicated visits router where visits live in one.
+_PREFS_JOIN = "SELECT p.sku, u.preferred_category FROM purchases p, users u WHERE p.uid = u.uid"
+_KEYED_JOINS = (
+    (_PREFS_JOIN, None, _prefs_join),
+    ("SELECT v.sku, u.preferred_category FROM visits v, users u WHERE v.uid = u.uid", None, _visits_join),
+)
+
+
+def _assert_keyed_joins_match_oracle(configurations, data, note=""):
+    """The fixed keyed joins answer like the oracle; F_prefs is reached keyed."""
+    for case in _KEYED_JOINS:
+        _assert_matches_oracle(configurations, case, data, note=note)
+    for name, (est, _) in configurations.items():
+        texts = [est.explain(sql, dataset="shop").plan_text() for sql, _, _ in _KEYED_JOINS]
+        assert any("keyed=uid" in text for text in texts), f"{name} plans no keyed join"
+        if "redis" in est.catalog.stores():
+            assert "store=redis, prefs" in texts[0] and "keyed=uid" in texts[0], texts[0]
+
+
 def _emitted(op) -> tuple:
     """The columns ``op`` emits, read off the plan (white-box: operator fields)."""
     if isinstance(op, DelegatedRequest):
         return tuple(op._output.values())
-    if isinstance(op, BindJoin):
-        left = _emitted(op._left)
-        return left + tuple(v for v in op._output.values() if v not in left)
-    if isinstance(op, HashJoin):
+    if isinstance(op, HashJoin):  # plain, or keyed: its right side a keyed DelegatedRequest
         left, right = _emitted(op._left), _emitted(op._right)
         return op._columns or left + tuple(c for c in right if c not in left)
     if isinstance(op, FusedPipeline):
@@ -301,10 +337,10 @@ def _unread_fetches(plan) -> set:
             visit(op.child, reads | (set() if shaped else read))
         elif isinstance(op, HashJoin):
             keys = set(_emitted(op._left)) & set(_emitted(op._right))
+            # A keyed right side is fetched by the values of one join key.
+            assert op._key is None or op._key in keys, f"{op.describe()} keyed off its keys"
             for child in op.children():
                 visit(child, read | keys)
-        elif isinstance(op, BindJoin):
-            visit(op._left, read | (set(_emitted(op._left)) & set(op._output.values())))
         elif isinstance(op, Aggregate):
             inputs = {column for _, column in op._aggregations.values() if column is not None}
             visit(op.children()[0], set(op._group_by) | inputs)
@@ -386,6 +422,9 @@ class TestDifferentialEquivalence:
         self, configurations, marketplace_data, case
     ):
         _assert_matches_oracle(configurations, case, marketplace_data)
+
+    def test_keyed_joins_agree_across_configurations(self, configurations, marketplace_data):
+        _assert_keyed_joins_match_oracle(configurations, marketplace_data)
 
     def test_point_query_prunes_only_on_the_sharded_configs(self, configurations):
         sql = "SELECT uid, sku, category FROM purchases WHERE uid = 7"
@@ -939,6 +978,13 @@ class TestChaosDifferential:
             chaos_configurations, case, marketplace_data, note=f" (seed {CHAOS_SEED})"
         )
 
+    def test_chaos_keyed_joins_agree_with_the_oracle(
+        self, chaos_configurations, marketplace_data
+    ):
+        _assert_keyed_joins_match_oracle(
+            chaos_configurations, marketplace_data, note=f" (seed {CHAOS_SEED})"
+        )
+
     def test_dead_replica_reports_failovers(
         self, marketplace_builder, replicated_marketplace_builder, marketplace_data
     ):
@@ -1169,6 +1215,11 @@ class TestDurableDifferential:
         self, durable_configurations, marketplace_data, case
     ):
         _assert_matches_oracle(durable_configurations, case, marketplace_data)
+
+    def test_durable_keyed_joins_agree_with_the_oracle(
+        self, durable_configurations, marketplace_data
+    ):
+        _assert_keyed_joins_match_oracle(durable_configurations, marketplace_data)
 
     def test_durable_deployments_actually_touch_segments(self, durable_configurations):
         est, parallelism = durable_configurations["durable_serial"]

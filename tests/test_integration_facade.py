@@ -89,7 +89,7 @@ class TestFacadeQueries:
         assert explanation.algorithm == "pacb"
         assert explanation.rewritings
         assert explanation.chosen is not None
-        assert "DelegatedRequest" in explanation.plan_text() or "BindJoin" in explanation.plan_text()
+        assert "DelegatedRequest" in explanation.plan_text()
 
     def test_explain_cost_ranking_prefers_cheaper_plan(self, marketplace_estocada):
         query = ConjunctiveQuery(

@@ -8,8 +8,8 @@ Filter: a store's ``!=`` keeps a row whose value is None, and SQL drops it.
 
 These tests check both halves over rows whose compared value is None — on
 an in-memory relational store, a durable one, durable replicas and a
-document collection where the path is missing — and that a bind-join probe
-takes no comparison.  Then what a pushed comparison buys: zone maps skip
+document collection where the path is missing — and that a keyed join's
+right side takes no comparison.  Then what a pushed comparison buys: zone maps skip
 frozen segments (on a lone store and on replicas alike), a filtered scan
 records no cardinality observation, and an Aggregate over a range-filtered
 sharded scan still reduces per shard.
@@ -29,9 +29,9 @@ from repro.core import Atom, ConjunctiveQuery, ViewDefinition
 from repro.datamodel import TableSchema
 from repro.plan import LogicalFilter, PhysicalPlanner
 from repro.runtime import (
-    BindJoin,
     ExecutionEngine,
     FusedPipeline,
+    HashJoin,
     MergeAggregate,
     PartialAggregate,
     PredicateSpec,
@@ -142,9 +142,10 @@ class TestWhatStaysInTheFilter:
             (PredicateSpec("t_x", ">", 4), PredicateSpec("u_name", ">", "n2")),
         )
         root = PhysicalPlanner().lower_tree(filtered)
-        # The scan of t takes its comparison; u's rows only come from probes.
+        # The scan of t takes its comparison; u's rows only come from its keys.
         assert root.describe() == "Fused[filter(u_name > 'n2')]"
-        assert type(root.child) is BindJoin
+        assert type(root.child) is HashJoin
+        assert root.child.children()[1].key_variable == "t_k"
         assert "where=[t_x > 4]" in root.explain()
         rows = ExecutionEngine().execute(root).rows
         assert Counter((row["t_k"], row["u_name"]) for row in rows) == Counter(

@@ -5,7 +5,7 @@ each node's ancestors read (output payloads, projections, filter columns,
 aggregate keys and inputs, join keys).  These tests pin the fetch lists of
 the benchmark spine's ``scan_analytics`` shapes, check that a column read
 only by a comparison the store request carries is not fetched, that a
-zero-column fetch keeps every row's multiplicity, that bind-join and
+zero-column fetch keeps every row's multiplicity, that keyed-join and
 per-shard partial-aggregate fetches are narrowed, and that the compiled
 probe and result kernels are shared by statements of one shape over
 different relations.
@@ -22,7 +22,7 @@ from repro import Estocada
 from repro.catalog import AccessMethod, ShardingSpec, StorageDescriptor, StorageLayout
 from repro.core import Atom, ConjunctiveQuery, ViewDefinition
 from repro.datamodel import TableSchema
-from repro.runtime import BindJoin, DelegatedRequest, HashJoin, PartialAggregate
+from repro.runtime import DelegatedRequest, HashJoin, PartialAggregate
 from repro.runtime.batch import binding_kernel, probe_kernel
 from repro.stores import DocumentStore, KeyValueStore, RelationalStore
 
@@ -149,7 +149,9 @@ class TestWhatMustStillBeFetched:
 
     def test_bind_join_fetch_is_narrowed(self, app):
         sql = "SELECT e.kind FROM events e, tags t WHERE e.uid = t.uid"
-        assert _fetches(app, sql, BindJoin) == [["e_uid"]]
+        (keyed,) = [op for op in _operators(app.explain(sql, dataset="app").root)
+                    if getattr(op, "key_variable", None)]
+        assert re.search(r"vars=\[(.*?)\]", keyed.describe()).group(1) == "'e_uid'"
         tagged = {tag["uid"] for tag in TAGS}
         assert _bag(app.query(sql, dataset="app").rows) == _bag(
             {"kind": event["kind"]} for event in EVENTS if event["uid"] in tagged

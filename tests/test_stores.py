@@ -276,8 +276,8 @@ class TestKeyValueStore:
             assert self._both_shapes(keyvalue, request) == (expected, expected), limit
 
     def test_durable_scans_read_entries_not_segments(self, tmp_path):
-        # Frozen segments hold superseded ``{key, value}`` puts, not entry rows:
-        # a scan must read the live entries.
+        # Puts are never frozen; a compaction's segments hold ``{key, value}``
+        # pairs, not entry rows: a scan must read the live entries.
         from repro.stores.segment import DurableBacking
 
         store = KeyValueStore("redis", allow_scans=True)
@@ -286,7 +286,7 @@ class TestKeyValueStore:
             store.put("prefs", key, {"category": f"c{key % 2}"})
         store.put("prefs", 3, {"category": "moved"})
         for compacted in (False, True):
-            assert store.durable_backing().has_segments("prefs")
+            assert store.durable_backing().has_segments("prefs") is compacted
             pinned = ScanRequest("prefs", (Predicate("key", "=", 3),))
             assert self._both_shapes(store, pinned) == (["moved"], ["moved"])
             filtered = ScanRequest("prefs", (Predicate("category", "=", "c1"),), limit=5)

@@ -21,7 +21,7 @@ from repro.plan import (
     LogicalProject,
     build_logical_plan,
 )
-from repro.runtime import BatchBuilder, ExecutionEngine, RowBatch
+from repro.runtime import ExecutionEngine, RowBatch
 from repro.stores import DocumentStore, KeyValueStore, RelationalStore, ScanRequest
 from repro.translation import Planner
 
@@ -82,16 +82,6 @@ class TestRowBatch:
         batch = RowBatch(("a",), [(1,), (2,), (3,)])
         assert batch.take(2).rows == [(1,), (2,)]
         assert batch.take(5) is batch
-
-    def test_builder_emits_full_batches(self):
-        builder = BatchBuilder(("a",), batch_size=2)
-        assert builder.add((1,)) is None
-        full = builder.add((2,))
-        assert full is not None and len(full) == 2
-        assert builder.add((3,)) is None
-        tail = builder.flush()
-        assert tail.rows == [(3,)]
-        assert builder.flush() is None
 
 
 class TestStoreStreaming:
@@ -174,14 +164,16 @@ class TestOperatorEdgeCases:
 
     def test_every_operator_of_a_plan_emits_one_schema(self, catalog):
         # Every operator fixes its columns once per execution, whatever the
-        # batch size: a bind-join plan, and a hash join over dict-row sources
-        # whose rows lack some of their columns.
+        # batch size: a keyed-join plan, and a hash join over dict-row sources
+        # whose rows lack some of their columns.  A keyed access runs only
+        # under its join, which hands it the keys.
         from repro.runtime import ExecutionContext, HashJoin
 
         def operators(root):
             yield root
             for child in root.children():
-                yield from operators(child)
+                if getattr(child, "key_variable", None) is None:
+                    yield from operators(child)
 
         plans = [
             Planner(catalog).plan(TestBatchBoundaryCorrectness.QUERY).root,
@@ -210,7 +202,7 @@ class TestLogicalPlanIR:
     def test_lowering_matches_planner(self, catalog):
         query = TestBatchBoundaryCorrectness.QUERY
         plan = Planner(catalog).plan(query)
-        assert "BindJoin" in plan.explain()
+        assert "keyed=" in plan.explain()
         assert plan.logical is not None
         assert "Join[bind]" in plan.logical.explain()
 
@@ -255,19 +247,20 @@ class TestCostBasedJoinChoice:
         manager = self._build()
         plan = Planner(manager).plan(self.QUERY)
         assert "HashJoin" in plan.explain()
-        assert "BindJoin" not in plan.explain()
+        assert "keyed=" not in plan.explain()
 
     def test_cost_model_switches_to_bind_join(self):
         manager = self._build()
         cost_model = CostModel(StatisticsCatalog(manager))
         plan = Planner(manager, cost_model=cost_model).plan(self.QUERY)
-        assert "BindJoin" in plan.explain()
+        assert "keyed=uid" in plan.explain()
 
     def test_unindexed_probe_side_stays_hash_join(self):
         manager = self._build(index_right=False)
         cost_model = CostModel(StatisticsCatalog(manager))
         plan = Planner(manager, cost_model=cost_model).plan(self.QUERY)
         assert "HashJoin" in plan.explain()
+        assert "keyed=" not in plan.explain()
 
     def test_both_algorithms_agree_on_results(self):
         manager = self._build()
