@@ -3,9 +3,10 @@
 The engine is deliberately small — ESTOCADA pushes as much work as possible to
 the underlying stores, and the runtime only evaluates the "last-step"
 operations (mediator-side joins, keyed fetches of access-restricted
-sources, residual filters, projection and nested construction).  The :class:`QueryResult` carries the answer rows plus a
-performance breakdown *split across the underlying DMSs and the runtime*,
-which is exactly what the demo's step 3 displays.
+sources, residual filters, projection and nested construction).  The
+:class:`QueryResult` carries the answer rows plus a performance breakdown
+*split across the underlying DMSs and the runtime*, which is exactly what the
+demo's step 3 displays.
 
 With ``parallelism > 1`` the engine runs the plan's :class:`Exchange`
 subtrees concurrently on a bounded :class:`~repro.runtime.parallel.ExecutorPool`:

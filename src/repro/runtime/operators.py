@@ -356,6 +356,9 @@ class DelegatedRequest(Operator):
         return self._tallied(batches, context, type(self).__name__)
 
     def _batches(self, context: ExecutionContext) -> Iterator[RowBatch]:
+        if self._key is not None:
+            # The template is unfilled: a full scan, or a lookup of no keys.
+            raise ExecutionError("a keyed request runs only through its join's fetch")
         return self._stream(context, self._request)
 
     def _stream(self, context: ExecutionContext, request: StoreRequest) -> Iterator[RowBatch]:
@@ -445,7 +448,7 @@ class HashJoin(Operator):
         self._right = right
         self._on = tuple(on) if on is not None else None
         self._columns = tuple(columns) if columns is not None else None
-        self._key = getattr(right, "key_variable", None)  # set when the right side is keyed
+        self._key = right.key_variable if isinstance(right, DelegatedRequest) else None
 
     def children(self) -> Sequence[Operator]:
         return (self._left, self._right)

@@ -10,9 +10,11 @@ The router serves the common store-request micro-IR:
 
 * **scans** are pruned first: predicates on the shard-key column cut the set
   of child stores that can hold matching rows (equality → one shard under
-  either strategy, range operators → a boundary interval under range
-  sharding), and only the surviving shards are contacted;
-* **lookups** group their keys by shard: one request per contacted shard;
+  either strategy, ``in`` → the shards its keys route to, range operators →
+  a boundary interval under range sharding), and only the surviving shards
+  are contacted;
+* a key set — a lookup's keys or a shard-key ``in`` — is grouped by shard:
+  each contacted shard gets one request carrying only its own keys;
 * per-request metrics report ``partitions_used`` (shards contacted) and
   ``partitions_pruned`` so the mediator can surface pruning effectiveness.
 
@@ -379,8 +381,9 @@ class ShardedStore(Store):
         contract values of the *shard-key* column (a ``LookupRequest``
         carries no column name, so there is nothing else to route by — the
         materialization path rejects lookup fragments keyed on any other
-        column), so the keys are grouped by shard and each contacted shard
-        gets one request for its keys.
+        column).  Either way a key set — a lookup's keys, or a shard-key
+        ``in`` — is grouped by shard, and each contacted shard gets one
+        request for its own keys.
         """
         if isinstance(request, JoinRequest):
             raise self._reject("store-side joins (the mediator joins shard results)")
@@ -396,7 +399,21 @@ class ShardedStore(Store):
                 for predicate in request.predicates
                 if predicate.column == spec.shard_key
             ]
-            return [(index, request) for index in spec.shards_for_predicates(constraints)]
+            # A shard-key `in` reaches each shard with only the keys routed
+            # there (every contacted shard holds some key of every such set).
+            key_sets = {
+                predicate: _by_shard(spec, predicate.value)
+                for predicate in request.predicates
+                if predicate.column == spec.shard_key and predicate.op == "in"
+            }
+            routes: list[tuple[int, StoreRequest]] = []
+            for index in spec.shards_for_predicates(constraints):
+                predicates = tuple(
+                    replace(p, value=frozenset(key_sets[p][index])) if p in key_sets else p
+                    for p in request.predicates
+                )
+                routes.append((index, replace(request, predicates=predicates) if key_sets else request))
+            return routes
         if isinstance(request, SearchRequest):
             return [(index, request) for index in range(len(self._shards))]
         if spec is None:
@@ -404,26 +421,17 @@ class ShardedStore(Store):
                 f"collection {request.collection!r} has no sharding spec; "
                 "key lookups need one to route"
             )
-        by_shard: dict[int, list[object]] = {}
-        for key in request.keys:
-            by_shard.setdefault(spec.route(key), []).append(key)
-        routes: list[tuple[int, StoreRequest]] = []
-        for index in sorted(by_shard):
-            keys = by_shard[index]
-            if self._shards[index].capabilities().requires_key_lookup:
-                routes.append((index, replace(request, keys=tuple(keys))))
-                continue
-            # A scan matches a row once: a key listed n times rides in n scans.
-            pending = Counter(keys)
-            while pending:
-                layer = tuple(pending)
-                predicate = (
-                    Predicate(spec.shard_key, "=", layer[0])
-                    if len(layer) == 1
-                    else Predicate(spec.shard_key, "in", frozenset(layer))
-                )
-                routes.append((index, ScanRequest(request.collection, (predicate,))))
-                pending -= Counter(layer)
+        if self._shards[0].capabilities().requires_key_lookup:
+            by_shard = _by_shard(spec, request.keys)
+            return [(index, replace(request, keys=tuple(by_shard[index]))) for index in sorted(by_shard)]
+        # Shards that scan get the keys as shard-key `in` scans, split as any
+        # scan is; a scan matches a row once, so a key listed n times rides in n.
+        routes = []
+        pending = Counter(request.keys)
+        while pending:
+            in_keys = Predicate(spec.shard_key, "in", frozenset(pending))
+            routes += self._routes(ScanRequest(request.collection, (in_keys,)))
+            pending -= Counter(pending.keys())
         return routes
 
     def _check_collection(self, collection: str) -> None:
@@ -437,3 +445,11 @@ class ShardedStore(Store):
         super().reset_metrics()
         for child in self._shards:
             child.reset_metrics()
+
+
+def _by_shard(spec: ShardingSpec, keys: Iterable[object]) -> dict[int, list[object]]:
+    """``keys`` grouped by the shard each routes to, in their given order."""
+    by_shard: dict[int, list[object]] = {}
+    for key in keys:
+        by_shard.setdefault(spec.route(key), []).append(key)
+    return by_shard

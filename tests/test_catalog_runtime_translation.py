@@ -27,6 +27,7 @@ from repro.runtime import (
     FilterStage,
     FusedPipeline,
     HashJoin,
+    Operator,
     PredicateSpec,
     ProjectStage,
     batches_from_bindings,
@@ -199,8 +200,8 @@ class TestStatistics:
             StatisticsCatalog(catalog).get("F_ghost")
 
 
-class _StaticOperator(DelegatedRequest):
-    """A DelegatedRequest replacement producing fixed bindings (test helper)."""
+class _StaticOperator(Operator):
+    """An operator producing fixed bindings (test helper)."""
 
     def __init__(self, bindings):
         self._bindings = bindings

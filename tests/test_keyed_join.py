@@ -24,6 +24,7 @@ from repro import Estocada
 from repro.catalog import AccessMethod, ShardingSpec, StorageDescriptor, StorageLayout
 from repro.core import Atom, ConjunctiveQuery, ViewDefinition
 from repro.datamodel import TableSchema
+from repro.errors import ExecutionError
 from repro.runtime import DelegatedRequest, ExecutionEngine, HashJoin
 from repro.stores import (
     DocumentStore,
@@ -155,6 +156,12 @@ class TestKeyedJoinRequests:
             assert _bag(result.rows) == _name_join_oracle()
             assert result.store_breakdown["kv"].requests <= math.ceil(_distinct_keys() / 8)
 
+    def test_a_keyed_request_runs_only_through_its_join(self):
+        # Alone, its unfilled template would be a silent full scan.
+        keyed = DelegatedRequest(KeyValueStore("kv"), ScanRequest("t"), {"k": "k"}, key="k")
+        with pytest.raises(ExecutionError, match="keyed"):
+            ExecutionEngine().execute(keyed)
+
     def test_a_limit_above_a_keyed_join_still_answers_from_the_full_left_side(self):
         est = _facade(KeyValueStore("kv"), batch_size=8)
         result = est.query(NAME_JOIN + " LIMIT 5", dataset="app")
@@ -191,6 +198,22 @@ class TestShardedLookups:
         keys = (1, 1, 2, 3, 3, 3)
         result = sharded.execute(LookupRequest("t", keys), ("a", "b"))
         assert _bag(result.rows) == _bag(row for key in keys for row in rows if row["a"] == key)
+
+    def test_an_in_scan_sends_each_shard_only_its_own_keys(self):
+        plain = RelationalStore("pg")
+        sharded = ShardedStore.homogeneous("pgs", 4, RelationalStore)
+        sharded.set_sharding("t", StoreShardingSpec("a", 4))
+        for store in (plain, *sharded.shard_stores()):
+            store.create_table("t", ("a", "b"))
+            store.create_index("t", "a")
+        rows = [{"a": i % 60, "b": i} for i in range(240)]
+        plain.insert("t", rows)
+        sharded.insert("t", rows)
+        request = ScanRequest("t", (Predicate("a", "in", frozenset(range(0, 80, 2))),))
+        result = sharded.execute(request, ("a", "b"))
+        assert _bag(result.rows) == _bag(plain.execute(request, ("a", "b")).rows)
+        lookups = sum(child.total_metrics.index_lookups for child in sharded.shard_stores())
+        assert lookups == 40  # each key probed once, on its own shard
 
     def test_an_in_predicate_prunes_to_the_shards_its_keys_route_to(self):
         spec = StoreShardingSpec("uid", 8)

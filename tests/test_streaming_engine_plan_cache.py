@@ -167,12 +167,12 @@ class TestOperatorEdgeCases:
         # batch size: a keyed-join plan, and a hash join over dict-row sources
         # whose rows lack some of their columns.  A keyed access runs only
         # under its join, which hands it the keys.
-        from repro.runtime import ExecutionContext, HashJoin
+        from repro.runtime import DelegatedRequest, ExecutionContext, HashJoin
 
         def operators(root):
             yield root
             for child in root.children():
-                if getattr(child, "key_variable", None) is None:
+                if not (isinstance(child, DelegatedRequest) and child.key_variable):
                     yield from operators(child)
 
         plans = [
