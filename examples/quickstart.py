@@ -156,9 +156,11 @@ def tuning_parallelism() -> None:
         fragment("F_orders", "mongo", "orders", ("uid", "sku"), "orders"),
         rows=[{"uid": i % 40, "sku": f"s{i}"} for i in range(80)],
     )
+    # A key-value collection holds one entry per key (here the first column,
+    # uid): rows repeating a key would refuse the load.
     est.register_fragment(
         fragment("F_visits2", "redis2", "visits", ("uid", "ms"), "visits"),
-        rows=[{"uid": i % 40, "ms": 10 * i} for i in range(60)],
+        rows=[{"uid": i, "ms": 10 * i} for i in range(40)],
     )
 
     fanout = ConjunctiveQuery(

@@ -133,17 +133,18 @@ def materialize_fragment(
         return written
 
     if isinstance(store, KeyValueStore):
-        key_columns = list(descriptor.access.key_columns) or [view_columns[0]]
-        key_store_column = descriptor.layout.store_column(key_columns[0])
-        store.create_collection(collection)
-        store.set_key_column(collection, key_store_column)
-        entries: dict[object, object] = {}
-        for row in store_rows:
-            key = row.get(key_store_column)
-            # Keep the key inside the value as well, so rewritings that project
-            # the key column find it in the returned rows.
-            entries[key] = dict(row)
-        return store.put_many(collection, entries)
+        key_column = descriptor.layout.store_column(
+            (descriptor.access.key_columns or view_columns)[0]
+        )
+        store.create_collection(collection, key_column=key_column)
+        # Rows replace the live entries under their keys (a dropped fragment's,
+        # registered again), as ``put`` does; a key repeated among the rows
+        # refuses the load.
+        live = store.mget(collection, {row.get(key_column): None for row in store_rows})
+        store.apply_delta(
+            collection, inserts=store_rows, deletes=[value for value in live if value is not None]
+        )
+        return len(store_rows)
 
     if isinstance(store, ParallelStore):
         partition_column = None

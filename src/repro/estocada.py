@@ -16,6 +16,7 @@ Most applications only ever touch this class.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
@@ -41,6 +42,7 @@ from repro.datamodel.relational import RelationalSchema, TableSchema
 from repro.errors import (
     MaintenanceError,
     NoRewritingFoundError,
+    ReproError,
     StaleFragmentError,
     TranslationError,
     UnknownFragmentError,
@@ -610,6 +612,9 @@ class Estocada:
     ) -> None:
         """Register a fragment descriptor; optionally materialize its rows.
 
+        A failed materialization unregisters the descriptor, empties the
+        collection when this call created it, and re-raises.
+
         Only cached plans whose queries can reach one of the fragment's
         relations are invalidated; the persistent rewriter's signature index
         is updated in place instead of being rebuilt.
@@ -629,7 +634,19 @@ class Estocada:
             rows = self._maintenance.compute_fragment_rows(descriptor)
         if rows is not None:
             store = self._manager.store(descriptor.store)
-            materialize_fragment(store, descriptor, rows, indexes=indexes, partitions=partitions)
+            collection = descriptor.layout.collection
+            existed = collection in store.collections()
+            try:
+                materialize_fragment(store, descriptor, rows, indexes=indexes, partitions=partitions)
+            except Exception:
+                # All or nothing: a refused load (a duplicate key, say) leaves
+                # neither the descriptor nor a half-built collection behind;
+                # rows an earlier load left (data outlives drop_fragment) stay.
+                self.drop_fragment(descriptor.fragment_name)
+                if not existed:
+                    with contextlib.suppress(ReproError, NotImplementedError):
+                        store.truncate_collection(collection)
+                raise
         self._maintenance.watch_fragment(descriptor)
         self._statistics.invalidate(descriptor.fragment_name)
         self._plan_cache.invalidate_relations(self._manager.fragment_relations(descriptor))

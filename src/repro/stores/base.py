@@ -509,13 +509,6 @@ class Store:
     nothing to overlap.
     """
 
-    # Whether scans may read the rows a durable backing keeps in segments.  A
-    # store whose native rows are not what it logs (key-value entries,
-    # last-write-wins by key) says no: its backing then mirrors no row and
-    # freezes nothing — recovery replays the WAL, and a compaction dumps the
-    # live state.
-    _segment_scans = True
-
     def __init__(self, name: str, latency: float = 0.0) -> None:
         self.name = name
         self._total_metrics = StoreMetrics()
@@ -680,10 +673,9 @@ class Store:
         empty but the store already holds data, the contents are snapshotted
         so durability starts complete.  From then on the store's write
         operations append WAL records through :meth:`_durable_log`.  Every
-        leaf store persists: the relational, document, parallel and
-        full-text stores through :class:`~repro.stores.heap.HeapStore`'s
-        replay/dump hooks, the key-value store through its own; router
-        stores give each child store its own backing instead.
+        leaf store persists through :class:`~repro.stores.heap.HeapStore`'s
+        replay/dump hooks; router stores give each child store its own
+        backing instead.
         """
         if self._durable is not None:
             raise StoreError(f"store {self.name!r} already has a durable backing")
@@ -713,9 +705,9 @@ class Store:
         no zone-map statistics exist.
         """
         backing = self._durable
-        if backing is None or not self._segment_scans:
+        if backing is None:
             return None
-        return backing.scan_fraction(collection, bounds)
+        return backing.scan_fraction(collection, bounds, self._reader_of)
 
     # Subclass protocol: a store that opts into durability calls
     # ``_durable_log`` after each successful write, implements
@@ -748,7 +740,6 @@ class Store:
         backing = self._durable
         if (
             backing is None
-            or not self._segment_scans
             or not isinstance(request, ScanRequest)
             or not backing.has_segments(request.collection)
         ):

@@ -17,11 +17,12 @@ A strict bag delete (:meth:`RowHeap.locate`) finds each record's stored copy
 through the primary key, else through the narrowest index bucket the record's
 own values select, and walks the heap only when the heap has no index.
 
-:class:`HeapStore` is the relational, document, parallel and full-text
-stores' common base: one heap per collection plus a per-collection ``meta``
-dict, and one implementation of collection management, the write path
-(inserts, bag deltas, truncation, indexes), durability (WAL records, replay,
-compaction dumps), statistics, index-narrowed scans and key lookups.  Each
+:class:`HeapStore` is every leaf store's common base — relational,
+document, key-value, parallel and full-text: one heap per collection plus a
+per-collection ``meta`` dict, and one implementation of collection
+management, the write path (inserts, bag deltas, primary-key uniqueness,
+truncation, indexes), durability (WAL records, replay, compaction dumps),
+statistics, index-narrowed scans and key lookups.  Each
 store adds only what differs: how a collection is declared, how rows are
 stored and checked, how a column is read, and any side structure it keeps
 current through the heap hooks.
@@ -35,7 +36,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.errors import DeltaError, SchemaError, StoreError
+from repro.errors import DeltaError, DurabilityError, SchemaError, StoreError
 from repro.stores.base import LookupRequest, ScanRequest, Store, StoreMetrics, member
 
 __all__ = ["HashIndex", "RowHeap", "HeapStore"]
@@ -280,6 +281,7 @@ class HeapStore(Store):
     """
 
     _noun = "collection"  # how error messages name a collection
+    _duplicate_key: type[Exception] = StoreError  # raised for a primary key held twice
 
     def __init__(self, name: str, latency: float = 0.0) -> None:
         super().__init__(name, latency=latency)
@@ -329,7 +331,10 @@ class HeapStore(Store):
         heap = self.rows(collection)
         self._check_column(collection, column)
         index = heap.index_on(column)
-        if index is not None:
+        keyed = heap.key == (column,)  # a one-column primary key: unique, hashed
+        if keyed:
+            distinct = len(heap)
+        elif index is not None:
             distinct = index.distinct_count()
         else:
             read = self._reader_of(column)
@@ -337,7 +342,7 @@ class HeapStore(Store):
                 distinct = len({read(row, column) for row in heap})
             except TypeError:  # nested values: count them by their text
                 distinct = len({repr(read(row, column)) for row in heap})
-        return {"count": len(heap), "distinct": distinct, "indexed": index is not None}
+        return {"count": len(heap), "distinct": distinct, "indexed": keyed or index is not None}
 
     def _check_column(self, collection: str, column: str) -> None:
         columns = self._meta[collection].get("columns")
@@ -347,13 +352,7 @@ class HeapStore(Store):
     # -- writes ----------------------------------------------------------------------
     def insert(self, collection: str, rows: Iterable[Mapping[str, object]]) -> int:
         """Append rows to a collection; returns how many were stored."""
-        heap = self.rows(collection)
-        added = self._stored(collection, rows)
-        self._check_inserts(collection, heap, added, ())
-        self._append(collection, heap, added)
-        if added:
-            self._durable_log({"kind": "rows", "collection": collection, "rows": added})
-        return len(added)
+        return self._write(collection, self._stored(collection, rows), [])
 
     def apply_delta(
         self,
@@ -361,21 +360,31 @@ class HeapStore(Store):
         inserts: Sequence[Mapping[str, object]] = (),
         deletes: Sequence[Mapping[str, object]] = (),
     ) -> int:
+        return self._write(
+            collection, self._stored(collection, inserts), self._stored(collection, deletes)
+        )
+
+    def _write(
+        self, collection: str, added: list[dict[str, object]], deletes: list[dict[str, object]]
+    ) -> int:
+        """Delete one stored row equal to each of ``deletes``, then append
+        ``added``; both are in stored form.  Returns the rows touched."""
         heap = self.rows(collection)
-        added = self._stored(collection, inserts)
         # Every delete is located and every insert checked before anything
-        # changes, so a refused delta leaves the collection as it was.
-        positions = heap.locate(self._stored(collection, deletes), f"{self._noun} {collection!r}")
+        # changes, so a refused write leaves the collection as it was.
+        positions = heap.locate(deletes, f"{self._noun} {collection!r}")
         self._check_inserts(collection, heap, added, positions)
         removed: list[dict[str, object]] = []
         if positions:
             self._rows_removed(collection, heap, positions)
             removed = heap.delete(positions)
         self._append(collection, heap, added)
-        if removed or added:
+        if removed:
             self._durable_log(
                 {"kind": "delta", "collection": collection, "inserts": added, "deletes": removed}
             )
+        elif added:
+            self._durable_log({"kind": "rows", "collection": collection, "rows": added})
         return len(removed) + len(added)
 
     def _append(self, collection: str, heap: RowHeap, rows: list[dict[str, object]]) -> None:
@@ -417,7 +426,24 @@ class HeapStore(Store):
     def _check_inserts(
         self, collection: str, heap: RowHeap, rows: list[dict[str, object]], freed: Sequence[int]
     ) -> None:
-        """Refuse ``rows`` by raising; ``freed`` positions are being deleted with them."""
+        """Refuse ``rows`` by raising; ``freed`` positions are being deleted with them.
+
+        The default refuses a primary key that a live row (not being
+        deleted) or an earlier row of ``rows`` holds.
+        """
+        key = heap.key
+        if not key:
+            return
+        freed = set(freed)
+        seen: set[tuple] = set()
+        for row in rows:
+            value = tuple(row[column] for column in key)
+            held = heap.key_position(value)
+            if value in seen or (held is not None and held not in freed):
+                raise self._duplicate_key(
+                    f"duplicate primary key {value!r} in {self._noun} {collection!r}"
+                )
+            seen.add(value)
 
     def _rows_added(self, collection: str, heap: RowHeap, positions: list[int]) -> None:
         """Rows were appended at ``positions``."""
@@ -438,18 +464,21 @@ class HeapStore(Store):
                 meta = dict(record.get("meta") or {})
                 meta.pop("indexes", None)  # the dump's; rebuilt by "index" records
                 self._create(collection, meta)
-        elif kind == "rows":
-            self.insert(collection, record["rows"])
+        elif kind == "rows":  # a record holds rows in stored form
+            self._write(collection, list(record["rows"]), [])
         elif kind == "delta":
-            self.apply_delta(
-                collection, inserts=record.get("inserts", ()), deletes=record.get("deletes", ())
+            self._write(
+                collection, list(record.get("inserts", ())), list(record.get("deletes", ()))
             )
         elif kind == "truncate":
             self.truncate_collection(collection)
         elif kind == "index":
             self.create_index(collection, record["column"])
-        elif kind == "drop" and collection in self._heaps:
-            self.drop_collection(collection)
+        elif kind == "drop":
+            if collection in self._heaps:
+                self.drop_collection(collection)
+        else:
+            raise DurabilityError(f"unknown durable record kind {kind!r}")
 
     def _durable_dump(self) -> Mapping[str, Mapping[str, object]]:
         return {
@@ -463,7 +492,8 @@ class HeapStore(Store):
 
     # -- reads ----------------------------------------------------------------------------
     def _scan_candidates(self, request: ScanRequest):
-        """The collection's rows, narrowed by the most selective equality index.
+        """The collection's rows, narrowed by the most selective equality index
+        or by ``=`` on a one-column primary key.
 
         An ``in`` predicate narrows by the union of its keys' buckets, in heap
         order.
@@ -473,9 +503,13 @@ class HeapStore(Store):
         candidates: Sequence[int] | None = None
         for predicate in request.predicates:
             index = heap.index_on(predicate.column) if predicate.op in ("=", "in") else None
-            if index is None:
+            if predicate.op == "=" and heap.key == (predicate.column,):
+                position = heap.key_position((predicate.value,))
+                positions = () if position is None else (position,)
+                metrics.index_lookups += 1
+            elif index is None:
                 continue
-            if predicate.op == "=":
+            elif predicate.op == "=":
                 positions = index.lookup(predicate.value)
                 metrics.index_lookups += 1
             else:

@@ -1,12 +1,21 @@
 """The simulated key-value store (Redis / Voldemort stand-in).
 
-Collections map keys to values (plain collections) or to field/value hashes
-(hash collections).  The defining property — central to the paper's encoding
+Collections map keys to values (plain values) or to field/value hashes
+(mapping values).  The defining property — central to the paper's encoding
 of access-pattern restrictions — is that entries can only be retrieved **by
 key**: scan requests without an equality predicate on the key are rejected,
 which forces the rewriting engine and planner to produce key-feeding plans
 (a keyed ``HashJoin`` looks up the left side's distinct keys, ``batch_size``
 keys per request).
+
+Entries live in :class:`~repro.stores.heap.HeapStore`, one native row
+``{"key": key, "value": value}`` each, unique on ``key``: writes, durability,
+folds and statistics are those of every other leaf store.  An entry reads as
+a row holding ``key``, the fields of a hash value, or a scalar value under
+``value``.  :meth:`KeyValueStore.put` overwrites (last write wins) with one
+delta that deletes the live entry and inserts the new one; ``insert`` and
+``apply_delta`` take plain field rows, keyed by the key column the
+collection was created with, and are as strict as every other store's.
 """
 
 from __future__ import annotations
@@ -14,217 +23,121 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import AccessPatternViolation, DeltaError, KeyNotFoundError, StoreError
-from repro.stores.base import (
-    LookupRequest,
-    ScanRequest,
-    Store,
-    StoreCapabilities,
-    StoreMetrics,
-    kept_rows,
-)
+from repro.stores.base import ScanRequest, StoreCapabilities
+from repro.stores.heap import HeapStore, RowHeap
 
 __all__ = ["KeyValueStore"]
 
 
-class KeyValueStore(Store):
+def _read_value(entry: Mapping[str, object], column: str) -> object:
+    """A column other than ``key``: a hash value's field, else the scalar ``value``."""
+    value = entry["value"]
+    if type(value) is dict or isinstance(value, Mapping):  # the ABC check is slow
+        return value.get(column)
+    return value if column == "value" else None
+
+
+class KeyValueStore(HeapStore):
     """An in-memory key-value DMS with a mandatory-key access pattern."""
 
-    # Last-write-wins by key: append-only segments would replay superseded
-    # puts (and hold ``{key, value}`` pairs, not the entry rows scans read).
-    _segment_scans = False
+    # A delta inserting under a live key would silently overwrite it.
+    _duplicate_key = DeltaError
 
     def __init__(
         self, name: str = "keyvalue", allow_scans: bool = False, latency: float = 0.0
     ) -> None:
         super().__init__(name, latency=latency)
-        self._collections: dict[str, dict[object, object]] = {}
-        self._key_columns: dict[str, str] = {}
         # Some deployments (e.g. a debugging console) allow full scans; the
         # default mirrors the paper's restriction.
         self._allow_scans = allow_scans
 
     # -- native API ------------------------------------------------------------------
-    def create_collection(self, name: str) -> None:
-        """Create an empty collection (idempotent)."""
-        if name not in self._collections:
-            self._collections[name] = {}
-            self._durable_log({"kind": "create", "collection": name, "columns": None})
+    def create_collection(self, name: str, key_column: str | None = None) -> None:
+        """Create an empty collection (idempotent).
+
+        ``key_column`` names the field of a written row that is its key:
+        :meth:`insert` and :meth:`apply_delta` store each row as the value
+        under that field's value.
+        """
+        if name not in self._heaps:
+            self._create(name, {"key_column": key_column})
 
     def put(self, collection: str, key: object, value: object) -> None:
         """Store ``value`` under ``key``."""
-        self._collections.setdefault(collection, {})[key] = value
-        self._durable_log(
-            {"kind": "put", "collection": collection, "entries": [[key, value]]}
-        )
+        self.put_many(collection, {key: value})
 
     def put_many(self, collection: str, entries: Mapping[object, object]) -> int:
-        """Store several entries; returns how many were written."""
-        bucket = self._collections.setdefault(collection, {})
-        bucket.update(entries)
-        if entries:
-            self._durable_log(
-                {
-                    "kind": "put",
-                    "collection": collection,
-                    "entries": [[key, value] for key, value in entries.items()],
-                }
-            )
+        """Store several entries, replacing live ones; returns how many were written."""
+        self.create_collection(collection)
+        heap = self.rows(collection)
+        live = (heap.key_position((key,)) for key in entries)
+        self._write(
+            collection,
+            [{"key": key, "value": value} for key, value in entries.items()],
+            [heap.at(position) for position in live if position is not None],
+        )
         return len(entries)
 
     def get(self, collection: str, key: object, missing_ok: bool = True) -> object | None:
         """Retrieve the value stored under ``key``."""
-        bucket = self._collection(collection)
-        if key not in bucket:
-            if missing_ok:
-                return None
-            raise KeyNotFoundError(f"key {key!r} not found in {collection!r}")
-        return bucket[key]
+        heap = self.rows(collection)
+        position = heap.key_position((key,))
+        if position is not None:
+            return heap.at(position)["value"]
+        if missing_ok:
+            return None
+        raise KeyNotFoundError(f"key {key!r} not found in {collection!r}")
 
     def mget(self, collection: str, keys: Iterable[object]) -> list[object | None]:
         """Retrieve several keys at once (missing keys yield None)."""
-        bucket = self._collection(collection)
-        return [bucket.get(key) for key in keys]
+        return [self.get(collection, key) for key in keys]
 
     def delete(self, collection: str, key: object) -> bool:
         """Delete a key; returns True when it existed."""
-        bucket = self._collection(collection)
-        existed = bucket.pop(key, _MISSING) is not _MISSING
-        if existed:
-            self._durable_log(
-                {"kind": "delete_keys", "collection": collection, "keys": [key]}
-            )
-        return existed
+        heap = self.rows(collection)
+        position = heap.key_position((key,))
+        if position is not None:
+            self._write(collection, [], [heap.at(position)])
+        return position is not None
 
     def keys(self, collection: str) -> Sequence[object]:
         """All keys of a collection (administrative operation, not a query path)."""
-        return tuple(self._collection(collection))
+        return tuple(entry["key"] for entry in self.rows(collection))
 
-    def _collection(self, name: str) -> dict[object, object]:
-        bucket = self._collections.get(name)
-        if bucket is None:
-            raise StoreError(f"collection {name!r} does not exist in store {self.name!r}")
-        return bucket
-
-    # -- write path ----------------------------------------------------------------------
-    def set_key_column(self, collection: str, column: str) -> None:
-        """Declare which field of a row dict is the collection's key.
-
-        Key-value entries are addressed by key, but delta rows arrive as
-        plain field dicts; the materialization path records the key column
-        here so :meth:`apply_delta` can route them.
-        """
-        self._key_columns[collection] = column
-        self._durable_log(
-            {"kind": "key_column", "collection": collection, "column": column}
-        )
-
-    def apply_delta(
-        self,
-        collection: str,
-        inserts: Sequence[Mapping[str, object]] = (),
-        deletes: Sequence[Mapping[str, object]] = (),
-    ) -> int:
-        bucket = self._collection(collection)
-        key_column = self._key_columns.get(collection)
-        if key_column is None:
+    # -- what a key-value collection refines -----------------------------------------------
+    def _stored(
+        self, collection: str, rows: Iterable[Mapping[str, object]]
+    ) -> list[dict[str, object]]:
+        """Field rows as entries: each row is the value under its key column."""
+        column = self._meta[collection].get("key_column")
+        if column is None:
             raise StoreError(
                 f"collection {collection!r} in store {self.name!r} has no declared "
-                f"key column; cannot apply a delta"
+                "key column; cannot write rows"
             )
-        # Strict like every other store, and checked whole before anything
-        # changes: a delete must match its stored entry exactly, and an
-        # insert may not land on a key that stays live.
-        deleted: set = set()
-        for delete in deletes:
-            key = delete.get(key_column)
-            if key in deleted or key not in bucket:
-                raise DeltaError(
-                    f"collection {collection!r}: delete of key {key!r} matches no entry"
-                )
-            if bucket[key] != dict(delete):
-                raise DeltaError(
-                    f"collection {collection!r}: delete of {dict(delete)!r} does not "
-                    f"match the stored entry {bucket[key]!r}"
-                )
-            deleted.add(key)
-        inserted: set = set()
-        for insert in inserts:
-            key = insert.get(key_column)
-            if key in inserted or (key in bucket and key not in deleted):
-                raise DeltaError(
-                    f"collection {collection!r}: insert under key {key!r} would "
-                    "overwrite a live entry"
-                )
-            inserted.add(key)
-        for key in deleted:
-            del bucket[key]
-        for insert in inserts:
-            # Keep the key inside the value, matching the materialization path.
-            bucket[insert.get(key_column)] = dict(insert)
-        if deletes or inserts:
-            self._durable_log(
-                {
-                    "kind": "delta",
-                    "collection": collection,
-                    "inserts": [dict(insert) for insert in inserts],
-                    "deletes": [dict(delete) for delete in deletes],
-                }
+        return [{"key": row.get(column), "value": row} for row in super()._stored(collection, rows)]
+
+    def _new_heap(self, collection: str) -> RowHeap:
+        return RowHeap(self._reader_of, key=("key",))
+
+    @staticmethod
+    def _reader_of(column: str):
+        """``key`` is the entry's own field; any other column is read off its value."""
+        return dict.get if column == "key" else _read_value
+
+    def _lookup_column(self, collection: str) -> str:
+        return "key"
+
+    def _scan_candidates(self, request: ScanRequest):
+        """A scan not pinned to a key is refused unless scans are allowed."""
+        pinned = any(p.column == "key" and p.op == "=" for p in request.predicates)
+        if not (pinned or self._allow_scans):
+            raise AccessPatternViolation(
+                f"key-value store {self.name!r} requires the key to be bound; "
+                f"cannot scan collection {request.collection!r}"
             )
-        return len(deletes) + len(inserts)
+        return super()._scan_candidates(request)
 
-    def truncate_collection(self, collection: str) -> None:
-        self._collection(collection).clear()
-        self._durable_log({"kind": "truncate", "collection": collection})
-
-    # -- durability hooks --------------------------------------------------------
-    def _durable_replay(self, record: Mapping[str, object]) -> None:
-        kind = record.get("kind")
-        collection = record.get("collection")
-        if kind == "create":
-            self.create_collection(collection)
-        elif kind == "key_column":
-            self.set_key_column(collection, record["column"])
-        elif kind == "put":
-            bucket = self._collections.setdefault(collection, {})
-            for key, value in record["entries"]:
-                bucket[key] = value
-        elif kind == "rows":
-            # Compacted generations dump entries as {key, value} rows.
-            bucket = self._collections.setdefault(collection, {})
-            for row in record["rows"]:
-                bucket[row["key"]] = row["value"]
-        elif kind == "delete_keys":
-            bucket = self._collections.setdefault(collection, {})
-            for key in record["keys"]:
-                bucket.pop(key, None)
-        elif kind == "delta":
-            self.apply_delta(
-                collection,
-                inserts=record.get("inserts", ()),
-                deletes=record.get("deletes", ()),
-            )
-        elif kind == "truncate":
-            if collection in self._collections:
-                self.truncate_collection(collection)
-        elif kind == "drop":
-            self._collections.pop(collection, None)
-            self._key_columns.pop(collection, None)
-
-    def _durable_dump(self) -> Mapping[str, Mapping[str, object]]:
-        dump: dict[str, Mapping[str, object]] = {}
-        for name, bucket in self._collections.items():
-            meta: dict[str, object] = {}
-            key_column = self._key_columns.get(name)
-            if key_column is not None:
-                meta["key_column"] = key_column
-            dump[name] = {
-                "columns": None,
-                "meta": meta,
-                "rows": [{"key": key, "value": value} for key, value in bucket.items()],
-            }
-        return dump
-
-    # -- store interface -----------------------------------------------------------------
     def capabilities(self) -> StoreCapabilities:
         return StoreCapabilities(
             name=self.name,
@@ -239,65 +152,3 @@ class KeyValueStore(Store):
             supports_nested_results=False,
             parallel=False,
         )
-
-    def collections(self) -> Sequence[str]:
-        return tuple(self._collections)
-
-    def collection_size(self, collection: str) -> int:
-        return len(self._collection(collection))
-
-    def column_statistics(self, collection: str, column: str) -> Mapping[str, object]:
-        bucket = self._collection(collection)
-        if column == "key":
-            return {"count": len(bucket), "distinct": len(bucket), "indexed": True}
-        distinct = set()
-        for value in bucket.values():
-            if isinstance(value, Mapping):
-                field_value = value.get(column)
-            else:
-                field_value = value if column == "value" else None
-            distinct.add(repr(field_value))
-        return {"count": len(bucket), "distinct": len(distinct), "indexed": False}
-
-    # -- execution (entries as rows; stores/base.py shapes them) -----------------------
-    # An entry's row holds ``key`` (shadowing any same-named value field), the
-    # fields of a hash value, or the scalar payload under ``value``.
-    def _lookup_rows(self, request: LookupRequest):
-        bucket = self._collection(request.collection)
-        metrics = StoreMetrics(index_lookups=len(request.keys))
-        rows = [self._entry_to_row(key, bucket[key]) for key in request.keys if key in bucket]
-        return rows, metrics
-
-    def _scan_rows(self, request: ScanRequest):
-        pinned = next(
-            (p.value for p in request.predicates if p.column == "key" and p.op == "="),
-            _MISSING,
-        )
-        if pinned is not _MISSING:
-            # A scan pinned to a key is a lookup, filtered by every predicate.
-            rows, metrics = self._lookup_rows(LookupRequest(request.collection, (pinned,)))
-        elif not self._allow_scans:
-            raise AccessPatternViolation(
-                f"key-value store {self.name!r} requires the key to be bound; "
-                f"cannot scan collection {request.collection!r}"
-            )
-        else:
-            bucket = self._collection(request.collection)
-            metrics = StoreMetrics(rows_scanned=len(bucket))
-            rows = (self._entry_to_row(key, value) for key, value in bucket.items())
-        return kept_rows(rows, request.predicates, self._reader_of, request.limit), metrics
-
-    @staticmethod
-    def _entry_to_row(key: object, value: object) -> dict[str, object]:
-        if isinstance(value, Mapping):
-            row = dict(value)
-            row["key"] = key
-            return row
-        return {"key": key, "value": value}
-
-
-class _Missing:
-    """Sentinel distinguishing "absent" from "stored None"."""
-
-
-_MISSING = _Missing()

@@ -5,17 +5,17 @@ primary-key and indexed-equality lookups, and hash joins of delegated
 sub-queries.  The ESTOCADA translation layer delegates the largest relational
 sub-query of a rewriting to this store, exactly as the paper delegates to
 Postgres.  Rows, indexes and durability live in
-:class:`~repro.stores.heap.HeapStore`; a table adds its declared columns,
-the coercion of written rows to them, and primary-key uniqueness.
+:class:`~repro.stores.heap.HeapStore` (primary-key uniqueness included); a
+table adds its declared columns and the coercion of written rows to them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.errors import SchemaError, StoreError
+from repro.errors import SchemaError
 from repro.stores.base import StoreCapabilities
-from repro.stores.heap import HeapStore, RowHeap
+from repro.stores.heap import HeapStore
 
 __all__ = ["RelationalStore"]
 
@@ -61,22 +61,6 @@ class RelationalStore(HeapStore):
                 )
             stored.append(dict(zip(columns, values)))
         return stored
-
-    def _check_inserts(
-        self, collection: str, heap: RowHeap, rows: list[dict[str, object]], freed: Sequence[int]
-    ) -> None:
-        """A primary key a live row (not being deleted) or an earlier row holds."""
-        key = heap.key
-        if not key:
-            return
-        freed = set(freed)
-        seen: set[tuple] = set()
-        for row in rows:
-            value = tuple(row[column] for column in key)
-            held = heap.key_position(value)
-            if value in seen or (held is not None and held not in freed):
-                raise StoreError(f"duplicate primary key {value!r} in table {collection!r}")
-            seen.add(value)
 
     def _lookup_column(self, collection: str) -> str:
         """The first primary-key column, else the first column."""

@@ -59,6 +59,7 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
 )
+from repro.stores.segment import DurableBacking
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.statistics import ReplicaHealthBoard
@@ -354,22 +355,10 @@ class ReplicatedStore(Store):
         self._durable = backing
 
     def compact_durable(self):
-        reports = []
-        for replica in self._replicas:
-            target = getattr(replica, "fault_target", replica)
-            report = target.compact_durable()
-            if report:
-                reports.append(report)
-        if not reports:
-            return None
-        return {
-            "generation": max(report["generation"] for report in reports),
-            "segments_written": sum(report["segments_written"] for report in reports),
-            "wal_records_folded": sum(report["wal_records_folded"] for report in reports),
-            "collections": sorted(
-                {name for report in reports for name in report["collections"]}
-            ),
-        }
+        return DurableBacking.merged_report(
+            getattr(replica, "fault_target", replica).compact_durable()
+            for replica in self._replicas
+        )
 
     def segment_scan_fraction(self, collection: str, bounds) -> float | None:
         for replica in self._replicas:

@@ -13,9 +13,7 @@ backing mirrors each record into its own state: inserted rows accumulate in
 a per-collection *tail*, and once the tail reaches the segment size the
 backing freezes a run into a segment file (tmp + fsync + rename) and then
 appends a ``freeze`` record — in that order, so a crash at any byte leaves
-either an orphan segment file (harmless) or a fully valid freeze.  A store
-whose scans read no segments (the key-value store) keeps no tail: its rows
-reach segments only when a compaction dumps them.  Inside a
+either an orphan segment file (harmless) or a fully valid freeze.  Inside a
 :func:`write_group` (one facade write statement) the records are buffered
 and written as one frame with one fsync when the group ends.  A delete that
 finds no tail row leaves a tombstone for the frozen copy; once a
@@ -74,11 +72,6 @@ __all__ = [
 MANIFEST_NAME = "MANIFEST"
 DEFAULT_SEGMENT_ROWS = 4096
 """Rows per frozen segment unless a backing is given ``segment_rows``."""
-
-
-# The records that carry rows (``put`` and ``delete_keys`` are key-value
-# writes, whose store reads no segment).
-_ROW_KINDS = frozenset(("rows", "delta", "put", "delete_keys"))
 
 # The open write group of each thread: the backings holding its records.
 _open_groups = threading.local()
@@ -381,11 +374,6 @@ class DurableBacking:
                         "meta": dict(state.meta),
                     }
                 )
-                key_column = state.meta.get("key_column")
-                if key_column:
-                    store._durable_replay(
-                        {"kind": "key_column", "collection": name, "column": key_column}
-                    )
                 for filename in info.get("segments", ()):
                     reader = SegmentReader(os.path.join(self._directory, filename))
                     state.segments.append(reader)
@@ -460,10 +448,7 @@ class DurableBacking:
     def _apply(self, record: Mapping[str, object], *, replay: bool) -> None:
         kind = record.get("kind")
         collection = record.get("collection")
-        if kind in _ROW_KINDS and not self._store._segment_scans:
-            # No scan reads these rows: recovery replays them from the WAL.
-            self._state(collection, create=True)
-        elif kind == "create":
+        if kind == "create":
             state = self._state(collection, create=True)
             columns = record.get("columns")
             if columns:
@@ -501,9 +486,6 @@ class DurableBacking:
             indexes = state.meta.setdefault("indexes", [])
             if record["column"] not in indexes:
                 indexes.append(record["column"])
-        elif kind == "key_column":
-            state = self._state(collection, create=True)
-            state.meta["key_column"] = record["column"]
         elif kind == "freeze":
             if not replay:  # freezes are minted by _maybe_freeze, never logged twice
                 return
@@ -558,6 +540,23 @@ class DurableBacking:
         """
         with self._lock:
             return self._compact_locked()
+
+    @staticmethod
+    def merged_report(
+        reports: Iterable[Mapping[str, object] | None],
+    ) -> Mapping[str, object] | None:
+        """One report for the compactions of a router store's children: the
+        newest generation, the summed counts and every collection's name
+        (None when no child compacted)."""
+        reports = [report for report in reports if report]
+        if not reports:
+            return None
+        return {
+            "generation": max(report["generation"] for report in reports),
+            "segments_written": sum(report["segments_written"] for report in reports),
+            "wal_records_folded": sum(report["wal_records_folded"] for report in reports),
+            "collections": sorted({name for report in reports for name in report["collections"]}),
+        }
 
     def _compact_locked(self) -> Mapping[str, object] | None:
         if self._store is None or self._wal is None:
@@ -675,12 +674,16 @@ class DurableBacking:
             state = self._collections.get(collection)
             return state is not None and bool(state.segments)
 
-    def scan_fraction(self, collection: str, bounds) -> float | None:
+    def scan_fraction(
+        self, collection: str, bounds, reader_of: Callable[[str], Callable]
+    ) -> float | None:
         """Expected fraction of rows a scan touches after zone-map pruning.
 
         The cost model's new statistics source: ``None`` when the collection
-        has no frozen segments (pruning cannot help).
+        has no frozen segments (pruning cannot help).  Only bounds on a
+        column ``reader_of`` reads with ``dict.get`` prune, as in a scan.
         """
+        bounds = tuple(bound for bound in bounds if reader_of(bound.column) is dict.get)
         with self._lock:
             state = self._collections.get(collection)
             if state is None or not state.segments:

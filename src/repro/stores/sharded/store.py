@@ -53,6 +53,7 @@ from repro.stores.base import (
     StoreMetrics,
     StoreRequest,
 )
+from repro.stores.segment import DurableBacking
 from repro.stores.sharding import ShardingSpec
 
 __all__ = ["ShardedStore"]
@@ -254,18 +255,7 @@ class ShardedStore(Store):
         self._durable = backing
 
     def compact_durable(self):
-        reports = [child.compact_durable() for child in self._shards]
-        reports = [report for report in reports if report]
-        if not reports:
-            return None
-        return {
-            "generation": max(report["generation"] for report in reports),
-            "segments_written": sum(report["segments_written"] for report in reports),
-            "wal_records_folded": sum(report["wal_records_folded"] for report in reports),
-            "collections": sorted(
-                {name for report in reports for name in report["collections"]}
-            ),
-        }
+        return DurableBacking.merged_report(child.compact_durable() for child in self._shards)
 
     def segment_scan_fraction(self, collection: str, bounds) -> float | None:
         fractions = [

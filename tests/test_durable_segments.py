@@ -38,6 +38,8 @@ from repro.stores import (
     KeyValueStore,
     ParallelStore,
     RelationalStore,
+    ReplicatedStore,
+    ShardedStore,
 )
 from repro.stores.base import Predicate, ScanRequest, SearchRequest
 from repro.stores.segment import (
@@ -53,6 +55,7 @@ from repro.stores.segment import (
     write_segment,
 )
 from repro.stores.segment.backing import _newest_index
+from repro.stores.sharding import ShardingSpec
 from repro.testing import DiskFaultInjector, DiskFaultProfile
 
 # The recovery-chaos CI job sweeps this over a seed matrix so each run
@@ -61,8 +64,8 @@ CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "7"))
 
 
 def _bag(rows):
-    """Order-insensitive fingerprint of dict rows."""
-    return Counter(tuple(sorted(row.items())) for row in rows)
+    """Order-insensitive fingerprint of dict rows (nested values included)."""
+    return Counter(freeze_value(row) for row in rows)
 
 
 def _store_rows(store, collection):
@@ -72,9 +75,17 @@ def _store_rows(store, collection):
     return [dict(row) for row in info.get("rows", [])]
 
 
-def _entries(store, collection="kv"):
-    """A key-value store's ``key -> value`` entries (via its durable dump)."""
-    return {row["key"]: row["value"] for row in _store_rows(store, collection)}
+def _heap_pairs(store, collection="t"):
+    """The ``(a, b)`` pairs a heap store's own rows hold, as a bag."""
+    read = store._reader_of
+    return Counter((read("a")(row, "a"), read("b")(row, "b")) for row in store.rows(collection))
+
+
+def _scanned_pairs(store, collection="t"):
+    """The ``(a, b)`` pairs a scan of ``collection`` answers, as a bag."""
+    request = ScanRequest(collection, predicates=(Predicate("a", ">=", 0),))
+    batches, _ = store._execute_batches(request, ("a", "b"), 16)
+    return Counter(row for batch in batches for row in batch.rows)
 
 
 # -- codec ---------------------------------------------------------------------------
@@ -459,32 +470,54 @@ class TestDurableBacking:
         recovered.attach_durable(DurableBacking(str(tmp_path / "redis"), segment_rows=4))
         assert recovered.get("kv", "k1") == {"v": 2}
         assert recovered.get("kv", "k2") is None
-        # Append-only segments cannot express overwrites, so the key-value
-        # store never serves scans from them.
-        assert recovered.segment_scan_fraction("kv", ()) is None
+        # An overwrite is a delete of the old entry plus an insert.
+        assert recovered.keys("kv") == ("k1",)
 
-    def test_keyvalue_puts_freeze_nothing_until_a_compaction(self, tmp_path):
+    def test_a_record_kind_no_store_writes_fails_recovery(self, tmp_path):
+        """A directory holding an unknown record kind (the ``put`` records an
+        older key-value store logged, say) fails to open instead of
+        recovering part of its entries."""
         directory = tmp_path / "redis"
-        store = KeyValueStore("redis")
-        backing = DurableBacking(str(directory), segment_rows=64)
-        store.attach_durable(backing)
-        store.create_collection("kv")
-        for key in range(1000):
-            store.put("kv", key, {"v": key % 7})
-        assert not [name for name in os.listdir(directory) if name.startswith("seg-")]
-        assert backing.describe()["collections"]["kv"] == {
-            "segments": 0, "rows_frozen": 0, "rows_tail": 0, "tombstones": 0,
-        }
-        live = _entries(store)
-        reopened = KeyValueStore("redis")
-        reopened.attach_durable(DurableBacking(str(directory), segment_rows=64))
-        assert _entries(reopened) == live
-        # A compaction still dumps the live entries into segments.
-        reopened.compact_durable()
-        assert [name for name in os.listdir(directory) if name.startswith("seg-")]
-        again = KeyValueStore("redis")
-        again.attach_durable(DurableBacking(str(directory), segment_rows=64))
-        assert _entries(again) == live
+        directory.mkdir()
+        wal = WriteAheadLog(str(directory / "wal-0.log"))
+        wal.append({"kind": "create", "collection": "kv", "columns": None})
+        wal.append({"kind": "put", "collection": "kv", "entries": [["k1", 1]]})
+        wal.close()
+        with pytest.raises(DurabilityError, match="unknown durable record kind 'put'"):
+            KeyValueStore("redis").attach_durable(DurableBacking(str(directory)))
+        with pytest.raises(DurabilityError, match="unknown durable record kind 'put'"):
+            KeyValueStore("redis")._durable_replay({"kind": "put", "collection": "kv"})
+
+
+class TestRouterCompaction:
+    """A router store's compaction report merges its children's reports."""
+
+    @pytest.mark.parametrize("router", ["replicated", "sharded"])
+    def test_the_report_has_the_newest_generation_and_summed_counts(self, tmp_path, router):
+        if router == "sharded":
+            store = ShardedStore.homogeneous("s", 4, RelationalStore)
+            children = store.shard_stores()
+        else:
+            store = ReplicatedStore.homogeneous("r", 3, RelationalStore)
+            children = store.replica_stores()
+        store.attach_durable(DurableBacking(str(tmp_path / router), segment_rows=4))
+        for child in children:
+            child.create_table("t", ("a",))
+        if router == "sharded":
+            store.set_sharding("t", ShardingSpec("a", 4))
+        store.insert("t", [{"a": i} for i in range(30)])
+        children[0].compact_durable()  # the children's generations now differ
+        reports = []
+        for child in children:
+            compact = child.compact_durable
+            child.compact_durable = lambda compact=compact: reports.append(compact()) or reports[-1]
+        merged = store.compact_durable()
+        assert len(reports) == len(children)
+        assert merged["generation"] == max(report["generation"] for report in reports) == 2
+        for count in ("segments_written", "wal_records_folded"):
+            assert merged[count] == sum(report[count] for report in reports)
+        assert merged["segments_written"] > 0
+        assert merged["collections"] == ["t"]
 
 
 # -- kill-at-any-offset recovery -----------------------------------------------------
@@ -523,6 +556,10 @@ HEAP_STORES = {
     "document": (DocumentStore, lambda store: store.create_collection("t")),
     "parallel": (ParallelStore, lambda store: store.create_dataset("t", partition_column="a")),
     "fulltext": (FullTextStore, lambda store: store.create_collection("t", indexed_fields=("b",))),
+    "keyvalue": (
+        lambda name: KeyValueStore(name, allow_scans=True),
+        lambda store: store.create_collection("t", key_column="a"),
+    ),
 }
 
 
@@ -566,43 +603,6 @@ class TestKillAtAnyOffset:
             )
             checked += 1
         assert checked == size + 1  # every byte offset, including 0 and EOF
-
-    def test_keyvalue_recovery_is_identical_at_every_wal_byte_offset(self, tmp_path):
-        live = str(tmp_path / "live")
-        store = KeyValueStore("redis")
-        store.attach_durable(DurableBacking(live, segment_rows=4))
-        store.create_collection("kv")
-        store.set_key_column("kv", "a")
-        store.put_many("kv", {i: {"a": i, "b": i % 3} for i in range(6)})
-        store.put("kv", 2, {"a": 2, "b": "overwritten"})
-        store.delete("kv", 4)
-        store.apply_delta("kv", inserts=[{"a": 9, "b": 0}], deletes=[{"a": 1, "b": 1}])
-        wal_path = os.path.join(live, "wal-0.log")
-        starts = frame_offsets(wal_path)
-        full_records = replay(wal_path)
-        for cut in range(os.path.getsize(wal_path) + 1):
-            workdir = str(tmp_path / "crash")
-            if os.path.exists(workdir):
-                shutil.rmtree(workdir)
-            shutil.copytree(live, workdir)
-            with open(os.path.join(workdir, "wal-0.log"), "r+b") as handle:
-                handle.truncate(cut)
-            survivors = sum(1 for start in starts[1:] if start <= cut)
-            # The oracle: the surviving records read as plain dict writes.
-            expected: dict = {}
-            for record in full_records[:survivors]:
-                if record["kind"] == "put":
-                    expected.update((key, value) for key, value in record["entries"])
-                elif record["kind"] == "delete_keys":
-                    for key in record["keys"]:
-                        expected.pop(key)
-                elif record["kind"] == "delta":
-                    for row in record["deletes"]:
-                        expected.pop(row["a"])
-                    expected.update((row["a"], row) for row in record["inserts"])
-            recovered = KeyValueStore("redis")
-            recovered.attach_durable(DurableBacking(workdir, segment_rows=4))
-            assert _entries(recovered) == expected, f"key-value recovery diverged at WAL byte {cut}"
 
     @pytest.mark.parametrize(
         "seed", [CHAOS_SEED, CHAOS_SEED * 3 + 1, CHAOS_SEED * 13 + 5]
@@ -761,27 +761,48 @@ class TestKillAtAnyOffsetGrouped:
 
 
 class TestBoundedTombstones:
-    def test_fifo_deletes_of_frozen_rows_stay_bounded_and_never_resurrect(self, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(HEAP_STORES))
+    def test_fifo_deletes_of_frozen_rows_stay_bounded_and_never_resurrect(self, tmp_path, kind):
         segment_rows = 8
-        store, backing = _fresh_relational(tmp_path, segment_rows=segment_rows)
-        store.create_table("t", ("a", "b"))
+        factory, create = HEAP_STORES[kind]
+        store = factory(kind)
+        backing = DurableBacking(str(tmp_path / kind), segment_rows=segment_rows)
+        store.attach_durable(backing)
+        create(store)
         live = [{"a": i, "b": i % 5} for i in range(64)]
         store.insert("t", live)
         generations = set()
-        while len(live) > 3:
+        while len(live) > 4:
             doomed, live = live[:3], live[3:]
             store.apply_delta("t", deletes=doomed, inserts=[])
             described = backing.describe()["collections"]["t"]
             assert described["tombstones"] <= segment_rows
             generations.add(backing.generation)
-            request = ScanRequest("t", predicates=(Predicate("a", ">=", 0),))
-            batches, _ = store._execute_batches(request, ("a", "b"), 16)
-            scanned = [row for batch in batches for row in batch.rows]
-            assert Counter(scanned) == Counter((row["a"], row["b"]) for row in live)
+            assert _scanned_pairs(store) == Counter((row["a"], row["b"]) for row in live)
         assert len(generations) > 2  # folds happened, more than once
-        recovered = _recover_relational(tmp_path, segment_rows=segment_rows)
-        assert _bag(_store_rows(recovered, "t")) == _bag(live)
+        store.apply_delta("t", deletes=live[:1], inserts=[])  # a delete the WAL replays
+        live = live[1:]
+        recovered = factory(kind)
+        recovered.attach_durable(DurableBacking(str(tmp_path / kind), segment_rows=segment_rows))
+        expected = Counter((row["a"], row["b"]) for row in live)
+        assert _scanned_pairs(recovered) == expected  # served from the segments
+        assert _heap_pairs(recovered) == expected  # the replayed heap
 
+    def test_keyvalue_churn_folds_and_keeps_the_wal_small(self, tmp_path):
+        store = KeyValueStore("redis")
+        backing = DurableBacking(str(tmp_path / "redis"), segment_rows=64)
+        store.attach_durable(backing)
+        store.create_collection("kv")
+        for key in range(3000):
+            store.put("kv", key, {"v": key % 7})
+        for key in range(2900):
+            store.delete("kv", key)
+        assert backing.generation > 0
+        assert os.path.getsize(backing.wal_path) < 10_000
+        recovered = KeyValueStore("redis")
+        recovered.attach_durable(DurableBacking(str(tmp_path / "redis"), segment_rows=64))
+        assert sorted(recovered.keys("kv")) == list(range(2900, 3000))
+        assert recovered.mget("kv", [0, 2999]) == [None, {"v": 2999 % 7}]
 
     def test_a_scan_streaming_across_a_fold_still_reads_its_segments(self, tmp_path):
         """A fold retires the old generation's files only after its open scans end."""
@@ -819,23 +840,6 @@ class TestBoundedTombstones:
         stream.close()
         names = os.listdir(tmp_path / "pg")
         assert not any(name.startswith(f"seg-{generation}-") for name in names)
-
-    def test_keyvalue_deletes_leave_no_tombstones_and_never_fold(self, tmp_path):
-        store = KeyValueStore("redis")
-        backing = DurableBacking(str(tmp_path / "redis"), segment_rows=4)
-        store.attach_durable(backing)
-        store.create_collection("kv")
-        generation = backing.generation
-        for key in range(20):
-            store.put("kv", f"k{key}", {"v": key})
-        for key in range(0, 20, 2):
-            store.delete("kv", f"k{key}")
-        assert backing.generation == generation
-        assert backing.describe()["collections"]["kv"]["tombstones"] == 0
-        recovered = KeyValueStore("redis")
-        recovered.attach_durable(DurableBacking(str(tmp_path / "redis"), segment_rows=4))
-        for key in range(20):
-            assert recovered.get("kv", f"k{key}") == (None if key % 2 == 0 else {"v": key})
 
     def test_tail_deletes_search_newest_first_without_copying(self):
         rows = [{"a": i % 3} for i in range(300)]
@@ -911,6 +915,16 @@ class TestSegmentSkippingScans:
             durable_rows, _ = self._scan(store, *predicates)
             plain_rows, _ = self._scan(plain, *predicates)
             assert Counter(durable_rows) == Counter(plain_rows), predicates
+
+    def test_a_key_value_scan_fraction_prunes_only_on_segment_columns(self, tmp_path):
+        """A key-value segment holds ``key`` and ``value``: a bound on a field
+        read off the value cannot exclude a segment."""
+        store = KeyValueStore("redis", allow_scans=True)
+        store.attach_durable(DurableBacking(str(tmp_path / "redis"), segment_rows=8))
+        store.create_collection("kv", key_column="uid")
+        store.insert("kv", [{"uid": i, "category": i % 3} for i in range(32)])
+        assert store.segment_scan_fraction("kv", (Predicate("category", "=", 1),)) == 1.0
+        assert store.segment_scan_fraction("kv", (Predicate("key", "=", 40),)) == 0.0
 
     def test_scan_fraction_prices_pruning_for_the_cost_model(self, tmp_path):
         store, _ = self._loaded_store(tmp_path)

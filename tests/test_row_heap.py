@@ -13,7 +13,8 @@ equal row per delete:
 * the heap never holds more holes than live rows (it compacts past that).
 
 Covered: relational (no index, indexed, primary key), document (dotted-path
-index), parallel (partitioned and indexed) and full-text (search hits).
+index), key-value (entries keyed by a field, indexed on another), parallel
+(partitioned and indexed) and full-text (search hits).
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeltaError
-from repro.stores import DocumentStore, FullTextStore, ParallelStore, RelationalStore
+from repro.stores import (
+    DocumentStore,
+    FullTextStore,
+    KeyValueStore,
+    ParallelStore,
+    RelationalStore,
+)
 from repro.stores.base import LookupRequest, Predicate, ScanRequest, SearchRequest
 
 SMALL = st.integers(0, 3)
@@ -123,6 +130,24 @@ class RelationalKeyed(Harness):
             assert got == [row for row in oracle if row["id"] == key]
 
 
+class KeyValueKeyed(RelationalKeyed):
+    """Rows stored as the values of entries keyed by their ``id``."""
+
+    def build(self):
+        store = KeyValueStore("redis", allow_scans=True)
+        store.create_collection(self.collection, key_column="id")
+        store.create_index(self.collection, "a")
+        return store
+
+    def extra_checks(self, store, oracle):
+        super().extra_checks(store, oracle)
+        for key in range(8):
+            pinned = ScanRequest(self.collection, (Predicate("key", "=", key),))
+            expected = [row for row in oracle if row["id"] == key]
+            assert store.execute(pinned, self.columns).rows == expected
+            assert store.get(self.collection, key) == (expected[0] if expected else None)
+
+
 class DocumentPathIndexed(Harness):
     indexed = ("p.x",)
     columns = ("p", "b")
@@ -193,6 +218,7 @@ HARNESSES = {
     "relational-indexed": RelationalIndexed(),
     "relational-keyed": RelationalKeyed(),
     "document-path-index": DocumentPathIndexed(),
+    "keyvalue-keyed": KeyValueKeyed(),
     "parallel-partitioned": ParallelPartitioned("a"),
     "parallel-unpartitioned": ParallelPartitioned(None),
     "fulltext": FullTextSearched(),

@@ -343,8 +343,7 @@ class TestKeyValueDeltaStrictness:
     @staticmethod
     def _store():
         store = KeyValueStore("redis")
-        store.create_collection("kv")
-        store.set_key_column("kv", "k")
+        store.create_collection("kv", key_column="k")
         store.apply_delta("kv", inserts=[{"k": 1, "v": "a"}, {"k": 2, "v": "b"}])
         return store
 
