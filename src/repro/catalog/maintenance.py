@@ -97,6 +97,7 @@ class MaintenanceEngine:
         self._columns: dict[str, tuple[str, ...]] = {}
         self._bags: dict[str, BagIndex] = {}
         self._fragments: dict[str, _WatchedFragment] = {}
+        self._drifted: set[str] = set()
         self._next_seq = 0
 
     # -- base relations ----------------------------------------------------------------
@@ -411,8 +412,22 @@ class MaintenanceEngine:
         return inserts, deletes
 
     def _finish_fragment(self, watched: _WatchedFragment) -> None:
-        """Post-apply bookkeeping: the fragment is fresh, its stats changed."""
-        self._statistics.note_data_write(watched.descriptor.fragment_name)
+        """Post-apply bookkeeping: the fragment is fresh, its stats changed.
+
+        A fragment whose size drifted past the statistics' threshold is kept
+        until :meth:`take_drifted` hands it on: plans ranked on its old
+        statistics must be ranked again.
+        """
+        name = watched.descriptor.fragment_name
+        if self._statistics.note_data_write(name):
+            self._drifted.add(name)
+
+    def take_drifted(self) -> frozenset[str]:
+        """The fragments whose statistics drifted since the last call."""
+        with self._lock:
+            drifted = frozenset(self._drifted)
+            self._drifted.clear()
+            return drifted
 
     def _restate_staleness(self, watched: _WatchedFragment) -> None:
         """Re-derive the staleness counters from the surviving queue."""

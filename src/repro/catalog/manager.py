@@ -85,16 +85,19 @@ class StorageDescriptorManager:
             return self._structural_epoch
 
     def relation_epoch(self, relation: str) -> int:
-        """Epoch of one relation signature (0 while never mutated)."""
+        """Epoch of one relation signature (0 while no fragment over it changed)."""
         with self._lock:
             return self._relation_epochs.get(relation, 0)
 
     def epoch_signature(self, relations: Iterable[str]) -> tuple[tuple[str, int], ...]:
         """Sorted ``(relation, epoch)`` pairs for a set of relations.
 
-        A cached plan whose key embeds this signature over the relations it
-        can possibly touch stays valid exactly until one of those relations'
-        fragments changes.
+        Epochs are structural: registering, dropping or moving a fragment
+        bumps its relations' epochs, and a data write bumps none.  A cached
+        plan whose key embeds this signature over the relations it can
+        possibly touch keeps its key until one of those relations' fragments
+        is added, removed or moved; what data writes change (backlogs,
+        statistics) the plan cache handles per fragment.
         """
         with self._lock:
             return tuple(
@@ -111,16 +114,6 @@ class StorageDescriptorManager:
             self._epoch_clock += 1
             for relation in relations:
                 self._relation_epochs[relation] = self._epoch_clock
-
-    def note_data_write(self, relations: Iterable[str]) -> None:
-        """Record a *data* change to ``relations`` (DML, not DDL).
-
-        Bumps only the touched relations' epochs so cached plans that read
-        them re-validate, without bumping :attr:`version` — the set of
-        fragments and views is unchanged, so the rewriter's view index stays
-        valid and queries over untouched relations keep their cached plans.
-        """
-        self._bump_relations(relations)
 
     # -- stores ---------------------------------------------------------------------
     def register_store(self, name: str, store: Store) -> None:

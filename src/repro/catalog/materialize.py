@@ -17,6 +17,7 @@ from repro.errors import CatalogError
 from repro.stores.base import Store
 from repro.stores.document import DocumentStore, unflatten_document
 from repro.stores.fulltext import FullTextStore
+from repro.stores.heap import HeapStore
 from repro.stores.keyvalue import KeyValueStore
 from repro.stores.parallel import ParallelStore
 from repro.stores.relational import RelationalStore
@@ -37,25 +38,37 @@ def _store_rows(
     return renamed
 
 
+def _load(store: HeapStore, collection: str, rows: list[dict[str, object]], replace: bool) -> int:
+    """Append ``rows``, or swap them in for the collection's live rows."""
+    if replace:
+        store.replace_rows(collection, rows)
+        return len(rows)
+    return store.insert(collection, rows)
+
+
 def materialize_fragment(
     store: Store,
     descriptor: StorageDescriptor,
     rows: Sequence[Mapping[str, object]],
     indexes: Sequence[str] = (),
     partitions: int | None = None,
+    replace: bool = False,
 ) -> int:
     """Write ``rows`` (keyed by view column names) into the descriptor's store.
 
     ``indexes`` lists view columns to index after loading; ``partitions``
-    overrides the partition count for parallel stores.  Returns the number of
-    rows written.
+    overrides the partition count for parallel stores.  With ``replace`` the
+    rows take the place of whatever the collection holds, in one delta per
+    leaf store (a refused load leaves that store's rows as they were);
+    otherwise they are appended.  Returns the number of rows written.
     """
     # Fault-injection wrappers are transparent for loading: write through to
     # the wrapped store so materialization cannot be dropped by the schedule.
     fault_target = getattr(store, "fault_target", None)
     if fault_target is not None:
         return materialize_fragment(
-            fault_target, descriptor, rows, indexes=indexes, partitions=partitions
+            fault_target, descriptor, rows, indexes=indexes, partitions=partitions,
+            replace=replace,
         )
 
     if isinstance(store, ReplicatedStore):
@@ -63,7 +76,8 @@ def materialize_fragment(
         written = 0
         for replica in store.replica_stores():
             written = materialize_fragment(
-                replica, descriptor, rows, indexes=indexes, partitions=partitions
+                replica, descriptor, rows, indexes=indexes, partitions=partitions,
+                replace=replace,
             )
         return written
 
@@ -109,7 +123,8 @@ def materialize_fragment(
         written = 0
         for index, shard_rows in enumerate(sliced):
             written += materialize_fragment(
-                store.shard(index), descriptor, shard_rows, indexes=indexes, partitions=partitions
+                store.shard(index), descriptor, shard_rows, indexes=indexes,
+                partitions=partitions, replace=replace,
             )
         return written
 
@@ -119,7 +134,7 @@ def materialize_fragment(
         ]
         if collection not in store.collections():
             store.create_table(collection, store_columns, primary_key=key_columns)
-        written = store.insert(collection, store_rows)
+        written = _load(store, collection, store_rows, replace)
         for column in indexes:
             store.create_index(collection, descriptor.layout.store_column(column))
         return written
@@ -127,7 +142,8 @@ def materialize_fragment(
     if isinstance(store, DocumentStore):
         if any("." in column for column in store_columns):
             store_rows = list(map(unflatten_document, store_rows))
-        written = store.insert(collection, store_rows)
+        store.create_collection(collection)
+        written = _load(store, collection, store_rows, replace)
         for column in indexes:
             store.create_index(collection, descriptor.layout.store_column(column))
         return written
@@ -137,14 +153,8 @@ def materialize_fragment(
             (descriptor.access.key_columns or view_columns)[0]
         )
         store.create_collection(collection, key_column=key_column)
-        # Rows replace the live entries under their keys (a dropped fragment's,
-        # registered again), as ``put`` does; a key repeated among the rows
-        # refuses the load.
-        live = store.mget(collection, {row.get(key_column): None for row in store_rows})
-        store.apply_delta(
-            collection, inserts=store_rows, deletes=[value for value in live if value is not None]
-        )
-        return len(store_rows)
+        # A key repeated among the rows, or already live, refuses the load.
+        return _load(store, collection, store_rows, replace)
 
     if isinstance(store, ParallelStore):
         partition_column = None
@@ -152,7 +162,7 @@ def materialize_fragment(
             partition_column = descriptor.layout.store_column(descriptor.access.key_columns[0])
         if collection not in store.collections():
             store.create_dataset(collection, partition_column=partition_column, partitions=partitions)
-        written = store.insert(collection, store_rows)
+        written = _load(store, collection, store_rows, replace)
         for column in indexes:
             store.create_index(collection, descriptor.layout.store_column(column))
         return written
@@ -161,7 +171,7 @@ def materialize_fragment(
         indexed_fields = [descriptor.layout.store_column(column) for column in indexes] or store_columns
         if collection not in store.collections():
             store.create_collection(collection, indexed_fields=indexed_fields)
-        return store.insert(collection, store_rows)
+        return _load(store, collection, store_rows, replace)
 
     raise CatalogError(
         f"do not know how to materialize into store type {type(store).__name__}"

@@ -424,6 +424,11 @@ class StatisticsCatalog:
                 latest_seq=self._latest_write_seq,
             )
 
+    def backlogs(self) -> dict[str, int]:
+        """Pending-delta counts of every fragment with a backlog (fresh ones are absent)."""
+        with self._staleness_lock:
+            return dict(self._pending_deltas)
+
     def staleness_snapshot(self) -> Mapping[str, Mapping[str, object]]:
         """JSON-friendly staleness of every fragment with a backlog."""
         with self._staleness_lock:
@@ -531,7 +536,7 @@ class StatisticsCatalog:
             # was subsumed by the rebuild.
             self.clear_staleness(fragment)
 
-    def note_data_write(self, fragment: str) -> None:
+    def note_data_write(self, fragment: str) -> bool:
         """A maintained fragment's rows changed: update its statistics in place.
 
         The backlog and runtime observations go, as with :meth:`invalidate`,
@@ -539,24 +544,27 @@ class StatisticsCatalog:
         store (an O(1) size) and the distinct counts are capped at it.  Only
         a size that drifted past :data:`DRIFT_THRESHOLD` since the last full
         count drops the cache, so the next :meth:`get` recounts.
+
+        Returns whether the cache was dropped: plans ranked on the old
+        statistics no longer hold and must be ranked again.
         """
         self._observed.pop(fragment, None)
         self._shard_observed.pop(fragment, None)
         self.clear_staleness(fragment)
         cached = self._cache.get(fragment)
         if cached is None:
-            return
+            return False
         try:
             descriptor = self._manager.fragment(fragment)
             store = self._manager.store(descriptor.store)
             size = store.collection_size(descriptor.layout.collection)
         except (CatalogError, StoreError):  # the placement is gone: count afresh later
             self._cache.pop(fragment, None)
-            return
+            return True
         counted = self._counted.get(fragment, cached.cardinality)
         if abs(size - counted) > DRIFT_THRESHOLD * max(counted, 1):
             self._cache.pop(fragment, None)
-            return
+            return True
         shard_sizes = getattr(store, "shard_sizes", None)
         self._cache[fragment] = replace(
             cached,
@@ -570,6 +578,7 @@ class StatisticsCatalog:
                 else ()
             ),
         )
+        return False
 
     # -- the runtime feedback loop --------------------------------------------------
     def record_observation(

@@ -154,19 +154,27 @@ class PlanCache:
 
     Keys are the normalized query shape (alpha-renamed variables, constants
     included) plus the rewriting algorithm and the catalog's per-relation
-    epoch signature over the query's reachable relations, so a catalog
-    mutation invalidates exactly the entries whose queries can see the
-    mutated relations; ``register_fragment`` / ``drop_fragment``
-    additionally drop intersecting entries eagerly via
-    :meth:`invalidate_relations` to free memory.
-    A hit skips the whole PACB chase/backchase pipeline and the planner.
-    Entries whose plans rely on a fragment whose observed statistics have
-    drifted are dropped selectively via :meth:`invalidate_fragment`.
+    epoch signature over the query's reachable relations.  Epochs are
+    structural: registering, dropping or moving a fragment changes the keys
+    of exactly the entries whose queries can see its relations, and
+    ``register_fragment`` / ``drop_fragment`` additionally drop those entries
+    eagerly via :meth:`invalidate_relations` to free memory.  A data write
+    changes no key.  A hit skips the whole PACB chase/backchase pipeline and
+    the planner.
+
+    What data can move is the ranking: the cost model reads fragment
+    statistics and prices each fragment's maintenance backlog.  So each entry
+    remembers the backlogs it was ranked under, and :meth:`invalidate_fragment`
+    drops the entries over a fragment whose backlog is no longer that one (a
+    deferred write left it stale, maintenance caught it up), or every entry
+    over a fragment whose statistics drifted past the threshold.
     """
 
     def __init__(self, capacity: int = 128) -> None:
         self._capacity = max(0, capacity)
-        self._entries: OrderedDict[tuple, tuple[Explanation, frozenset[str]]] = OrderedDict()
+        self._entries: OrderedDict[
+            tuple, tuple[Explanation, frozenset[str], Mapping[str, int]]
+        ] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -184,7 +192,11 @@ class PlanCache:
         return entry[0]
 
     def put(
-        self, key: tuple, explanation: Explanation, relations: Iterable[str] = ()
+        self,
+        key: tuple,
+        explanation: Explanation,
+        relations: Iterable[str] = (),
+        backlogs: Mapping[str, int] | None = None,
     ) -> None:
         """Insert an entry, evicting the least recently used beyond capacity.
 
@@ -192,10 +204,12 @@ class PlanCache:
         relation and fragment name the query's rewritings can possibly touch
         (the index closure of its body relations); scoped invalidation drops
         entries whose signature intersects a mutated fragment's.
+        ``backlogs`` maps each fragment that had pending deltas when the
+        ranking began to their count (fresh fragments are absent).
         """
         if self._capacity == 0:
             return
-        self._entries[key] = (explanation, frozenset(relations))
+        self._entries[key] = (explanation, frozenset(relations), dict(backlogs or {}))
         self._entries.move_to_end(key)
         while len(self._entries) > self._capacity:
             self._entries.popitem(last=False)
@@ -205,18 +219,21 @@ class PlanCache:
         """Drop every entry (counters are preserved)."""
         self._entries.clear()
 
-    def invalidate_fragment(self, fragment: str) -> int:
-        """Drop every entry whose candidate plans touch ``fragment``.
+    def invalidate_fragment(self, fragment: str, backlog: int | None = None) -> int:
+        """Drop entries whose candidate plans touch ``fragment``.
 
-        Called when the fragment's observed statistics drift past the
-        threshold: the cached cost-based choices (plan ranking, hash-vs-bind
-        decisions) were made from estimates that no longer hold.  Returns the
+        With no ``backlog``, every such entry goes: the fragment's statistics
+        drifted past the threshold, so the cached cost-based choices (plan
+        ranking, hash-vs-keyed joins) were made from estimates that no
+        longer hold.  With a ``backlog`` (the fragment's pending-delta count
+        now), only the entries ranked under another count go.  Returns the
         number of entries dropped.
         """
         stale = [
             key
-            for key, (explanation, _) in self._entries.items()
-            if any(
+            for key, (explanation, _, ranked_under) in self._entries.items()
+            if (backlog is None or ranked_under.get(fragment, 0) != backlog)
+            and any(
                 access.descriptor.fragment_name == fragment
                 for ranked in explanation.ranked_plans
                 for group in ranked.plan.groups
@@ -239,7 +256,7 @@ class PlanCache:
         touched = frozenset(relations)
         stale = [
             key
-            for key, (_, signature) in self._entries.items()
+            for key, (_, signature, _) in self._entries.items()
             if signature & touched
         ]
         for key in stale:
@@ -309,17 +326,20 @@ class NamespacedPlanCache:
         explanation: "Explanation",
         relations: Iterable[str] = (),
         namespace: str = DEFAULT_CACHE_NAMESPACE,
+        backlogs: Mapping[str, int] | None = None,
     ) -> None:
-        self.namespace(namespace).put(key, explanation, relations)
+        self.namespace(namespace).put(key, explanation, relations, backlogs)
 
     def clear(self) -> None:
         """Drop every entry in every namespace (counters are preserved)."""
         for cache in self._snapshot():
             cache.clear()
 
-    def invalidate_fragment(self, fragment: str) -> int:
-        """Drop stale entries across all namespaces (shared catalog drifted)."""
-        return sum(cache.invalidate_fragment(fragment) for cache in self._snapshot())
+    def invalidate_fragment(self, fragment: str, backlog: int | None = None) -> int:
+        """Drop stale entries across all namespaces (the catalog is shared)."""
+        return sum(
+            cache.invalidate_fragment(fragment, backlog) for cache in self._snapshot()
+        )
 
     def invalidate_relations(self, relations: Iterable[str]) -> int:
         """Scoped catalog-mutation invalidation across all namespaces."""
@@ -612,8 +632,11 @@ class Estocada:
     ) -> None:
         """Register a fragment descriptor; optionally materialize its rows.
 
+        Data outlives :meth:`drop_fragment`, so loaded rows replace whatever
+        the fragment's collection already holds, in one delta per leaf store.
         A failed materialization unregisters the descriptor, empties the
-        collection when this call created it, and re-raises.
+        collection when this call created it (an existing one keeps its
+        rows), and re-raises.
 
         Only cached plans whose queries can reach one of the fragment's
         relations are invalidated; the persistent rewriter's signature index
@@ -637,11 +660,14 @@ class Estocada:
             collection = descriptor.layout.collection
             existed = collection in store.collections()
             try:
-                materialize_fragment(store, descriptor, rows, indexes=indexes, partitions=partitions)
+                materialize_fragment(
+                    store, descriptor, rows, indexes=indexes, partitions=partitions,
+                    replace=existed,
+                )
             except Exception:
                 # All or nothing: a refused load (a duplicate key, say) leaves
                 # neither the descriptor nor a half-built collection behind;
-                # rows an earlier load left (data outlives drop_fragment) stay.
+                # rows an earlier load left stay as they were.
                 self.drop_fragment(descriptor.fragment_name)
                 if not existed:
                     with contextlib.suppress(ReproError, NotImplementedError):
@@ -831,31 +857,36 @@ class Estocada:
 
         The write lands in the maintenance engine's base shadow first (a
         delete of an absent row is refused outright with
-        :class:`~repro.errors.DeltaError`), each affected fragment's view
-        delta is logged, and — since the fragments' *contents* are about to
-        change — the catalog bumps exactly the touched relations' epochs, so
-        only cached plans that can see them re-validate.  Under the eager
-        policy the deltas are applied before returning; a store failure
-        during application (e.g. a crashed replica mid-fan-out) propagates as
-        its typed error with the delta still safely queued — the fragment is
-        detectably stale, never silently wrong.  On durable stores the
-        statement is one write group: each backing writes its records as one
-        WAL frame with one fsync when the statement ends (even when it
-        raises).  Returns the write's global sequence number.
+        :class:`~repro.errors.DeltaError`) and each affected fragment's view
+        delta is logged.  Under the eager policy the deltas are applied
+        before returning; a store failure during application (e.g. a crashed
+        replica mid-fan-out) propagates as its typed error with the delta
+        still safely queued — the fragment is detectably stale, never
+        silently wrong.  On durable stores the statement is one write group:
+        each backing writes its records as one WAL frame with one fsync when
+        the statement ends (even when it raises).
+
+        A data write leaves the catalog epochs alone, so cached plans keep
+        their keys; when the statement ends, :meth:`_replan` drops only the
+        ones whose ranking inputs it moved.  An eager write whose fragments
+        start and end fresh and do not drift keeps every cached plan.
+        Returns the write's global sequence number.
         """
         inserts = self._normalize_rows(inserts)
         deletes = self._normalize_rows(deletes)
         seq, affected = self._maintenance.apply_write(
             relation, inserts=inserts, deletes=deletes
         )
-        with self._planning_lock:
-            self._manager.note_data_write({relation, *affected})
-        if self._write_policy == "eager" and affected:
-            # The engine lock spans the group's commit, so a tombstone fold's
-            # store dump never interleaves with another statement's deltas.
-            with self._maintenance.lock, write_group():
-                for fragment in affected:
-                    self.maintain(fragment, cancel=cancel)
+        try:
+            if self._write_policy == "eager" and affected:
+                # The engine lock spans the group's commit, so a tombstone
+                # fold's store dump never interleaves with another
+                # statement's deltas.
+                with self._maintenance.lock, write_group():
+                    for fragment in affected:
+                        self._maintenance.maintain(fragment, cancel=cancel)
+        finally:
+            self._replan(affected)
         return seq
 
     def maintain(
@@ -863,20 +894,36 @@ class Estocada:
     ) -> int:
         """Apply pending deltas (one fragment, or every stale one).
 
-        Returns the number of store rows written.  Fragments that become
-        fresh get their epochs bumped (their contents changed), even when a
-        later fragment's application fails or is cancelled.
+        Returns the number of store rows written.  Cached plans ranked while
+        a maintained fragment was stale are dropped (see :meth:`_replan`),
+        also when a later fragment's application fails or is cancelled.
         """
         engine = self._maintenance
-        targets = (fragment,) if fragment is not None else engine.stale_fragments()
+        targets: Sequence[str] = ()
         try:
             with engine.lock, write_group():
+                targets = (fragment,) if fragment is not None else engine.stale_fragments()
                 return engine.maintain(fragment, cancel=cancel)
         finally:
-            freshened = [name for name in targets if not engine.pending(name)]
-            if freshened:
-                with self._planning_lock:
-                    self._manager.note_data_write(freshened)
+            self._replan(targets)
+
+    def _replan(self, fragments: Iterable[str]) -> None:
+        """Drop the cached plans whose ranking inputs a finished statement moved.
+
+        Of the entries over each of ``fragments`` (the fragments a write or
+        maintenance pass touched), only those ranked under another backlog
+        than the fragment has now go: the cost model prices a backlog, so a
+        deferred write that leaves a fragment stale, or maintenance that
+        catches one up, re-plans the reads over it.  Every entry over a
+        fragment whose statistics drifted past ``DRIFT_THRESHOLD`` goes too.
+        """
+        drifted = self._maintenance.take_drifted()
+        with self._planning_lock:
+            backlogs = self._statistics.backlogs()
+            for name in drifted:
+                self._plan_cache.invalidate_fragment(name)
+            for name in fragments:
+                self._plan_cache.invalidate_fragment(name, backlogs.get(name, 0))
 
     @property
     def durable_path(self) -> str | None:
@@ -962,7 +1009,8 @@ class Estocada:
         sound over-approximation of every relation and fragment its
         rewritings can mention).  Registering or dropping fragment #5000
         therefore only changes the keys of queries that could actually see
-        it; everything else keeps hitting.  Schema-level changes (dataset
+        it; everything else keeps hitting.  A data write changes no epoch
+        (:meth:`_replan` drops what it moved).  Schema-level changes (dataset
         constraints) key on the coarse structural epoch.
 
         Returns the key plus the reachable-relation set, which the cache
@@ -1193,9 +1241,16 @@ class Estocada:
         explanation = self._plan_cache.get(cache_key, namespace)
         if explanation is not None:
             return explanation, True
+        # Read before ranking: a backlog that moves while this ranks then
+        # differs from the recorded one, and the mover's _replan drops it.
+        backlogs = {
+            name: count
+            for name, count in self._statistics.backlogs().items()
+            if name in reachable
+        }
         explanation = self._explain_pivot(statement.pivot_query, bound_parameters)
         if explanation.chosen is not None:
-            self._plan_cache.put(cache_key, explanation, reachable, namespace)
+            self._plan_cache.put(cache_key, explanation, reachable, namespace, backlogs)
         return explanation, False
 
     def _plan_fragments(self, ranked: RankedPlan) -> frozenset[str]:

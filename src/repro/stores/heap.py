@@ -127,6 +127,10 @@ class RowHeap:
         """The row stored at ``position``."""
         return self._slots[position]
 
+    def positions(self) -> list[int]:
+        """The positions of the live rows, in insertion order."""
+        return [position for position, row in enumerate(self._slots) if row is not None]
+
     def rows_at(self, positions: Iterable[int]) -> list[dict[str, object]]:
         """The rows stored at ``positions``, in that order."""
         slots = self._slots
@@ -364,15 +368,30 @@ class HeapStore(Store):
             collection, self._stored(collection, inserts), self._stored(collection, deletes)
         )
 
+    def replace_rows(self, collection: str, rows: Iterable[Mapping[str, object]]) -> int:
+        """Swap ``rows`` in for every live row of a collection, as one delta.
+
+        A refused write (a primary key held twice among ``rows``, say)
+        leaves the collection as it was.  Returns the rows touched.
+        """
+        heap = self.rows(collection)
+        return self._apply(collection, heap, self._stored(collection, rows), heap.positions())
+
     def _write(
         self, collection: str, added: list[dict[str, object]], deletes: list[dict[str, object]]
     ) -> int:
         """Delete one stored row equal to each of ``deletes``, then append
         ``added``; both are in stored form.  Returns the rows touched."""
         heap = self.rows(collection)
-        # Every delete is located and every insert checked before anything
-        # changes, so a refused write leaves the collection as it was.
         positions = heap.locate(deletes, f"{self._noun} {collection!r}")
+        return self._apply(collection, heap, added, positions)
+
+    def _apply(
+        self, collection: str, heap: RowHeap, added: list[dict[str, object]], positions: list[int]
+    ) -> int:
+        """Delete the rows at ``positions``, then append ``added`` (stored form)."""
+        # Every delete was located and every insert is checked before
+        # anything changes, so a refused write leaves the collection as it was.
         self._check_inserts(collection, heap, added, positions)
         removed: list[dict[str, object]] = []
         if positions:
@@ -418,7 +437,7 @@ class HeapStore(Store):
         """The stored form of written rows: copies of mappings."""
         stored = []
         for row in rows:
-            if not isinstance(row, Mapping):
+            if type(row) is not dict and not isinstance(row, Mapping):  # the ABC check is slow
                 raise SchemaError(f"{self._noun} {collection!r}: rows must be mappings")
             stored.append(dict(row))
         return stored

@@ -10,6 +10,8 @@ half-built copy, and a retry with valid rows succeeds.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Estocada
@@ -17,7 +19,7 @@ from repro.catalog import AccessMethod, StorageDescriptor, StorageLayout
 from repro.core import Atom, ConjunctiveQuery, ViewDefinition
 from repro.datamodel import TableSchema
 from repro.errors import DeltaError, NoRewritingFoundError, StoreError
-from repro.stores import KeyValueStore, RelationalStore
+from repro.stores import DocumentStore, KeyValueStore, RelationalStore
 
 EVENTS = TableSchema("events", ("uid", "kind"))
 USERS = TableSchema("users", ("uid", "name"))
@@ -73,13 +75,15 @@ def test_a_refused_load_leaves_nothing_registered_and_a_retry_succeeds(kind):
     assert est.query(QUERY, dataset="app").rows == [{"kind": "a"}]
 
 
-def test_a_key_value_fragment_registered_again_replaces_its_entries_and_keeps_them_on_failure():
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_a_lookup_fragment_registered_again_replaces_its_rows_and_keeps_them_on_failure(kind):
     """Data outlives ``drop_fragment``; registering the fragment again over
-    writable relations reloads its rows onto the entries left behind."""
-    est = _facade("keyvalue")
+    writable relations reloads its rows in place of the ones left behind."""
+    est = _facade(kind)
     est.load_relation("events", UNIQUE, dataset="app")
     est.register_fragment(_lookup_fragment(EVENTS))
     store = est.catalog.store("store")
+    read = store._reader_of("uid")
     descriptor = est.drop_fragment("F_events")
     est.insert("events", {"uid": 3, "kind": "d"})
     est.register_fragment(descriptor)
@@ -89,7 +93,25 @@ def test_a_key_value_fragment_registered_again_replaces_its_entries_and_keeps_th
     ]
     est.drop_fragment("F_events")
     est.insert("events", {"uid": 1, "kind": "z"})  # uid 1 is no longer unique
-    with pytest.raises(DeltaError, match="duplicate primary key"):
+    with pytest.raises(STORES[kind][1], match="duplicate primary key"):
         est.register_fragment(descriptor)
     assert [fragment.fragment_name for fragment in est.catalog.fragments()] == ["F_users"]
-    assert sorted(store.keys("events")) == [1, 2, 3]
+    assert sorted(read(row, "uid") for row in store.rows("events")) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("store_factory", [DocumentStore, RelationalStore])
+def test_a_scan_fragment_registered_again_holds_only_its_recomputed_rows(store_factory):
+    est = Estocada()
+    est.register_store("store", store_factory("store"))
+    est.register_relational_dataset("app", (EVENTS,))
+    est.load_relation("events", UNIQUE, dataset="app")
+    descriptor = replace(_lookup_fragment(EVENTS), access=AccessMethod("scan"))
+    est.register_fragment(descriptor)
+    est.drop_fragment("F_events")
+    est.delete("events", {"uid": 2, "kind": "c"})
+    est.insert("events", {"uid": 3, "kind": "d"})
+    est.register_fragment(descriptor)
+    assert est.catalog.store("store").collection_size("events") == 2
+    assert est.query(QUERY, dataset="app").rows == [{"kind": "a"}]
+    rows = est.query("SELECT uid, kind FROM events", dataset="app").rows
+    assert sorted((row["uid"], row["kind"]) for row in rows) == [(1, "a"), (3, "d")]

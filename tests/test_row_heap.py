@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeltaError
+from repro.errors import DeltaError, SchemaError, StoreError
 from repro.stores import (
     DocumentStore,
     FullTextStore,
@@ -341,3 +341,36 @@ def test_a_delete_given_as_a_read_only_mapping_is_located(name):
     store.apply_delta(harness.collection, deletes=[MappingProxyType(dict(doomed))])
     _remove_first(oracle, doomed)
     check(harness, store, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(HARNESSES))
+def test_replace_rows_swaps_in_every_row_or_none(name):
+    """``replace_rows`` takes the place of every live row in one delta; a
+    refused replacement leaves the store as it was."""
+    harness = HARNESSES[name]
+    store = harness.build()
+    oracle = [harness.sample(i) for i in range(8)]
+    store.apply_delta(harness.collection, inserts=[dict(r) for r in oracle])
+    store.apply_delta(harness.collection, deletes=[dict(oracle[2])])
+    del oracle[2]
+    if harness.keyed:
+        repeated = [harness.sample(20), harness.sample(20)]
+        with pytest.raises((DeltaError, StoreError), match="duplicate primary key"):
+            store.replace_rows(harness.collection, repeated)
+        check(harness, store, oracle)
+    fresh = [harness.sample(i) for i in range(10, 15)]
+    store.replace_rows(harness.collection, [dict(r) for r in fresh])
+    check(harness, store, fresh)
+
+
+@pytest.mark.parametrize("name", sorted(HARNESSES))
+def test_an_insert_given_as_a_read_only_mapping_is_stored(name):
+    harness = HARNESSES[name]
+    store = harness.build()
+    row = harness.sample(1)
+    store.insert(harness.collection, [MappingProxyType(dict(row))])
+    check(harness, store, [row])
+    if not name.startswith("relational"):  # a relational row may be a sequence
+        with pytest.raises(SchemaError, match="must be mappings"):
+            store.insert(harness.collection, [42])
+        check(harness, store, [row])

@@ -523,12 +523,12 @@ class TestStatementMemo:
         row = {"uid": 7, "kind": "buy", "val": 70, "ts": 200}
         est.insert("events", row)
         inserted = est.query(sql, dataset="app")
-        assert inserted.cache_hit is False  # the write bumped the relation's epoch
+        assert inserted.cache_hit is True  # an eager write keeps its fragments fresh
         assert _bag(inserted) == [(("kind", "buy"), ("val", 70))]
         assert est.query(sql, dataset="app").cache_hit is True
         est.delete("events", row)
         deleted = est.query(sql, dataset="app")
-        assert deleted.cache_hit is False
+        assert deleted.cache_hit is True
         assert deleted.rows == []
         stats = est.cache_stats()
         assert (stats["statement_misses"], stats["statement_hits"]) == (1, 4)

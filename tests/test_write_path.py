@@ -10,11 +10,15 @@ Covers the three contracts a write must honour:
 * **staleness accounting** — pending-delta counters rise on deferred writes,
   fall to zero after maintenance, and a ``max_staleness=0`` read forces
   maintenance (or a fresh-fragment fallback) before serving;
-* **scoped invalidation** — a data write bumps only the touched relations'
-  epochs, never the catalog version, so unrelated cached plans survive.
+* **scoped invalidation** — a data write moves no catalog epoch; a cached plan
+  is re-planned only when a fragment it ranked changed its maintenance backlog
+  or drifted in size, so an eager write keeps every cached plan.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -264,23 +268,35 @@ class TestStalenessAccounting:
 
 
 class TestScopedInvalidation:
-    def test_write_bumps_only_touched_relations(self):
+    """Catalog epochs are structural; a write re-plans only where the ranking moved.
+
+    The cost model reads two things a data write can change: a fragment's
+    maintenance backlog (``CostModel.staleness_cost``) and its statistics.
+    So a cached plan goes only when a touched fragment's backlog differs
+    from the one it was ranked under, or its size drifted past
+    ``DRIFT_THRESHOLD``; an eager write that keeps its fragments fresh keeps
+    every cached plan.
+    """
+
+    ORDERS_SQL = "SELECT sku, qty FROM orders WHERE uid = 1"
+    JOIN_SQL = "SELECT u.name, o.sku FROM users u, orders o WHERE u.uid = o.uid"
+    USERS_SQL = "SELECT name FROM users WHERE uid = 1"
+
+    @staticmethod
+    def _warm(est, *texts):
+        for sql in texts:
+            est.query(sql, dataset="app")
+            assert est.query(sql, dataset="app").cache_hit is True
+
+    def test_a_data_write_moves_no_epoch(self):
         est = build_writable_estocada(policy="deferred")
         manager = est.catalog
+        relations = ("users", "orders", "F_users", "F_orders", "F_user_orders")
+        epochs = manager.epoch_signature(relations)
         version = manager.version
-        users_epoch = manager.relation_epoch("users")
-        orders_epoch = manager.relation_epoch("orders")
-        f_users_epoch = manager.relation_epoch("F_users")
-        f_orders_epoch = manager.relation_epoch("F_orders")
-        join_epoch = manager.relation_epoch("F_user_orders")
         est.insert("orders", {"uid": 1, "sku": "s5", "qty": 1})
-        assert manager.relation_epoch("orders") > orders_epoch
-        assert manager.relation_epoch("F_orders") > f_orders_epoch
-        assert manager.relation_epoch("F_user_orders") > join_epoch
-        # Untouched relations keep their epochs; the catalog version (which
-        # would rebuild the rewriter's view index) never moves on data writes.
-        assert manager.relation_epoch("users") == users_epoch
-        assert manager.relation_epoch("F_users") == f_users_epoch
+        est.maintain()
+        assert manager.epoch_signature(relations) == epochs
         assert manager.version == version
 
     def test_unrelated_cached_plans_survive_a_write(self):
@@ -291,6 +307,135 @@ class TestScopedInvalidation:
         est.insert("orders", {"uid": 1, "sku": "s5", "qty": 1})
         est.query("SELECT name FROM users WHERE uid = 1", dataset="app")
         assert est.cache_stats()["hits"] == hits_before + 1
+
+    @pytest.mark.parametrize(
+        ("write", "orders", "joined"),
+        [
+            (
+                lambda est: est.insert("orders", {"uid": 1, "sku": "s9", "qty": 5}),
+                [("s1", 2), ("s9", 5)],
+                [("ada", "s1"), ("ada", "s9"), ("bob", "s2"), ("cyd", "s1")],
+            ),
+            (
+                lambda est: est.update(
+                    "orders", {"uid": 1, "sku": "s1", "qty": 2}, {"uid": 1, "sku": "s1", "qty": 7}
+                ),
+                [("s1", 7)],
+                [("ada", "s1"), ("bob", "s2"), ("cyd", "s1")],
+            ),
+            (
+                lambda est: est.delete("orders", {"uid": 1, "sku": "s1", "qty": 2}),
+                [],
+                [("bob", "s2"), ("cyd", "s1")],
+            ),
+        ],
+        ids=["insert", "update", "delete"],
+    )
+    def test_an_eager_write_keeps_every_cached_plan(self, write, orders, joined):
+        est = build_writable_estocada(policy="eager")
+        self._warm(est, self.ORDERS_SQL, self.JOIN_SQL, self.USERS_SQL)
+        misses = est.cache_stats()["misses"]
+        write(est)
+        point = est.query(self.ORDERS_SQL, dataset="app")
+        join = est.query(self.JOIN_SQL, dataset="app")
+        assert point.cache_hit is True and join.cache_hit is True
+        assert sorted((row["sku"], row["qty"]) for row in point.rows) == orders
+        assert sorted((row["name"], row["sku"]) for row in join.rows) == joined
+        assert est.cache_stats()["misses"] == misses
+
+    @staticmethod
+    def _with_orders_copy(est):
+        est.register_fragment(
+            StorageDescriptor(
+                "F_orders_copy", "app", "pg",
+                _view("F_orders_copy", ["?u", "?s", "?q"], [Atom("orders", ["?u", "?s", "?q"])],
+                      ("uid", "sku", "qty")),
+                StorageLayout("orders_copy"), AccessMethod("scan"),
+            ),
+            indexes=("uid",),
+        )
+        return est
+
+    def test_a_deferred_write_replans_the_reads_over_its_stale_fragments(self):
+        est = self._with_orders_copy(build_writable_estocada(policy="deferred"))
+        self._warm(est, self.ORDERS_SQL, self.USERS_SQL)
+        est.insert("orders", {"uid": 1, "sku": "s9", "qty": 5})
+        assert est.query(self.ORDERS_SQL, dataset="app").cache_hit is False
+        assert est.query(self.ORDERS_SQL, dataset="app").cache_hit is True
+        assert est.query(self.USERS_SQL, dataset="app").cache_hit is True
+        # Catching one copy up re-plans onto it: the other still carries a backlog.
+        est.maintain("F_orders_copy")
+        caught_up = est.query(self.ORDERS_SQL, dataset="app")
+        assert caught_up.cache_hit is False
+        assert "orders_copy" in caught_up.plan_description
+        assert sorted((row["sku"], row["qty"]) for row in caught_up.rows) == [("s1", 2), ("s9", 5)]
+        est.maintain()
+        assert est.query(self.ORDERS_SQL, dataset="app").cache_hit is False
+        assert est.query(self.ORDERS_SQL, dataset="app").cache_hit is True
+        assert est.query(self.USERS_SQL, dataset="app").cache_hit is True
+
+    def test_eager_writes_that_drift_a_fragment_replan_its_reads(self):
+        # DRIFT_THRESHOLD is 0.5: orders holds 3 rows at its last full count,
+        # so a fourth row is an update in place and a fifth a recount.
+        est = build_writable_estocada(policy="eager")
+        self._warm(est, self.ORDERS_SQL, self.USERS_SQL)
+        est.insert("orders", {"uid": 2, "sku": "s7", "qty": 1})
+        assert est.query(self.ORDERS_SQL, dataset="app").cache_hit is True
+        est.insert("orders", {"uid": 1, "sku": "s8", "qty": 3})
+        drifted = est.query(self.ORDERS_SQL, dataset="app")
+        assert drifted.cache_hit is False
+        assert sorted((row["sku"], row["qty"]) for row in drifted.rows) == [("s1", 2), ("s8", 3)]
+        assert est.query(self.USERS_SQL, dataset="app").cache_hit is True
+
+
+    def test_concurrent_reads_and_eager_writes_leave_no_plan_ranked_under_a_moved_backlog(self):
+        """A read may rank while an eager write has a delta pending; that plan
+        records the backlog, so the write's end drops it.  Once every thread
+        is done, each cached plan's recorded backlogs are the current ones."""
+        est = self._with_orders_copy(build_writable_estocada(policy="eager"))
+        errors = []
+
+        def writer(uid):
+            try:
+                for i in range(40):
+                    row = {"uid": uid, "sku": f"w{i}", "qty": i}
+                    est.insert("orders", row)
+                    est.delete("orders", row)
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        def reader():
+            # A new text ranks afresh, maybe mid-write.  LIMIT 0 plans and
+            # reads no store: store scans are not yet isolated from
+            # concurrent writes (no snapshot reads).
+            try:
+                for uid in range(80):
+                    for sql in (f"SELECT sku FROM orders WHERE uid = {uid}", self.JOIN_SQL):
+                        est.query(sql + " LIMIT 0", dataset="app", parallelism=1)
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer, args=(uid,)) for uid in (1, 2)]
+        threads += [threading.Thread(target=reader) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        backlogs = est.statistics.backlogs()
+        assert backlogs == {}
+        for cache in est._plan_cache._namespaces.values():
+            for _, _, ranked_under in cache._entries.values():
+                assert ranked_under == backlogs
+        assert sorted(
+            (row["sku"], row["qty"]) for row in est.query(self.ORDERS_SQL, dataset="app").rows
+        ) == [("s1", 2)]
 
 
 class TestTruncateCollection:
