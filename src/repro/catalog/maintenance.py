@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from repro.catalog.descriptors import StorageDescriptor
@@ -260,10 +261,7 @@ class MaintenanceEngine:
         with self._lock:
             result = evaluate(descriptor.view.definition, self._bags)
             columns = descriptor.view_columns()
-            rows: list[dict[str, object]] = []
-            for row, count in result.items():
-                rows.extend(dict(zip(columns, row)) for _ in range(count))
-            return rows
+            return list(map(dict, map(zip, repeat(columns), result.elements())))
 
     def pending(self, fragment: str) -> tuple[PendingDelta, ...]:
         """The fragment's queued view deltas, oldest first."""

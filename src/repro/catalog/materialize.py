@@ -31,11 +31,10 @@ def _store_rows(
     descriptor: StorageDescriptor, rows: Iterable[Mapping[str, object]]
 ) -> list[dict[str, object]]:
     """Rename view columns to store columns according to the layout."""
-    layout = descriptor.layout
-    renamed: list[dict[str, object]] = []
-    for row in rows:
-        renamed.append({layout.store_column(column): value for column, value in row.items()})
-    return renamed
+    mapping = dict(descriptor.layout.column_mapping)
+    if not mapping:
+        return list(map(dict, rows))
+    return [{mapping.get(column, column): value for column, value in row.items()} for row in rows]
 
 
 def _load(store: HeapStore, collection: str, rows: list[dict[str, object]], replace: bool) -> int:

@@ -26,7 +26,8 @@ layouts and the delta log on top.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Constant, Variable
@@ -95,9 +96,13 @@ class BagIndex:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
+            key_of = _tuple_getter(positions)
             for row, count in self._bag.items():
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, Counter())[row] = count
+                key = key_of(row)
+                bucket = index.get(key)
+                if bucket is None:
+                    bucket = index[key] = Counter()
+                bucket[row] = count
             self._indexes[positions] = index
         return index
 
@@ -112,8 +117,9 @@ class BagIndex:
         """Apply a signed delta to the bag and to every built index (strict)."""
         apply_delta_to_bag(self._bag, delta)
         for positions, index in self._indexes.items():
+            key_of = _tuple_getter(positions)
             for row, count in delta.items():
-                key = tuple(row[p] for p in positions)
+                key = key_of(row)
                 bucket = index.setdefault(key, Counter())
                 updated = bucket[row] + count
                 if updated:
@@ -124,69 +130,100 @@ class BagIndex:
                     del index[key]
 
 
+def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence[object]], tuple]:
+    """A callable taking a sequence to the tuple of its items at ``positions``."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    if not positions:
+        return lambda values: ()
+    return itemgetter(*positions)
+
+
+def _binding_getter(sources: Sequence[tuple[int | None, object]]) -> Callable[[tuple], tuple]:
+    """A callable taking a binding tuple to one tuple of ``sources``, each a
+    ``(slot, None)`` read off the binding or a ``(None, value)`` constant."""
+    if all(slot is not None for slot, _ in sources):
+        return _tuple_getter([slot for slot, _ in sources])
+
+    def pick(binding: tuple) -> tuple:
+        return tuple(value if slot is None else binding[slot] for slot, value in sources)
+
+    return pick
+
+
+def _compile_atom(
+    terms: Sequence[object], slots: dict[Variable, int]
+) -> tuple[tuple[int, ...], Callable, Callable, tuple[tuple[int, int], ...]]:
+    """How one atom probes and extends a positional binding.
+
+    ``slots`` maps each variable bound by an earlier atom to its position in
+    the binding tuple; the atom's fresh variables are added in row order.
+    Returns the probe positions, the key of a binding (constants and bound
+    slots, in probe order), the fresh values of a matched row, and the
+    ``(position, first position)`` pairs a variable repeated inside the atom
+    must satisfy.
+    """
+    probe: list[int] = []
+    sources: list[tuple[int | None, object]] = []  # the key, in probe order
+    fresh: list[int] = []
+    first_seen: dict[Variable, int] = {}
+    checks: list[tuple[int, int]] = []
+    for position, term in enumerate(terms):
+        if isinstance(term, Constant):
+            probe.append(position)
+            sources.append((None, term.value))
+        elif term in slots:
+            probe.append(position)
+            sources.append((slots[term], None))
+        elif term in first_seen:
+            checks.append((position, first_seen[term]))
+        else:
+            first_seen[term] = position
+            fresh.append(position)
+    for term in first_seen:
+        slots[term] = len(slots)
+    return tuple(probe), _binding_getter(sources), _tuple_getter(fresh), tuple(checks)
+
+
 def _join(
     atoms: Sequence[tuple[object, BagIndex]],
     head_terms: Sequence[object],
 ) -> Counter:
     """Bag-join ``atoms`` left to right and project onto ``head_terms``.
 
-    Each atom's terms bind positionally against its bag's row tuples;
-    constants and already-bound variables become hash-probe keys (the
-    selection), fresh variables extend the binding, and multiplicities
-    multiply through the join.  Signed counts flow through unchanged, which
-    is what lets the same evaluator serve full recomputation (all-positive
-    bags) and delta propagation (one signed factor).
+    Bindings are tuples: every variable has a fixed slot, worked out once
+    per atom before any row is read.  Each atom's terms bind positionally
+    against its bag's row tuples; constants and already-bound variables
+    become hash-probe keys (the selection), fresh variables extend the
+    binding, and multiplicities multiply through the join.  Signed counts
+    flow through unchanged, which is what lets the same evaluator serve full
+    recomputation (all-positive bags) and delta propagation (one signed
+    factor).
     """
-    partial: list[tuple[dict[Variable, object], int]] = [({}, 1)]
-    for atom, index in atoms:
-        grown: list[tuple[dict[Variable, object], int]] = []
-        terms = atom.terms
+    slots: dict[Variable, int] = {}
+    steps = [(index, *_compile_atom(atom.terms, slots)) for atom, index in atoms]
+    partial: list[tuple[tuple, int]] = [((), 1)]
+    for index, probe, key_of, fresh_of, checks in steps:
+        grown: list[tuple[tuple, int]] = []
+        add = grown.append
         for binding, count in partial:
-            positions: list[int] = []
-            key: list[object] = []
-            for position, term in enumerate(terms):
-                if isinstance(term, Constant):
-                    positions.append(position)
-                    key.append(term.value)
-                elif term in binding:
-                    positions.append(position)
-                    key.append(binding[term])
-            for row, row_count in index.probe(tuple(positions), tuple(key)):
-                extended = dict(binding)
-                ok = True
-                for position, term in enumerate(terms):
-                    if isinstance(term, Constant):
-                        continue
-                    bound = extended.get(term, _UNBOUND)
-                    if bound is _UNBOUND:
-                        extended[term] = row[position]
-                    elif bound != row[position]:
-                        # A repeated variable inside the atom (self-equality
-                        # selection) that the probe key could not cover.
-                        ok = False
-                        break
-                if ok:
-                    grown.append((extended, count * row_count))
+            for row, row_count in index.probe(probe, key_of(binding)):
+                # A variable repeated inside the atom (a self-equality
+                # selection) that the probe key could not cover.
+                if checks and any(row[at] != row[first] for at, first in checks):
+                    continue
+                add((binding + fresh_of(row), count * row_count))
         partial = grown
         if not partial:
-            break
+            return Counter()
+    project = _binding_getter(
+        [(None, term.value) if isinstance(term, Constant) else (slots[term], None) for term in head_terms]
+    )
     result: Counter = Counter()
     for binding, count in partial:
-        if not count:
-            continue
-        row = tuple(
-            term.value if isinstance(term, Constant) else binding[term]
-            for term in head_terms
-        )
-        result[row] += count
+        result[project(binding)] += count
     return Counter({row: count for row, count in result.items() if count})
-
-
-class _Unbound:
-    """Sentinel distinguishing "unbound" from "bound to None"."""
-
-
-_UNBOUND = _Unbound()
 
 
 def _as_index(rows: Counter | BagIndex) -> BagIndex:

@@ -24,6 +24,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Callable
 
@@ -374,6 +375,15 @@ class NamespacedPlanCache:
         }
         aggregate["namespaces"] = per_namespace
         return aggregate
+
+
+def _data_model_for(manager: StorageDescriptorManager, fragment: str) -> str | None:
+    """The data model of a fragment's store (None when unknown)."""
+    try:
+        descriptor = manager.fragment(fragment)
+        return manager.store(descriptor.store).capabilities().data_model
+    except (UnknownFragmentError, UnknownStoreError):
+        return None
 
 
 class Estocada:
@@ -1045,14 +1055,6 @@ class Estocada:
         return DocumentQuery(collection=collection, paths=paths)
 
     # -- the query evaluator -----------------------------------------------------------------
-    def _data_model_for(self, fragment: str) -> str | None:
-        """The data model of a fragment's store (None when unknown)."""
-        try:
-            descriptor = self._manager.fragment(fragment)
-            return self._manager.store(descriptor.store).capabilities().data_model
-        except (UnknownFragmentError, UnknownStoreError):
-            return None
-
     def _rewriter(self) -> Rewriter:
         with self._planning_lock:
             return self._rewriter_locked()
@@ -1065,8 +1067,10 @@ class Estocada:
                 schema_constraints=self._manager.schema_constraints(),
                 access_patterns=self._manager.access_pattern_registry(),
                 algorithm=self._algorithm,
-                cost_bound_factory=lambda: self._cost_model.rewriting_bound(
-                    self._data_model_for
+                # Over the manager, not the facade: the facade holds the
+                # rewriter, and a cycle would keep a dropped facade alive.
+                cost_bound_factory=partial(
+                    self._cost_model.rewriting_bound, partial(_data_model_for, self._manager)
                 ),
             )
             self._rewriter_version = version

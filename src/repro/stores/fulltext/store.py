@@ -12,8 +12,8 @@ through its added-rows, removed-rows and compaction hooks.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
-from functools import partial
 from typing import Sequence
 
 from repro.stores.base import SearchRequest, StoreCapabilities, StoreMetrics
@@ -48,7 +48,10 @@ class FullTextStore(HeapStore):
     def _new_heap(self, collection: str) -> RowHeap:
         self._postings[collection] = {}
         self._lengths[collection] = []
-        return RowHeap(self._reader_of, on_compact=partial(self._moved, collection))
+        # A weak callback: the heap is the store's, and a cycle through it
+        # would keep a dropped store (and its rows) alive.
+        moved = weakref.WeakMethod(self._moved)
+        return RowHeap(self._reader_of, on_compact=lambda positions: moved()(collection, positions))
 
     def _tokens(self, collection: str, document: dict[str, object]) -> list[str]:
         fields = self._meta[collection]["indexed_fields"]

@@ -48,6 +48,9 @@ class RelationalStore(HeapStore):
         declared = set(columns)
         stored = []
         for row in rows:
+            if type(row) is dict and tuple(row) == columns:  # already in stored form
+                stored.append(row.copy())
+                continue
             if type(row) is dict or isinstance(row, Mapping):  # the ABC check is slow
                 unknown = [c for c in row if c not in declared]
                 if unknown:

@@ -41,8 +41,11 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from collections import Counter
 from contextlib import contextmanager
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DurabilityError
@@ -58,7 +61,7 @@ from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 from repro.stores.segment.segments import (
     SegmentReader,
     fsync_directory,
-    write_segment,
+    write_columns,
 )
 from repro.stores.segment import wal as wal_module
 from repro.stores.segment.wal import WriteAheadLog
@@ -215,6 +218,27 @@ def _reconstruct(columns: Sequence[str], row: tuple) -> dict:
     }
 
 
+def _native_rows(reader: SegmentReader) -> list[dict]:
+    """Every row of a segment as its native dict, built a column at a time."""
+    columns = reader.columns
+    if not columns:
+        return [{} for _ in range(reader.row_count)]
+    series = [reader.column_values(column) for column in columns]
+    if any(ABSENT in values for values in series):
+        return [_reconstruct(columns, row) for row in zip(*series)]
+    return list(map(dict, map(zip, repeat(columns), zip(*series))))
+
+
+def _column_series(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -> list[tuple]:
+    """Each column's values over ``rows``, ``ABSENT`` where a row lacks it."""
+    if len(columns) > 1 and rows:
+        try:
+            return list(zip(*map(itemgetter(*columns), rows)))
+        except KeyError:  # a ragged row: fill its holes below
+            pass
+    return [tuple(row.get(column, ABSENT) for row in rows) for column in columns]
+
+
 class DurableBacking:
     """WAL + segment persistence for one store's collections."""
 
@@ -231,7 +255,9 @@ class DurableBacking:
         self._sync = sync
         self._crash_hook = crash_hook
         self._lock = threading.RLock()
-        self._store = None
+        # A weak reference: the store holds its backing, and a dropped store
+        # must be freed by reference counting, not by a later cycle collection.
+        self._store: weakref.ref | None = None
         self._generation = 0
         self._collections: dict[str, _CollectionState] = {}
         self._wal: WriteAheadLog | None = None
@@ -304,7 +330,7 @@ class DurableBacking:
                     f"durable directory {self._directory!r} is already attached"
                 )
             os.makedirs(self._directory, exist_ok=True)
-            self._store = store
+            self._store = weakref.ref(store)
             manifest = self._read_manifest()
             self._scan_segment_seq()
             had_disk = manifest is not None
@@ -324,9 +350,15 @@ class DurableBacking:
 
     def _bootstrap(self) -> None:
         """Snapshot a pre-loaded store into generation 1 (empty directory only)."""
-        dump = self._store._durable_dump()
-        if dump:
+        if self._owner()._durable_dump():
             self._compact_locked()
+
+    def _owner(self):
+        """The attached store (raises when unattached or already dropped)."""
+        store = self._store() if self._store is not None else None
+        if store is None:
+            raise DurabilityError(f"durable directory {self._directory!r} has no live store")
+        return store
 
     def _read_manifest(self) -> Mapping[str, object] | None:
         path = os.path.join(self._directory, MANIFEST_NAME)
@@ -357,7 +389,7 @@ class DurableBacking:
 
     def _load_manifest(self, manifest: Mapping[str, object]) -> None:
         self._generation = int(manifest["generation"])  # type: ignore[arg-type]
-        store = self._store
+        store = self._owner()
         with store._durable_silence():
             for name, info in manifest.get("collections", {}).items():  # type: ignore[union-attr]
                 columns = info.get("columns")
@@ -377,9 +409,7 @@ class DurableBacking:
                 for filename in info.get("segments", ()):
                     reader = SegmentReader(os.path.join(self._directory, filename))
                     state.segments.append(reader)
-                    rows = [
-                        _reconstruct(reader.columns, row) for row in reader.rows()
-                    ]
+                    rows = _native_rows(reader)
                     if rows:
                         store._durable_replay(
                             {"kind": "rows", "collection": name, "rows": rows}
@@ -518,11 +548,10 @@ class DurableBacking:
         freeze record — a crash between the two leaves only an orphan file."""
         chunk = state.tail[:count]
         columns = state.columns or _union_columns(chunk)
-        rows = [tuple(row.get(column, ABSENT) for column in columns) for row in chunk]
         filename = f"seg-{self._generation}-{self._segment_seq}.seg"
         self._segment_seq += 1
         path = os.path.join(self._directory, filename)
-        write_segment(path, collection, columns, rows)
+        write_columns(path, collection, columns, _column_series(chunk, columns), len(chunk))
         self._emit(
             {"kind": "freeze", "collection": collection, "segment": filename, "rows": count}
         )
@@ -559,13 +588,14 @@ class DurableBacking:
         }
 
     def _compact_locked(self) -> Mapping[str, object] | None:
-        if self._store is None or self._wal is None:
+        if self._wal is None:
             raise DurabilityError("compact() on an unattached durable backing")
+        store = self._owner()
         # Buffered group records belong to the old generation: if this
         # compaction dies before its manifest commits, recovery needs them.
         self._flush_pending()
         self._fold_due = False
-        dump = self._store._durable_dump()
+        dump = store._durable_dump()
         if dump is None:
             return None
         generation = self._generation + 1
@@ -582,14 +612,14 @@ class DurableBacking:
             for start in range(0, len(rows), self._segment_rows):
                 chunk = rows[start : start + self._segment_rows]
                 columns = state.columns or _union_columns(chunk)
-                tuples = [
-                    tuple(row.get(column, ABSENT) for column in columns) for row in chunk
-                ]
                 filename = f"seg-{generation}-{self._segment_seq}.seg"
                 self._segment_seq += 1
                 path = os.path.join(self._directory, filename)
                 # The manifest commit's directory fsync covers every new entry.
-                write_segment(path, name, columns, tuples, sync_directory=False)
+                write_columns(
+                    path, name, columns, _column_series(chunk, columns), len(chunk),
+                    sync_directory=False,
+                )
                 state.segments.append(SegmentReader(path))
                 new_files.append(filename)
                 segments_written += 1

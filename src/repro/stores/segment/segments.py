@@ -34,16 +34,18 @@ Zone-map soundness against the store comparator semantics
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SegmentCorruptError
 from repro.runtime.batch import DEFAULT_BATCH_SIZE, RowBatch
 from repro.stores.segment.codec import ABSENT, decode_value, encode_value
 
-__all__ = ["SegmentWriter", "SegmentReader", "write_segment", "fsync_directory"]
+__all__ = ["SegmentWriter", "SegmentReader", "write_segment", "write_columns", "fsync_directory"]
 
 MAGIC = b"RSEG1\0"
 _HEADER = struct.Struct("<II")
@@ -71,8 +73,29 @@ def _is_null_like(value: object) -> bool:
     return value is None or value is ABSENT or (isinstance(value, float) and value != value)
 
 
-def _zone_for(values: Sequence[object]) -> Mapping[str, object] | None:
-    """The zone map for one column's values, or None when unzoneable."""
+def _scalar_kind(values: Sequence[object]) -> type | None:
+    """``int``, ``float`` or ``str`` when every value has that exact type."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is int or kind is str or (kind is float and not any(map(math.isnan, values))):
+            return kind
+    return None
+
+
+def _zone_for(values: Sequence[object], kind: type | None) -> Mapping[str, object] | None:
+    """The zone map for one column's values, or None when unzoneable.
+
+    ``kind`` is the column's :func:`_scalar_kind`: such a column takes its
+    bounds from the builtins ``min``/``max``, any other from the loop.
+    """
+    if kind is not None:
+        return {
+            "cls": "str" if kind is str else "num",
+            "lo": min(values),
+            "hi": max(values),
+            "nulls": False,
+        }
     cls: str | None = None
     lo: object = None
     hi: object = None
@@ -102,12 +125,24 @@ def _zone_for(values: Sequence[object]) -> Mapping[str, object] | None:
     return {"cls": cls, "lo": lo, "hi": hi, "nulls": nulls}
 
 
-def _dictionary_for(values: Sequence[object]) -> tuple[tuple[str, ...], list[int]] | None:
+def _dictionary_for(
+    values: Sequence[object], kind: type | None
+) -> tuple[tuple[str, ...], list[int]] | None:
     """(dictionary, codes) for a low-cardinality string column, else None.
 
     Codes: dictionary index, ``-1`` for ``None``, ``-2`` for ``ABSENT``.
+    A column of ``str`` alone (``kind``) is coded by C builtins.
     """
-    codes: dict[str, int] = {}
+    if kind is str:
+        codes = dict.fromkeys(values)
+        if len(codes) > _DICT_MAX_DISTINCT or len(codes) * 2 > len(values):
+            return None
+        for code, word in enumerate(codes):
+            codes[word] = code
+        return tuple(codes), list(map(codes.__getitem__, values))
+    if kind is not None:
+        return None
+    codes = {}
     encoded: list[int] = []
     for value in values:
         if value is None:
@@ -155,10 +190,25 @@ def write_segment(
     rows: Sequence[tuple],
     sync_directory: bool = True,
 ) -> None:
+    """Write row tuples as a segment file (see :func:`write_columns`)."""
+    columns = tuple(columns)
+    series = list(zip(*rows)) if rows and columns else [()] * len(columns)
+    write_columns(path, collection, columns, series, len(rows), sync_directory)
+
+
+def write_columns(
+    path: str,
+    collection: str,
+    columns: Sequence[str],
+    series: Sequence[Sequence[object]],
+    row_count: int,
+    sync_directory: bool = True,
+) -> None:
     """Write a segment file atomically: tmp file, fsync, rename, dir fsync.
 
-    A caller committing several segments under one later directory fsync
-    (compaction's manifest rename) passes ``sync_directory=False``.
+    ``series`` holds each column's values in row order.  A caller committing
+    several segments under one later directory fsync (compaction's manifest
+    rename) passes ``sync_directory=False``.
     """
     columns = tuple(columns)
     blocks: list[bytes] = []
@@ -166,12 +216,13 @@ def write_segment(
     dictionaries: dict[str, tuple[str, ...]] = {}
     offsets: dict[str, tuple[int, int, int]] = {}
     position = 0
-    for index, column in enumerate(columns):
-        values = tuple(row[index] for row in rows)
-        zone = _zone_for(values)
+    for column, values in zip(columns, series):
+        values = tuple(values)
+        kind = _scalar_kind(values)
+        zone = _zone_for(values, kind)
         if zone is not None:
             zones[column] = zone
-        encoded = _dictionary_for(values)
+        encoded = _dictionary_for(values, kind)
         if encoded is not None:
             dictionary, codes = encoded
             dictionaries[column] = dictionary
@@ -185,7 +236,7 @@ def write_segment(
         {
             "collection": collection,
             "columns": columns,
-            "rows": len(rows),
+            "rows": row_count,
             "zones": zones,
             "dicts": dictionaries,
             "blocks": offsets,
@@ -277,6 +328,10 @@ class SegmentReader:
                 if op != "!=":
                     return True
                 continue
+            if op == "in":
+                if self._misses_every_key(bound.column, zone, value):
+                    return True
+                continue
             if isinstance(value, (bool, int, float)):
                 vcls = "num"
             elif isinstance(value, str):
@@ -311,6 +366,32 @@ class SegmentReader:
                 if not zone["nulls"] and lo == hi == value:
                     return True
         return False
+
+    def _misses_every_key(
+        self, column: str, zone: Mapping[str, object], keys: Iterable[object]
+    ) -> bool:
+        """Whether no key of an ``in`` can equal a value of ``column`` here.
+
+        Only keys of the zone's type class can equal its values; one of
+        them must lie in ``[lo, hi]`` and, on a dictionary-encoded column,
+        in the dictionary.  A NaN or non-scalar key (which may equal a
+        value by identity or by a foreign ``__eq__``) prunes nothing.
+        """
+        cls, lo, hi = zone["cls"], zone["lo"], zone["hi"]
+        words = self._lookup(column) if column in self.dictionaries else None
+        for key in keys:
+            if isinstance(key, (bool, int, float)):
+                if key != key:
+                    return False
+                if cls == "num" and lo <= key <= hi:  # type: ignore[operator]
+                    return False
+            elif isinstance(key, str):
+                in_zone = cls == "str" and lo <= key <= hi  # type: ignore[operator]
+                if in_zone and (words is None or key in words):
+                    return False
+            else:
+                return False
+        return True
 
     # -- column access ------------------------------------------------------------
     def _read_block(self, column: str) -> tuple:
@@ -359,6 +440,14 @@ class SegmentReader:
         self._decoded_cache[column] = values
         return values
 
+    def _lookup(self, column: str) -> dict[str, int]:
+        """Word -> code for dictionary-encoded ``column``."""
+        lookup = self._code_lookup.get(column)
+        if lookup is None:
+            lookup = {word: code for code, word in enumerate(self.dictionaries[column])}
+            self._code_lookup[column] = lookup
+        return lookup
+
     def equality_positions(self, column: str, value: object) -> list[int] | None:
         """Row positions where dict-encoded ``column`` equals ``value``.
 
@@ -368,11 +457,7 @@ class SegmentReader:
         dictionary = self.dictionaries.get(column)
         if dictionary is None or not isinstance(value, str):
             return None
-        lookup = self._code_lookup.get(column)
-        if lookup is None:
-            lookup = {word: code for code, word in enumerate(dictionary)}
-            self._code_lookup[column] = lookup
-        code = lookup.get(value)
+        code = self._lookup(column).get(value)
         if code is None:
             return []
         codes = self._read_block(column)
@@ -382,8 +467,10 @@ class SegmentReader:
     def rows(self, positions: Sequence[int] | None = None) -> Iterator[tuple]:
         """Full-width tuples in row order (or only the given positions)."""
         columns = [self.column_values(column) for column in self.columns]
-        if positions is None:
-            yield from zip(*columns) if columns else iter(())
+        if not columns:  # rows with no column at all (empty documents)
+            yield from repeat((), self.row_count if positions is None else len(positions))
+        elif positions is None:
+            yield from zip(*columns)
         else:
             for position in positions:
                 yield tuple(column[position] for column in columns)

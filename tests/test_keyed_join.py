@@ -266,7 +266,8 @@ class TestInPredicate:
             ScanRequest("t", (Predicate("a", "in", frozenset((7, 8))),)), ("b",)
         )
         assert not [row for batch in stream for row in batch.rows]
-        assert stream.metrics.segments_skipped == 1  # the all-None segment
+        # The all-None segment, and the one whose zone [9, 9] holds neither key.
+        assert stream.metrics.segments_skipped == 2
 
 
 class TestHeapLookups:
