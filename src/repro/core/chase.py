@@ -26,15 +26,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.core.constraints import EGD, TGD, Constraint, ConstraintSet
-from repro.core.homomorphism import InstanceIndex, find_homomorphism, iterate_homomorphisms
+from repro.core.homomorphism import InstanceIndex, Program, compile_pattern
 from repro.core.provenance import ProvenanceFormula
 from repro.core.terms import Atom, Constant, Substitution, Term
 from repro.errors import ChaseError, ChaseNonTerminationError
 
-__all__ = ["ChaseResult", "ChaseConfig", "chase", "ChaseFailure", "provenance_chase", "ProvenanceChaseResult"]
+__all__ = [
+    "ChaseResult",
+    "ChaseConfig",
+    "chase",
+    "ChaseFailure",
+    "follow_equalities",
+    "provenance_chase",
+    "ProvenanceChaseResult",
+]
 
 _null_counter = itertools.count()
 
@@ -80,7 +88,6 @@ class ChaseResult:
 
     facts: frozenset[Atom]
     steps: int
-    fired_constraints: tuple[str, ...]
     equalities: dict[Constant, Term] = field(default_factory=dict)
 
     def index(self) -> InstanceIndex:
@@ -88,21 +95,33 @@ class ChaseResult:
         return InstanceIndex(self.facts)
 
 
-def _tgd_is_satisfied(tgd: TGD, trigger: Substitution, index: InstanceIndex) -> bool:
-    """Check whether a TGD trigger is already satisfied (restricted chase)."""
-    return (
-        find_homomorphism(tgd.head, index, seed=_frontier_seed(tgd, trigger)) is not None
-    )
+def follow_equalities(term: Term, equalities: Mapping[Constant, Term]) -> Term:
+    """Follow the chase's equalities from ``term`` to a fixpoint (cycle-safe)."""
+    seen: set[Term] = set()
+    while isinstance(term, Constant) and term in equalities and term not in seen:
+        seen.add(term)
+        term = equalities[term]
+    return term
 
 
-def _frontier_seed(tgd: TGD, trigger: Substitution) -> Substitution:
-    """Restrict a body trigger to the frontier variables (shared with the head)."""
-    seed = Substitution.empty()
-    for variable in tgd.frontier():
-        value = trigger.get(variable)
-        if value is not None:
-            seed = seed.bind(variable, value)
-    return seed
+def _count_step(steps: int, config: ChaseConfig, chase_name: str) -> int:
+    steps += 1
+    if steps > config.max_steps:
+        raise ChaseNonTerminationError(f"{chase_name} exceeded {config.max_steps} steps")
+    return steps
+
+
+def _check_size(index: InstanceIndex, config: ChaseConfig, chase_name: str) -> None:
+    if len(index) > config.max_facts:
+        raise ChaseNonTerminationError(f"{chase_name} instance exceeded {config.max_facts} facts")
+
+
+def _head_check(tgd: TGD, body: Program, index: InstanceIndex) -> tuple[Program, Callable]:
+    """The restricted chase's "already satisfied" test, compiled once per
+    visit of ``tgd``: its head with the frontier as bound slots, and the
+    frontier of a body binding."""
+    frontier = sorted(tgd.frontier(), key=lambda v: v.name)
+    return compile_pattern(tgd.head, index, frontier), body.getter(frontier)
 
 
 def _fire_tgd(tgd: TGD, trigger: Substitution) -> list[Atom]:
@@ -111,21 +130,6 @@ def _fire_tgd(tgd: TGD, trigger: Substitution) -> list[Atom]:
     for variable in sorted(tgd.existential_variables(), key=lambda v: v.name):
         extended = extended.bind(variable, _fresh_null(variable.name))
     return [atom.apply(extended) for atom in tgd.head]
-
-
-def _apply_equality(
-    facts: set[Atom], old: Term, new: Term
-) -> set[Atom]:
-    """Replace every occurrence of ``old`` by ``new`` in ``facts``."""
-    replaced: set[Atom] = set()
-    for fact in facts:
-        if old in fact.terms:
-            replaced.add(
-                Atom(fact.relation, [new if t == old else t for t in fact.terms])
-            )
-        else:
-            replaced.add(fact)
-    return replaced
 
 
 def _resolve_egd_equality(left: Term, right: Term) -> tuple[Term, Term] | None:
@@ -151,6 +155,20 @@ def _resolve_egd_equality(left: Term, right: Term) -> tuple[Term, Term] | None:
     raise ChaseFailure(f"EGD requires {left} = {right}, both are distinct constants")
 
 
+def _unmet_equality(egd: EGD, index: InstanceIndex) -> tuple[Substitution, Term, Term] | None:
+    """The first trigger of ``egd`` whose equalities do not hold yet, with the
+    ``(old, new)`` merge that makes them hold; None when every one holds."""
+    body = compile_pattern(egd.body, index)
+    sides = body.getter([term for pair in egd.equalities for term in pair])
+    for binding, _ in body.run():
+        values = sides(binding)
+        for left, right in zip(values[::2], values[1::2]):
+            resolution = _resolve_egd_equality(left, right)
+            if resolution is not None:
+                return body.substitution(binding), *resolution
+    return None
+
+
 def chase(
     facts: Iterable[Atom],
     constraints: ConstraintSet | Iterable[Constraint],
@@ -165,15 +183,13 @@ def chase(
         constraints = ConstraintSet(constraints)
     config = config or ChaseConfig()
 
-    current: set[Atom] = set(facts)
+    index = InstanceIndex(facts)
     equalities: dict[Constant, Term] = {}
     steps = 0
-    fired: list[str] = []
 
     changed = True
     while changed:
         changed = False
-        index = InstanceIndex(current)
         for constraint, body_relations in constraints.constraints_with_body_relations():
             # Inverted dispatch: a constraint whose body mentions a relation
             # absent from the instance has no trigger, so matching its body
@@ -181,63 +197,30 @@ def chase(
             if not body_relations <= index.relations():
                 continue
             if isinstance(constraint, TGD):
+                body = compile_pattern(constraint.body, index)
+                head, frontier_of = _head_check(constraint, body, index)
+                # Every trigger is tested against the instance as the visit
+                # found it; the new facts land once the match is done.
                 new_facts: list[Atom] = []
-                for trigger in iterate_homomorphisms(constraint.body, index):
-                    if _tgd_is_satisfied(constraint, trigger, index):
+                for binding, _ in body.run():
+                    if next(head.run(frontier_of(binding)), None) is not None:
                         continue
-                    steps += 1
-                    if steps > config.max_steps:
-                        raise ChaseNonTerminationError(
-                            f"chase exceeded {config.max_steps} steps"
-                        )
-                    produced = _fire_tgd(constraint, trigger)
-                    for fact in produced:
-                        if fact not in current:
-                            new_facts.append(fact)
-                    fired.append(constraint.name)
-                if new_facts:
-                    current.update(new_facts)
-                    index.add_all(new_facts)
+                    steps = _count_step(steps, config, "chase")
+                    trigger = body.substitution(binding)
+                    new_facts.extend(f for f in _fire_tgd(constraint, trigger) if f not in index)
+                if index.add_all(new_facts):
                     changed = True
-                    if len(current) > config.max_facts:
-                        raise ChaseNonTerminationError(
-                            f"chase instance exceeded {config.max_facts} facts"
-                        )
-            else:  # EGD
-                # EGDs may cascade; iterate until no trigger produces a change.
-                egd_changed = True
-                while egd_changed:
-                    egd_changed = False
-                    index = InstanceIndex(current)
-                    for trigger in iterate_homomorphisms(constraint.body, index):
-                        for left_var, right_var in constraint.equalities:
-                            left = trigger.resolve(left_var)
-                            right = trigger.resolve(right_var)
-                            resolution = _resolve_egd_equality(left, right)
-                            if resolution is None:
-                                continue
-                            old, new = resolution
-                            steps += 1
-                            if steps > config.max_steps:
-                                raise ChaseNonTerminationError(
-                                    f"chase exceeded {config.max_steps} steps"
-                                )
-                            current = _apply_equality(current, old, new)
-                            if isinstance(old, Constant):
-                                equalities[old] = new
-                            fired.append(constraint.name)
-                            changed = True
-                            egd_changed = True
-                            break
-                        if egd_changed:
-                            break
+                    _check_size(index, config, "chase")
+            else:  # EGD: merges may cascade, so re-match after each one.
+                while (unmet := _unmet_equality(constraint, index)) is not None:
+                    _, old, new = unmet
+                    steps = _count_step(steps, config, "chase")
+                    index.merge(old, new)
+                    if isinstance(old, Constant):
+                        equalities[old] = new
+                    changed = True
 
-    return ChaseResult(
-        facts=frozenset(current),
-        steps=steps,
-        fired_constraints=tuple(fired),
-        equalities=equalities,
-    )
+    return ChaseResult(facts=index.facts(), steps=steps, equalities=equalities)
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +270,39 @@ def provenance_chase(
     config = config or ChaseConfig()
 
     provenance: dict[Atom, ProvenanceFormula] = dict(annotated_facts)
-    current: set[Atom] = set(annotated_facts)
+    index = InstanceIndex(annotated_facts)
     equalities: dict[Constant, Term] = {}
     steps = 0
+    true = ProvenanceFormula.true()
 
     changed = True
     while changed:
         changed = False
-        index = InstanceIndex(current)
         for constraint, body_relations in constraints.constraints_with_body_relations():
             # Same inverted dispatch as the standard chase (see above).
             if not body_relations <= index.relations():
                 continue
             if isinstance(constraint, TGD):
-                for trigger in iterate_homomorphisms(constraint.body, index):
-                    trigger_provenance = ProvenanceFormula.true()
-                    for body_atom in constraint.body:
-                        image = body_atom.apply(trigger)
+                body = compile_pattern(constraint.body, index)
+                head, frontier_of = _head_check(constraint, body, index)
+                body_images = [(a.relation, body.getter(a.terms)) for a in constraint.body]
+                head_images = [(a.relation, head.getter(a.terms)) for a in constraint.head]
+                # The triggers are collected first: a firing adds facts to the
+                # buckets the match is reading.
+                for binding, _ in list(body.run()):
+                    trigger_provenance = true
+                    for relation, image_of in body_images:
                         trigger_provenance = trigger_provenance.conjunction(
-                            provenance.get(image, ProvenanceFormula.true())
+                            provenance.get(Atom(relation, image_of(binding)), true)
                         )
-                    extended = trigger
-                    existentials = sorted(
-                        constraint.existential_variables(), key=lambda v: v.name
-                    )
                     # Restricted-chase check: only invent new nulls when the head
                     # cannot be satisfied at all with the frontier bindings.
-                    head_match = find_homomorphism(
-                        constraint.head, index, seed=_frontier_seed(constraint, trigger)
-                    )
+                    head_match = next(head.run(frontier_of(binding)), None)
                     if head_match is not None:
                         # Head already present: only update provenance.
                         updated = False
-                        for head_atom in constraint.head:
-                            image = head_atom.apply(head_match)
+                        for relation, image_of in head_images:
+                            image = Atom(relation, image_of(head_match[0]))
                             old = provenance.get(image, ProvenanceFormula.false())
                             new = old.disjunction(trigger_provenance)
                             if new != old:
@@ -328,25 +310,13 @@ def provenance_chase(
                                 updated = True
                         if updated:
                             changed = True
-                            steps += 1
-                            if steps > config.max_steps:
-                                raise ChaseNonTerminationError(
-                                    f"provenance chase exceeded {config.max_steps} steps"
-                                )
+                            steps = _count_step(steps, config, "provenance chase")
                         continue
-                    for variable in existentials:
-                        extended = extended.bind(variable, _fresh_null(variable.name))
-                    steps += 1
-                    if steps > config.max_steps:
-                        raise ChaseNonTerminationError(
-                            f"provenance chase exceeded {config.max_steps} steps"
-                        )
-                    for head_atom in constraint.head:
-                        fact = head_atom.apply(extended)
+                    steps = _count_step(steps, config, "provenance chase")
+                    for fact in _fire_tgd(constraint, body.substitution(binding)):
                         old = provenance.get(fact)
                         if old is None:
                             provenance[fact] = trigger_provenance
-                            current.add(fact)
                             index.add(fact)
                             changed = True
                         else:
@@ -354,65 +324,43 @@ def provenance_chase(
                             if new != old:
                                 provenance[fact] = new
                                 changed = True
-                    if len(current) > config.max_facts:
-                        raise ChaseNonTerminationError(
-                            f"provenance chase instance exceeded {config.max_facts} facts"
-                        )
+                    _check_size(index, config, "provenance chase")
             else:  # EGD
-                egd_changed = True
-                while egd_changed:
-                    egd_changed = False
-                    index = InstanceIndex(current)
-                    for trigger in iterate_homomorphisms(constraint.body, index):
-                        for left_var, right_var in constraint.equalities:
-                            left = trigger.resolve(left_var)
-                            right = trigger.resolve(right_var)
-                            resolution = _resolve_egd_equality(left, right)
-                            if resolution is None:
-                                continue
-                            old_term, new_term = resolution
-                            steps += 1
-                            if steps > config.max_steps:
-                                raise ChaseNonTerminationError(
-                                    f"provenance chase exceeded {config.max_steps} steps"
-                                )
-                            trigger_provenance = ProvenanceFormula.true()
-                            for body_atom in constraint.body:
-                                image = body_atom.apply(trigger)
-                                trigger_provenance = trigger_provenance.conjunction(
-                                    provenance.get(image, ProvenanceFormula.true())
-                                )
-                            new_provenance: dict[Atom, ProvenanceFormula] = {}
-                            for fact, formula in provenance.items():
-                                if old_term in fact.terms:
-                                    renamed = Atom(
-                                        fact.relation,
-                                        [new_term if t == old_term else t for t in fact.terms],
-                                    )
-                                    merged = formula.conjunction(trigger_provenance)
-                                    existing = new_provenance.get(renamed)
-                                    if existing is not None:
-                                        merged = existing.disjunction(merged)
-                                    other = provenance.get(renamed)
-                                    if other is not None and renamed != fact:
-                                        merged = merged.disjunction(other)
-                                    new_provenance[renamed] = merged
-                                else:
-                                    existing = new_provenance.get(fact)
-                                    if existing is not None:
-                                        new_provenance[fact] = existing.disjunction(formula)
-                                    else:
-                                        new_provenance[fact] = formula
-                            provenance = new_provenance
-                            current = set(provenance)
-                            if isinstance(old_term, Constant):
-                                equalities[old_term] = new_term
-                            changed = True
-                            egd_changed = True
-                            break
-                        if egd_changed:
-                            break
+                while (unmet := _unmet_equality(constraint, index)) is not None:
+                    trigger, old_term, new_term = unmet
+                    steps = _count_step(steps, config, "provenance chase")
+                    trigger_provenance = true
+                    for body_atom in constraint.body:
+                        trigger_provenance = trigger_provenance.conjunction(
+                            provenance.get(body_atom.apply(trigger), true)
+                        )
+                    new_provenance: dict[Atom, ProvenanceFormula] = {}
+                    for fact, formula in provenance.items():
+                        if old_term in fact.terms:
+                            renamed = Atom(
+                                fact.relation,
+                                [new_term if t == old_term else t for t in fact.terms],
+                            )
+                            merged = formula.conjunction(trigger_provenance)
+                            existing = new_provenance.get(renamed)
+                            if existing is not None:
+                                merged = existing.disjunction(merged)
+                            other = provenance.get(renamed)
+                            if other is not None and renamed != fact:
+                                merged = merged.disjunction(other)
+                            new_provenance[renamed] = merged
+                        else:
+                            existing = new_provenance.get(fact)
+                            if existing is not None:
+                                new_provenance[fact] = existing.disjunction(formula)
+                            else:
+                                new_provenance[fact] = formula
+                    provenance = new_provenance
+                    index.merge(old_term, new_term)
+                    if isinstance(old_term, Constant):
+                        equalities[old_term] = new_term
+                    changed = True
 
     return ProvenanceChaseResult(
-        facts=frozenset(current), provenance=provenance, steps=steps, equalities=equalities
+        facts=index.facts(), provenance=provenance, steps=steps, equalities=equalities
     )

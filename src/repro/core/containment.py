@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.chase import ChaseConfig, ChaseFailure, ChaseResult, chase
+from repro.core.chase import ChaseConfig, ChaseFailure, ChaseResult, chase, follow_equalities
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.homomorphism import InstanceIndex, find_homomorphism
 from repro.core.memo import LRUMemo
 from repro.core.query import ConjunctiveQuery
-from repro.core.terms import Constant, Substitution, Term, Variable
+from repro.core.terms import Substitution, Term, Variable
 from repro.errors import PivotModelError
 
 __all__ = [
@@ -154,7 +154,7 @@ def is_contained_under_constraints(
         _containment_memo.put(verdict_key, True)
         return True
     # EGD firings may have merged labelled nulls appearing in the frozen head.
-    resolved_head = tuple(_resolve_equalities(t, result.equalities) for t in frozen_head)
+    resolved_head = tuple(follow_equalities(t, result.equalities) for t in frozen_head)
     index = result.index()
     homomorphism = find_homomorphism(
         container.body, index, requirement=_head_requirement(container, resolved_head)
@@ -162,16 +162,6 @@ def is_contained_under_constraints(
     verdict = homomorphism is not None
     _containment_memo.put(verdict_key, verdict)
     return verdict
-
-
-def _resolve_equalities(term: Term, equalities: dict[Constant, Term]) -> Term:
-    """Follow equality rewrites applied by the chase until a fixpoint."""
-    seen: set[Term] = set()
-    current = term
-    while isinstance(current, Constant) and current in equalities and current not in seen:
-        seen.add(current)
-        current = equalities[current]
-    return current
 
 
 def is_equivalent_under_constraints(

@@ -2,21 +2,20 @@
 
 The PACB backchase repeats the same expensive sub-computations many times:
 chasing the canonical instance of a candidate with the same constraint set,
-checking containment between alpha-equivalent candidate/query pairs, and
-searching for homomorphisms into the same chased instance.  This module
-provides the small, bounded LRU caches those call sites share, plus a global
-registry so benchmarks can report hit rates and tests can reset state.
+and checking containment between alpha-equivalent candidate/query pairs.
+This module provides the small, bounded LRU caches those call sites share,
+plus a global registry so benchmarks can report hit rates and tests can
+reset state.  Homomorphism search itself is not memoized.
 
 Soundness of the keys rests on two facts:
 
 * :func:`repro.core.query.freeze_atoms` uses a *per-call* counter, so the
   same query body always freezes to the identical canonical instance —
   frozen fact sets are therefore stable cache keys;
-* mutable containers (:class:`~repro.core.constraints.ConstraintSet`,
-  :class:`~repro.core.homomorphism.InstanceIndex`) are keyed by a globally
-  monotonic *mutation token*, never by content, so a container that changed
-  (or a new container that happens to have equal content) can never alias a
-  stale entry.
+* a :class:`~repro.core.constraints.ConstraintSet`, which is mutable, is
+  keyed by its globally monotonic *mutation token*, never by content, so a
+  set that changed (or a new set that happens to have equal content) can
+  never alias a stale entry.
 
 Memoization is always on; a *cold* run is one after :func:`clear_memos`.
 """

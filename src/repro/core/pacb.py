@@ -31,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.chase import ChaseConfig, provenance_chase
+from repro.core.chase import ChaseConfig, follow_equalities, provenance_chase
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.containment import is_equivalent_under_constraints
 from repro.core.homomorphism import iterate_homomorphisms
 from repro.core.provenance import ProvenanceFormula
 from repro.core.query import ConjunctiveQuery
-from repro.core.terms import Atom, Constant, Substitution, Term
+from repro.core.terms import Atom, Substitution
 from repro.core.universal_plan import UniversalPlan, chase_query
 from repro.core.backchase import candidate_to_query
 from repro.core.views import ViewDefinition, combined_constraint_set
@@ -69,16 +69,6 @@ class PACBResult:
     rewritings: list[ConjunctiveQuery]
     statistics: PACBStatistics
     universal_plan: UniversalPlan | None = None
-
-
-def _resolve_chain(term: Term, equalities: dict[Constant, Term]) -> Term:
-    """Follow chase equalities until a fixpoint."""
-    seen: set[Term] = set()
-    current = term
-    while isinstance(current, Constant) and current in equalities and current not in seen:
-        seen.add(current)
-        current = equalities[current]
-    return current
 
 
 def pacb_rewrite(
@@ -147,7 +137,7 @@ def pacb_rewrite(
     statistics.provenance_chase_steps = chased.steps
 
     # The provenance chase may have merged labelled nulls: track the head images.
-    frozen_head = tuple(_resolve_chain(t, chased.equalities) for t in plan.frozen_head)
+    frozen_head = tuple(follow_equalities(t, chased.equalities) for t in plan.frozen_head)
 
     # Step 4: match the query body against the chased instance.
     index = chased.index()

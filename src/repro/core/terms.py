@@ -268,16 +268,6 @@ class Substitution:
         new._mapping[variable] = term
         return new
 
-    def bind_mutable(self, variable: Variable, term: Term) -> None:
-        """In-place bind used by performance-sensitive search loops."""
-        self._mapping[variable] = term
-        self._hash = None
-
-    def unbind_mutable(self, variable: Variable) -> None:
-        """In-place unbind used by performance-sensitive search loops."""
-        self._mapping.pop(variable, None)
-        self._hash = None
-
     def copy(self) -> "Substitution":
         """Return an independent copy."""
         return Substitution(self._mapping)

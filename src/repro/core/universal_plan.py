@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.chase import ChaseConfig, ChaseResult, chase, is_labelled_null
+from repro.core.chase import ChaseConfig, ChaseResult, chase, follow_equalities, is_labelled_null
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.query import ConjunctiveQuery, freeze_atoms
 from repro.core.terms import Atom, Constant, Substitution, Term, Variable
@@ -73,16 +73,6 @@ class UniversalPlan:
         )
 
 
-def _resolve_chain(term: Term, equalities: dict[Constant, Term]) -> Term:
-    """Follow chase equalities until a fixpoint (guards against cycles)."""
-    seen: set[Term] = set()
-    current = term
-    while isinstance(current, Constant) and current in equalities and current not in seen:
-        seen.add(current)
-        current = equalities[current]
-    return current
-
-
 def thaw_term(term: Term, thawing: dict[Constant, Variable]) -> Term:
     """Convert a labelled null back into a variable (other terms unchanged)."""
     if isinstance(term, Constant) and is_labelled_null(term):
@@ -112,14 +102,14 @@ def chase_query(
 
     # The chase may have merged labelled nulls: re-resolve the frozen head.
     frozen_head = tuple(
-        _resolve_chain(freezing.resolve(t), result.equalities) for t in query.head_terms
+        follow_equalities(freezing.resolve(t), result.equalities) for t in query.head_terms
     )
 
     # Thaw: original variables keep their identity, chase-invented nulls get
     # fresh variable names.
     thawing: dict[Constant, Variable] = {}
     for variable, null in freezing.items():
-        resolved = _resolve_chain(null, result.equalities)
+        resolved = follow_equalities(null, result.equalities)
         if isinstance(resolved, Constant) and is_labelled_null(resolved):
             thawing.setdefault(resolved, variable)
 
