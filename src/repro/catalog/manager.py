@@ -57,6 +57,7 @@ class StorageDescriptorManager:
         self._datasets: dict[str, DatasetInfo] = {}
         self._fragments: dict[str, StorageDescriptor] = {}
         self._version = 0
+        self._registry: tuple[int, AccessPatternRegistry] = (-1, AccessPatternRegistry())
         self._epoch_clock = 0
         self._relation_epochs: dict[str, int] = {}
         self._structural_epoch = 0
@@ -300,14 +301,23 @@ class StorageDescriptorManager:
         return view
 
     def access_pattern_registry(self) -> AccessPatternRegistry:
-        """Binding patterns of every registered fragment."""
-        registry = AccessPatternRegistry()
+        """Binding patterns of every registered fragment.
+
+        Built once per catalog version and shared: callers only read it (a
+        :class:`~repro.core.rewriting.Rewriter` copies what it is given).
+        """
         with self._lock:
-            descriptors = list(self._fragments.values())
-        for descriptor in descriptors:
-            pattern = descriptor.access_pattern()
-            if pattern is not None:
-                registry.register(pattern)
+            version, cached = self._registry
+            if version == self._version:
+                return cached
+            version, descriptors = self._version, list(self._fragments.values())
+        registry = AccessPatternRegistry(
+            pattern for descriptor in descriptors
+            if (pattern := descriptor.access_pattern()) is not None
+        )
+        with self._lock:
+            if version == self._version:
+                self._registry = (version, registry)
         return registry
 
     def schema_constraints(self, datasets: Iterable[str] | None = None) -> ConstraintSet:

@@ -35,7 +35,7 @@ class TGD:
     invents labelled nulls for them.
     """
 
-    __slots__ = ("body", "head", "name", "_hash")
+    __slots__ = ("body", "head", "name", "_hash", "_frontier", "_existentials")
 
     def __init__(self, body: Sequence[Atom], head: Sequence[Atom], name: str | None = None) -> None:
         if not body or not head:
@@ -44,6 +44,9 @@ class TGD:
         object.__setattr__(self, "head", tuple(head))
         object.__setattr__(self, "name", name or "tgd")
         object.__setattr__(self, "_hash", hash((frozenset(self.body), frozenset(self.head))))
+        body_variables, head_variables = self.body_variables(), self.head_variables()
+        object.__setattr__(self, "_frontier", head_variables & body_variables)
+        object.__setattr__(self, "_existentials", head_variables - body_variables)
 
     def __setattr__(self, key: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("TGD is immutable")
@@ -65,11 +68,11 @@ class TGD:
 
     def existential_variables(self) -> frozenset[Variable]:
         """Head variables that do not appear in the body."""
-        return self.head_variables() - self.body_variables()
+        return self._existentials
 
     def frontier(self) -> frozenset[Variable]:
         """Variables shared between body and head (the 'frontier')."""
-        return self.head_variables() & self.body_variables()
+        return self._frontier
 
     def is_full(self) -> bool:
         """True when the TGD has no existential variables (a *full* TGD)."""

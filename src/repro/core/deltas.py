@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.homomorphism import BagIndex, Program, apply_delta_to_bag
+from repro.core.homomorphism import BagIndex, Program, Template, apply_delta_to_bag
 from repro.core.query import ConjunctiveQuery
 from repro.core.terms import Atom
 from repro.errors import DeltaError
@@ -59,8 +59,9 @@ def _join(atoms: Sequence[tuple[Atom, BagIndex]], head_terms: Sequence[object]) 
     evaluator serve full recomputation (all-positive bags) and delta
     propagation (one signed factor).
     """
-    program = Program(atoms, values=True)
-    project = program.getter(head_terms)
+    template = Template([atom for atom, _ in atoms], values=True)
+    program = Program(template, [index for _, index in atoms])
+    project = template.getter(head_terms)
     result: Counter = Counter()
     for binding, count in program.run():
         result[project(binding)] += count

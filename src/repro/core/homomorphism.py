@@ -10,6 +10,11 @@ variable; multiplicities multiply through the join.  The steps run depth
 first off an explicit stack, so a first match or a ``limit`` stops early and
 no recursive closure is left for the cycle collector.
 
+The compiled form is a :class:`Template` (positions and getters, no data),
+and a :class:`Program` is a template bound to one bag per atom.  A template
+depends only on the ordered atoms and the bound variables, so the chase
+caches its constraints' templates and binds them to each run's index.
+
 Behind the matcher is one index protocol, ``probe(positions, key)`` yielding
 ``(row, count)`` pairs, answered by :class:`BagIndex`.  :class:`InstanceIndex`
 is its set-semantic face: one ``BagIndex`` per (relation, arity), each fact
@@ -30,10 +35,12 @@ __all__ = [
     "BagIndex",
     "InstanceIndex",
     "Program",
+    "Template",
     "apply_delta_to_bag",
     "compile_pattern",
     "find_homomorphism",
     "iterate_homomorphisms",
+    "order_pattern",
 ]
 
 
@@ -98,6 +105,16 @@ class BagIndex:
         bucket = self._index_for(positions).get(key)
         return bucket.items() if bucket is not None else ()
 
+    def add(self, row: tuple) -> None:
+        """Add one copy of ``row``, which the bag does not hold yet."""
+        self._bag[row] = 1
+        for positions, index in self._indexes.items():
+            key = tuple(map(row.__getitem__, positions))
+            bucket = index.get(key)
+            if bucket is None:
+                bucket = index[key] = Counter()
+            bucket[row] = 1
+
     def update(self, delta: Mapping[tuple, int]) -> None:
         """Apply a signed delta to the bag and to every built index (strict)."""
         apply_delta_to_bag(self._bag, delta)
@@ -137,32 +154,33 @@ def _binding_getter(sources: Sequence[tuple[int | None, object]]) -> Callable[[t
     return pick
 
 
-class Program:
-    """A conjunction of atoms compiled against the bags it probes.
+class Template:
+    """A conjunction of atoms compiled to positions, bound to no bag.
 
     ``slots`` maps each variable to its binding position: the ``bound``
     variables first, then each atom's fresh ones.  With ``values`` the bags
     hold raw values (view maintenance) and a constant stands for its value;
-    otherwise they hold terms (an :class:`InstanceIndex`'s facts).
+    otherwise they hold terms (an :class:`InstanceIndex`'s facts).  A
+    template holds positions and getters only, so it may be cached and bound
+    to many indexes (:meth:`bind`, or :class:`Program` for plain bags).
     """
 
-    __slots__ = ("atoms", "slots", "_values", "_steps")
+    __slots__ = ("atoms", "slots", "_values", "steps", "_bag_keys", "_getters")
 
     def __init__(
-        self,
-        atoms: Sequence[tuple[Atom, BagIndex]],
-        bound: Sequence[Variable] = (),
-        values: bool = False,
+        self, atoms: Sequence[Atom], bound: Sequence[Variable] = (), values: bool = False
     ) -> None:
-        self.atoms = tuple(atom for atom, _ in atoms)
+        self.atoms = tuple(atoms)
+        self._bag_keys = tuple((atom.relation, atom.arity) for atom in self.atoms)
         self.slots: dict[Variable, int] = {variable: slot for slot, variable in enumerate(bound)}
         self._values = values
-        self._steps = tuple((index, *self._compile(atom.terms)) for atom, index in atoms)
+        self.steps = tuple(self._compile(atom.terms) for atom in self.atoms)
+        self._getters: dict[tuple, Callable[[tuple], tuple]] = {}
 
-    def _source(self, term: Term) -> tuple[int | None, object]:
+    def _source(self, term: Term, slots: Mapping[Variable, int]) -> tuple[int | None, object]:
         if isinstance(term, Constant):
             return None, term.value if self._values else term
-        return self.slots[term], None
+        return slots[term], None
 
     def _compile(self, terms: Sequence[Term]) -> tuple:
         """One atom's probe positions, the key of a binding (in probe order),
@@ -176,7 +194,7 @@ class Program:
         for position, term in enumerate(terms):
             if isinstance(term, Constant) or term in self.slots:
                 probe.append(position)
-                sources.append(self._source(term))
+                sources.append(self._source(term, self.slots))
             elif term in first_seen:
                 checks.append((position, first_seen[term]))
             else:
@@ -186,30 +204,64 @@ class Program:
             self.slots[term] = len(self.slots)
         return tuple(probe), _binding_getter(sources), _tuple_getter(fresh), tuple(checks)
 
+    def getter(
+        self, terms: Sequence[Term], extra: Sequence[Variable] = ()
+    ) -> Callable[[tuple], tuple]:
+        """A callable taking a binding, followed by one value per ``extra``
+        variable, to the values of ``terms`` (built once per template)."""
+        key = (tuple(terms), tuple(extra))
+        getter = self._getters.get(key)
+        if getter is None:
+            slots = self.slots
+            if extra:
+                slots = {**slots, **{v: len(slots) + i for i, v in enumerate(extra)}}
+            getter = _binding_getter([self._source(term, slots) for term in terms])
+            self._getters[key] = getter
+        return getter
+
+    def bind(self, index: InstanceIndex) -> Program:
+        """This template probing ``index``'s bag of each atom."""
+        return Program(self, [index.bag(relation, arity) for relation, arity in self._bag_keys])
+
+
+class Program:
+    """A :class:`Template` bound to the bags it probes, one per atom."""
+
+    __slots__ = ("template", "_bags")
+
+    def __init__(self, template: Template, bags: Sequence[BagIndex]) -> None:
+        self.template = template
+        self._bags = bags
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The template's atoms, in matching order."""
+        return self.template.atoms
+
     def getter(self, terms: Sequence[Term]) -> Callable[[tuple], tuple]:
         """A callable taking a binding to the values of ``terms``."""
-        return _binding_getter([self._source(term) for term in terms])
+        return self.template.getter(terms)
 
     def substitution(self, binding: tuple) -> Substitution:
         """``binding`` as a substitution of the program's variables."""
-        return Substitution(dict(zip(self.slots, binding)))
+        return Substitution(dict(zip(self.template.slots, binding)))
 
     def run(self, binding: tuple = (), count: int = 1) -> Iterator[tuple[tuple, int]]:
         """Yield ``(binding, count)`` for every match extending ``binding``
         (the bound variables' values), depth first with one row iterator per
         atom.  Do not update a probed bag while this iterator is live."""
-        steps = self._steps
+        steps, bags = self.template.steps, self._bags
         if not steps:
             yield binding, count
             return
         last = len(steps) - 1
         bindings = [binding] * len(steps)
         counts = [count] * len(steps)
-        index, probe, key_of, _, _ = steps[0]
-        rows = [iter(index.probe(probe, key_of(binding)))] * len(steps)
+        probe, key_of, _, _ = steps[0]
+        rows = [iter(bags[0].probe(probe, key_of(binding)))] * len(steps)
         level = 0
         while level >= 0:
-            fresh_of, checks = steps[level][3:]
+            fresh_of, checks = steps[level][2:]
             for row, row_count in rows[level]:
                 # A variable repeated inside the atom (a self-equality
                 # selection) that the probe key could not cover.
@@ -223,8 +275,8 @@ class Program:
                 level += 1
                 bindings[level] = grown
                 counts[level] = grown_count
-                index, probe, key_of, _, _ = steps[level]
-                rows[level] = iter(index.probe(probe, key_of(grown)))
+                probe, key_of, _, _ = steps[level]
+                rows[level] = iter(bags[level].probe(probe, key_of(grown)))
                 break
             else:
                 level -= 1
@@ -254,7 +306,7 @@ class InstanceIndex:
         bag = self.bag(fact.relation, fact.arity)
         if fact.terms in bag.rows:
             return False
-        bag.update({fact.terms: 1})
+        bag.add(fact.terms)
         self._relations.add(fact.relation)
         return True
 
@@ -262,17 +314,23 @@ class InstanceIndex:
         """Add several facts; returns how many were new."""
         return sum(1 for fact in facts if self.add(fact))
 
-    def merge(self, old: Term, new: Term) -> None:
+    def merge(self, old: Term, new: Term) -> set[str]:
         """Replace ``old`` by ``new`` in every fact (an EGD firing): each
         renamed row leaves its bag as a -1 and comes back renamed as a +1
-        unless already present, so no relation loses its last fact."""
-        for bag in self._bags.values():
+        unless already present, so no relation loses its last fact.  Returns
+        the relations that held a renamed fact."""
+        touched: set[str] = set()
+        for (relation, _), bag in self._bags.items():
             renamed = [row for row in bag.rows if old in row]
+            if not renamed:
+                continue
+            touched.add(relation)
             bag.update(dict.fromkeys(renamed, -1))
             for row in renamed:
                 row = tuple(new if term == old else term for term in row)
                 if row not in bag.rows:
                     bag.update({row: 1})
+        return touched
 
     def __contains__(self, fact: Atom) -> bool:
         bag = self._bags.get((fact.relation, fact.arity))
@@ -292,31 +350,36 @@ class InstanceIndex:
         return self._relations
 
 
-def compile_pattern(
-    pattern: Sequence[Atom], index: InstanceIndex, bound: Sequence[Variable] = ()
-) -> Program:
-    """Compile ``pattern`` against ``index``, most constrained atom first:
-    greedily, the atom whose constants select the fewest facts, then the one
-    sharing most variables with those placed, then pattern order."""
+def order_pattern(pattern: Sequence[Atom], index: InstanceIndex) -> tuple[Atom, ...]:
+    """``pattern`` most constrained atom first: greedily, the atom whose
+    constants select the fewest facts of ``index``, then the one sharing most
+    variables with those placed, then pattern order."""
     if len(pattern) == 1:
-        return Program([(pattern[0], index.bag(pattern[0].relation, pattern[0].arity))], bound)
+        return tuple(pattern)
     remaining = []
     for atom in pattern:
         bag = index.bag(atom.relation, atom.arity)
         constants = tuple(p for p, term in enumerate(atom.terms) if isinstance(term, Constant))
         size = len(bag.probe(constants, tuple(atom.terms[p] for p in constants)))
-        remaining.append((atom, bag, size, atom.variable_set()))
-    ordered: list[tuple[Atom, BagIndex]] = []
+        remaining.append((atom, size, atom.variable_set()))
+    ordered: list[Atom] = []
     placed: set[Variable] = set()
     while remaining:
         best = min(
             range(len(remaining)),
-            key=lambda i: (remaining[i][2], -len(remaining[i][3] & placed)),
+            key=lambda i: (remaining[i][1], -len(remaining[i][2] & placed)),
         )
-        atom, bag, _, variables = remaining.pop(best)
-        ordered.append((atom, bag))
+        atom, _, variables = remaining.pop(best)
+        ordered.append(atom)
         placed |= variables
-    return Program(ordered, bound)
+    return tuple(ordered)
+
+
+def compile_pattern(
+    pattern: Sequence[Atom], index: InstanceIndex, bound: Sequence[Variable] = ()
+) -> Program:
+    """Compile ``pattern`` against ``index`` in :func:`order_pattern`'s order."""
+    return Template(order_pattern(pattern, index), bound).bind(index)
 
 
 def iterate_homomorphisms(

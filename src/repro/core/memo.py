@@ -5,7 +5,11 @@ chasing the canonical instance of a candidate with the same constraint set,
 and checking containment between alpha-equivalent candidate/query pairs.
 This module provides the small, bounded LRU caches those call sites share,
 plus a global registry so benchmarks can report hit rates and tests can
-reset state.  Homomorphism search itself is not memoized.
+reset state.  Homomorphism search itself is not memoized, but compiling it
+is: ``chase_programs`` (:mod:`repro.core.chase`) holds the templates of
+constraint bodies, heads and EGD bodies, keyed by their ordered atoms and
+bound variables.  No memo holds an index: a template is positions and
+getters only, and a chase result keeps its facts, not its index.
 
 Soundness of the keys rests on two facts:
 

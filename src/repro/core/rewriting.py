@@ -88,7 +88,11 @@ class Rewriter:
         if algorithm not in {"pacb", "classical"}:
             raise RewritingError(f"unknown rewriting algorithm {algorithm!r}")
         self._constraints = ConstraintSet(schema_constraints or ())
-        self._access_patterns = access_patterns or AccessPatternRegistry()
+        # Views added or removed here change the registry: keep a copy, so a
+        # registry the caller shares (the catalog's, say) stays as it was.
+        self._access_patterns = AccessPatternRegistry(
+            access_patterns.patterns().values() if access_patterns is not None else ()
+        )
         self._algorithm = algorithm
         self._cost_bound_factory = cost_bound_factory
         # The index is the only registry of views.

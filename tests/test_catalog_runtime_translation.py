@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import build_marketplace_estocada, view
 from repro.catalog import (
     AccessMethod,
     StatisticsCatalog,
@@ -10,7 +11,7 @@ from repro.catalog import (
     StorageLayout,
 )
 from repro.catalog.materialize import materialize_fragment
-from repro.core import Atom, ConjunctiveQuery, Constant, ViewDefinition
+from repro.core import Atom, ConjunctiveQuery, Constant, Variable, ViewDefinition
 from repro.errors import (
     CatalogError,
     DuplicateRegistrationError,
@@ -152,6 +153,46 @@ class TestManager:
         registry = catalog.access_pattern_registry()
         assert "F_prefs" in registry
         assert "F_users" not in registry
+
+    def test_access_pattern_registry_is_built_once_per_catalog_version(
+        self, marketplace_data, monkeypatch
+    ):
+        est = build_marketplace_estocada(marketplace_data)
+        est.explain("SELECT name FROM users WHERE uid = 5", dataset="shop")
+        calls = []
+        resolve = StorageDescriptor.access_pattern
+
+        def counted(descriptor):
+            calls.append(descriptor.fragment_name)
+            return resolve(descriptor)
+
+        monkeypatch.setattr(StorageDescriptor, "access_pattern", counted)
+        for sql in (
+            "SELECT city FROM users WHERE uid = 6",
+            "SELECT sku FROM purchases WHERE uid = 7",
+            "SELECT p.sku, u.preferred_category FROM purchases p, users u WHERE p.uid = u.uid",
+        ):
+            assert est.explain(sql, dataset="shop").chosen is not None
+        # Each plan still reads the patterns of the fragments it uses (their
+        # input columns), but none of the fragments it does not read.
+        assert set(calls) <= {"F_users", "F_prefs", "F_purchases"}
+
+        # A key-value fragment registered next is seen by the next plan's
+        # feasible order: its key is an input, so a plan must bind it first.
+        est.register_fragment(
+            StorageDescriptor(
+                "F_cities", "shop", "redis",
+                view("F_cities", ["?u", "?c"], [Atom("users", ["?u", "?n", "?c", "?p", "?pc"])],
+                     ("uid", "city")),
+                StorageLayout("cities"), AccessMethod("lookup", key_columns=("uid",)),
+            ),
+            rows=[{"uid": u["uid"], "city": u["city"]} for u in marketplace_data.users],
+        )
+        lookup = ConjunctiveQuery("q", ["?c"], [Atom("F_cities", ["?u", "?c"])])
+        with pytest.raises(PlanningError):
+            order_atoms(lookup, est.catalog)
+        keyed = order_atoms(lookup, est.catalog, bound_parameters=(Variable("u"),))
+        assert [access.atom.relation for access in keyed] == ["F_cities"]
 
     def test_unregister_store_blocked_while_hosting_fragments(self, catalog):
         with pytest.raises(DuplicateRegistrationError):
